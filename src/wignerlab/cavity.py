@@ -42,7 +42,7 @@ from .simulator import (
     _assemble,
     _draw_signal,
     _draw_wigner,
-    _log_partition_only,
+    _log_partition,
 )
 
 __all__ = [
@@ -208,7 +208,7 @@ def build_table(prior: Prior, lam: float, schedule: DimensionSchedule,
             inst = _assemble(prior, n, m, lam, X0[:n, :m], Z[:n, :n], seed)
             pert = None if epsilon is None else PerturbationParams(
                 epsilon=float(epsilon), Ztilde=Zt[:n, :m])
-            acc[(n, m)][r] = _log_partition_only(inst, pert, prior)
+            acc[(n, m)][r] = _log_partition(inst, pert, prior)
     entries = {
         key: (float(vals.mean()),
               float(vals.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0,

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _PSD_EIG_FLOOR = -1e-10
+_TINY = np.finfo(float).tiny      # exp-matmul entries below this lost their precision
 
 
 @dataclass(frozen=True)
@@ -137,12 +138,21 @@ def logsumexp_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Row maxima of A and column maxima of B are factored out so the matrix
     product runs on values in (0, 1]; this replaces a q-fold logsumexp per
-    output entry with one BLAS product.
+    output entry with one BLAS product.  Where a row maximum and a column
+    maximum sit at different inner indices every product can underflow; those
+    entries alone are recomputed by a pairwise logsumexp.
     """
     a_max = A.max(axis=1, keepdims=True)
     b_max = B.max(axis=0, keepdims=True)
     inner = np.exp(A - a_max) @ np.exp(B - b_max)
-    return a_max + b_max + np.log(inner)
+    if inner.min() >= _TINY:
+        return a_max + b_max + np.log(inner)
+    lost = inner < _TINY
+    inner[lost] = 1.0
+    out = a_max + b_max + np.log(inner)
+    i, j = np.nonzero(lost)
+    out[i, j] = logsumexp(A[i] + B[:, j].T, axis=1)
+    return out
 
 
 def mi_scalar_signal(prior: Prior, s: float, quad: GaussQuadrature) -> float:

@@ -14,15 +14,20 @@ entrywise on the signal,
 
 where H_{N+1} evaluates the base Hamiltonian with coupling normalizer N+1 on
 the same N x M spins.  For discrete priors all posterior quantities are
-computed exactly by streaming enumeration of the k^(N M) configurations
-(log-sum-exp in fixed chunk order), and disorder averages by Monte Carlo over
-fresh (X0, Z, Zt) draws on counter-based streams.
+computed exactly by enumerating the k^(N M) configurations in one pass.  H is
+quadratic in the rows, so splitting them into two blocks A and B makes
+H(a, b) = h_A(a) + h_B(b) + u_A(a).v_B(b): per-block configuration tables are
+built once per (prior, block shape) and reused, and every Gibbs weight comes
+from one matrix product over A-chunks in a fixed order (log-sum-exp rescaled
+to the running maximum).  Disorder averages are Monte Carlo over fresh
+(X0, Z, Zt) draws on counter-based streams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +54,8 @@ __all__ = [
 ]
 
 ENUM_BUDGET_BITS = 24          # enumeration cap: k^(N M) <= 2^24
-_CHUNK = 1 << 16
+_CHUNK = 1 << 18               # Gibbs weights held at once by the enumeration
+_WHOLE = 1 << 10               # up to this many configurations the rows stay whole
 
 TAG_INSTANCE = rngmod.tag("instance")
 TAG_SIM = rngmod.tag("simulate")
@@ -77,7 +83,6 @@ class PerturbationParams:
 
     epsilon: float
     Ztilde: np.ndarray
-    s_N: float = 0.0
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -136,12 +141,11 @@ def _hamiltonian_terms(X: np.ndarray, X0: np.ndarray, Z: np.ndarray):
     t_signal = np.einsum("cm,cm->c", cross.reshape(C, -1), cross.reshape(C, -1))
     gram = np.matmul(X.transpose(0, 2, 1), X)                  # X' X, (C, M, M)
     t_quartic = np.einsum("cmn,cmn->c", gram, gram)
-    return t_noise, t_signal, t_quartic, cross.reshape(C, M, M)
+    return t_noise, t_signal, t_quartic
 
 
-def _hamiltonian_batch(X, X0, Z, lam, denom, pert: PerturbationParams | None,
-                       return_cross: bool = False):
-    t_noise, t_signal, t_quartic, cross = _hamiltonian_terms(X, X0, Z)
+def _hamiltonian_batch(X, X0, Z, lam, denom, pert: PerturbationParams | None):
+    t_noise, t_signal, t_quartic = _hamiltonian_terms(X, X0, Z)
     H = 0.5 * (math.sqrt(lam / denom) * t_noise
                + (lam / denom) * t_signal
                - (lam / (2.0 * denom)) * t_quartic)
@@ -151,7 +155,7 @@ def _hamiltonian_batch(X, X0, Z, lam, denom, pert: PerturbationParams | None,
         s_align = np.einsum("cim,im->c", X, X0)
         s_norm = np.einsum("cim,cim->c", X, X)
         H = H + math.sqrt(eps) * s_side + eps * s_align - 0.5 * eps * s_norm
-    return (H, cross) if return_cross else H
+    return H
 
 
 def hamiltonian(instance: ModelInstance, X) -> float:
@@ -192,18 +196,125 @@ def _check_budget(prior: Prior, N: int, M: int):
     return prior.n_atoms ** (N * M)
 
 
-def _config_chunks(prior: Prior, N: int, M: int, chunk: int = _CHUNK):
-    """Stream configurations base-k over N*M digits, in fixed index order."""
-    k = prior.n_atoms
-    total = k ** (N * M)
-    log_w = np.log(prior.weights)
-    powers = k ** np.arange(N * M, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % k
-        X = prior.values[digits].reshape(-1, N, M)
-        logW = log_w[digits].sum(axis=1)
-        yield X, logW
+@dataclass(frozen=True)
+class _BlockTable:
+    """Every configuration of an n x M block with its instance-free features."""
+
+    X: np.ndarray        # (C, n M) entries, row-major; first entry varies slowest
+    G: np.ndarray        # (C, M^2) vec(X' X)
+    phi: np.ndarray      # (C, n^2 + n M + 2): [vec(X X'), vec(X), ln W, |X' X|_F^2]
+
+
+@lru_cache(maxsize=32)
+def _block_table(values: bytes, weights: bytes, n: int, M: int) -> _BlockTable:
+    v, w = np.frombuffer(values), np.frombuffer(weights)
+    d = n * M
+    idx = np.indices((v.size,) * d).reshape(d, -1).T
+    X = v[idx]
+    Xr = X.reshape(len(X), n, M)
+    XX = np.matmul(Xr, Xr.transpose(0, 2, 1)).reshape(len(X), n * n)
+    G = np.matmul(Xr.transpose(0, 2, 1), Xr).reshape(len(X), M * M)
+    phi = np.column_stack([XX, X, np.log(w)[idx].sum(axis=1), np.sum(G * G, axis=1)])
+    for a in (X, G, phi):
+        a.setflags(write=False)
+    return _BlockTable(X=X, G=G, phi=phi)
+
+
+def _coefficients(instance: ModelInstance, pert: PerturbationParams | None):
+    """The instance's Hamiltonian as (Zeff, X0, t, C) in the form of
+    ``_split_block``; the side channel's -eps |X|^2 / 2 joins Zeff."""
+    N, lam = instance.N, instance.lam
+    d = N if pert is None else N + 1
+    Zeff = math.sqrt(lam / d) * instance.Z
+    if pert is None:
+        return Zeff, instance.X0, lam / d, np.zeros((N, instance.M))
+    eps = pert.epsilon
+    return (Zeff - eps * np.eye(N), instance.X0, lam / d,
+            math.sqrt(eps) * pert.Ztilde + eps * instance.X0)
+
+
+def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
+    """ln Z = ln sum_X W(X) exp H(X) over all k^(N M) configurations of
+
+        H(X) = Tr(X' Zeff X) / 2 + t |X' X0|_F^2 / 2 - t |X' X|_F^2 / 4 + <X, C>,
+
+    and with ``moments`` also the Gibbs averages <X> (N x M) and <X X'> (N x N).
+
+    Above _WHOLE configurations the rows split into A (the first ceil(N/2))
+    and B, and H(a, b) = h_A(a) + h_B(b) + u_A(a).v_B(b) with features
+    [Zeff_BA X_A, X_A' X0_A, X_A' X_A] against [X_B, t X_B' X0_B,
+    -t X_B' X_B / 2].  A-chunks of at most _CHUNK Gibbs weights are visited in
+    a fixed order, each one matrix product and one exp-sum rescaled to the
+    running maximum.
+    """
+    N, M = X0.shape
+    if N == 1 and M > 1:
+        # x' x0 and x' x have rank one, so H depends on x only through |x|^2
+        # and <x, C>: the same form for the M x 1 matrix x' without a signal
+        z_diag = Zeff[0, 0] + t * float(X0[0] @ X0[0])
+        out = _split_block(prior, z_diag * np.eye(M), np.zeros((M, 1)), t, C.T, moments)
+        return out if not moments else (out[0], out[1].T, np.array([[np.trace(out[2])]]))
+    nA = N if prior.n_atoms ** (N * M) <= _WHOLE else (N + 1) // 2
+    nB = N - nA
+    key = (prior.values.tobytes(), prior.weights.tobytes())
+    ta = _block_table(*key, nA, M)
+    K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.T)
+    tail = [1.0, -0.25 * t]
+    h_a = ta.phi @ np.concatenate([K[:nA, :nA].ravel(), C[:nA].ravel(), tail])
+    rows = h_a.size
+    if nB:
+        tb = _block_table(*key, nB, M)
+        h_b = tb.phi @ np.concatenate([K[nA:, nA:].ravel(), C[nA:].ravel(), tail])
+        eye = np.eye(M)
+        Q = (X0[:, None, None, :] * eye[:, :, None]).reshape(N * M, M * M)  # X Q = vec(X' X0)
+        kron = (Zeff[:nA, None, nA:, None] * eye[:, None, :]).reshape(nA * M, nB * M)
+        L_a = np.concatenate([kron, Q[:nA * M]], axis=1)
+        V = np.column_stack([tb.X, t * (tb.X @ Q[nA * M:]), (-0.5 * t) * tb.G,
+                             np.ones(h_b.size), h_b])
+        rows = max(1, _CHUNK // h_b.size)
+    top, z = -math.inf, 0.0
+    if moments:
+        r_all = np.empty(h_a.size)
+        col, cross = 0.0, 0.0
+    for lo in range(0, h_a.size, rows):
+        Xa = ta.X[lo:lo + rows]
+        if nB:
+            U = np.column_stack([Xa @ L_a, ta.G[lo:lo + rows], h_a[lo:lo + rows],
+                                 np.ones(len(Xa))])
+            E = U @ V.T                 # H + ln W over this A-chunk x all of B
+        else:
+            E = h_a[:, None].copy()
+        m = float(E.max())
+        E -= m
+        np.exp(E, out=E)
+        r = E.sum(axis=1)
+        old, new = (math.exp(top - m), 1.0) if m > top else (1.0, math.exp(m - top))
+        top = max(top, m)
+        z = z * old + float(r.sum()) * new
+        if moments:
+            r_all[:lo] *= old
+            r_all[lo:lo + rows] = r * new
+            if nB:
+                col = col * old + E.sum(axis=0) * new
+                cross = cross * old + (Xa.T @ (E @ tb.X)) * new
+    log_z = top + math.log(z)
+    if not moments:
+        return log_z
+    p_a = r_all / z
+    mean_x = p_a @ ta.X
+    mean_xxt = (p_a @ ta.phi[:, :nA * nA]).reshape(nA, nA)
+    if nB:
+        p_b = col / z
+        mean_x = np.concatenate([mean_x, p_b @ tb.X])
+        ab = np.trace((cross / z).reshape(nA, M, nB, M), axis1=1, axis2=3)
+        mean_xxt = np.block([[mean_xxt, ab],
+                             [ab.T, (p_b @ tb.phi[:, :nB * nB]).reshape(nB, nB)]])
+    return log_z, mean_x.reshape(N, M), mean_xxt
+
+
+def _log_partition(instance: ModelInstance, pert: PerturbationParams | None,
+                   prior: Prior) -> float:
+    return _split_block(prior, *_coefficients(instance, pert))
 
 
 def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
@@ -211,42 +322,19 @@ def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
     """Exact posterior summary by enumeration of all configurations.
 
     ``pert=None`` uses the base Hamiltonian H_N; otherwise the side-channel
-    form with the N+1 coupling normalizer.  Two streaming passes: the first
-    accumulates ln Z by log-sum-exp, the second the Gibbs averages.
+    form with the N+1 coupling normalizer.  One split-block pass (see
+    ``_split_block``) gives ln Z, <X> and <X X'>; the overlap moments follow
+    from <R> = <X>' X0 / N and <|R|_F^2> = <X X', X0 X0'> / N^2.
     """
     N, M = instance.N, instance.M
     total = _check_budget(prior, N, M)
-    denom = N if pert is None else N + 1
-
-    running_max = -np.inf
-    running_sum = 0.0
-    for X, logW in _config_chunks(prior, N, M):
-        g = _hamiltonian_batch(X, instance.X0, instance.Z, instance.lam, denom,
-                               pert) + logW
-        m = float(g.max())
-        if m > running_max:
-            running_sum *= math.exp(running_max - m)
-            running_max = m
-        running_sum += float(np.exp(g - running_max).sum())
-    log_z = running_max + math.log(running_sum)
-
-    mean_R = np.zeros((M, M))
-    mean_R2 = 0.0
-    mean_XXT = np.zeros((N, N))
-    for X, logW in _config_chunks(prior, N, M):
-        H, cross = _hamiltonian_batch(X, instance.X0, instance.Z, instance.lam,
-                                      denom, pert, return_cross=True)
-        p = np.exp(H + logW - log_z)
-        R = cross / N                               # X' X0 / N per configuration
-        mean_R += np.einsum("c,cmn->mn", p, R)
-        mean_R2 += float(p @ np.einsum("cmn,cmn->c", R, R))
-        C, _, _ = X.shape
-        A = X.transpose(0, 2, 1).reshape(C * M, N)
-        mean_XXT += A.T @ (A * np.repeat(p, M)[:, None])
-
-    fluct = max(mean_R2 - float(np.sum(mean_R * mean_R)), 0.0)
+    log_z, mean_x, mean_xxt = _split_block(prior, *_coefficients(instance, pert),
+                                           moments=True)
     truth = instance.X0 @ instance.X0.T
-    mmse = float(np.sum((truth - mean_XXT) ** 2)) / (N * N * M)
+    mean_R = mean_x.T @ instance.X0 / N
+    mean_R2 = float(np.sum(truth * mean_xxt)) / (N * N)
+    fluct = max(mean_R2 - float(np.sum(mean_R * mean_R)), 0.0)
+    mmse = float(np.sum((truth - mean_xxt) ** 2)) / (N * N * M)
     return PosteriorSummary(
         log_partition=log_z,
         free_entropy=log_z / (N * M),
@@ -260,23 +348,6 @@ def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
 # ---------------------------------------------------------------------------
 # disorder averages
 # ---------------------------------------------------------------------------
-
-def _log_partition_only(instance, pert, prior):
-    N, M = instance.N, instance.M
-    _check_budget(prior, N, M)
-    denom = N if pert is None else N + 1
-    running_max = -np.inf
-    running_sum = 0.0
-    for X, logW in _config_chunks(prior, N, M):
-        g = _hamiltonian_batch(X, instance.X0, instance.Z, instance.lam, denom,
-                               pert) + logW
-        m = float(g.max())
-        if m > running_max:
-            running_sum *= math.exp(running_max - m)
-            running_max = m
-        running_sum += float(np.exp(g - running_max).sum())
-    return running_max + math.log(running_sum)
-
 
 def _replicate_disorder(prior, N, M, rng, master=None):
     """Fresh (X0, Z, Ztilde); with ``master=(n_big, m_big)`` the draw happens
@@ -307,13 +378,19 @@ def free_entropy_replicates(prior: Prior, N: int, M: int, lam: float, *,
         X0, Z, Zt = _replicate_disorder(prior, N, M, rng, master)
         inst = _assemble(prior, N, M, lam, X0, Z, seed)
         pert = None if epsilon == 0.0 else PerturbationParams(epsilon=epsilon, Ztilde=Zt)
-        out[r] = _log_partition_only(inst, pert, prior) / (N * M)
+        out[r] = _log_partition(inst, pert, prior) / (N * M)
     return out
+
+
+def _need_two(replicates: int):
+    if replicates < 2:
+        raise ValueError("a standard error needs at least 2 replicates")
 
 
 def free_entropy_mc(prior: Prior, N: int, M: int, lam: float, epsilon: float,
                     replicates: int, seed: int):
     """Disorder-averaged free entropy and its standard error."""
+    _need_two(replicates)
     vals = free_entropy_replicates(prior, N, M, lam, epsilon=epsilon,
                                    replicates=replicates, seed=seed)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates))
@@ -347,6 +424,7 @@ def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
         raise ValueError("need at least 2 grid points for the eps average")
     if s_N <= 0:
         raise ValueError("schedule value s_N must be positive")
+    _need_two(replicates)
     _check_budget(prior, N, M)
     eps_grid = s_N * (1.0 + (np.arange(n_eps) + 0.5) / n_eps)
     vals = np.empty(replicates)
@@ -355,8 +433,8 @@ def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
         X0, Z, Zt = _replicate_disorder(prior, N, M, rng)
         inst = _assemble(prior, N, M, lam, X0, Z, seed)
         flucts = [
-            exact_posterior(inst, PerturbationParams(epsilon=float(e), Ztilde=Zt,
-                                                     s_N=s_N), prior).overlap_fluct
+            exact_posterior(inst, PerturbationParams(epsilon=float(e), Ztilde=Zt),
+                            prior).overlap_fluct
             for e in eps_grid
         ]
         vals[r] = np.mean(flucts)
@@ -379,9 +457,9 @@ def perturbation_gap_replicates(prior: Prior, N: int, M: int, lam: float,
         rng = rngmod.stream(seed, TAG_PERT, r)
         X0, Z, Zt = _replicate_disorder(prior, N, M, rng)
         inst = _assemble(prior, N, M, lam, X0, Z, seed)
-        pert = PerturbationParams(epsilon=s_N, Ztilde=Zt, s_N=s_N)
-        f_pert = _log_partition_only(inst, pert, prior) / (N * M)
-        f_base = _log_partition_only(inst, None, prior) / (N * M)
+        pert = PerturbationParams(epsilon=s_N, Ztilde=Zt)
+        f_pert = _log_partition(inst, pert, prior) / (N * M)
+        f_base = _log_partition(inst, None, prior) / (N * M)
         diffs[r] = f_pert - f_base
     return diffs
 
@@ -393,6 +471,7 @@ def perturbation_gap(prior: Prior, N: int, M: int, lam: float, s_N: float,
     Both free entropies use the same (X0, Z) per replicate; only the perturbed
     one sees Ztilde.  Returns (mean gap, std err of the gap).
     """
+    _need_two(replicates)
     diffs = perturbation_gap_replicates(prior, N, M, lam, s_N, replicates, seed)
     return float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(replicates))
 

@@ -57,6 +57,30 @@ class TestLogsumexpMatmul:
         ref = logsumexp(A[:, :, None] + B[None, :, :], axis=1)
         np.testing.assert_allclose(got, ref, atol=1e-13)
 
+    def test_underflowed_entry(self):
+        """Row and column maxima at different inner indices: every product
+        underflows, and the entry is -800 + ln 2, not -inf."""
+        got = channel.logsumexp_matmul(np.array([[0.0, -800.0]]),
+                                       np.array([[-800.0], [0.0]]))
+        assert abs(got[0, 0] - (-800.0 + math.log(2.0))) <= 1e-13
+
+    @pytest.mark.parametrize("prior_name", ["rademacher", "sparse03"])
+    def test_ill_conditioned_vector_mi(self, request, prior_name, rng):
+        """A randomly rotated gain Sigma^(-1/2) with noise eigenvalues
+        (1e-3, 0.5, 2) against a direct logsumexp over every mixture
+        component: -E ln sum_k W_k exp(e_k' z - |e_k|^2 / 2), e_k = G(v_k - x0)."""
+        prior = request.getfixturevalue(prior_name)
+        R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        gain = channel.psd_inv_sqrt((R * [1e-3, 0.5, 2.0]) @ R.T)
+        quad = channel.gauss_hermite(8)
+        values, logw = channel.atom_grid(prior, 3)
+        z, z_w = channel.tensor_nodes(quad, 3)
+        E = values @ gain.T
+        e = E[None, :, :] - E[:, None, :]                       # (x0, k, M)
+        arg = e @ z.T - 0.5 * np.sum(e * e, axis=2)[:, :, None] + logw[None, :, None]
+        direct = -float(np.exp(logw) @ (logsumexp(arg, axis=1) @ z_w))
+        assert abs(channel.mi_vector_signal(prior, gain, quad) - direct) <= 1e-13
+
 
 class TestScalarMi:
     def test_zero_snr(self, rademacher, quad64):

@@ -152,6 +152,17 @@ class TestExitCodes:
         assert code == 0
         assert "false" in (out / "fixed_point.csv").read_text()
 
+    def test_single_replicate_standard_error(self, tmp_path, capsys):
+        """One replicate has no standard error: a validation error, no CSV."""
+        code, out = run(tmp_path, "concentration",
+                        {"prior": "rademacher", "N_grid": [4], "M": 1,
+                         "lambda": 1.0, "replicates": 1, "n_eps": 2}, "one", seed=5)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+        meta = json.loads((out / "concentration_manifest.json").read_text())
+        assert meta["partial"] is True
+        assert not (out / "concentration.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["mi", "--config", str(tmp_path / "nope.json")])
         assert code == 2

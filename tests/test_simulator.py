@@ -4,14 +4,45 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from wignerlab import replica, simulator
+from wignerlab import make_prior, replica, simulator
 from wignerlab.simulator import (
     BudgetError,
     ModelInstance,
     PerturbationParams,
-    _config_chunks,
     _hamiltonian_batch,
 )
+
+
+def brute_force_terms(inst, pert, prior, chunk=1 << 15):
+    """Yield (X, H(X) + ln W(X)) over every configuration, from the
+    single-configuration Hamiltonian, in base-k index order."""
+    N, M = inst.N, inst.M
+    k = prior.n_atoms
+    denom = N if pert is None else N + 1
+    powers = k ** np.arange(N * M, dtype=np.int64)
+    for start in range(0, k ** (N * M), chunk):
+        idx = np.arange(start, min(start + chunk, k ** (N * M)), dtype=np.int64)
+        digits = (idx[:, None] // powers) % k
+        X = prior.values[digits].reshape(-1, N, M)
+        yield X, (_hamiltonian_batch(X, inst.X0, inst.Z, inst.lam, denom, pert)
+                  + np.log(prior.weights)[digits].sum(axis=1))
+
+
+def brute_force_posterior(inst, pert, prior):
+    """(ln Z, <R>, overlap fluctuation, matrix mmse) by two passes over every
+    configuration."""
+    N, M = inst.N, inst.M
+    log_z = logsumexp(np.concatenate([g for _, g in brute_force_terms(inst, pert, prior)]))
+    mean_R, mean_R2, mean_xxt = np.zeros((M, M)), 0.0, np.zeros((N, N))
+    for X, g in brute_force_terms(inst, pert, prior):
+        p = np.exp(g - log_z)
+        R = np.einsum("cim,in->cmn", X, inst.X0) / N
+        mean_R += np.einsum("c,cmn->mn", p, R)
+        mean_R2 += p @ np.einsum("cmn,cmn->c", R, R)
+        mean_xxt += np.einsum("c,cim,cjm->ij", p, X, X)
+    truth = inst.X0 @ inst.X0.T
+    return (log_z, mean_R, max(mean_R2 - np.sum(mean_R**2), 0.0),
+            np.sum((truth - mean_xxt) ** 2) / (N * N * M))
 
 
 class TestInstance:
@@ -149,10 +180,7 @@ class TestExactPosterior:
         """Reversed configuration order reproduces ln Z to 1e-12."""
         inst = simulator.sample_instance(rademacher, 5, 2, 1.5, seed=17)
         ps = simulator.exact_posterior(inst, None, rademacher)
-        chunks = list(_config_chunks(rademacher, 5, 2))
-        terms = np.concatenate([
-            _hamiltonian_batch(X, inst.X0, inst.Z, inst.lam, 5, None) + logW
-            for X, logW in chunks])
+        terms = np.concatenate([g for _, g in brute_force_terms(inst, None, rademacher)])
         reversed_lnz = logsumexp(terms[::-1])
         assert abs(ps.log_partition - reversed_lnz) <= 1e-12
 
@@ -181,6 +209,48 @@ class TestExactPosterior:
         assert abs(a.log_partition - b.log_partition) <= 1e-12
         np.testing.assert_allclose(a.mean_overlap, b.mean_overlap, atol=1e-12)
         assert abs(a.overlap_fluct - b.overlap_fluct) <= 1e-12
+
+
+ASYMMETRIC = make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)])
+
+
+class TestSplitBlockKernel:
+    """ln Z, <R>, overlap fluctuation and mmse of the enumeration kernel
+    against brute force over every configuration."""
+
+    @pytest.mark.parametrize("prior_name, N, M, lam, eps", [
+        ("rademacher", 1, 1, 1.0, 0.0),     # block B empty
+        ("sparse03", 1, 1, 2.0, 0.3),
+        ("asymmetric", 1, 4, 1.5, 0.2),     # one row, M > 1
+        ("rademacher", 1, 12, 1.0, 0.2),    # one row, split as a column
+        ("rademacher", 4, 2, 1.0, 0.2),     # rows kept whole
+        ("rademacher", 11, 1, 1.5, 0.0),    # odd N, split
+        ("rademacher", 6, 2, 2.0, 0.0),     # M = 2, split
+        ("sparse03", 7, 1, 2.0, 0.0),       # k = 3, odd N, split
+        ("sparse03", 4, 2, 1.5, 0.1),
+        ("asymmetric", 5, 2, 1.0, 0.0),
+        ("rademacher", 11, 1, 1.5, 0.2),    # side channel, split
+        ("rademacher", 12, 1, 0.0, 0.0),    # zero SNR
+        ("rademacher", 20, 1, 1.5, 0.0),    # several A-chunks
+    ])
+    def test_matches_brute_force(self, request, prior_name, N, M, lam, eps):
+        prior = (ASYMMETRIC if prior_name == "asymmetric"
+                 else request.getfixturevalue(prior_name))
+        inst = simulator.sample_instance(prior, N, M, lam, seed=100 + 7 * N + M)
+        Zt = simulator.rngmod.stream(N, M).standard_normal((N, M))
+        pert = None if eps == 0.0 else PerturbationParams(epsilon=eps, Ztilde=Zt)
+        log_z, mean_R, fluct, mmse = brute_force_posterior(inst, pert, prior)
+        ps = simulator.exact_posterior(inst, pert, prior)
+        assert abs(ps.log_partition - log_z) <= 1e-12
+        assert abs(simulator._log_partition(inst, pert, prior) - log_z) <= 1e-12
+        assert np.abs(ps.mean_overlap - mean_R).max() <= 1e-12
+        assert abs(ps.overlap_fluct - fluct) <= 1e-12
+        assert abs(ps.matrix_mmse - mmse) <= 1e-12
+
+    def test_several_chunks(self):
+        """The N = 20 case above holds 2^20 Gibbs weights, so its A-loop runs
+        more than one chunk."""
+        assert simulator._WHOLE < simulator._CHUNK < 2 ** 20
 
 
 class TestFreeEntropy:
@@ -253,6 +323,16 @@ class TestPerturbationGap:
                                                   20, seed=29)
         d = b - a
         assert d.std() < np.concatenate([a, b]).std()
+
+
+class TestStandardErrors:
+    def test_need_two_replicates(self, rademacher):
+        with pytest.raises(ValueError):
+            simulator.free_entropy_mc(rademacher, 2, 1, 1.0, 0.0, 1, seed=31)
+        with pytest.raises(ValueError):
+            simulator.overlap_concentration(rademacher, 4, 1, 1.0, 0.5, 2, 1, seed=31)
+        with pytest.raises(ValueError):
+            simulator.perturbation_gap(rademacher, 4, 1, 1.0, 0.1, 1, seed=31)
 
 
 class TestSerialization:
