@@ -39,10 +39,9 @@ from .simulator import (
     BudgetError,
     ENUM_BUDGET_BITS,
     PerturbationParams,
-    _assemble,
-    _draw_signal,
-    _draw_wigner,
+    _disorder,
     _log_partition,
+    _need_two,
 )
 
 __all__ = [
@@ -134,11 +133,13 @@ class FreeEntropyTable:
             raise KeyError(f"free-entropy table is missing entry {(n, m)}")
         return self.entries[(n, m)][0]
 
-    def replicate(self, n: int, m: int) -> np.ndarray | None:
-        if n == 0 or m == 0:
-            some = next(iter(self.replicate_values.values()), None)
-            return None if some is None else np.zeros_like(some)
-        return self.replicate_values.get((n, m))
+    def replicate(self, n: int, m: int) -> np.ndarray:
+        """Per-replicate ln Z of entry (n, m); zeros for an empty system."""
+        some = next(iter(self.replicate_values.values()), None)
+        empty = n == 0 or m == 0
+        if some is None or not empty and (n, m) not in self.replicate_values:
+            raise ValueError("report statistics need per-replicate table values")
+        return np.zeros_like(some) if empty else self.replicate_values[(n, m)]
 
 
 @dataclass
@@ -186,35 +187,29 @@ def build_table(prior: Prior, lam: float, schedule: DimensionSchedule,
                 T: int = 0) -> FreeEntropyTable:
     """Monte Carlo free-entropy table over the schedule's required entries.
 
-    ``epsilon=None`` evaluates the base Hamiltonian; a float evaluates the
-    side-channel form at that strength (N+1 normalizer).  Every entry is
-    estimated once, from the same master disorder per replicate.
+    ``epsilon=None`` evaluates the base Hamiltonian; a float, 0.0 included,
+    evaluates the side-channel form at that strength (N+1 normalizer).  Every
+    entry is estimated once, from the same master disorder per replicate, and
+    carries a standard error, so at least 2 replicates are needed.
     """
+    _need_two(replicates)
     need = required_entries(schedule, T)
     k = prior.n_atoms
     over = [(n, m) for n, m in need
             if n * m * math.log2(k) > ENUM_BUDGET_BITS + 1e-9]
     if over:
         raise BudgetError(f"entries over the enumeration budget: {over}")
-    n_big = max(n for n, _ in need)
-    m_big = max(m for _, m in need)
+    master = (max(n for n, _ in need), max(m for _, m in need))
     acc = {key: np.empty(replicates) for key in need}
-    for r in range(replicates):
-        rng = rngmod.stream(seed, TAG_CAVITY, r)
-        X0 = _draw_signal(prior, rng, n_big, m_big)
-        Z = _draw_wigner(rng, n_big)
-        Zt = rng.standard_normal((n_big, m_big))
+    draws = _disorder(prior, master, TAG_CAVITY, seed, replicates)
+    for r, (X0, Z, Zt) in enumerate(draws):
         for (n, m) in need:
-            inst = _assemble(prior, n, m, lam, X0[:n, :m], Z[:n, :n], seed)
             pert = None if epsilon is None else PerturbationParams(
                 epsilon=float(epsilon), Ztilde=Zt[:n, :m])
-            acc[(n, m)][r] = _log_partition(inst, pert, prior)
-    entries = {
-        key: (float(vals.mean()),
-              float(vals.std(ddof=1) / math.sqrt(replicates)) if replicates > 1 else 0.0,
-              replicates)
-        for key, vals in acc.items()
-    }
+            acc[(n, m)][r] = _log_partition(prior, lam, X0[:n, :m], Z[:n, :n], pert)
+    entries = {key: (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates)),
+                     replicates)
+               for key, vals in acc.items()}
     label = "base" if epsilon is None else f"eps={epsilon:g}"
     return FreeEntropyTable(entries=entries, lam=lam, prior_label=prior.label,
                             epsilon_label=label, replicate_values=acc)
@@ -263,13 +258,6 @@ def telescoping_check(table: FreeEntropyTable, schedule: DimensionSchedule,
     return abs(total - direct)
 
 
-def _per_replicate_value(table, schedule, n, m):
-    vals = table.replicate(n, m)
-    if vals is None:
-        raise ValueError("report statistics need per-replicate table values")
-    return vals
-
-
 def cavity_report(prior: Prior, lam: float, schedule: DimensionSchedule,
                   table: FreeEntropyTable, quad: GaussQuadrature | None = None,
                   T: int = 0) -> CavityReport:
@@ -291,20 +279,17 @@ def cavity_report(prior: Prior, lam: float, schedule: DimensionSchedule,
     N = schedule.n_max
     M = int(m[N])
 
-    replicates = table.entries[next(iter(table.entries))][2]
-    f_tilde = _per_replicate_value(table, schedule, N, M) / (N * M)
+    f_tilde = table.replicate(N, M) / (N * M)
     # per-replicate increments, raw and normalized
     dn_raw, dn_norm, dm_raw, dm_norm = [], [], [], []
     for i, n in enumerate(inc.n_values):
         m_next, m_here = int(m[n + 1]), int(m[n])
-        up = _per_replicate_value(table, schedule, n + 1, m_next)
-        base = (np.zeros(replicates) if n == 0 or m_next == 0
-                else _per_replicate_value(table, schedule, n, m_next))
+        up = table.replicate(n + 1, m_next)
+        base = table.replicate(n, m_next)
         dn_raw.append(up - base)
         dn_norm.append((up - base) / max(m_next, 1))
         if inc.increment_steps[i] and n > 0:
-            here = (np.zeros(replicates) if m_here == 0
-                    else _per_replicate_value(table, schedule, n, m_here))
+            here = table.replicate(n, m_here)
             dm_raw.append(base - here)
             dm_norm.append((base - here) / n)
     sum_m = float(schedule.m_of_n[T:N].sum())
@@ -319,8 +304,7 @@ def cavity_report(prior: Prior, lam: float, schedule: DimensionSchedule,
     diff = comb - f_tilde
 
     def mean_se(x):
-        se = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-        return float(np.mean(x)), se
+        return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size))
 
     comb_mean, comb_se = mean_se(comb)
     ft_mean, ft_se = mean_se(f_tilde)

@@ -1,10 +1,10 @@
 """Reproducible experiment runner.
 
 Every subcommand reads a JSON config, validates it against the target
-operation's preconditions before any computation starts, runs its jobs on a
-deterministic worker pool, and writes CSV results plus a JSON run manifest
-(config echo, content hash, wall time).  Fixed (config, seed) reproduces CSV
-bodies byte-identically; the thread count only affects runtime.
+operation's preconditions before any computation starts, runs its jobs in
+order, and writes CSV results plus a JSON run manifest (config echo, content
+hash, wall time).  Fixed (config, seed) reproduces CSV bodies
+byte-identically.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration budget overflow,
 4 non-convergence flagged as fatal by the config.
@@ -18,7 +18,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +64,6 @@ def _write_csv(path: Path, header, rows, meta):
         for row in rows:
             writer.writerow([_fmt(row[h]) for h in header] + tail)
     meta["outputs"].append(path.name)
-
-
-def _map_jobs(fn, items, threads):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def prior_from_config(spec) -> priors.Prior:
@@ -121,7 +113,7 @@ def _grid(config, key):
 # subcommand handlers: each returns a list of (filename, header, rows)
 # ---------------------------------------------------------------------------
 
-def run_prior(config, seed, threads):
+def run_prior(config, seed):
     p = prior_from_config(config["prior"])
     count = config.get("sample_count", 0)
     row = {
@@ -137,25 +129,19 @@ def run_prior(config, seed, threads):
     return [("prior.csv", header, [row])]
 
 
-def run_mi(config, seed, threads):
+def run_mi(config, seed):
     p = prior_from_config(config["prior"])
     quad = _quad(config)
     s_grid = _grid(config, "s_grid")
     if np.any(s_grid < 0):
         raise ConfigError("signal scales must be nonnegative")
 
-    def job(s):
-        return {
-            "s": float(s),
-            "mi": channel.mi_scalar_signal(p, float(s), quad),
-            "mmse": channel.mmse_scalar(p, float(s), quad),
-        }
-
-    rows = _map_jobs(job, s_grid, threads)
+    rows = [{"s": float(s), "mi": channel.mi_scalar_signal(p, float(s), quad),
+             "mmse": channel.mmse_scalar(p, float(s), quad)} for s in s_grid]
     return [("mi.csv", ["s", "mi", "mmse"], rows)]
 
 
-def run_potential(config, seed, threads):
+def run_potential(config, seed):
     p = prior_from_config(config["prior"])
     quad = _quad(config)
     lam = config.get("lambda", 1.0)
@@ -175,12 +161,12 @@ def run_potential(config, seed, threads):
             row["fm_mi_form"] = ev.value_mi
         return row
 
-    rows = _map_jobs(job, taus, threads)
+    rows = [job(tau) for tau in taus]
     header = ["tau", "lambda", "f1"] + (["fm_logz", "fm_mi_form"] if M > 1 else [])
     return [("potential.csv", header, rows)]
 
 
-def run_fixed_point(config, seed, threads):
+def run_fixed_point(config, seed):
     p = prior_from_config(config["prior"])
     quad = _quad(config)
     lams = _grid(config, "lambda_grid")
@@ -203,14 +189,14 @@ def run_fixed_point(config, seed, threads):
                 "iterations": res.iterations, "residual": res.residual,
                 "converged": res.converged, "potential": res.potential_value}
 
-    rows = _map_jobs(job, lams, threads)
+    rows = [job(lam) for lam in lams]
     if config.get("fatal_nonconvergence", False) and not all(r["converged"] for r in rows):
         raise NonConvergenceError("fixed-point iteration did not converge")
     header = ["lambda", "q_star", "iterations", "residual", "converged", "potential"]
     return [("fixed_point.csv", header, rows)]
 
 
-def run_phase_scan(config, seed, threads):
+def run_phase_scan(config, seed):
     p = prior_from_config(config["prior"])
     quad = _quad(config)
     lams = _grid(config, "lambda_grid")
@@ -231,7 +217,7 @@ def run_phase_scan(config, seed, threads):
     return [("phase_scan.csv", header, rows)]
 
 
-def run_reduce(config, seed, threads):
+def run_reduce(config, seed):
     p = prior_from_config(config["prior"])
     M = config.get("M", 2)
     if M not in (2, 3):
@@ -278,7 +264,7 @@ def _simulate_validate(config):
     return p, N, M, lam, eps, replicates
 
 
-def run_simulate(config, seed, threads):
+def run_simulate(config, seed):
     p, N, M, lam, eps, replicates = _simulate_validate(config)
     simulator._check_budget(p, N, M)
     want_posterior = config.get("posterior", False)
@@ -305,7 +291,7 @@ def run_simulate(config, seed, threads):
     return outputs
 
 
-def run_concentration(config, seed, threads):
+def run_concentration(config, seed):
     p = prior_from_config(config["prior"])
     Ns = [int(n) for n in config.get("N_grid", [])]
     if not Ns:
@@ -327,12 +313,12 @@ def run_concentration(config, seed, threads):
         return {"N": n, "s_N": s_n, "estimate": est, "std_err": se,
                 "gamma": gamma, "ratio": est / gamma}
 
-    rows = _map_jobs(job, Ns, threads)
+    rows = [job(n) for n in Ns]
     header = ["N", "s_N", "estimate", "std_err", "gamma", "ratio"]
     return [("concentration.csv", header, rows)]
 
 
-def run_cavity(config, seed, threads):
+def run_cavity(config, seed):
     p = prior_from_config(config["prior"])
     lam = config.get("lambda", 1.0)
     alpha = config.get("alpha", 1.0)
@@ -405,7 +391,6 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(HANDLERS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
@@ -417,7 +402,6 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    threads = max(args.threads, 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -426,13 +410,12 @@ def main(argv=None) -> int:
         "config": config,
         "config_sha256": _config_hash(config),
         "seed": int(seed),
-        "threads": threads,
         "outputs": [],
         "partial": False,
     }
     started = time.monotonic()
     try:
-        outputs = HANDLERS[args.subcommand](config, int(seed), threads)
+        outputs = HANDLERS[args.subcommand](config, int(seed))
         for name, header, rows in outputs:
             if header is None:                      # raw text artifact
                 path = out_dir / name

@@ -55,7 +55,6 @@ __all__ = [
     "f1_sup",
     "mmse_prediction",
     "fm_rs",
-    "fm_update",
     "fm_fixed_point",
     "fm_sup",
     "phase_scan",
@@ -321,8 +320,9 @@ class _RankMWorkspace:
         self.values, self.logw = atom_grid(prior, M)
         self.weights = np.exp(self.logw)
 
-    def ln_partition(self, Q, lam, sqrt_Q=None):
-        """E_{z,x0} ln ZM(Q) on the tensor grid."""
+    def _exponents(self, Q, lam, sqrt_Q=None):
+        """The exponent matrices A and B of the replica measure at overlap Q,
+        shared by ``ln_partition`` and ``gibbs_cross_moment``."""
         if sqrt_Q is None:
             sqrt_Q = psd_sqrt(Q)
         V = self.values
@@ -330,17 +330,18 @@ class _RankMWorkspace:
         VQ = V @ Q
         B = lam * (V @ VQ.T) - 0.5 * lam * np.sum(VQ * V, axis=1)[None, :] \
             + self.logw[None, :]                                # (K_a, K_x)
+        return A, B
+
+    def ln_partition(self, Q, lam, sqrt_Q=None):
+        """E_{z,x0} ln ZM(Q) on the tensor grid."""
+        A, B = self._exponents(Q, lam, sqrt_Q)
         lse = logsumexp_matmul(B, A)
         return float(self.weights @ (lse @ self.z_weights))
 
     def gibbs_cross_moment(self, Q, lam):
         """E_{z,x0} <x x0'> under the rank-M replica measure at overlap Q."""
-        sqrt_Q = psd_sqrt(Q)
         V = self.values
-        A = math.sqrt(lam) * (V @ sqrt_Q) @ self.z_nodes.T      # (K_x, Nz)
-        VQ = V @ Q
-        B = lam * (V @ VQ.T) - 0.5 * lam * np.sum(VQ * V, axis=1)[None, :] \
-            + self.logw[None, :]                                # (K_a, K_x)
+        A, B = self._exponents(Q, lam)
         a_max = B.max(axis=1, keepdims=True)
         x_max = A.max(axis=0, keepdims=True)
         EB = np.exp(B - a_max)                                  # (K_a, K_x)
@@ -421,18 +422,6 @@ def _fm_monte_carlo(prior, M, Q, lam, budget, rng):
         mi_samples[done:done + b] = np.sum(U * z, axis=1) + 0.5 * np.sum(U * U, axis=1) - lse
         done += b
     return float(ln_z_samples.mean()), float(mi_samples.mean())
-
-
-def fm_update(prior: Prior, M: int, Q, lam: float,
-              order: int | None = None) -> np.ndarray:
-    """One application of the matrix overlap map Q -> E <x x0'>,
-    symmetrized and projected back onto the PSD cone."""
-    Q = _check_overlap_matrix(Q, M)
-    ws = _workspace(prior, M, order)
-    raw = ws.gibbs_cross_moment(Q, lam)
-    sym = (raw + raw.T) / 2.0
-    eigval, eigvec = np.linalg.eigh(sym)
-    return (eigvec * np.clip(eigval, 0.0, None)) @ eigvec.T
 
 
 def fm_fixed_point(prior: Prior, M: int, lam: float, Q0,

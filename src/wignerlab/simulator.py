@@ -110,11 +110,6 @@ def _draw_signal(prior: Prior, rng: np.random.Generator, n: int, m: int) -> np.n
     return prior.values[idx]
 
 
-def _assemble(prior, N, M, lam, X0, Z, seed) -> ModelInstance:
-    Y = math.sqrt(lam / N) * (X0 @ X0.T) + Z
-    return ModelInstance(N=N, M=M, lam=lam, X0=X0, Z=Z, Y=Y, seed=seed)
-
-
 def sample_instance(prior: Prior, N: int, M: int, lam: float, seed: int) -> ModelInstance:
     """Draw one instance; bit-identical on repeat for a fixed seed."""
     if N < 1 or M < 1:
@@ -124,7 +119,8 @@ def sample_instance(prior: Prior, N: int, M: int, lam: float, seed: int) -> Mode
     rng = rngmod.stream(seed, TAG_INSTANCE)
     X0 = _draw_signal(prior, rng, N, M)
     Z = _draw_wigner(rng, N)
-    return _assemble(prior, N, M, lam, X0, Z, seed)
+    Y = math.sqrt(lam / N) * (X0 @ X0.T) + Z
+    return ModelInstance(N=N, M=M, lam=lam, X0=X0, Z=Z, Y=Y, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +216,16 @@ def _block_table(values: bytes, weights: bytes, n: int, M: int) -> _BlockTable:
     return _BlockTable(X=X, G=G, phi=phi)
 
 
-def _coefficients(instance: ModelInstance, pert: PerturbationParams | None):
-    """The instance's Hamiltonian as (Zeff, X0, t, C) in the form of
+def _coefficients(lam: float, X0, Z, pert: PerturbationParams | None):
+    """The Hamiltonian of disorder (X0, Z) as (Zeff, X0, t, C) in the form of
     ``_split_block``; the side channel's -eps |X|^2 / 2 joins Zeff."""
-    N, lam = instance.N, instance.lam
+    N = X0.shape[0]
     d = N if pert is None else N + 1
-    Zeff = math.sqrt(lam / d) * instance.Z
+    Zeff = math.sqrt(lam / d) * Z
     if pert is None:
-        return Zeff, instance.X0, lam / d, np.zeros((N, instance.M))
+        return Zeff, X0, lam / d, np.zeros(X0.shape)
     eps = pert.epsilon
-    return (Zeff - eps * np.eye(N), instance.X0, lam / d,
-            math.sqrt(eps) * pert.Ztilde + eps * instance.X0)
+    return (Zeff - eps * np.eye(N), X0, lam / d, math.sqrt(eps) * pert.Ztilde + eps * X0)
 
 
 def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
@@ -312,26 +307,19 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
     return log_z, mean_x.reshape(N, M), mean_xxt
 
 
-def _log_partition(instance: ModelInstance, pert: PerturbationParams | None,
-                   prior: Prior) -> float:
-    return _split_block(prior, *_coefficients(instance, pert))
+def _log_partition(prior: Prior, lam: float, X0, Z,
+                   pert: PerturbationParams | None) -> float:
+    return _split_block(prior, *_coefficients(lam, X0, Z, pert))
 
 
-def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
-                    prior: Prior) -> PosteriorSummary:
-    """Exact posterior summary by enumeration of all configurations.
-
-    ``pert=None`` uses the base Hamiltonian H_N; otherwise the side-channel
-    form with the N+1 coupling normalizer.  One split-block pass (see
-    ``_split_block``) gives ln Z, <X> and <X X'>; the overlap moments follow
-    from <R> = <X>' X0 / N and <|R|_F^2> = <X X', X0 X0'> / N^2.
-    """
-    N, M = instance.N, instance.M
+def _posterior(prior: Prior, lam: float, X0, Z,
+               pert: PerturbationParams | None) -> PosteriorSummary:
+    N, M = X0.shape
     total = _check_budget(prior, N, M)
-    log_z, mean_x, mean_xxt = _split_block(prior, *_coefficients(instance, pert),
+    log_z, mean_x, mean_xxt = _split_block(prior, *_coefficients(lam, X0, Z, pert),
                                            moments=True)
-    truth = instance.X0 @ instance.X0.T
-    mean_R = mean_x.T @ instance.X0 / N
+    truth = X0 @ X0.T
+    mean_R = mean_x.T @ X0 / N
     mean_R2 = float(np.sum(truth * mean_xxt)) / (N * N)
     fluct = max(mean_R2 - float(np.sum(mean_R * mean_R)), 0.0)
     mmse = float(np.sum((truth - mean_xxt) ** 2)) / (N * N * M)
@@ -345,21 +333,46 @@ def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
     )
 
 
+def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
+                    prior: Prior) -> PosteriorSummary:
+    """Exact posterior summary by enumeration of all configurations.
+
+    ``pert=None`` uses the base Hamiltonian H_N; otherwise the side-channel
+    form with the N+1 coupling normalizer.  One split-block pass (see
+    ``_split_block``) gives ln Z, <X> and <X X'>; the overlap moments follow
+    from <R> = <X>' X0 / N and <|R|_F^2> = <X X', X0 X0'> / N^2.
+    """
+    return _posterior(prior, instance.lam, instance.X0, instance.Z, pert)
+
+
 # ---------------------------------------------------------------------------
 # disorder averages
 # ---------------------------------------------------------------------------
 
-def _replicate_disorder(prior, N, M, rng, master=None):
-    """Fresh (X0, Z, Ztilde); with ``master=(n_big, m_big)`` the draw happens
-    at the master shape and the top-left blocks are returned, giving common
-    random numbers across system sizes."""
+def _disorder(prior: Prior, shape, tag: int, seed: int, replicates: int):
+    """Replicate r's disorder (X0, Z, Ztilde) at the master ``shape`` (n, m),
+    for r = 0 .. replicates-1, each from the counter-based stream
+    (seed, tag, r).  Callers evaluate top-left blocks, so every system size
+    cut from one master shares its random numbers, and replicate r is the
+    same however many replicates run."""
+    n, m = shape
+    for r in range(replicates):
+        rng = rngmod.stream(seed, tag, r)
+        X0 = _draw_signal(prior, rng, n, m)
+        Z = _draw_wigner(rng, n)
+        yield X0, Z, rng.standard_normal((n, m))
+
+
+def _master_shape(N: int, M: int, master):
     n_big, m_big = master if master is not None else (N, M)
     if n_big < N or m_big < M:
         raise ValueError("master shape smaller than requested system")
-    X0 = _draw_signal(prior, rng, n_big, m_big)
-    Z = _draw_wigner(rng, n_big)
-    Zt = rng.standard_normal((n_big, m_big))
-    return X0[:N, :M], Z[:N, :N], Zt[:N, :M]
+    return n_big, m_big
+
+
+def _side(epsilon: float, Zt) -> PerturbationParams | None:
+    """epsilon = 0 is the base H_N; epsilon > 0 the side channel on Zt."""
+    return None if epsilon == 0.0 else PerturbationParams(epsilon=epsilon, Ztilde=Zt)
 
 
 def free_entropy_replicates(prior: Prior, N: int, M: int, lam: float, *,
@@ -369,17 +382,15 @@ def free_entropy_replicates(prior: Prior, N: int, M: int, lam: float, *,
 
     epsilon = 0 evaluates the base Hamiltonian H_N; epsilon > 0 the
     side-channel form (N+1 normalizer).  Replicate r uses the counter-based
-    stream (seed, simulate-tag, r) regardless of execution order.
+    stream (seed, simulate-tag, r) regardless of execution order; with
+    ``master=(n_big, m_big)`` it evaluates the top-left N x M block of a
+    master draw, giving common random numbers across system sizes.
     """
     _check_budget(prior, N, M)
-    out = np.empty(replicates)
-    for r in range(replicates):
-        rng = rngmod.stream(seed, TAG_SIM, r)
-        X0, Z, Zt = _replicate_disorder(prior, N, M, rng, master)
-        inst = _assemble(prior, N, M, lam, X0, Z, seed)
-        pert = None if epsilon == 0.0 else PerturbationParams(epsilon=epsilon, Ztilde=Zt)
-        out[r] = _log_partition(inst, pert, prior) / (N * M)
-    return out
+    shape = _master_shape(N, M, master)
+    return np.array([
+        _log_partition(prior, lam, X0[:N, :M], Z[:N, :N], _side(epsilon, Zt[:N, :M]))
+        for X0, Z, Zt in _disorder(prior, shape, TAG_SIM, seed, replicates)]) / (N * M)
 
 
 def _need_two(replicates: int):
@@ -402,14 +413,9 @@ def posterior_replicates(prior: Prior, N: int, M: int, lam: float, *,
     """Full posterior summaries over disorder replicates (common streams with
     free_entropy_replicates for identical parameters)."""
     _check_budget(prior, N, M)
-    out = []
-    for r in range(replicates):
-        rng = rngmod.stream(seed, TAG_SIM, r)
-        X0, Z, Zt = _replicate_disorder(prior, N, M, rng, master)
-        inst = _assemble(prior, N, M, lam, X0, Z, seed)
-        pert = None if epsilon == 0.0 else PerturbationParams(epsilon=epsilon, Ztilde=Zt)
-        out.append(exact_posterior(inst, pert, prior))
-    return out
+    shape = _master_shape(N, M, master)
+    return [_posterior(prior, lam, X0[:N, :M], Z[:N, :N], _side(epsilon, Zt[:N, :M]))
+            for X0, Z, Zt in _disorder(prior, shape, TAG_SIM, seed, replicates)]
 
 
 def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
@@ -427,17 +433,11 @@ def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
     _need_two(replicates)
     _check_budget(prior, N, M)
     eps_grid = s_N * (1.0 + (np.arange(n_eps) + 0.5) / n_eps)
-    vals = np.empty(replicates)
-    for r in range(replicates):
-        rng = rngmod.stream(seed, TAG_PERT, r)
-        X0, Z, Zt = _replicate_disorder(prior, N, M, rng)
-        inst = _assemble(prior, N, M, lam, X0, Z, seed)
-        flucts = [
-            exact_posterior(inst, PerturbationParams(epsilon=float(e), Ztilde=Zt),
-                            prior).overlap_fluct
-            for e in eps_grid
-        ]
-        vals[r] = np.mean(flucts)
+    vals = np.array([
+        np.mean([_posterior(prior, lam, X0, Z,
+                            PerturbationParams(epsilon=float(e), Ztilde=Zt)).overlap_fluct
+                 for e in eps_grid])
+        for X0, Z, Zt in _disorder(prior, (N, M), TAG_PERT, seed, replicates)])
     gamma = M**2 / math.sqrt(N * s_N)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates)), gamma
 
@@ -452,16 +452,10 @@ def perturbation_gap_replicates(prior: Prior, N: int, M: int, lam: float,
     if s_N < 0:
         raise ValueError("schedule value must be nonnegative")
     _check_budget(prior, N, M)
-    diffs = np.empty(replicates)
-    for r in range(replicates):
-        rng = rngmod.stream(seed, TAG_PERT, r)
-        X0, Z, Zt = _replicate_disorder(prior, N, M, rng)
-        inst = _assemble(prior, N, M, lam, X0, Z, seed)
-        pert = PerturbationParams(epsilon=s_N, Ztilde=Zt)
-        f_pert = _log_partition(inst, pert, prior) / (N * M)
-        f_base = _log_partition(inst, None, prior) / (N * M)
-        diffs[r] = f_pert - f_base
-    return diffs
+    return np.array([
+        _log_partition(prior, lam, X0, Z, PerturbationParams(epsilon=s_N, Ztilde=Zt))
+        / (N * M) - _log_partition(prior, lam, X0, Z, None) / (N * M)
+        for X0, Z, Zt in _disorder(prior, (N, M), TAG_PERT, seed, replicates)])
 
 
 def perturbation_gap(prior: Prior, N: int, M: int, lam: float, s_N: float,

@@ -95,6 +95,38 @@ class TestBuildTable:
                                replicates=2, seed=3)
 
 
+    def test_needs_two_replicates(self, rademacher):
+        """One replicate has no standard error."""
+        sch = cavity.dims_schedule(1.0, 0.5, 4)
+        with pytest.raises(ValueError, match="2 replicates"):
+            cavity.build_table(rademacher, 1.0, sch, epsilon=None, replicates=1, seed=3)
+
+    @pytest.mark.parametrize("epsilon, pinned", [
+        (None, {(3, 1): (0.3283984432988576, 0.143592122091059),
+                (4, 2): (1.7498447308222602, 1.7998343095120142)}),
+        (0.0, {(3, 1): (0.10400837303472303, 0.15499175442240423),
+               (4, 2): (1.273382570366322, 1.5918100066874539)}),
+        (0.2, {(3, 1): (0.2746554870877836, 0.27144872949493676),
+               (4, 2): (1.5857650601927027, 1.7758617261586604)}),
+    ])
+    def test_entries_pinned_to_streams(self, rademacher, epsilon, pinned):
+        """``None`` is the base H_N and 0.0 the N+1 normalizer; a swapped
+        stream tag, a reordered draw or a wrong cut moves these values."""
+        sch = cavity.dims_schedule(1.0, 0.5, 4)
+        table = cavity.build_table(rademacher, 1.5, sch, epsilon, 3, seed=19)
+        for key, (mean, se) in pinned.items():
+            assert abs(table.entries[key][0] - mean) <= 1e-12
+            assert abs(table.entries[key][1] - se) <= 1e-12
+
+    def test_prefix_stability(self, rademacher):
+        """Replicate r's entries are the same whether 2 or 10 replicates run."""
+        sch = cavity.dims_schedule(1.0, 0.5, 5)
+        short = cavity.build_table(rademacher, 1.0, sch, 0.3, 2, seed=4)
+        long = cavity.build_table(rademacher, 1.0, sch, 0.3, 10, seed=4)
+        for key, vals in short.replicate_values.items():
+            np.testing.assert_array_equal(vals, long.replicate_values[key][:2])
+
+
 class TestIncrements:
     def test_sum_identity(self, rademacher):
         """dN(n) + dM(n) telescopes the stored values exactly."""

@@ -5,12 +5,11 @@ import pytest
 from wignerlab import cli
 
 
-def run(tmp_path, subcommand, config, name, seed=None, threads=1):
+def run(tmp_path, subcommand, config, name, seed=None):
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / name
-    argv = [subcommand, "--config", str(cfg), "--out", str(out),
-            "--threads", str(threads)]
+    argv = [subcommand, "--config", str(cfg), "--out", str(out)]
     if seed is not None:
         argv += ["--seed", str(seed)]
     code = cli.main(argv)
@@ -103,13 +102,6 @@ class TestDeterminism:
         assert (out1 / "simulate.csv").read_bytes() == \
             (out2 / "simulate.csv").read_bytes()
 
-    def test_thread_count_does_not_change_values(self, tmp_path):
-        config = {"prior": "rademacher",
-                  "s_grid": {"start": 0.0, "stop": 3.0, "count": 7}}
-        _, out1 = run(tmp_path, "mi", config, "t1", threads=1)
-        _, out2 = run(tmp_path, "mi", config, "t2", threads=4)
-        assert (out1 / "mi.csv").read_bytes() == (out2 / "mi.csv").read_bytes()
-
     def test_manifest_written(self, tmp_path):
         config = {"prior": "rademacher",
                   "s_grid": {"start": 0.0, "stop": 1.0, "count": 3}}
@@ -162,6 +154,18 @@ class TestExitCodes:
         meta = json.loads((out / "concentration_manifest.json").read_text())
         assert meta["partial"] is True
         assert not (out / "concentration.csv").exists()
+
+    def test_cavity_single_replicate(self, tmp_path, capsys):
+        """The cavity table's standard errors need 2 replicates, too."""
+        code, out = run(tmp_path, "cavity",
+                        {"prior": "rademacher", "N_max": 4, "replicates": 1},
+                        "cav1", seed=3)
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+        meta = json.loads((out / "cavity_manifest.json").read_text())
+        assert meta["partial"] is True
+        assert meta["outputs"] == []
+        assert not list(out.glob("*.csv"))
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["mi", "--config", str(tmp_path / "nope.json")])

@@ -242,7 +242,8 @@ class TestSplitBlockKernel:
         log_z, mean_R, fluct, mmse = brute_force_posterior(inst, pert, prior)
         ps = simulator.exact_posterior(inst, pert, prior)
         assert abs(ps.log_partition - log_z) <= 1e-12
-        assert abs(simulator._log_partition(inst, pert, prior) - log_z) <= 1e-12
+        ln_z = simulator._log_partition(prior, lam, inst.X0, inst.Z, pert)
+        assert abs(ln_z - log_z) <= 1e-12
         assert np.abs(ps.mean_overlap - mean_R).max() <= 1e-12
         assert abs(ps.overlap_fluct - fluct) <= 1e-12
         assert abs(ps.matrix_mmse - mmse) <= 1e-12
@@ -333,6 +334,73 @@ class TestStandardErrors:
             simulator.overlap_concentration(rademacher, 4, 1, 1.0, 0.5, 2, 1, seed=31)
         with pytest.raises(ValueError):
             simulator.perturbation_gap(rademacher, 4, 1, 1.0, 0.1, 1, seed=31)
+
+
+class TestReplicateStreams:
+    """Replicate values pinned to their streams: a swapped stream tag, a
+    reordered draw or a wrong master cut moves them."""
+
+    def test_free_entropy_with_master(self, sparse03):
+        vals = simulator.free_entropy_replicates(sparse03, 5, 1, 1.5, epsilon=0.2,
+                                                 replicates=3, seed=7, master=(8, 2))
+        np.testing.assert_allclose(
+            vals, [0.004883649695167902, -0.0444126160189597, 0.0583528679931347],
+            rtol=0, atol=1e-12)
+
+    def test_base_free_entropy_with_master(self, rademacher):
+        vals = simulator.free_entropy_replicates(rademacher, 4, 2, 1.0, replicates=3,
+                                                 seed=8, master=(6, 3))
+        np.testing.assert_allclose(
+            vals, [0.12950339804172317, 0.6898243807601283, 0.3317631346543512],
+            rtol=0, atol=1e-12)
+
+    def test_posterior_with_side_channel(self, sparse03):
+        out = simulator.posterior_replicates(sparse03, 4, 2, 1.5, epsilon=0.3,
+                                             replicates=3, seed=11)
+        got = [(s.free_entropy, s.overlap_fluct, s.matrix_mmse) for s in out]
+        np.testing.assert_allclose(got, [
+            (0.13691462791190612, 0.3231372644692831, 0.4790658214909873),
+            (-0.036037993404604785, 0.03968905538297019, 0.026784547408790424),
+            (-0.010131367291950244, 0.1275116212227703, 0.22681112123659927),
+        ], rtol=0, atol=1e-12)
+
+    def test_overlap_concentration(self, rademacher):
+        est, se, gamma = simulator.overlap_concentration(rademacher, 6, 1, 1.0, 0.5,
+                                                         3, 3, seed=13)
+        assert abs(est - 0.20203247691291995) <= 1e-12
+        assert abs(se - 0.13515047797146998) <= 1e-12
+        assert abs(gamma - 0.5773502691896258) <= 1e-12
+
+    def test_perturbation_gap(self, rademacher):
+        gaps = simulator.perturbation_gap_replicates(rademacher, 5, 2, 1.2, 0.4, 3,
+                                                     seed=17)
+        np.testing.assert_allclose(
+            gaps, [0.105506691979612, -0.07004205909682497, 0.0021217998253347803],
+            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [0, 3, 9])
+    def test_prefix_stability(self, rademacher, r):
+        """Replicate r is the same whether r + 1 or 10 replicates run."""
+        def fe(R):
+            return simulator.free_entropy_replicates(rademacher, 4, 1, 1.0, epsilon=0.1,
+                                                     replicates=R, seed=3, master=(6, 2))
+
+        def post(R):
+            return [s.overlap_fluct for s in simulator.posterior_replicates(
+                rademacher, 4, 1, 1.0, replicates=R, seed=3)]
+
+        def gap(R):
+            return simulator.perturbation_gap_replicates(rademacher, 4, 1, 1.0, 0.2, R,
+                                                         seed=3)
+
+        assert fe(r + 1)[r] == fe(10)[r]
+        assert post(r + 1)[r] == post(10)[r]
+        assert gap(r + 1)[r] == gap(10)[r]
+
+    def test_master_must_cover_system(self, rademacher):
+        with pytest.raises(ValueError):
+            simulator.free_entropy_replicates(rademacher, 4, 2, 1.0, replicates=2,
+                                              seed=1, master=(6, 1))
 
 
 class TestSerialization:
