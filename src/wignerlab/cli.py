@@ -93,20 +93,33 @@ def prior_from_config(spec) -> priors.Prior:
     raise ConfigError(f"unknown prior kind {kind!r}")
 
 
+def _integer(config, key, default):
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _quad(config, default=64):
-    order = config.get("quad_order", default)
+    order = _integer(config, "quad_order", default)
     if not 1 <= order <= 256:
         raise ConfigError("quad_order must be in [1, 256]")
     return channel.gauss_hermite(order)
 
 
 def _grid(config, key):
+    """A 1-d grid of finite values: a list, or {start, stop, count}."""
     g = config.get(key)
     if g is None:
         raise ConfigError(f"config needs {key!r}")
     if isinstance(g, dict):
-        return np.linspace(g["start"], g["stop"], g["count"])
-    return np.asarray(g, dtype=float)
+        if set(g) != {"start", "stop", "count"} or _integer(g, "count", None) < 1:
+            raise ConfigError(f"{key} needs start, stop and a positive integer count")
+        g = np.linspace(*np.asarray([g["start"], g["stop"]], dtype=float), g["count"])
+    grid = np.asarray(g, dtype=float)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
+        raise ConfigError(f"{key} must be a list of finite numbers")
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +213,6 @@ def run_phase_scan(config, seed):
     p = prior_from_config(config["prior"])
     quad = _quad(config)
     lams = _grid(config, "lambda_grid")
-    if lams.size < 8:
-        raise ConfigError("phase scan needs at least 8 grid points")
     scan = replica.phase_scan(p, lams, quad)
     rows = []
     for i, lam in enumerate(scan.lambdas):
@@ -219,9 +230,7 @@ def run_phase_scan(config, seed):
 
 def run_reduce(config, seed):
     p = prior_from_config(config["prior"])
-    M = config.get("M", 2)
-    if M not in (2, 3):
-        raise ConfigError("reduction sweep needs M in {2, 3}")
+    M = _integer(config, "M", 2)
     lams = _grid(config, "lambda_grid")
     if np.any(lams < 0):
         raise ConfigError("lambda grid must be nonnegative")

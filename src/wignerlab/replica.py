@@ -63,6 +63,15 @@ __all__ = [
 
 DEFAULT_SCALAR_ORDER = 64
 DEFAULT_TENSOR_ORDER = {1: 64, 2: 20, 3: 14}
+# fm_sup: coarse-grid quadrature order, eigenvalue levels and angles per
+# rotation axis, candidates refined, sweeps, final-evaluation quadrature order
+SUP_COARSE_ORDER = {2: 20, 3: 8}
+SUP_EIG_LEVELS = {2: 32, 3: 10}
+SUP_ANGLES = {2: 24, 3: 8}
+SUP_CANDIDATES = 20
+SUP_SWEEPS = 4
+SUP_POLISH_ORDER = {2: 40, 3: 24}
+_DOMAIN_TOL = 1e-12     # keeps grid points on a domain boundary despite rounding
 
 
 class NonUniqueMaximizer(ValueError):
@@ -86,10 +95,6 @@ class PotentialEvaluation:
     value_mi: float
     lam: float
     overlap: np.ndarray
-
-    @property
-    def value(self) -> float:
-        return self.value_logz
 
     @property
     def form_gap(self) -> float:
@@ -129,39 +134,47 @@ def _golden_max(f, lo, hi, xtol):
 # scalar potential
 # ---------------------------------------------------------------------------
 
+def _check_snr(lam):
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"SNR must be finite and nonnegative, got {lam!r}")
+
+
 def _check_scalar_args(prior, tau, lam):
     if not 0.0 <= tau <= prior.rho + 1e-12:
         raise ValueError(f"overlap tau={tau!r} outside [0, rho={prior.rho!r}]")
-    if lam < 0:
-        raise ValueError("SNR must be nonnegative")
+    _check_snr(lam)
+
+
+def _scalar_exponents(prior, m, nodes):
+    """Exponents arg[..., a, x, n] of the scalar replica measure at
+    m = lam tau (a scalar, or a 1-d array that becomes the leading axis)."""
+    m = np.asarray(m)[..., None, None, None]
+    v = prior.values
+    logw = np.log(prior.weights)
+    return (np.sqrt(m) * nodes[None, None, :] * v[None, :, None]
+            + m * v[:, None, None] * v[None, :, None]
+            - 0.5 * m * v[None, :, None] ** 2
+            + logw[None, :, None])
+
+
+def _scalar_lse(arg):
+    """log-sum-exp of ``arg`` over its atom axis x."""
+    amax = arg.max(axis=-2, keepdims=True)
+    return amax[..., 0, :] + np.log(np.exp(arg - amax).sum(axis=-2))
 
 
 def f1_rs(prior: Prior, tau: float, lam: float, quad: GaussQuadrature) -> float:
     """Rank-one replica-symmetric potential F1(tau, lam) in nats."""
     _check_scalar_args(prior, tau, lam)
-    m = lam * tau
-    v = prior.values
-    logw = np.log(prior.weights)
-    # arg[a, x, n]
-    arg = (np.sqrt(m) * quad.nodes[None, None, :] * v[None, :, None]
-           + m * v[:, None, None] * v[None, :, None]
-           - 0.5 * m * v[None, :, None] ** 2
-           + logw[None, :, None])
-    amax = arg.max(axis=1, keepdims=True)
-    lse = amax[:, 0, :] + np.log(np.exp(arg - amax).sum(axis=1))
+    lse = _scalar_lse(_scalar_exponents(prior, lam * tau, quad.nodes))
     return float(prior.weights @ (lse @ quad.weights)) - lam * tau**2 / 4.0
 
 
 def f1_update(prior: Prior, q: float, lam: float, quad: GaussQuadrature) -> float:
     """One application of the scalar overlap map q -> E <x x0> at overlap q."""
     _check_scalar_args(prior, q, lam)
-    m = lam * q
     v = prior.values
-    logw = np.log(prior.weights)
-    arg = (np.sqrt(m) * quad.nodes[None, None, :] * v[None, :, None]
-           + m * v[:, None, None] * v[None, :, None]
-           - 0.5 * m * v[None, :, None] ** 2
-           + logw[None, :, None])
+    arg = _scalar_exponents(prior, lam * q, quad.nodes)
     arg -= arg.max(axis=1, keepdims=True)
     p = np.exp(arg)
     mean_x = np.einsum("axn,x->an", p, v) / p.sum(axis=1)
@@ -202,17 +215,7 @@ def f1_fixed_point(prior: Prior, lam: float, q0: float, damping: float = 0.5,
 def _f1_grid(prior, lam, quad, n_grid):
     """Potential on a uniform overlap grid, vectorized over the grid."""
     taus = np.linspace(0.0, prior.rho, n_grid)
-    m = lam * taus
-    v = prior.values
-    logw = np.log(prior.weights)
-    # arg[t, a, x, n]
-    arg = (np.sqrt(m)[:, None, None, None] * quad.nodes[None, None, None, :]
-           * v[None, None, :, None]
-           + m[:, None, None, None] * v[None, :, None, None] * v[None, None, :, None]
-           - 0.5 * m[:, None, None, None] * v[None, None, :, None] ** 2
-           + logw[None, None, :, None])
-    amax = arg.max(axis=2, keepdims=True)
-    lse = amax[:, :, 0, :] + np.log(np.exp(arg - amax).sum(axis=2))
+    lse = _scalar_lse(_scalar_exponents(prior, lam * taus, quad.nodes))
     vals = np.einsum("a,tan,n->t", prior.weights, lse, quad.weights) - lam * taus**2 / 4.0
     return taus, vals
 
@@ -225,8 +228,7 @@ def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None,
     point; near-ties (within 1e-10 in value) resolve to the smallest overlap.
     Returns ``(value, q_star)``.
     """
-    if lam < 0:
-        raise ValueError("SNR must be nonnegative")
+    _check_snr(lam)
     if quad is None:
         quad = gauss_hermite(DEFAULT_SCALAR_ORDER)
     taus, vals = _f1_grid(prior, lam, quad, n_grid)
@@ -295,17 +297,14 @@ def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = Non
 # rank-M potential
 # ---------------------------------------------------------------------------
 
-def _check_overlap_matrix(Q, M, rho=None):
+def _check_overlap_matrix(Q, M):
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (M, M):
         raise ValueError(f"overlap matrix must be {M}x{M}")
     if np.max(np.abs(Q - Q.T)) > 1e-12:
         raise ValueError("overlap matrix must be symmetric")
-    eig = np.linalg.eigvalsh(Q)
-    if eig.min() < -1e-10:
+    if np.linalg.eigvalsh(Q).min() < -1e-10:
         raise ValueError("overlap matrix must be positive semidefinite")
-    if rho is not None and eig.max() > rho + 1e-8:
-        raise ValueError("overlap eigenvalue exceeds the prior second moment")
     return Q
 
 
@@ -370,8 +369,7 @@ def fm_rs(prior: Prior, M: int, Q, lam: float,
     budget and generator.  The two stored values agree to machine precision on
     the quadrature path and to Monte Carlo error otherwise.
     """
-    if lam < 0:
-        raise ValueError("SNR must be nonnegative")
+    _check_snr(lam)
     Q = _check_overlap_matrix(Q, M)
     rho = prior.rho
     if M <= 3:
@@ -436,21 +434,16 @@ def fm_fixed_point(prior: Prior, M: int, lam: float, Q0,
     Q = _check_overlap_matrix(Q0, M)
     ws = _workspace(prior, M, order)
 
-    def step_map(Q):
-        raw = ws.gibbs_cross_moment(Q, lam)
-        sym = (raw + raw.T) / 2.0
-        eigval, eigvec = np.linalg.eigh(sym)
+    def project(S):
+        eigval, eigvec = np.linalg.eigh((S + S.T) / 2.0)
         return (eigvec * np.clip(eigval, 0.0, None)) @ eigvec.T
 
-    target = step_map(Q)
+    target = project(ws.gibbs_cross_moment(Q, lam))
     residual = float(np.linalg.norm(Q - target, "fro")) / M
     iterations = 0
     while residual > tol and iterations < max_iter:
-        Q = (1.0 - damping) * Q + damping * target
-        Q = (Q + Q.T) / 2.0
-        eigval, eigvec = np.linalg.eigh(Q)
-        Q = (eigvec * np.clip(eigval, 0.0, None)) @ eigvec.T
-        target = step_map(Q)
+        Q = project((1.0 - damping) * Q + damping * target)
+        target = project(ws.gibbs_cross_moment(Q, lam))
         residual = float(np.linalg.norm(Q - target, "fro")) / M
         iterations += 1
     value = fm_rs(prior, M, Q, lam, order=ws.quad.order).value_logz
@@ -485,74 +478,84 @@ def rotation_matrix(angles, M: int) -> np.ndarray:
 
 
 def _assemble(eigs, angles, M):
+    """Q = O diag(q) O' and its square root O diag(sqrt q) O'."""
     O = rotation_matrix(angles, M)
-    return (O * np.asarray(eigs)) @ O.T
+    q = np.asarray(eigs)
+    return (O * q) @ O.T, (O * np.sqrt(q)) @ O.T
 
 
-def fm_sup(prior: Prior, M: int, lam: float,
-           order: int | None = None, coarse_order: int | None = None,
-           n_eig: int | None = None, n_angle: int | None = None,
-           n_candidates: int = 20, sweeps: int = 4,
-           polish_order: int | None = None):
+def _sign_symmetric(prior):
+    """Whether x -> -x maps the prior to itself (sorted atoms are negated by
+    reversal, and their weights are palindromic)."""
+    return bool(np.array_equal(prior.values, -prior.values[::-1])
+                and np.array_equal(prior.weights, prior.weights[::-1]))
+
+
+def _in_domain(Q, sign_symmetric):
+    """Whether the overlap matrices Q[..., :, :] lie in one fundamental domain
+    of the symmetry group of FM.
+
+    A product prior makes FM(P Q P') = FM(Q) for every coordinate permutation
+    P, which a non-increasing diagonal breaks.  A sign-symmetric prior adds the
+    sign flips D Q D; these keep the diagonal and are broken by a nonnegative
+    first row off the diagonal.  Every orbit meets the domain: sort the
+    diagonal, then flip each coordinate j > 0 with Q[0, j] < 0.
+    """
+    d = np.diagonal(Q, axis1=-2, axis2=-1)
+    inside = np.all(d[..., :-1] >= d[..., 1:] - _DOMAIN_TOL, axis=-1)
+    if sign_symmetric:
+        inside &= np.all(Q[..., 0, 1:] >= -_DOMAIN_TOL, axis=-1)
+    return inside
+
+
+def fm_sup(prior: Prior, M: int, lam: float):
     """Supremum of the rank-M potential over PSD matrices with eigenvalues
     in [0, rho].
 
     The search runs over the eigendecomposition Q = O diag(q) O', which
     enforces the eigenvalue restriction by construction: a product grid over
-    eigenvalues and rotation angles, seeded additionally with the isotropic
-    line and damped fixed-point limits, followed by coordinate-wise
-    golden-section refinement of the best candidates.  Returns
-    ``(value, Q_star)``.
+    eigenvalues and rotation angles, restricted to one fundamental domain of
+    the potential's symmetry group (``_in_domain``), seeded additionally with
+    the isotropic line and damped fixed-point limits, followed by
+    coordinate-wise golden-section refinement of the best candidates.
+    Returns ``(value, Q_star)``.
     """
     if M not in (2, 3):
         raise ValueError("the matrix supremum is implemented for M in {2, 3}")
-    if lam < 0:
-        raise ValueError("SNR must be nonnegative")
+    _check_snr(lam)
     rho = prior.rho
-    if order is None:
-        order = DEFAULT_TENSOR_ORDER[M]
-    ws = _workspace(prior, M, order)
+    ws = _workspace(prior, M)
+    coarse_ws = _workspace(prior, M, SUP_COARSE_ORDER[M])
 
-    def value_at(Q):
-        return ws.ln_partition(Q, lam) / M - lam * float(np.sum(Q * Q)) / (4.0 * M)
+    def value_at(w, Q, sqrt_Q=None):
+        return w.ln_partition(Q, lam, sqrt_Q) / M - lam * float(np.sum(Q * Q)) / (4.0 * M)
 
+    n_angle = SUP_ANGLES[M]
+    eig_levels = np.linspace(0.0, rho, SUP_EIG_LEVELS[M])
     if M == 2:
-        n_eig = 32 if n_eig is None else n_eig
-        n_angle = 24 if n_angle is None else n_angle
-        coarse_ws = ws
-        eig_levels = np.linspace(0.0, rho, n_eig)
-        eig_combos = list(itertools.combinations_with_replacement(eig_levels, 2))
         angle_grids = [np.linspace(0.0, math.pi, n_angle, endpoint=False)]
     else:
-        n_eig = 10 if n_eig is None else n_eig
-        n_angle = 8 if n_angle is None else n_angle
-        coarse_ws = _workspace(prior, M, 8 if coarse_order is None else coarse_order)
-        eig_levels = np.linspace(0.0, rho, n_eig)
-        eig_combos = list(itertools.combinations_with_replacement(eig_levels, 3))
         angle_grids = [
             np.linspace(0.0, 2 * math.pi, n_angle, endpoint=False),
             np.linspace(0.0, math.pi, max(n_angle // 2, 3)),
             np.linspace(0.0, 2 * math.pi, n_angle, endpoint=False),
         ]
-
-    def coarse_value(Q):
-        return (coarse_ws.ln_partition(Q, lam) / M
-                - lam * float(np.sum(Q * Q)) / (4.0 * M))
-
-    candidates = []
-    for eigs in eig_combos:
-        for angles in itertools.product(*angle_grids):
-            # rotations are redundant for degenerate eigenvalues
-            if len(set(np.round(eigs, 12))) == 1 and any(a != angle_grids[i][0]
-                                                         for i, a in enumerate(angles)):
-                continue
-            Q = _assemble(eigs, angles, M)
-            candidates.append((coarse_value(Q), tuple(eigs), tuple(angles)))
+    eig_combos = np.array(list(itertools.combinations_with_replacement(eig_levels, M)))
+    angle_combos = list(itertools.product(*angle_grids))
+    O = np.array([rotation_matrix(a, M) for a in angle_combos])[None]    # (1, R, M, M)
+    q = eig_combos[:, None, None, :]                                     # (E, 1, 1, M)
+    grid_Q = (O * q) @ O.swapaxes(-1, -2)                                # (E, R, M, M)
+    grid_sqrt = (O * np.sqrt(q)) @ O.swapaxes(-1, -2)
+    keep = _in_domain(grid_Q, _sign_symmetric(prior))
+    # rotations are redundant for degenerate eigenvalues
+    keep[np.ptp(np.round(eig_combos, 12), axis=1) == 0, 1:] = False
+    candidates = [(value_at(coarse_ws, grid_Q[e, r], grid_sqrt[e, r]),
+                   tuple(eig_combos[e]), angle_combos[r])
+                  for e, r in zip(*np.nonzero(keep))]
 
     # isotropic seeds (exactly decoupled; cheap at full accuracy)
     for tau in np.linspace(0.0, rho, 65):
-        Q = tau * np.eye(M)
-        candidates.append((value_at(Q), (tau,) * M, tuple(g[0] for g in angle_grids)))
+        candidates.append((value_at(ws, tau * np.eye(M)), (tau,) * M, angle_combos[0]))
 
     # fixed-point seeds
     for q0 in (rho, rho / 2):
@@ -560,7 +563,7 @@ def fm_sup(prior: Prior, M: int, lam: float,
                             tol=1e-9, max_iter=400)
         eigval, eigvec = np.linalg.eigh(fp.overlap)
         angles = _angles_of(eigvec, M)
-        candidates.append((value_at(fp.overlap),
+        candidates.append((value_at(ws, fp.overlap),
                            tuple(np.clip(eigval, 0.0, rho)), angles))
 
     candidates.sort(key=lambda c: c[0], reverse=True)
@@ -570,14 +573,14 @@ def fm_sup(prior: Prior, M: int, lam: float,
         if key not in seen:
             seen.add(key)
             top.append((eigs, angles))
-        if len(top) >= n_candidates:
+        if len(top) >= SUP_CANDIDATES:
             break
 
-    eig_span = (eig_levels[1] - eig_levels[0]) if len(eig_levels) > 1 else rho
-    angle_spans = [g[1] - g[0] if len(g) > 1 else math.pi for g in angle_grids]
+    eig_span = eig_levels[1] - eig_levels[0]
+    angle_spans = [g[1] - g[0] for g in angle_grids]
 
-    def refine(x, value_fn, xtol, n_sweeps):
-        val = value_fn(_assemble(x[:M], x[M:], M))
+    def refine(x, w, xtol, n_sweeps):
+        val = value_at(w, *_assemble(x[:M], x[M:], M))
         for _ in range(n_sweeps):
             for i in range(len(x)):
                 if i < M:
@@ -590,7 +593,7 @@ def fm_sup(prior: Prior, M: int, lam: float,
                 def f(c, i=i):
                     y = list(x)
                     y[i] = c
-                    return value_fn(_assemble(y[:M], y[M:], M))
+                    return value_at(w, *_assemble(y[:M], y[M:], M))
 
                 xi, vi = _golden_max(f, lo, hi, xtol)
                 if vi >= val:
@@ -600,25 +603,19 @@ def fm_sup(prior: Prior, M: int, lam: float,
     # coarse refinement of every candidate, then fine refinement of the best few
     refined = []
     for eigs, angles in top:
-        x, val = refine(list(eigs) + list(angles), coarse_value, 1e-5,
-                        max(sweeps - 1, 1))
+        x, val = refine(list(eigs) + list(angles), coarse_ws, 1e-5, SUP_SWEEPS - 1)
         refined.append((val, x))
     refined.sort(key=lambda c: c[0], reverse=True)
 
     best_val, best_x = -np.inf, None
     for _, x in refined[:3]:
-        x, val = refine(list(x), value_at, 1e-8, sweeps)
+        x, val = refine(list(x), ws, 1e-8, SUP_SWEEPS)
         if val > best_val:
             best_val, best_x = val, list(x)
 
-    Q_star = _assemble(np.clip(best_x[:M], 0.0, rho), best_x[M:], M)
+    Q_star, _ = _assemble(np.clip(best_x[:M], 0.0, rho), best_x[M:], M)
     # one evaluation at a finer grid removes most of the search quadrature bias
-    if polish_order is None:
-        polish_order = {2: 40, 3: 24}[M]
-    if polish_order > ws.quad.order:
-        polish = _workspace(prior, M, polish_order)
-        best_val = (polish.ln_partition(Q_star, lam) / M
-                    - lam * float(np.sum(Q_star * Q_star)) / (4.0 * M))
+    best_val = value_at(_workspace(prior, M, SUP_POLISH_ORDER[M]), Q_star)
     # near-ties resolve to the zero matrix (noise floor around the origin)
     if 0.0 >= best_val - 1e-10:
         return 0.0, np.zeros((M, M))
@@ -649,6 +646,8 @@ def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None,
     lams = np.asarray(lambda_grid, dtype=float)
     if lams.size < 8:
         raise ValueError("need at least 8 SNR grid points")
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("SNR grid must be finite")
     if np.any(np.diff(lams) <= 0):
         raise ValueError("SNR grid must be sorted increasing")
     if quad is None:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -171,3 +172,36 @@ class TestExitCodes:
         code = cli.main(["mi", "--config", str(tmp_path / "nope.json")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+SCAN_GRID = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25]
+
+
+class TestMalformedInput:
+    """Malformed reduce / phase-scan input exits 2 with one validation record
+    and a partial manifest, never a traceback."""
+
+    @pytest.mark.parametrize("subcommand,config", [
+        ("reduce", {"prior": "rademacher", "M": 2, "lambda_grid": [math.nan]}),
+        ("reduce", {"prior": "rademacher", "M": 2, "lambda_grid": [math.inf]}),
+        ("reduce", {"prior": "rademacher", "M": 2.0, "lambda_grid": [0.5]}),
+        ("reduce", {"prior": "rademacher", "M": 2, "lambda_grid": 0.5}),
+        ("reduce", {"prior": "rademacher", "M": 2,
+                    "lambda_grid": {"start": 0.5, "count": 2}}),
+        ("phase-scan", {"prior": "rademacher",
+                        "lambda_grid": {"start": 0.5, "stop": 1, "count": 2.5}}),
+        ("phase-scan", {"prior": "rademacher", "lambda_grid": SCAN_GRID[:-1] + [math.nan]}),
+        ("phase-scan", {"prior": "rademacher", "lambda_grid": SCAN_GRID[:-1] + [math.inf]}),
+        ("phase-scan", {"prior": "rademacher", "quad_order": 64.0,
+                        "lambda_grid": SCAN_GRID}),
+    ])
+    def test_validation_exit(self, tmp_path, capsys, subcommand, config):
+        code, out = run(tmp_path, subcommand, config, "bad")
+        assert code == 2
+        records = capsys.readouterr().err.strip().splitlines()
+        assert len(records) == 1
+        assert json.loads(records[0])["error"] == "validation"
+        manifest = out / f"{subcommand.replace('-', '_')}_manifest.json"
+        meta = json.loads(manifest.read_text())
+        assert meta["partial"] is True
+        assert not list(out.glob("*.csv"))

@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from wignerlab import channel, replica
+from wignerlab import channel, make_prior, replica
 from wignerlab.reduction import random_psd
+
+# centred but not sign-symmetric
+ASYMMETRIC = make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)])
 
 
 def binary_potential_oracle(tau, lam, quad):
@@ -242,6 +246,106 @@ class TestMatrixSup:
             eig = np.linalg.eigvalsh(Q)
             assert eig.min() >= -1e-10
             assert eig.max() <= rademacher.rho + 1e-8
+
+
+def group(M, flips):
+    """Every coordinate permutation of R^M, times every sign flip if asked."""
+    signs = itertools.product((1.0, -1.0), repeat=M) if flips else [(1.0,) * M]
+    return [np.diag(d) @ np.eye(M)[list(p)]
+            for d in signs for p in itertools.permutations(range(M))]
+
+
+def canonical(Q, flips):
+    """The image of Q with a non-increasing diagonal and, with flips, a
+    nonnegative first row."""
+    order = np.argsort(-Q.diagonal(), kind="stable")
+    Q = Q[np.ix_(order, order)]
+    if flips:
+        d = np.where(Q[0] < 0, -1.0, 1.0)
+        Q = Q * np.outer(d, d)
+    return Q
+
+
+def potential(prior, M, Q, lam):
+    return replica.fm_rs(prior, M, Q, lam).value_logz
+
+
+class TestSymmetryReduction:
+    """FM is invariant under signed permutations for sign-symmetric priors
+    and under permutations only otherwise; fm_sup searches one fundamental
+    domain of that group."""
+
+    def random_overlaps(self, prior, M, count, seed):
+        rng = np.random.default_rng(seed)
+        return [random_psd(M, rng, shift_scale=0.05) * (prior.rho / 2)
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
+    def test_group_invariance(self, request, label, M):
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        flips = label != "asymmetric"
+        assert replica._sign_symmetric(prior) == flips
+        for Q in self.random_overlaps(prior, M, 3, 17 + M):
+            ref = potential(prior, M, Q, 1.7)
+            for g in group(M, flips):
+                assert abs(potential(prior, M, g @ Q @ g.T, 1.7) - ref) <= 1e-13
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_sign_flip_breaks_asymmetric_prior(self, M):
+        """The gate on sign symmetry does work: for a prior without it, some
+        sign flip changes the potential (through strongly correlated
+        coordinates, where the odd moments of the prior enter)."""
+        r = 0.8
+        Q = ASYMMETRIC.rho / (1 + r * (M - 1)) * ((1 - r) * np.eye(M) + r * np.ones((M, M)))
+        ref = potential(ASYMMETRIC, M, Q, 1.7)
+        moved = max(abs(potential(ASYMMETRIC, M, g @ Q @ g.T, 1.7) - ref)
+                    for g in group(M, True))
+        assert moved > 1e-4
+
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("label", ["rademacher", "asymmetric"])
+    def test_canonical_image_in_domain(self, request, label, M):
+        """Every orbit meets the domain: the canonical image lies in it with
+        an equal potential, and it is the only image of a generic Q there."""
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        flips = replica._sign_symmetric(prior)
+        for Q in self.random_overlaps(prior, M, 5, 29 + M):
+            C = canonical(Q, flips)
+            assert replica._in_domain(C, flips)
+            assert abs(potential(prior, M, C, 1.7) - potential(prior, M, Q, 1.7)) <= 1e-13
+            images = {tuple(np.round(g @ Q @ g.T, 12).ravel()) for g in group(M, flips)}
+            inside = [im for im in images
+                      if replica._in_domain(np.reshape(im, (M, M)), flips)]
+            assert len(inside) == 1
+
+    def test_domain_is_vectorized(self, rademacher):
+        Qs = np.array(self.random_overlaps(rademacher, 3, 8, 3))
+        np.testing.assert_array_equal(replica._in_domain(Qs, True),
+                                      [replica._in_domain(Q, True) for Q in Qs])
+
+    def test_asymmetric_rank_three_reduction(self, quad64):
+        """Criterion 4's gates on a prior without sign symmetry at M = 3,
+        where only permutations reduce the grid."""
+        vm, Q = replica.fm_sup(ASYMMETRIC, 3, 1.5)
+        v1, q1 = replica.f1_sup(ASYMMETRIC, 1.5, quad64)
+        assert abs(vm - v1) <= 1e-3
+        assert np.linalg.norm(Q - q1 * np.eye(3), "fro") <= 1e-2
+
+
+class TestNonFiniteSnr:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_suprema_refuse(self, rademacher, quad64, lam):
+        with pytest.raises(ValueError):
+            replica.f1_sup(rademacher, lam, quad64)
+        with pytest.raises(ValueError):
+            replica.fm_sup(rademacher, 2, lam)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_phase_scan_refuses(self, rademacher, quad64, bad):
+        lams = list(np.linspace(0.5, 2.0, 8)) + [bad]
+        with pytest.raises(ValueError):
+            replica.phase_scan(rademacher, lams, quad64)
 
 
 class TestPhaseScan:
