@@ -1,13 +1,16 @@
 """Reproducible experiment runner.
 
-Every subcommand reads a JSON config, validates it against the target
-operation's preconditions before any computation starts, runs its jobs in
+Every subcommand reads a JSON config, checks it against its schema in
+``SCHEMAS`` before any computation starts (an unknown or missing key, a wrong
+JSON type -- ``2.0`` is not an integer, ``"yes"`` is not a flag -- or an
+out-of-range or non-finite number is a validation error), runs its jobs in
 order, and writes CSV results plus a JSON run manifest (config echo, content
-hash, wall time).  Fixed (config, seed) reproduces CSV bodies
-byte-identically.
+hash, wall time).  Fixed (config, seed) reproduces CSV bodies byte-identically.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration budget overflow,
-4 non-convergence flagged as fatal by the config.
+4 non-convergence flagged as fatal by the config, 5 a non-finite result or an
+unexpected internal error.  A failure prints one JSON error record on stderr
+and, once the config file is read, writes a manifest with ``"partial": true``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_NONCONVERGENCE = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(ValueError):
@@ -35,6 +41,10 @@ class ConfigError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
+    pass
+
+
+class NonFiniteResultError(ArithmeticError):
     pass
 
 
@@ -48,7 +58,7 @@ def _fmt(x):
     return str(x)
 
 
-def _config_hash(config: dict) -> str:
+def _config_hash(config) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -66,69 +76,142 @@ def _write_csv(path: Path, header, rows, meta):
     meta["outputs"].append(path.name)
 
 
-def prior_from_config(spec) -> priors.Prior:
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("prior spec must be a name or a {kind: ...} object")
-    kind = spec["kind"]
-    if kind == "rademacher":
-        return priors.make_rademacher()
-    if kind == "sparse_rademacher":
-        if "p" not in spec:
-            raise ConfigError("sparse_rademacher needs a sparsity level p")
-        if not 0 < spec["p"] <= 1:
-            raise ConfigError("sparsity level p must be in (0, 1]")
-        return priors.make_sparse_rademacher(spec["p"])
-    if kind == "uniform":
-        D = spec.get("D", 1.0)
-        n_nodes = spec.get("n_nodes", 16)
-        if D <= 0:
-            raise ConfigError("uniform prior needs D > 0")
-        if n_nodes < 2:
-            raise ConfigError("uniform prior needs n_nodes >= 2")
-        return priors.make_discretized_uniform(D, n_nodes)
-    if kind == "atoms":
-        return priors.make_prior(spec["atoms"], label=spec.get("label", "custom"))
-    raise ConfigError(f"unknown prior kind {kind!r}")
+def _check_finite(outputs):
+    """A NaN or inf in a result is an error, never a CSV value."""
+    for name, header, rows in outputs:
+        for i, row in enumerate(rows if header is not None else ()):
+            for h in header:
+                if isinstance(row[h], (float, np.floating)) and not math.isfinite(row[h]):
+                    raise NonFiniteResultError(f"{name}: column {h} is {row[h]!r} in row {i}")
 
 
-def _integer(config, key, default):
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+# config schema: key -> (parser, default or REQUIRED); a parser takes
+# (value, name) and returns the value to use or raises ConfigError
+REQUIRED = object()
 
 
-def _quad(config, default=64):
-    order = _integer(config, "quad_order", default)
-    if not 1 <= order <= 256:
-        raise ConfigError("quad_order must be in [1, 256]")
-    return channel.gauss_hermite(order)
+def _fields(schema, raw, where):
+    """Check ``raw`` against ``schema``: no unknown keys, every required key,
+    each value through its parser.  Returns the parsed values, defaults filled."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {raw!r}")
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}")
+    missing = [key for key, (_, default) in schema.items()
+               if default is REQUIRED and key not in raw]
+    if missing:
+        raise ConfigError(f"{where} needs {missing}")
+    return {key: parse(raw[key], f"{where}.{key}") if key in raw else default
+            for key, (parse, default) in schema.items()}
 
 
-def _grid(config, key):
-    """A 1-d grid of finite values: a list, or {start, stop, count}."""
-    g = config.get(key)
-    if g is None:
-        raise ConfigError(f"config needs {key!r}")
-    if isinstance(g, dict):
-        if set(g) != {"start", "stop", "count"} or _integer(g, "count", None) < 1:
-            raise ConfigError(f"{key} needs start, stop and a positive integer count")
-        g = np.linspace(*np.asarray([g["start"], g["stop"]], dtype=float), g["count"])
-    grid = np.asarray(g, dtype=float)
-    if grid.ndim != 1 or not np.all(np.isfinite(grid)):
-        raise ConfigError(f"{key} must be a list of finite numbers")
-    return grid
+def _value(kinds, what, ok=lambda v: True):
+    """A JSON value of type ``kinds`` that passes ``ok``, kept as given (so an
+    integer ``lambda`` still prints as ``2``).  A bool is only ever a flag."""
+    def parse(value, name):
+        if (isinstance(value, bool) and kinds is not bool
+                or not isinstance(value, kinds) or not ok(value)):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    return parse
+
+
+def _number(lo=-math.inf, hi=math.inf, above=False):
+    """A finite number in [lo, hi], or (lo, hi] when ``above``."""
+    return _value((int, float), f"a finite number in {'(' if above else '['}{lo:g}, {hi:g}]",
+                  lambda v: abs(v) <= sys.float_info.max     # NaN, inf, huge ints
+                  and lo <= v <= hi and not (above and v == lo))
+
+
+def _int(lo, hi=math.inf):
+    """An integer in [lo, hi]: ``2``, not ``2.0``."""
+    return _value(int, f"an integer in [{lo}, {hi}]", lambda v: lo <= v <= hi)
+
+
+_flag = _value(bool, "true or false")
+_text = _value(str, "a string")
+
+
+def _list(each):
+    """A nonempty JSON list whose items all pass ``each``."""
+    def parse(value, name):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+        return [each(v, f"{name}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+def _grid(lo=-math.inf):
+    """A 1-d grid of finite numbers >= lo: a list, or {start, stop, count}."""
+    point = _number(lo)
+    span = {"start": (point, REQUIRED), "stop": (point, REQUIRED), "count": (_int(1), REQUIRED)}
+
+    def parse(value, name):
+        if not isinstance(value, dict):
+            return np.asarray(_list(point)(value, name), dtype=float)
+        g = _fields(span, value, name)
+        return np.linspace(*np.asarray([g["start"], g["stop"]], dtype=float), g["count"])
+    return parse
+
+
+# prior kind -> (schema of its other keys, constructor)
+PRIOR_KINDS = {
+    "rademacher": ({}, lambda s: priors.make_rademacher()),
+    "sparse_rademacher": ({"p": (_number(0, 1, above=True), REQUIRED)},
+                          lambda s: priors.make_sparse_rademacher(s["p"])),
+    "uniform": ({"D": (_number(0, above=True), 1.0), "n_nodes": (_int(2), 16)},
+                lambda s: priors.make_discretized_uniform(s["D"], s["n_nodes"])),
+    "atoms": ({"atoms": (_list(_list(_number())), REQUIRED), "label": (_text, "custom")},
+              lambda s: priors.make_prior(s["atoms"], label=s["label"])),
+}
+
+
+def _prior(value, name):
+    """A prior: a kind name, or a {"kind": ..., <that kind's keys>} object."""
+    spec = {"kind": value} if isinstance(value, str) else value
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in PRIOR_KINDS:
+        raise ConfigError(f"{name} must name one of {sorted(PRIOR_KINDS)} as a string "
+                          f"or a {{kind: ...}} object, got {value!r}")
+    schema, make = PRIOR_KINDS[kind]
+    return make(_fields({"kind": (_text, REQUIRED), **schema}, spec, name))
+
+
+COMMON = {"prior": (_prior, REQUIRED), "seed": (_int(0), 0)}
+QUAD = {"quad_order": (_int(1, 256), 64)}
+LAMBDA = (_number(0), 1.0)
+
+SCHEMAS = {name: {**COMMON, **keys} for name, keys in {
+    "prior": {"sample_count": (_int(0), 0)},
+    "mi": {**QUAD, "s_grid": (_grid(0), REQUIRED)},
+    "potential": {**QUAD, "lambda": LAMBDA, "tau_grid": (_grid(0), REQUIRED),
+                  "M": (_int(1, 3), 1)},
+    "fixed-point": {**QUAD, "lambda_grid": (_grid(0), REQUIRED),
+                    "damping": (_number(0, 1, above=True), 0.5), "M": (_int(1, 3), 1),
+                    "q0": (_number(0), None), "fatal_nonconvergence": (_flag, False)},
+    "phase-scan": {**QUAD, "lambda_grid": (_grid(0), REQUIRED)},
+    "reduce": {"M": (_int(2, 3), 2), "lambda_grid": (_grid(0), REQUIRED),
+               "n_sigma": (_int(0), 0)},
+    "simulate": {"N": (_int(1), REQUIRED), "M": (_int(1), 1), "lambda": LAMBDA,
+                 "epsilon": (_number(0), 0.0), "replicates": (_int(1), 100),
+                 "posterior": (_flag, False), "dump_instance": (_flag, False)},
+    "concentration": {"N_grid": (_list(_int(1)), REQUIRED), "M": (_int(1), 1),
+                      "lambda": LAMBDA, "s_exponent": (_number(), 0.125),
+                      "n_eps": (_int(2), 4), "replicates": (_int(1), 100)},
+    "cavity": {"lambda": LAMBDA, "alpha": (_number(0, above=True), 1.0),
+               "gamma": (_number(0), 0.5), "N_max": (_int(1), 8), "T": (_int(0), 0),
+               "replicates": (_int(1), 100), "epsilon": (_number(0), None)},
+}.items()}
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns a list of (filename, header, rows)
+# subcommand handlers: each takes the checked config and the seed and returns
+# a list of (filename, header, rows)
 # ---------------------------------------------------------------------------
 
-def run_prior(config, seed):
-    p = prior_from_config(config["prior"])
-    count = config.get("sample_count", 0)
+def run_prior(cfg, seed):
+    p, count = cfg["prior"], cfg["sample_count"]
     row = {
         "label": p.label, "n_atoms": p.n_atoms,
         "mean": float(p.weights @ p.values), "rho": p.rho, "D": p.support_bound,
@@ -138,32 +221,21 @@ def run_prior(config, seed):
         draws = priors.sample(p, count, rng.stream(seed, rng.tag("prior")))
         row["sample_mean"] = float(draws.mean())
         row["sample_second_moment"] = float((draws**2).mean())
-    header = list(row)
-    return [("prior.csv", header, [row])]
+    return [("prior.csv", list(row), [row])]
 
 
-def run_mi(config, seed):
-    p = prior_from_config(config["prior"])
-    quad = _quad(config)
-    s_grid = _grid(config, "s_grid")
-    if np.any(s_grid < 0):
-        raise ConfigError("signal scales must be nonnegative")
-
+def run_mi(cfg, seed):
+    p, quad = cfg["prior"], channel.gauss_hermite(cfg["quad_order"])
     rows = [{"s": float(s), "mi": channel.mi_scalar_signal(p, float(s), quad),
-             "mmse": channel.mmse_scalar(p, float(s), quad)} for s in s_grid]
+             "mmse": channel.mmse_scalar(p, float(s), quad)} for s in cfg["s_grid"]]
     return [("mi.csv", ["s", "mi", "mmse"], rows)]
 
 
-def run_potential(config, seed):
-    p = prior_from_config(config["prior"])
-    quad = _quad(config)
-    lam = config.get("lambda", 1.0)
-    if lam < 0:
-        raise ConfigError("lambda must be nonnegative")
-    taus = _grid(config, "tau_grid")
-    if np.any(taus < 0) or np.any(taus > p.rho + 1e-12):
+def run_potential(cfg, seed):
+    p, quad = cfg["prior"], channel.gauss_hermite(cfg["quad_order"])
+    lam, M, taus = cfg["lambda"], cfg["M"], cfg["tau_grid"]
+    if np.any(taus > p.rho + 1e-12):
         raise ConfigError("tau grid must stay in [0, rho]")
-    M = config.get("M", 1)
 
     def job(tau):
         row = {"tau": float(tau), "lambda": lam,
@@ -179,16 +251,11 @@ def run_potential(config, seed):
     return [("potential.csv", header, rows)]
 
 
-def run_fixed_point(config, seed):
-    p = prior_from_config(config["prior"])
-    quad = _quad(config)
-    lams = _grid(config, "lambda_grid")
-    damping = config.get("damping", 0.5)
-    if not 0 < damping <= 1:
-        raise ConfigError("damping must be in (0, 1]")
-    M = config.get("M", 1)
-    q0 = config.get("q0", p.rho)
-    if not 0 <= q0 <= p.rho:
+def run_fixed_point(cfg, seed):
+    p, quad = cfg["prior"], channel.gauss_hermite(cfg["quad_order"])
+    damping, M = cfg["damping"], cfg["M"]
+    q0 = p.rho if cfg["q0"] is None else cfg["q0"]
+    if q0 > p.rho:
         raise ConfigError("q0 must lie in [0, rho]")
 
     def job(lam):
@@ -202,18 +269,16 @@ def run_fixed_point(config, seed):
                 "iterations": res.iterations, "residual": res.residual,
                 "converged": res.converged, "potential": res.potential_value}
 
-    rows = [job(lam) for lam in lams]
-    if config.get("fatal_nonconvergence", False) and not all(r["converged"] for r in rows):
+    rows = [job(lam) for lam in cfg["lambda_grid"]]
+    if cfg["fatal_nonconvergence"] and not all(r["converged"] for r in rows):
         raise NonConvergenceError("fixed-point iteration did not converge")
     header = ["lambda", "q_star", "iterations", "residual", "converged", "potential"]
     return [("fixed_point.csv", header, rows)]
 
 
-def run_phase_scan(config, seed):
-    p = prior_from_config(config["prior"])
-    quad = _quad(config)
-    lams = _grid(config, "lambda_grid")
-    scan = replica.phase_scan(p, lams, quad)
+def run_phase_scan(cfg, seed):
+    p, quad = cfg["prior"], channel.gauss_hermite(cfg["quad_order"])
+    scan = replica.phase_scan(p, cfg["lambda_grid"], quad)
     rows = []
     for i, lam in enumerate(scan.lambdas):
         in_cell = bool(scan.jump_cell is not None
@@ -228,14 +293,10 @@ def run_phase_scan(config, seed):
     return [("phase_scan.csv", header, rows)]
 
 
-def run_reduce(config, seed):
-    p = prior_from_config(config["prior"])
-    M = _integer(config, "M", 2)
-    lams = _grid(config, "lambda_grid")
-    if np.any(lams < 0):
-        raise ConfigError("lambda grid must be nonnegative")
+def run_reduce(cfg, seed):
+    p, M, n_sigma = cfg["prior"], cfg["M"], cfg["n_sigma"]
     outputs = []
-    reports = reduction.reduction_sweep(p, M, lams)
+    reports = reduction.reduction_sweep(p, M, cfg["lambda_grid"])
     rows = [{
         "prior": r.prior_label, "M": r.M, "lambda": r.lam,
         "fm_sup": r.fm_sup_value, "f1_sup": r.f1_sup_value, "gap": r.gap,
@@ -246,7 +307,6 @@ def run_reduce(config, seed):
                     ["prior", "M", "lambda", "fm_sup", "f1_sup", "gap",
                      "isotropy", "near_critical", "pass_gap", "pass_isotropy"],
                     rows))
-    n_sigma = config.get("n_sigma", 0)
     if n_sigma:
         trim, trace = reduction.noise_inequality_batch(p, M, n_sigma, seed)
         rows = [{"sample": i, "trim_residual": float(trim[i]),
@@ -256,29 +316,12 @@ def run_reduce(config, seed):
     return outputs
 
 
-def _simulate_validate(config):
-    p = prior_from_config(config["prior"])
-    N, M = config.get("N"), config.get("M", 1)
-    if not N or N < 1 or M < 1:
-        raise ConfigError("simulate needs N >= 1 and M >= 1")
-    lam = config.get("lambda", 1.0)
-    if lam < 0:
-        raise ConfigError("lambda must be nonnegative")
-    replicates = config.get("replicates", 100)
-    if replicates < 1:
-        raise ConfigError("need at least one replicate")
-    eps = config.get("epsilon", 0.0)
-    if eps < 0:
-        raise ConfigError("epsilon must be nonnegative")
-    return p, N, M, lam, eps, replicates
-
-
-def run_simulate(config, seed):
-    p, N, M, lam, eps, replicates = _simulate_validate(config)
+def run_simulate(cfg, seed):
+    p, N, M, lam = cfg["prior"], cfg["N"], cfg["M"], cfg["lambda"]
+    eps, replicates = cfg["epsilon"], cfg["replicates"]
     simulator._check_budget(p, N, M)
-    want_posterior = config.get("posterior", False)
     outputs = []
-    if want_posterior:
+    if cfg["posterior"]:
         summaries = simulator.posterior_replicates(
             p, N, M, lam, epsilon=eps, replicates=replicates, seed=seed)
         rows = [{"replicate": r, "free_entropy": s.free_entropy,
@@ -293,32 +336,22 @@ def run_simulate(config, seed):
         rows = [{"replicate": r, "free_entropy": float(v)}
                 for r, v in enumerate(vals)]
         outputs.append(("simulate.csv", ["replicate", "free_entropy"], rows))
-    if config.get("dump_instance", False):
+    if cfg["dump_instance"]:
         inst = simulator.sample_instance(p, N, M, lam, seed)
         outputs.append(("instance.json", None,
                         simulator.instance_to_json(inst, p.label)))
     return outputs
 
 
-def run_concentration(config, seed):
-    p = prior_from_config(config["prior"])
-    Ns = [int(n) for n in config.get("N_grid", [])]
-    if not Ns:
-        raise ConfigError("concentration needs an N_grid")
-    M = config.get("M", 1)
-    lam = config.get("lambda", 1.0)
-    exponent = config.get("s_exponent", 0.125)
-    n_eps = config.get("n_eps", 4)
-    if n_eps < 2:
-        raise ConfigError("need n_eps >= 2")
-    replicates = config.get("replicates", 100)
+def run_concentration(cfg, seed):
+    p, Ns, M, lam = cfg["prior"], cfg["N_grid"], cfg["M"], cfg["lambda"]
     for n in Ns:
         simulator._check_budget(p, n, M)
 
     def job(n):
-        s_n = float(n) ** (-exponent)
+        s_n = float(n) ** (-cfg["s_exponent"])
         est, se, gamma = simulator.overlap_concentration(
-            p, n, M, lam, s_n, n_eps, replicates, seed)
+            p, n, M, lam, s_n, cfg["n_eps"], cfg["replicates"], seed)
         return {"N": n, "s_N": s_n, "estimate": est, "std_err": se,
                 "gamma": gamma, "ratio": est / gamma}
 
@@ -327,23 +360,15 @@ def run_concentration(config, seed):
     return [("concentration.csv", header, rows)]
 
 
-def run_cavity(config, seed):
-    p = prior_from_config(config["prior"])
-    lam = config.get("lambda", 1.0)
-    alpha = config.get("alpha", 1.0)
-    gamma = config.get("gamma", 0.5)
-    n_max = config.get("N_max", 8)
-    if alpha <= 0 or gamma < 0 or n_max < 1:
-        raise ConfigError("cavity needs alpha > 0, gamma >= 0, N_max >= 1")
-    T = config.get("T", 0)
-    if not 0 <= T < n_max:
+def run_cavity(cfg, seed):
+    p, lam, n_max, T = cfg["prior"], cfg["lambda"], cfg["N_max"], cfg["T"]
+    if T >= n_max:
         raise ConfigError("truncation T must satisfy 0 <= T < N_max")
-    replicates = config.get("replicates", 100)
-    schedule = cavity.dims_schedule(alpha, gamma, n_max)
+    schedule = cavity.dims_schedule(cfg["alpha"], cfg["gamma"], n_max)
     if schedule.rank_at(n_max) < 1:
         raise ConfigError("schedule reaches rank 0 at N_max; increase alpha or N_max")
-    eps = config.get("epsilon", float(n_max) ** (-0.125))
-    table = cavity.build_table(p, lam, schedule, eps, replicates, seed, T=T)
+    eps = float(n_max) ** (-0.125) if cfg["epsilon"] is None else cfg["epsilon"]
+    table = cavity.build_table(p, lam, schedule, eps, cfg["replicates"], seed, T=T)
     report = cavity.cavity_report(p, lam, schedule, table, T=T)
     inc = report.increments
 
@@ -375,17 +400,17 @@ def run_cavity(config, seed):
     ]
 
 
-HANDLERS = {
-    "prior": run_prior,
-    "mi": run_mi,
-    "potential": run_potential,
-    "fixed-point": run_fixed_point,
-    "phase-scan": run_phase_scan,
-    "reduce": run_reduce,
-    "simulate": run_simulate,
-    "concentration": run_concentration,
-    "cavity": run_cavity,
-}
+HANDLERS = {name: globals()[f"run_{name.replace('-', '_')}"] for name in SCHEMAS}
+
+
+# exception type -> (error record kind, exit code); the first match wins
+FAILURES = [
+    (simulator.BudgetError, "budget", EXIT_BUDGET),
+    (NonConvergenceError, "non-convergence", EXIT_NONCONVERGENCE),
+    (NonFiniteResultError, "non-finite", EXIT_INTERNAL),
+    (ValueError, "validation", EXIT_VALIDATION),
+    (Exception, "internal", EXIT_INTERNAL),
+]
 
 
 def _error_record(kind, detail):
@@ -410,7 +435,6 @@ def main(argv=None) -> int:
         _error_record("config", exc)
         return EXIT_VALIDATION
 
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -418,13 +442,16 @@ def main(argv=None) -> int:
         "subcommand": args.subcommand,
         "config": config,
         "config_sha256": _config_hash(config),
-        "seed": int(seed),
+        "seed": args.seed,
         "outputs": [],
         "partial": False,
     }
     started = time.monotonic()
     try:
-        outputs = HANDLERS[args.subcommand](config, int(seed))
+        cfg = _fields(SCHEMAS[args.subcommand], config, "config")
+        seed = meta["seed"] = cfg["seed"] if args.seed is None else args.seed
+        outputs = HANDLERS[args.subcommand](cfg, seed)
+        _check_finite(outputs)
         for name, header, rows in outputs:
             if header is None:                      # raw text artifact
                 path = out_dir / name
@@ -433,18 +460,14 @@ def main(argv=None) -> int:
             else:
                 _write_csv(out_dir / name, header, rows, meta)
         code = EXIT_OK
-    except (ConfigError, simulator.BudgetError, NonConvergenceError, ValueError) as exc:
+    except Exception as exc:    # the boundary: every failure is reported, none escapes
+        kind, code = next((k, c) for t, k, c in FAILURES if isinstance(exc, t))
         meta["partial"] = True
         meta["error"] = str(exc)
-        if isinstance(exc, simulator.BudgetError):
-            _error_record("budget", exc)
-            code = EXIT_BUDGET
-        elif isinstance(exc, NonConvergenceError):
-            _error_record("non-convergence", exc)
-            code = EXIT_NONCONVERGENCE
-        else:
-            _error_record("validation", exc)
-            code = EXIT_VALIDATION
+        if kind == "internal":
+            exc = f"{type(exc).__name__}: {exc}"
+            meta["traceback"] = traceback.format_exc()
+        _error_record(kind, exc)
     meta["wall_time_s"] = time.monotonic() - started
     with open(out_dir / f"{args.subcommand.replace('-', '_')}_manifest.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -71,6 +71,11 @@ SUP_ANGLES = {2: 24, 3: 8}
 SUP_CANDIDATES = 20
 SUP_SWEEPS = 4
 SUP_POLISH_ORDER = {2: 40, 3: 24}
+# f1_sup and mmse_prediction: overlap grid points and golden-section tolerance;
+# phase_scan: smallest jump of the maximizing overlap reported as a transition
+F1_GRID = 512
+F1_XTOL = 1e-10
+PHASE_JUMP_TOL = 1e-3
 _DOMAIN_TOL = 1e-12     # keeps grid points on a domain boundary despite rounding
 
 
@@ -212,16 +217,15 @@ def f1_fixed_point(prior: Prior, lam: float, q0: float, damping: float = 0.5,
     )
 
 
-def _f1_grid(prior, lam, quad, n_grid):
+def _f1_grid(prior, lam, quad):
     """Potential on a uniform overlap grid, vectorized over the grid."""
-    taus = np.linspace(0.0, prior.rho, n_grid)
+    taus = np.linspace(0.0, prior.rho, F1_GRID)
     lse = _scalar_lse(_scalar_exponents(prior, lam * taus, quad.nodes))
     vals = np.einsum("a,tan,n->t", prior.weights, lse, quad.weights) - lam * taus**2 / 4.0
     return taus, vals
 
 
-def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None,
-           n_grid: int = 512, xtol: float = 1e-10):
+def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None):
     """Global maximum of the scalar potential over [0, rho].
 
     Grid search followed by golden-section refinement around the best grid
@@ -231,12 +235,12 @@ def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None,
     _check_snr(lam)
     if quad is None:
         quad = gauss_hermite(DEFAULT_SCALAR_ORDER)
-    taus, vals = _f1_grid(prior, lam, quad, n_grid)
+    taus, vals = _f1_grid(prior, lam, quad)
     best = vals.max()
     idx = int(np.nonzero(vals >= best - 1e-10)[0][0])
     lo = taus[max(idx - 1, 0)]
-    hi = taus[min(idx + 1, n_grid - 1)]
-    q_star, value = _golden_max(lambda t: f1_rs(prior, t, lam, quad), lo, hi, xtol)
+    hi = taus[min(idx + 1, F1_GRID - 1)]
+    q_star, value = _golden_max(lambda t: f1_rs(prior, t, lam, quad), lo, hi, F1_XTOL)
     if vals[idx] > value:
         q_star, value = taus[idx], vals[idx]
     # near-ties resolve to the smallest overlap; in particular the potential's
@@ -256,8 +260,7 @@ def _local_maxima(taus, vals):
     return sorted(set(idx) | set(int(i) for i in interior))
 
 
-def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = None,
-                    n_grid: int = 512) -> float:
+def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = None) -> float:
     """Limiting matrix MMSE prediction rho^2 - q*(lam)^2.
 
     Refuses to answer (raises NonUniqueMaximizer) when two maximizers at
@@ -265,12 +268,12 @@ def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = Non
     """
     if quad is None:
         quad = gauss_hermite(DEFAULT_SCALAR_ORDER)
-    taus, vals = _f1_grid(prior, lam, quad, n_grid)
+    taus, vals = _f1_grid(prior, lam, quad)
     candidates = []
     for i in _local_maxima(taus, vals):
         lo = taus[max(i - 1, 0)]
-        hi = taus[min(i + 1, n_grid - 1)]
-        t, val = _golden_max(lambda t: f1_rs(prior, t, lam, quad), lo, hi, 1e-10)
+        hi = taus[min(i + 1, F1_GRID - 1)]
+        t, val = _golden_max(lambda t: f1_rs(prior, t, lam, quad), lo, hi, F1_XTOL)
         candidates.append((val, t))
     candidates.sort(reverse=True)
     best_val, best_t = candidates[0]
@@ -635,13 +638,12 @@ def _angles_of(eigvec, M):
     return (a, b, c)
 
 
-def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None,
-               n_grid: int = 512, jump_tol: float = 1e-3) -> PhaseScan:
+def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None) -> PhaseScan:
     """Sweep the scalar supremum over a sorted SNR grid.
 
     The critical-point estimate is the grid cell with the largest jump of the
     maximizing overlap, reported as an interval and only when the jump exceeds
-    ``jump_tol``; below that the curve is treated as transition-free.
+    ``PHASE_JUMP_TOL``; below that the curve is treated as transition-free.
     """
     lams = np.asarray(lambda_grid, dtype=float)
     if lams.size < 8:
@@ -655,11 +657,11 @@ def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None,
     values = np.empty(lams.size)
     q_stars = np.empty(lams.size)
     for i, lam in enumerate(lams):
-        values[i], q_stars[i] = f1_sup(prior, lam, quad, n_grid=n_grid)
+        values[i], q_stars[i] = f1_sup(prior, lam, quad)
     dq = np.gradient(q_stars, lams)
     jumps = np.abs(np.diff(q_stars))
     cell = int(np.argmax(jumps))
     jump_size = float(jumps[cell])
-    jump_cell = (float(lams[cell]), float(lams[cell + 1])) if jump_size > jump_tol else None
+    jump_cell = (float(lams[cell]), float(lams[cell + 1])) if jump_size > PHASE_JUMP_TOL else None
     return PhaseScan(lambdas=lams, q_star=q_stars, value=values, dq_dlambda=dq,
                      jump_cell=jump_cell, jump_size=jump_size)
