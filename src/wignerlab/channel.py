@@ -134,7 +134,8 @@ def atom_grid(prior: Prior, dim: int):
 
 
 def logsumexp_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stable ln(exp(A) @ exp(B)) for A (p, q) and B (q, r).
+    """Stable ln(exp(A) @ exp(B)) for A (..., p, q) and B (..., q, r), with
+    leading batch axes broadcast as in ``@``.
 
     Row maxima of A and column maxima of B are factored out so the matrix
     product runs on values in (0, 1]; this replaces a q-fold logsumexp per
@@ -142,16 +143,16 @@ def logsumexp_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     maximum sit at different inner indices every product can underflow; those
     entries alone are recomputed by a pairwise logsumexp.
     """
-    a_max = A.max(axis=1, keepdims=True)
-    b_max = B.max(axis=0, keepdims=True)
+    a_max = A.max(axis=-1, keepdims=True)
+    b_max = B.max(axis=-2, keepdims=True)
     inner = np.exp(A - a_max) @ np.exp(B - b_max)
     if inner.min() >= _TINY:
         return a_max + b_max + np.log(inner)
     lost = inner < _TINY
     inner[lost] = 1.0
     out = a_max + b_max + np.log(inner)
-    i, j = np.nonzero(lost)
-    out[i, j] = logsumexp(A[i] + B[:, j].T, axis=1)
+    rows, cols = np.broadcast_arrays(A[..., :, None, :], B.swapaxes(-1, -2)[..., None, :, :])
+    out[lost] = logsumexp(rows[lost] + cols[lost], axis=-1)
     return out
 
 

@@ -10,12 +10,16 @@ hash, wall time).  Fixed (config, seed) reproduces CSV bodies byte-identically.
 Exit codes: 0 success, 2 validation error, 3 enumeration budget overflow,
 4 non-convergence flagged as fatal by the config, 5 a non-finite result or an
 unexpected internal error.  A failure prints one JSON error record on stderr
-and, once the config file is read, writes a manifest with ``"partial": true``.
+and writes a manifest with ``"partial": true`` (its ``config`` is null when the
+config file cannot be read or parsed).  Stderr holds nothing else: NumPy's
+RuntimeWarnings are counted, by message, under the manifest's
+``runtime_warnings`` instead of printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import hashlib
 import json
@@ -23,6 +27,7 @@ import math
 import sys
 import time
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +42,10 @@ EXIT_INTERNAL = 5
 
 
 class ConfigError(ValueError):
+    pass
+
+
+class ConfigFileError(ConfigError):
     pass
 
 
@@ -405,12 +414,32 @@ HANDLERS = {name: globals()[f"run_{name.replace('-', '_')}"] for name in SCHEMAS
 
 # exception type -> (error record kind, exit code); the first match wins
 FAILURES = [
+    (ConfigFileError, "config", EXIT_VALIDATION),
     (simulator.BudgetError, "budget", EXIT_BUDGET),
     (NonConvergenceError, "non-convergence", EXIT_NONCONVERGENCE),
     (NonFiniteResultError, "non-finite", EXIT_INTERNAL),
     (ValueError, "validation", EXIT_VALIDATION),
     (Exception, "internal", EXIT_INTERNAL),
 ]
+
+
+def _read_config(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:        # unreadable, not UTF-8 or not JSON
+        raise ConfigFileError(exc) from exc
+
+
+def _counting(counter, show):
+    """A ``warnings.showwarning`` that counts RuntimeWarnings by message
+    instead of printing them, and passes every other warning to ``show``."""
+    def showwarning(message, category, *rest):
+        if issubclass(category, RuntimeWarning):
+            counter[str(message)] += 1
+        else:
+            show(message, category, *rest)
+    return showwarning
 
 
 def _error_record(kind, detail):
@@ -428,37 +457,36 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
 
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _error_record("config", exc)
-        return EXIT_VALIDATION
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     meta = {
         "subcommand": args.subcommand,
-        "config": config,
-        "config_sha256": _config_hash(config),
+        "config": None,
+        "config_sha256": None,
         "seed": args.seed,
         "outputs": [],
         "partial": False,
     }
     started = time.monotonic()
+    warned = collections.Counter()
     try:
-        cfg = _fields(SCHEMAS[args.subcommand], config, "config")
-        seed = meta["seed"] = cfg["seed"] if args.seed is None else args.seed
-        outputs = HANDLERS[args.subcommand](cfg, seed)
-        _check_finite(outputs)
-        for name, header, rows in outputs:
-            if header is None:                      # raw text artifact
-                path = out_dir / name
-                path.write_text(rows)
-                meta["outputs"].append(name)
-            else:
-                _write_csv(out_dir / name, header, rows, meta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", RuntimeWarning)
+            warnings.showwarning = _counting(warned, warnings.showwarning)
+            config = meta["config"] = _read_config(args.config)
+            meta["config_sha256"] = _config_hash(config)
+            cfg = _fields(SCHEMAS[args.subcommand], config, "config")
+            seed = meta["seed"] = cfg["seed"] if args.seed is None else args.seed
+            outputs = HANDLERS[args.subcommand](cfg, seed)
+            _check_finite(outputs)
+            for name, header, rows in outputs:
+                if header is None:                      # raw text artifact
+                    path = out_dir / name
+                    path.write_text(rows)
+                    meta["outputs"].append(name)
+                else:
+                    _write_csv(out_dir / name, header, rows, meta)
         code = EXIT_OK
     except Exception as exc:    # the boundary: every failure is reported, none escapes
         kind, code = next((k, c) for t, k, c in FAILURES if isinstance(exc, t))
@@ -468,6 +496,7 @@ def main(argv=None) -> int:
             exc = f"{type(exc).__name__}: {exc}"
             meta["traceback"] = traceback.format_exc()
         _error_record(kind, exc)
+    meta["runtime_warnings"] = {"count": sum(warned.values()), "messages": sorted(warned)}
     meta["wall_time_s"] = time.monotonic() - started
     with open(out_dir / f"{args.subcommand.replace('-', '_')}_manifest.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -20,9 +20,11 @@ quadrature grid.  Expectations over the signal are exact atom sums; the
 Gaussian expectation uses (tensorized) Gauss-Hermite quadrature.
 
 The criticality condition Q = E <x x0'> drives the damped fixed-point
-iterations, and the suprema are located by grid search over an
-eigendecomposition parametrization followed by coordinate-wise golden-section
-refinement.
+iterations.  By the Nishimori identity it also gives the gradient
+grad FM = (lam / 2M)(sym E <x x0'> - Q), computed in one pass with E ln ZM.
+The scalar supremum is a grid search refined by golden section; the rank-M
+one is a symmetry-reduced grid search over an eigendecomposition
+parametrization polished by projected gradient ascent on {0 <= Q <= rho I}.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    _TINY,
     GaussQuadrature,
     atom_grid,
     gauss_hermite,
@@ -64,12 +67,16 @@ __all__ = [
 DEFAULT_SCALAR_ORDER = 64
 DEFAULT_TENSOR_ORDER = {1: 64, 2: 20, 3: 14}
 # fm_sup: coarse-grid quadrature order, eigenvalue levels and angles per
-# rotation axis, candidates refined, sweeps, final-evaluation quadrature order
+# rotation axis, elements per temporary of a batched grid evaluation,
+# candidates polished, ascent steps per candidate, certificates at which the
+# ascent stops (coarse, then default order), final-evaluation quadrature order
 SUP_COARSE_ORDER = {2: 20, 3: 8}
 SUP_EIG_LEVELS = {2: 32, 3: 10}
 SUP_ANGLES = {2: 24, 3: 8}
+SUP_BATCH = 1 << 17
 SUP_CANDIDATES = 20
-SUP_SWEEPS = 4
+SUP_STEPS = 50
+SUP_TOL = (1e-5, 1e-9)
 SUP_POLISH_ORDER = {2: 40, 3: 24}
 # f1_sup and mmse_prediction: overlap grid points and golden-section tolerance;
 # phase_scan: smallest jump of the maximizing overlap reported as a transition
@@ -77,6 +84,8 @@ F1_GRID = 512
 F1_XTOL = 1e-10
 PHASE_JUMP_TOL = 1e-3
 _DOMAIN_TOL = 1e-12     # keeps grid points on a domain boundary despite rounding
+_ARMIJO = 1e-4          # fraction of the first-order rise an ascent step must reach
+_HALVINGS = 4           # step halvings before the ascent gives up
 
 
 class NonUniqueMaximizer(ValueError):
@@ -323,38 +332,52 @@ class _RankMWorkspace:
         self.weights = np.exp(self.logw)
 
     def _exponents(self, Q, lam, sqrt_Q=None):
-        """The exponent matrices A and B of the replica measure at overlap Q,
-        shared by ``ln_partition`` and ``gibbs_cross_moment``."""
+        """The exponent matrices A (..., K_x, Nz) and B (..., K_a, K_x) of the
+        replica measure at the overlaps Q (..., M, M)."""
         if sqrt_Q is None:
             sqrt_Q = psd_sqrt(Q)
         V = self.values
-        A = math.sqrt(lam) * (V @ sqrt_Q) @ self.z_nodes.T      # (K_x, Nz)
+        A = math.sqrt(lam) * (V @ sqrt_Q) @ self.z_nodes.T
         VQ = V @ Q
-        B = lam * (V @ VQ.T) - 0.5 * lam * np.sum(VQ * V, axis=1)[None, :] \
-            + self.logw[None, :]                                # (K_a, K_x)
+        B = (lam * (V @ VQ.swapaxes(-1, -2))
+             - 0.5 * lam * np.sum(VQ * V, axis=-1)[..., None, :] + self.logw[None, :])
         return A, B
 
     def ln_partition(self, Q, lam, sqrt_Q=None):
-        """E_{z,x0} ln ZM(Q) on the tensor grid."""
+        """E_{z,x0} ln ZM(Q) on the tensor grid; a float for one overlap, an
+        array over the leading axes of a stack of them (which needs sqrt_Q)."""
         A, B = self._exponents(Q, lam, sqrt_Q)
-        lse = logsumexp_matmul(B, A)
-        return float(self.weights @ (lse @ self.z_weights))
+        ln_z = (logsumexp_matmul(B, A) @ self.z_weights) @ self.weights
+        return float(ln_z) if ln_z.ndim == 0 else ln_z
 
-    def gibbs_cross_moment(self, Q, lam):
-        """E_{z,x0} <x x0'> under the rank-M replica measure at overlap Q."""
+    def value_and_moment(self, Q, lam, sqrt_Q=None):
+        """E ln ZM(Q) and E <x x0'> from one exponent build and one exponential
+        of A and of B: one GEMM [EB; EB V_1; ...; EB V_M] @ EA gives the
+        normalizers and the first moments of x together.  Entries whose every
+        product underflows are recomputed pairwise, as in ``logsumexp_matmul``."""
+        A, B = self._exponents(Q, lam, sqrt_Q)
         V = self.values
-        A, B = self._exponents(Q, lam)
         a_max = B.max(axis=1, keepdims=True)
         x_max = A.max(axis=0, keepdims=True)
         EB = np.exp(B - a_max)                                  # (K_a, K_x)
-        EA = np.exp(A - x_max)                                  # (K_x, Nz)
-        denom = EB @ EA                                         # (K_a, Nz)
-        mean_x = np.empty((self.M, EB.shape[0], EA.shape[1]))
-        for m in range(self.M):
-            mean_x[m] = (EB * V[None, :, m]) @ EA
-        mean_x /= denom[None, :, :]
+        stack = EB * np.vstack([np.ones(len(V)), V.T])[:, None, :]     # (M+1, K_a, K_x)
+        sums = (stack.reshape(-1, len(V)) @ np.exp(A - x_max)).reshape(self.M + 1, len(V), -1)
+        denom = sums[0]
+        lost = denom < _TINY
+        denom[lost] = 1.0
+        lse = a_max + x_max + np.log(denom)
+        mean_x = sums[1:] / denom
+        if lost.any():
+            i, j = np.nonzero(lost)
+            arg = B[i] + A[:, j].T                              # (lost, K_x)
+            top = arg.max(axis=1, keepdims=True)
+            p = np.exp(arg - top)
+            total = p.sum(axis=1)
+            lse[i, j] = top[:, 0] + np.log(total)
+            mean_x[:, i, j] = (p @ V).T / total
+        ln_z = float(self.weights @ (lse @ self.z_weights))
         R = mean_x @ self.z_weights                             # (M, K_a)
-        return R @ (V * self.weights[:, None])                  # (M, M)
+        return ln_z, R @ (V * self.weights[:, None])            # (M, M)
 
 
 def _workspace(prior, M, order=None):
@@ -425,6 +448,14 @@ def _fm_monte_carlo(prior, M, Q, lam, budget, rng):
     return float(ln_z_samples.mean()), float(mi_samples.mean())
 
 
+def _project(S, hi=None):
+    """Euclidean projection of sym(S) onto {0 <= Q <= hi I}: clip the
+    eigenvalues (Lewis 1996).  Returns the projection and its square root."""
+    eigval, eigvec = np.linalg.eigh((S + S.T) / 2.0)
+    eigval = np.clip(eigval, 0.0, hi)
+    return (eigvec * eigval) @ eigvec.T, (eigvec * np.sqrt(eigval)) @ eigvec.T
+
+
 def fm_fixed_point(prior: Prior, M: int, lam: float, Q0,
                    damping: float = 0.5, order: int | None = None,
                    tol: float = 1e-8, max_iter: int = 2_000) -> FixedPointResult:
@@ -434,22 +465,18 @@ def fm_fixed_point(prior: Prior, M: int, lam: float, Q0,
         raise ValueError("damping must be in (0, 1]")
     if M > 3:
         raise ValueError("matrix fixed point supports M <= 3")
-    Q = _check_overlap_matrix(Q0, M)
+    Q, sqrt_Q = _check_overlap_matrix(Q0, M), None
     ws = _workspace(prior, M, order)
-
-    def project(S):
-        eigval, eigvec = np.linalg.eigh((S + S.T) / 2.0)
-        return (eigvec * np.clip(eigval, 0.0, None)) @ eigvec.T
-
-    target = project(ws.gibbs_cross_moment(Q, lam))
-    residual = float(np.linalg.norm(Q - target, "fro")) / M
     iterations = 0
-    while residual > tol and iterations < max_iter:
-        Q = project((1.0 - damping) * Q + damping * target)
-        target = project(ws.gibbs_cross_moment(Q, lam))
+    while True:
+        ln_z, cross = ws.value_and_moment(Q, lam, sqrt_Q)
+        target = _project(cross)[0]
         residual = float(np.linalg.norm(Q - target, "fro")) / M
+        if residual <= tol or iterations >= max_iter:
+            break
+        Q, sqrt_Q = _project((1.0 - damping) * Q + damping * target)
         iterations += 1
-    value = fm_rs(prior, M, Q, lam, order=ws.quad.order).value_logz
+    value = ln_z / M - lam * float(np.sum(Q * Q)) / (4.0 * M)
     return FixedPointResult(overlap=Q, iterations=iterations, residual=residual,
                             converged=residual <= tol, potential_value=value)
 
@@ -480,13 +507,6 @@ def rotation_matrix(angles, M: int) -> np.ndarray:
     raise ValueError("rotation parametrization supports M <= 3")
 
 
-def _assemble(eigs, angles, M):
-    """Q = O diag(q) O' and its square root O diag(sqrt q) O'."""
-    O = rotation_matrix(angles, M)
-    q = np.asarray(eigs)
-    return (O * q) @ O.T, (O * np.sqrt(q)) @ O.T
-
-
 def _sign_symmetric(prior):
     """Whether x -> -x maps the prior to itself (sorted atoms are negated by
     reversal, and their weights are palindromic)."""
@@ -511,16 +531,54 @@ def _in_domain(Q, sign_symmetric):
     return inside
 
 
+def _ascend(ws, lam, Q, rho, tol):
+    """Projected gradient ascent of FM over {0 <= Q <= rho I} from Q.
+
+    By the Nishimori identity the gradient is (lam / 2M) D with
+    D = sym E<x x0'> - Q, so steps are measured in units of 2M / lam, at which
+    a step is the fixed-point map Q -> E<x x0'>.  Each run starts at that unit
+    step; later steps are Barzilai-Borwein, halved until FM rises (Armijo).
+    Stops when the criticality certificate |Q - P(sym E<x x0'>)|_F / M is at
+    most ``tol`` or no halving raises FM.  Returns ``(value, Q)``.
+    """
+    M = ws.M
+
+    def probe(Q, sqrt_Q):
+        ln_z, cross = ws.value_and_moment(Q, lam, sqrt_Q)
+        return (ln_z / M - lam * float(np.sum(Q * Q)) / (4.0 * M),
+                (cross + cross.T) / 2.0 - Q)
+
+    Q, sqrt_Q = _project(Q, rho)
+    value, D = probe(Q, sqrt_Q)
+    step = 1.0
+    for _ in range(SUP_STEPS):
+        if np.linalg.norm(Q - _project(Q + D, rho)[0]) / M <= tol:
+            break
+        for _ in range(_HALVINGS):
+            Q_new, sqrt_new = _project(Q + step * D, rho)
+            value_new, D_new = probe(Q_new, sqrt_new)
+            if value_new >= value + _ARMIJO * lam / (2.0 * M) * np.sum(D * (Q_new - Q)):
+                break
+            step /= 2.0
+        else:
+            break
+        s, y = Q_new - Q, D - D_new
+        sy = float(np.sum(s * y))
+        step = float(np.sum(s * s)) / sy if sy > 0 else 1.0
+        Q, value, D = Q_new, value_new, D_new
+    return value, Q
+
+
 def fm_sup(prior: Prior, M: int, lam: float):
     """Supremum of the rank-M potential over PSD matrices with eigenvalues
     in [0, rho].
 
-    The search runs over the eigendecomposition Q = O diag(q) O', which
-    enforces the eigenvalue restriction by construction: a product grid over
-    eigenvalues and rotation angles, restricted to one fundamental domain of
-    the potential's symmetry group (``_in_domain``), seeded additionally with
-    the isotropic line and damped fixed-point limits, followed by
-    coordinate-wise golden-section refinement of the best candidates.
+    Global coverage comes from a product grid over eigenvalues and rotation
+    angles of Q = O diag(q) O', restricted to one fundamental domain of the
+    potential's symmetry group (``_in_domain``) and evaluated in batches,
+    plus the isotropic line and the damped fixed-point limits.  The best
+    candidates are polished by projected gradient ascent (``_ascend``), first
+    at the coarse quadrature order, then the best three at the default order.
     Returns ``(value, Q_star)``.
     """
     if M not in (2, 3):
@@ -530,112 +588,49 @@ def fm_sup(prior: Prior, M: int, lam: float):
     ws = _workspace(prior, M)
     coarse_ws = _workspace(prior, M, SUP_COARSE_ORDER[M])
 
-    def value_at(w, Q, sqrt_Q=None):
-        return w.ln_partition(Q, lam, sqrt_Q) / M - lam * float(np.sum(Q * Q)) / (4.0 * M)
+    def values(w, Q, sqrt_Q):
+        """FM at each overlap of the stack Q, SUP_BATCH elements per temporary."""
+        k = w.weights.size
+        size = max(1, SUP_BATCH // (k * max(k, w.z_weights.size)))
+        ln_z = np.concatenate([w.ln_partition(Q[i:i + size], lam, sqrt_Q[i:i + size])
+                               for i in range(0, len(Q), size)])
+        return ln_z / M - lam * np.sum(Q * Q, axis=(1, 2)) / (4.0 * M)
 
     n_angle = SUP_ANGLES[M]
     eig_levels = np.linspace(0.0, rho, SUP_EIG_LEVELS[M])
-    if M == 2:
-        angle_grids = [np.linspace(0.0, math.pi, n_angle, endpoint=False)]
-    else:
-        angle_grids = [
-            np.linspace(0.0, 2 * math.pi, n_angle, endpoint=False),
-            np.linspace(0.0, math.pi, max(n_angle // 2, 3)),
-            np.linspace(0.0, 2 * math.pi, n_angle, endpoint=False),
-        ]
+    turn = np.linspace(0.0, 2 * math.pi, n_angle, endpoint=False)
+    angle_grids = ([np.linspace(0.0, math.pi, n_angle, endpoint=False)] if M == 2
+                   else [turn, np.linspace(0.0, math.pi, max(n_angle // 2, 3)), turn])
     eig_combos = np.array(list(itertools.combinations_with_replacement(eig_levels, M)))
-    angle_combos = list(itertools.product(*angle_grids))
-    O = np.array([rotation_matrix(a, M) for a in angle_combos])[None]    # (1, R, M, M)
+    O = np.array([rotation_matrix(a, M) for a in itertools.product(*angle_grids)])[None]
     q = eig_combos[:, None, None, :]                                     # (E, 1, 1, M)
     grid_Q = (O * q) @ O.swapaxes(-1, -2)                                # (E, R, M, M)
     grid_sqrt = (O * np.sqrt(q)) @ O.swapaxes(-1, -2)
     keep = _in_domain(grid_Q, _sign_symmetric(prior))
     # rotations are redundant for degenerate eigenvalues
     keep[np.ptp(np.round(eig_combos, 12), axis=1) == 0, 1:] = False
-    candidates = [(value_at(coarse_ws, grid_Q[e, r], grid_sqrt[e, r]),
-                   tuple(eig_combos[e]), angle_combos[r])
-                  for e, r in zip(*np.nonzero(keep))]
-
-    # isotropic seeds (exactly decoupled; cheap at full accuracy)
-    for tau in np.linspace(0.0, rho, 65):
-        candidates.append((value_at(ws, tau * np.eye(M)), (tau,) * M, angle_combos[0]))
-
-    # fixed-point seeds
-    for q0 in (rho, rho / 2):
-        fp = fm_fixed_point(prior, M, lam, q0 * np.eye(M), order=ws.quad.order,
-                            tol=1e-9, max_iter=400)
-        eigval, eigvec = np.linalg.eigh(fp.overlap)
-        angles = _angles_of(eigvec, M)
-        candidates.append((value_at(ws, fp.overlap),
-                           tuple(np.clip(eigval, 0.0, rho)), angles))
-
-    candidates.sort(key=lambda c: c[0], reverse=True)
-    seen, top = set(), []
-    for val, eigs, angles in candidates:
-        key = tuple(np.round(eigs, 6)) + tuple(np.round(angles, 4))
-        if key not in seen:
-            seen.add(key)
-            top.append((eigs, angles))
-        if len(top) >= SUP_CANDIDATES:
-            break
-
-    eig_span = eig_levels[1] - eig_levels[0]
-    angle_spans = [g[1] - g[0] for g in angle_grids]
-
-    def refine(x, w, xtol, n_sweeps):
-        val = value_at(w, *_assemble(x[:M], x[M:], M))
-        for _ in range(n_sweeps):
-            for i in range(len(x)):
-                if i < M:
-                    lo = max(0.0, x[i] - eig_span)
-                    hi = min(rho, x[i] + eig_span)
-                else:
-                    span = angle_spans[i - M]
-                    lo, hi = x[i] - span, x[i] + span
-
-                def f(c, i=i):
-                    y = list(x)
-                    y[i] = c
-                    return value_at(w, *_assemble(y[:M], y[M:], M))
-
-                xi, vi = _golden_max(f, lo, hi, xtol)
-                if vi >= val:
-                    x[i], val = xi, vi
-        return x, val
-
-    # coarse refinement of every candidate, then fine refinement of the best few
-    refined = []
-    for eigs, angles in top:
-        x, val = refine(list(eigs) + list(angles), coarse_ws, 1e-5, SUP_SWEEPS - 1)
-        refined.append((val, x))
-    refined.sort(key=lambda c: c[0], reverse=True)
-
-    best_val, best_x = -np.inf, None
-    for _, x in refined[:3]:
-        x, val = refine(list(x), ws, 1e-8, SUP_SWEEPS)
-        if val > best_val:
-            best_val, best_x = val, list(x)
-
-    Q_star, _ = _assemble(np.clip(best_x[:M], 0.0, rho), best_x[M:], M)
+    # seeds: the isotropic line (exactly decoupled; cheap at full accuracy)
+    # and the damped fixed-point limits
+    taus = np.linspace(0.0, rho, 65)[:, None, None]
+    fps = [fm_fixed_point(prior, M, lam, q0 * np.eye(M), order=ws.quad.order,
+                          tol=1e-9, max_iter=400) for q0 in (rho, rho / 2)]
+    overlaps = np.concatenate([grid_Q[keep], taus * np.eye(M)]
+                              + [fp.overlap[None] for fp in fps])
+    vals = np.concatenate([values(coarse_ws, grid_Q[keep], grid_sqrt[keep]),
+                           values(ws, taus * np.eye(M), np.sqrt(taus) * np.eye(M)),
+                           [fp.potential_value for fp in fps]])
+    top = overlaps[np.argsort(-vals, kind="stable")[:SUP_CANDIDATES]]
+    coarse = sorted((_ascend(coarse_ws, lam, Q, rho, SUP_TOL[0]) for Q in top),
+                    key=lambda c: c[0], reverse=True)
+    _, Q_star = max((_ascend(ws, lam, Q, rho, SUP_TOL[1]) for _, Q in coarse[:3]),
+                    key=lambda c: c[0])
     # one evaluation at a finer grid removes most of the search quadrature bias
-    best_val = value_at(_workspace(prior, M, SUP_POLISH_ORDER[M]), Q_star)
+    best_val = float(values(_workspace(prior, M, SUP_POLISH_ORDER[M]),
+                            Q_star[None], psd_sqrt(Q_star)[None])[0])
     # near-ties resolve to the zero matrix (noise floor around the origin)
     if 0.0 >= best_val - 1e-10:
         return 0.0, np.zeros((M, M))
-    return float(best_val), Q_star
-
-
-def _angles_of(eigvec, M):
-    """Angle coordinates of an orthogonal matrix (inverse of rotation_matrix)."""
-    O = eigvec if np.linalg.det(eigvec) > 0 else eigvec @ np.diag([1.0] * (M - 1) + [-1.0])
-    if M == 2:
-        return (math.atan2(O[1, 0], O[0, 0]),)
-    b = math.acos(min(max(O[2, 2], -1.0), 1.0))
-    if abs(math.sin(b)) < 1e-12:
-        return (math.atan2(O[1, 0], O[0, 0]), b, 0.0)
-    a = math.atan2(O[1, 2], O[0, 2])
-    c = math.atan2(O[2, 1], -O[2, 0])
-    return (a, b, c)
+    return best_val, Q_star
 
 
 def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None) -> PhaseScan:

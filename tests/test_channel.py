@@ -64,6 +64,23 @@ class TestLogsumexpMatmul:
                                        np.array([[-800.0], [0.0]]))
         assert abs(got[0, 0] - (-800.0 + math.log(2.0))) <= 1e-13
 
+    def test_batched_matches_slices(self, rng):
+        """A leading batch axis gives each slice's own result, the guard
+        included: slice 1 holds an entry whose every product underflows."""
+        A = rng.normal(scale=5.0, size=(3, 4, 6))
+        B = rng.normal(scale=5.0, size=(3, 6, 5))
+        A[1, 0, :2], B[1, :2, 0] = (0.0, -800.0), (-800.0, 0.0)
+        A[1, 0, 2:], B[1, 2:, 0] = -900.0, -900.0
+        got = channel.logsumexp_matmul(A, B)
+        assert np.exp(A[1] - A[1].max(axis=1, keepdims=True))[0] @ \
+            np.exp(B[1] - B[1].max(axis=0, keepdims=True))[:, 0] < np.finfo(float).tiny
+        for k in range(3):
+            np.testing.assert_allclose(got[k], channel.logsumexp_matmul(A[k], B[k]),
+                                       rtol=0, atol=1e-13)
+            ref = logsumexp(A[k][:, :, None] + B[k][None, :, :], axis=1)
+            np.testing.assert_allclose(got[k], ref, rtol=0, atol=1e-13)
+        assert abs(got[1, 0, 0] - (-800.0 + math.log(2.0))) <= 1e-13
+
     @pytest.mark.parametrize("prior_name", ["rademacher", "sparse03"])
     def test_ill_conditioned_vector_mi(self, request, prior_name, rng):
         """A randomly rotated gain Sigma^(-1/2) with noise eigenvalues

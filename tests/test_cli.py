@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -209,7 +212,8 @@ class TestExitCodes:
         assert meta["partial"] is True
         assert "KeyError" in meta["traceback"]
 
-    def test_missing_config_file(self, tmp_path, capsys):
+    def test_missing_config_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)         # the manifest goes to the default --out
         code = cli.main(["mi", "--config", str(tmp_path / "nope.json")])
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -268,6 +272,48 @@ class TestMalformedInput:
         meta = json.loads(manifest.read_text())
         assert meta["partial"] is True
         assert not list(out.glob("*.csv"))
+
+
+    @pytest.mark.parametrize("text", [None, '{"prior": '])
+    def test_unreadable_config_file(self, tmp_path, capsys, text):
+        """A missing or non-JSON config file still writes a partial manifest,
+        with a null config."""
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "out"
+        code = cli.main(["mi", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        records = capsys.readouterr().err.strip().splitlines()
+        assert len(records) == 1
+        assert json.loads(records[0])["error"] == "config"
+        meta = json.loads((out / "mi_manifest.json").read_text())
+        assert meta["partial"] is True
+        assert meta["config"] is None and meta["config_sha256"] is None
+        assert meta["outputs"] == []
+
+
+def test_runtime_warnings_counted_not_printed(tmp_path):
+    """Stderr holds exactly one JSON record: the overflow warnings of an
+    extreme SNR are counted in the manifest instead of printed.  Run as a
+    fresh process, where no test harness captures warnings."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prior": "rademacher", "lambda": 1e308, "N_max": 4,
+                               "replicates": 2}))
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-m", "wignerlab.cli", "cavity", "--config",
+                           str(cfg), "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 5
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "non-finite"
+    meta = json.loads((out / "cavity_manifest.json").read_text())
+    assert meta["runtime_warnings"]["count"] >= 1
+    assert any("overflow" in m for m in meta["runtime_warnings"]["messages"])
 
 
 # JSON values of every type; integers stay small so that no generated config

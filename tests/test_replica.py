@@ -215,11 +215,101 @@ class TestMatrixFixedPoint:
         q_i^(1/2) (O_i' E<x x0'> O_i - q_i) = 0 to tolerance."""
         res = replica.fm_fixed_point(rademacher, 2, 4.0, np.eye(2))
         Q = res.overlap
-        cross = replica._workspace(rademacher, 2, None).gibbs_cross_moment(Q, 4.0)
+        cross = replica._workspace(rademacher, 2, None).value_and_moment(Q, 4.0)[1]
         eigval, eigvec = np.linalg.eigh(Q)
         for i in range(2):
             e_i = float(eigvec[:, i] @ cross @ eigvec[:, i])
             assert abs(math.sqrt(max(eigval[i], 0.0)) * (e_i - eigval[i])) <= 1e-7
+
+
+def separate_cross_moment(ws, Q, lam):
+    """E <x x0'> by one exp-matmul per coordinate of x, normalized by its own
+    denominator: the moment kernel the fused pass replaced, kept as its oracle."""
+    A, B = ws._exponents(Q, lam)
+    EB = np.exp(B - B.max(axis=1, keepdims=True))
+    EA = np.exp(A - A.max(axis=0, keepdims=True))
+    denom = EB @ EA
+    mean_x = np.array([(EB * ws.values[None, :, m]) @ EA for m in range(ws.M)]) / denom
+    return (mean_x @ ws.z_weights) @ (ws.values * ws.weights[:, None])
+
+
+def potential_and_gradient(ws, Q, lam):
+    """FM and its gradient (lam / 2M)(sym E<x x0'> - Q) from the fused pass."""
+    M = ws.M
+    ln_z, cross = ws.value_and_moment(Q, lam)
+    return (ln_z / M - lam * np.sum(Q * Q) / (4 * M),
+            lam / (2 * M) * ((cross + cross.T) / 2 - Q))
+
+
+def certificate(prior, M, Q, lam):
+    """Criticality residual |Q - P(sym E<x x0'>)|_F / M at the default order,
+    P the projection onto {0 <= Q <= rho I}."""
+    cross = replica._workspace(prior, M).value_and_moment(Q, lam)[1]
+    return np.linalg.norm(Q - replica._project(cross, prior.rho)[0]) / M
+
+
+class TestFusedPass:
+    """One exponent build and one exponential give ln Z and E <x x0'>."""
+
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
+    def test_matches_separate_kernels(self, request, label, M):
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        ws = replica._workspace(prior, M)
+        rng = np.random.default_rng(41 + M)
+        for _ in range(3):
+            Q = random_psd(M, rng, shift_scale=0.05) * (prior.rho / 2)
+            ln_z, cross = ws.value_and_moment(Q, 1.7)
+            assert abs(ln_z - ws.ln_partition(Q, 1.7)) <= 1e-12
+            np.testing.assert_allclose(cross, separate_cross_moment(ws, Q, 1.7),
+                                       rtol=0, atol=1e-12)
+
+    def test_underflowed_entries(self, rademacher):
+        """At a huge SNR every product of some (x0, z) entries underflows; the
+        pairwise recomputation keeps ln Z and the moment finite and exact."""
+        ws = replica._workspace(rademacher, 2, 4)
+        Q = np.array([[0.9, 0.4], [0.4, 0.3]])
+        A, B = ws._exponents(Q, 1e5)
+        EB = np.exp(B - B.max(axis=1, keepdims=True))
+        EA = np.exp(A - A.max(axis=0, keepdims=True))
+        assert np.any(EB @ EA < np.finfo(float).tiny)
+        arg = B[:, :, None] + A[None, :, :]                      # (a, x, n)
+        top = arg.max(axis=1, keepdims=True)
+        p = np.exp(arg - top)
+        lse = top[:, 0] + np.log(p.sum(axis=1))
+        mean_x = np.einsum("axn,xm->man", p, ws.values) / p.sum(axis=1)
+        ln_z, cross = ws.value_and_moment(Q, 1e5)
+        assert abs(ln_z - ws.weights @ (lse @ ws.z_weights)) <= 1e-12 * abs(ln_z)
+        ref = (mean_x @ ws.z_weights) @ (ws.values * ws.weights[:, None])
+        np.testing.assert_allclose(cross, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("label,tol", [("sparse03", 1e-11), ("rademacher", 5e-6),
+                                           ("asymmetric", 1e-4)])
+    def test_gradient_matches_central_differences(self, request, label, tol, M):
+        """Nishimori: grad FM = (lam / 2M)(sym E<x x0'> - Q), exact up to the
+        quadrature error of Gaussian integration by parts."""
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        ws = replica._workspace(prior, M)
+        rng = np.random.default_rng(7 + M)
+        h = 1e-5
+        for _ in range(2):
+            Q = random_psd(M, rng, shift_scale=0.05) * (prior.rho / 2)
+            _, grad = potential_and_gradient(ws, Q, 1.7)
+            for i, j in itertools.combinations_with_replacement(range(M), 2):
+                E = np.zeros((M, M))
+                E[i, j] = E[j, i] = 1.0
+                up = potential_and_gradient(ws, Q + h * E, 1.7)[0]
+                down = potential_and_gradient(ws, Q - h * E, 1.7)[0]
+                assert abs((up - down) / (2 * h) - np.sum(grad * E)) <= tol
+
+    def test_batched_ln_partition(self, rademacher):
+        ws = replica._workspace(rademacher, 3, 8)
+        rng = np.random.default_rng(5)
+        Qs = np.array([random_psd(3, rng, shift_scale=0.05) / 2 for _ in range(4)])
+        roots = np.array([channel.psd_sqrt(Q) for Q in Qs])
+        np.testing.assert_allclose(ws.ln_partition(Qs, 1.7, roots),
+                                   [ws.ln_partition(Q, 1.7) for Q in Qs], rtol=0, atol=1e-13)
 
 
 class TestMatrixSup:
@@ -268,6 +358,45 @@ def canonical(Q, flips):
 
 def potential(prior, M, Q, lam):
     return replica.fm_rs(prior, M, Q, lam).value_logz
+
+
+class TestGradientPolish:
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 4.0])
+    def test_maximizer_is_critical(self, rademacher, M, lam):
+        """fm_sup's maximizer on criterion 4's rademacher cases is a fixed
+        point of the projected map Q -> E<x x0'>."""
+        _, Q = replica.fm_sup(rademacher, M, lam)
+        assert certificate(rademacher, M, Q, lam) <= 2e-4
+
+    def test_evaluation_count(self, rademacher, monkeypatch):
+        """One M = 3 call evaluates the potential at fewer than 4,000 overlaps,
+        counting each member of a batch and each fused value-and-moment pass."""
+        count = [0]
+        ws_class = replica._RankMWorkspace
+
+        def counted(name, batch):
+            method = getattr(ws_class, name)
+
+            def wrapper(self, Q, *args, **kwargs):
+                count[0] += len(Q) if batch and np.ndim(Q) == 3 else 1
+                return method(self, Q, *args, **kwargs)
+            monkeypatch.setattr(ws_class, name, wrapper)
+
+        counted("ln_partition", True)
+        counted("value_and_moment", False)
+        replica.fm_sup(rademacher, 3, 2.0)
+        assert 2_570 < count[0] < 4_000
+
+    def test_ascent_from_a_bad_start(self, rademacher):
+        """From a generic anisotropic overlap the ascent climbs to the
+        isotropic maximizer of criterion 5's case."""
+        ws = replica._workspace(rademacher, 2)
+        start = np.array([[1.0, 0.3], [0.3, 0.2]])
+        value, Q = replica._ascend(ws, 4.0, start, rademacher.rho, 1e-9)
+        _, q1 = replica.f1_sup(rademacher, 4.0, channel.gauss_hermite(64))
+        assert value > potential_and_gradient(ws, start, 4.0)[0]
+        assert np.linalg.norm(Q - q1 * np.eye(2), "fro") <= 1e-4
 
 
 class TestSymmetryReduction:
