@@ -188,7 +188,10 @@ def _prior(value, name):
 
 
 COMMON = {"prior": (_prior, REQUIRED), "seed": (_int(0), 0)}
-QUAD = {"quad_order": (_int(1, 256), 64)}
+# quad_order: Gauss-Hermite nodes per axis for every potential of the run;
+# unset, each potential takes its default order (replica.DEFAULT_ORDER)
+QUAD = {"quad_order": (_int(1, 256), None)}
+QUAD_TEMP_LIMIT = 1 << 24       # elements of the largest temporary an order may need
 LAMBDA = (_number(0), 1.0)
 
 SCHEMAS = {name: {**COMMON, **keys} for name, keys in {
@@ -233,16 +236,30 @@ def run_prior(cfg, seed):
     return [("prior.csv", list(row), [row])]
 
 
+def _quad(cfg, M):
+    """The rule of ``quad_order``, or None when it is unset.  An order whose
+    rank-M evaluation needs a temporary of k^M max(k^M, order^M) elements (k
+    atoms) above QUAD_TEMP_LIMIT is refused."""
+    order = cfg["quad_order"]
+    if order is None:
+        return None
+    k = cfg["prior"].n_atoms ** M
+    if k * max(k, order**M) > QUAD_TEMP_LIMIT:
+        raise ConfigError(f"quad_order {order} at M = {M} needs a temporary of "
+                          f"{k * max(k, order**M)} elements, above {QUAD_TEMP_LIMIT}")
+    return channel.gauss_hermite(order)
+
+
 def run_mi(cfg, seed):
-    p, quad = cfg["prior"], channel.gauss_hermite(cfg["quad_order"])
+    p, quad = cfg["prior"], _quad(cfg, 1) or channel.gauss_hermite(replica.DEFAULT_ORDER[1])
     rows = [{"s": float(s), "mi": channel.mi_scalar_signal(p, float(s), quad),
              "mmse": channel.mmse_scalar(p, float(s), quad)} for s in cfg["s_grid"]]
     return [("mi.csv", ["s", "mi", "mmse"], rows)]
 
 
 def run_potential(cfg, seed):
-    p, quad = cfg["prior"], channel.gauss_hermite(cfg["quad_order"])
-    lam, M, taus = cfg["lambda"], cfg["M"], cfg["tau_grid"]
+    p, lam, M, taus = cfg["prior"], cfg["lambda"], cfg["M"], cfg["tau_grid"]
+    quad = _quad(cfg, M)
     if np.any(taus > p.rho + 1e-12):
         raise ConfigError("tau grid must stay in [0, rho]")
 
@@ -250,7 +267,7 @@ def run_potential(cfg, seed):
         row = {"tau": float(tau), "lambda": lam,
                "f1": replica.f1_rs(p, float(tau), lam, quad)}
         if M > 1:
-            ev = replica.fm_rs(p, M, float(tau) * np.eye(M), lam)
+            ev = replica.fm_rs(p, M, float(tau) * np.eye(M), lam, quad)
             row["fm_logz"] = ev.value_logz
             row["fm_mi_form"] = ev.value_mi
         return row
@@ -261,8 +278,8 @@ def run_potential(cfg, seed):
 
 
 def run_fixed_point(cfg, seed):
-    p, quad = cfg["prior"], channel.gauss_hermite(cfg["quad_order"])
-    damping, M = cfg["damping"], cfg["M"]
+    p, damping, M = cfg["prior"], cfg["damping"], cfg["M"]
+    quad = _quad(cfg, M)
     q0 = p.rho if cfg["q0"] is None else cfg["q0"]
     if q0 > p.rho:
         raise ConfigError("q0 must lie in [0, rho]")
@@ -272,7 +289,7 @@ def run_fixed_point(cfg, seed):
             res = replica.f1_fixed_point(p, float(lam), q0, damping, quad)
             q_out = res.overlap
         else:
-            res = replica.fm_fixed_point(p, M, float(lam), q0 * np.eye(M), damping)
+            res = replica.fm_fixed_point(p, M, float(lam), q0 * np.eye(M), damping, quad)
             q_out = float(np.trace(res.overlap)) / M
         return {"lambda": float(lam), "q_star": q_out,
                 "iterations": res.iterations, "residual": res.residual,
@@ -286,8 +303,8 @@ def run_fixed_point(cfg, seed):
 
 
 def run_phase_scan(cfg, seed):
-    p, quad = cfg["prior"], channel.gauss_hermite(cfg["quad_order"])
-    scan = replica.phase_scan(p, cfg["lambda_grid"], quad)
+    p = cfg["prior"]
+    scan = replica.phase_scan(p, cfg["lambda_grid"], _quad(cfg, 1))
     rows = []
     for i, lam in enumerate(scan.lambdas):
         in_cell = bool(scan.jump_cell is not None

@@ -1,23 +1,21 @@
 """Replica-symmetric potentials for low-rank matrix estimation.
 
-Scalar case (overlap tau in [0, rho], SNR lam >= 0):
-
-    F1(tau) = E ln Z1 - lam tau^2 / 4,
-    Z1(z, x0) = sum_x w_x exp(sqrt(lam tau) z x + lam tau x0 x - lam tau x^2 / 2)
-
-Rank-M case (overlap matrix Q in the PSD cone):
+Rank-M potential (overlap matrix Q in the PSD cone, SNR lam >= 0):
 
     FM(Q) = (1/M) E ln ZM - lam Tr Q^2 / (4M),
     ZM(z, x0) = sum_x W_x exp(sqrt(lam) x' sqrt(Q) z + lam x0' Q x - lam x' Q x / 2)
 
-Both admit an equivalent mutual-information form
+The rank-one potential F1(tau) for an overlap tau in [0, rho] is its M = 1
+case, F1(tau) = FM([[tau]]).  One workspace (``_RankMWorkspace``) evaluates
+M = 1, 2 and 3 on a tensor Gauss-Hermite grid with ``DEFAULT_ORDER[M]`` nodes
+per axis unless a rule is given.  FM admits an equivalent mutual-information
+form
 
     FM(Q) = -(1/M) I(x0; sqrt(lam Q) x0 + z) - lam |Q - rho I|_F^2 / (4M)
             + lam rho^2 / 4,
 
 which ``fm_rs`` evaluates alongside the log-partition form on the same
-quadrature grid.  Expectations over the signal are exact atom sums; the
-Gaussian expectation uses (tensorized) Gauss-Hermite quadrature.
+quadrature grid.  Expectations over the signal are exact atom sums.
 
 The criticality condition Q = E <x x0'> drives the damped fixed-point
 iterations.  By the Nishimori identity it also gives the gradient
@@ -53,7 +51,6 @@ __all__ = [
     "PhaseScan",
     "NonUniqueMaximizer",
     "f1_rs",
-    "f1_update",
     "f1_fixed_point",
     "f1_sup",
     "mmse_prediction",
@@ -64,16 +61,17 @@ __all__ = [
     "rotation_matrix",
 ]
 
-DEFAULT_SCALAR_ORDER = 64
-DEFAULT_TENSOR_ORDER = {1: 64, 2: 20, 3: 14}
+# Gauss-Hermite nodes per axis by dimension M; elements per temporary of a
+# batched potential evaluation
+DEFAULT_ORDER = {1: 64, 2: 20, 3: 14}
+BATCH = 1 << 17
 # fm_sup: coarse-grid quadrature order, eigenvalue levels and angles per
-# rotation axis, elements per temporary of a batched grid evaluation,
-# candidates polished, ascent steps per candidate, certificates at which the
-# ascent stops (coarse, then default order), final-evaluation quadrature order
+# rotation axis, candidates polished, ascent steps per candidate, certificates
+# at which the ascent stops (coarse, then default order), final-evaluation
+# quadrature order
 SUP_COARSE_ORDER = {2: 20, 3: 8}
 SUP_EIG_LEVELS = {2: 32, 3: 10}
 SUP_ANGLES = {2: 24, 3: 8}
-SUP_BATCH = 1 << 17
 SUP_CANDIDATES = 20
 SUP_STEPS = 50
 SUP_TOL = (1e-5, 1e-9)
@@ -145,7 +143,7 @@ def _golden_max(f, lo, hi, xtol):
 
 
 # ---------------------------------------------------------------------------
-# scalar potential
+# rank-one potential: the M = 1 case of the rank-M workspace below
 # ---------------------------------------------------------------------------
 
 def _check_snr(lam):
@@ -159,79 +157,36 @@ def _check_scalar_args(prior, tau, lam):
     _check_snr(lam)
 
 
-def _scalar_exponents(prior, m, nodes):
-    """Exponents arg[..., a, x, n] of the scalar replica measure at
-    m = lam tau (a scalar, or a 1-d array that becomes the leading axis)."""
-    m = np.asarray(m)[..., None, None, None]
-    v = prior.values
-    logw = np.log(prior.weights)
-    return (np.sqrt(m) * nodes[None, None, :] * v[None, :, None]
-            + m * v[:, None, None] * v[None, :, None]
-            - 0.5 * m * v[None, :, None] ** 2
-            + logw[None, :, None])
+def _f1_values(ws, taus, lam):
+    """F1 at each overlap of the 1-d sequence taus, on the M = 1 workspace."""
+    taus = np.asarray(taus, dtype=float)[:, None, None]
+    return ws.potential(taus, lam, np.sqrt(taus))
 
 
-def _scalar_lse(arg):
-    """log-sum-exp of ``arg`` over its atom axis x."""
-    amax = arg.max(axis=-2, keepdims=True)
-    return amax[..., 0, :] + np.log(np.exp(arg - amax).sum(axis=-2))
-
-
-def f1_rs(prior: Prior, tau: float, lam: float, quad: GaussQuadrature) -> float:
+def f1_rs(prior: Prior, tau: float, lam: float, quad: GaussQuadrature | None = None) -> float:
     """Rank-one replica-symmetric potential F1(tau, lam) in nats."""
     _check_scalar_args(prior, tau, lam)
-    lse = _scalar_lse(_scalar_exponents(prior, lam * tau, quad.nodes))
-    return float(prior.weights @ (lse @ quad.weights)) - lam * tau**2 / 4.0
-
-
-def f1_update(prior: Prior, q: float, lam: float, quad: GaussQuadrature) -> float:
-    """One application of the scalar overlap map q -> E <x x0> at overlap q."""
-    _check_scalar_args(prior, q, lam)
-    v = prior.values
-    arg = _scalar_exponents(prior, lam * q, quad.nodes)
-    arg -= arg.max(axis=1, keepdims=True)
-    p = np.exp(arg)
-    mean_x = np.einsum("axn,x->an", p, v) / p.sum(axis=1)
-    return float(prior.weights @ ((v[:, None] * mean_x) @ quad.weights))
+    return float(_f1_values(_RankMWorkspace(prior, 1, quad), [tau], lam)[0])
 
 
 def f1_fixed_point(prior: Prior, lam: float, q0: float, damping: float = 0.5,
                    quad: GaussQuadrature | None = None, tol: float = 1e-10,
                    max_iter: int = 10_000) -> FixedPointResult:
-    """Damped iteration of the scalar overlap map from q0.
+    """Damped iteration of the scalar overlap map q -> E <x x0> from q0, the
+    M = 1 case of ``fm_fixed_point``.
 
     Non-convergence is reported through the ``converged`` flag, never raised.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must be in (0, 1]")
-    if quad is None:
-        quad = gauss_hermite(DEFAULT_SCALAR_ORDER)
     _check_scalar_args(prior, q0, lam)
-    q = float(q0)
-    target = f1_update(prior, q, lam, quad)
-    residual = abs(q - target)
-    iterations = 0
-    while residual > tol and iterations < max_iter:
-        q = (1.0 - damping) * q + damping * target
-        q = min(max(q, 0.0), prior.rho)
-        target = f1_update(prior, q, lam, quad)
-        residual = abs(q - target)
-        iterations += 1
-    return FixedPointResult(
-        overlap=q,
-        iterations=iterations,
-        residual=residual,
-        converged=residual <= tol,
-        potential_value=f1_rs(prior, q, lam, quad),
-    )
+    res = fm_fixed_point(prior, 1, lam, [[q0]], damping, quad, tol, max_iter)
+    res.overlap = float(res.overlap[0, 0])
+    return res
 
 
-def _f1_grid(prior, lam, quad):
-    """Potential on a uniform overlap grid, vectorized over the grid."""
-    taus = np.linspace(0.0, prior.rho, F1_GRID)
-    lse = _scalar_lse(_scalar_exponents(prior, lam * taus, quad.nodes))
-    vals = np.einsum("a,tan,n->t", prior.weights, lse, quad.weights) - lam * taus**2 / 4.0
-    return taus, vals
+def _f1_grid(ws, lam):
+    """Potential on a uniform overlap grid, batched over the grid."""
+    taus = np.linspace(0.0, ws.prior.rho, F1_GRID)
+    return taus, _f1_values(ws, taus, lam)
 
 
 def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None):
@@ -242,19 +197,18 @@ def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None):
     Returns ``(value, q_star)``.
     """
     _check_snr(lam)
-    if quad is None:
-        quad = gauss_hermite(DEFAULT_SCALAR_ORDER)
-    taus, vals = _f1_grid(prior, lam, quad)
+    ws = _RankMWorkspace(prior, 1, quad)
+    taus, vals = _f1_grid(ws, lam)
     best = vals.max()
     idx = int(np.nonzero(vals >= best - 1e-10)[0][0])
     lo = taus[max(idx - 1, 0)]
     hi = taus[min(idx + 1, F1_GRID - 1)]
-    q_star, value = _golden_max(lambda t: f1_rs(prior, t, lam, quad), lo, hi, F1_XTOL)
+    q_star, value = _golden_max(lambda t: _f1_values(ws, [t], lam)[0], lo, hi, F1_XTOL)
     if vals[idx] > value:
         q_star, value = taus[idx], vals[idx]
     # near-ties resolve to the smallest overlap; in particular the potential's
     # noise floor around zero must not produce a spurious positive maximizer
-    zero_value = f1_rs(prior, 0.0, lam, quad)
+    zero_value = vals[0]
     if zero_value >= value - 1e-10:
         return float(zero_value), 0.0
     if q_star < 1e-10:
@@ -275,18 +229,17 @@ def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = Non
     Refuses to answer (raises NonUniqueMaximizer) when two maximizers at
     distant overlaps agree in value to 1e-8, as happens at the critical SNR.
     """
-    if quad is None:
-        quad = gauss_hermite(DEFAULT_SCALAR_ORDER)
-    taus, vals = _f1_grid(prior, lam, quad)
+    ws = _RankMWorkspace(prior, 1, quad)
+    taus, vals = _f1_grid(ws, lam)
     candidates = []
     for i in _local_maxima(taus, vals):
         lo = taus[max(i - 1, 0)]
         hi = taus[min(i + 1, F1_GRID - 1)]
-        t, val = _golden_max(lambda t: f1_rs(prior, t, lam, quad), lo, hi, F1_XTOL)
+        t, val = _golden_max(lambda t: _f1_values(ws, [t], lam)[0], lo, hi, F1_XTOL)
         candidates.append((val, t))
     candidates.sort(reverse=True)
     best_val, best_t = candidates[0]
-    zero_value = f1_rs(prior, 0.0, lam, quad)
+    zero_value = vals[0]
     if zero_value >= best_val - 1e-10:
         best_val, best_t = zero_value, 0.0
     loc_tol = 1e-2 * prior.rho
@@ -321,15 +274,19 @@ def _check_overlap_matrix(Q, M):
 
 
 class _RankMWorkspace:
-    """Precomputed atom/quadrature grids for repeated rank-M evaluations."""
+    """Precomputed atom/quadrature grids for repeated rank-M evaluations, on
+    the rule ``quad`` (DEFAULT_ORDER[M] nodes by default) in every axis."""
 
-    def __init__(self, prior, M, order):
+    def __init__(self, prior, M, quad=None):
         self.prior = prior
         self.M = M
-        self.quad = gauss_hermite(order)
+        self.quad = gauss_hermite(DEFAULT_ORDER[M]) if quad is None else quad
         self.z_nodes, self.z_weights = tensor_nodes(self.quad, M)
         self.values, self.logw = atom_grid(prior, M)
         self.weights = np.exp(self.logw)
+        self.weighted_values = self.values * self.weights[:, None]
+        # the rows 1, x_1, ..., x_M that weigh the Gibbs sums of value_and_moment
+        self.moments = np.vstack([np.ones(len(self.values)), self.values.T])[:, None, :]
 
     def _exponents(self, Q, lam, sqrt_Q=None):
         """The exponent matrices A (..., K_x, Nz) and B (..., K_a, K_x) of the
@@ -337,10 +294,9 @@ class _RankMWorkspace:
         if sqrt_Q is None:
             sqrt_Q = psd_sqrt(Q)
         V = self.values
-        A = math.sqrt(lam) * (V @ sqrt_Q) @ self.z_nodes.T
-        VQ = V @ Q
-        B = (lam * (V @ VQ.swapaxes(-1, -2))
-             - 0.5 * lam * np.sum(VQ * V, axis=-1)[..., None, :] + self.logw[None, :])
+        A = (V @ (math.sqrt(lam) * sqrt_Q)) @ self.z_nodes.T
+        G = V @ (lam * Q) @ V.T                                 # lam x0' Q x
+        B = G - 0.5 * np.diagonal(G, axis1=-2, axis2=-1)[..., None, :] + self.logw
         return A, B
 
     def ln_partition(self, Q, lam, sqrt_Q=None):
@@ -349,6 +305,15 @@ class _RankMWorkspace:
         A, B = self._exponents(Q, lam, sqrt_Q)
         ln_z = (logsumexp_matmul(B, A) @ self.z_weights) @ self.weights
         return float(ln_z) if ln_z.ndim == 0 else ln_z
+
+    def potential(self, Q, lam, sqrt_Q):
+        """FM at each overlap of the stack Q (n, M, M) with roots sqrt_Q, in
+        batches of at most BATCH elements per temporary."""
+        k = self.weights.size
+        size = max(1, BATCH // (k * max(k, self.z_weights.size)))
+        ln_z = np.concatenate([self.ln_partition(Q[i:i + size], lam, sqrt_Q[i:i + size])
+                               for i in range(0, len(Q), size)])
+        return ln_z / self.M - lam * np.sum(Q * Q, axis=(1, 2)) / (4.0 * self.M)
 
     def value_and_moment(self, Q, lam, sqrt_Q=None):
         """E ln ZM(Q) and E <x x0'> from one exponent build and one exponential
@@ -359,8 +324,7 @@ class _RankMWorkspace:
         V = self.values
         a_max = B.max(axis=1, keepdims=True)
         x_max = A.max(axis=0, keepdims=True)
-        EB = np.exp(B - a_max)                                  # (K_a, K_x)
-        stack = EB * np.vstack([np.ones(len(V)), V.T])[:, None, :]     # (M+1, K_a, K_x)
+        stack = np.exp(B - a_max) * self.moments                # (M+1, K_a, K_x)
         sums = (stack.reshape(-1, len(V)) @ np.exp(A - x_max)).reshape(self.M + 1, len(V), -1)
         denom = sums[0]
         lost = denom < _TINY
@@ -377,29 +341,24 @@ class _RankMWorkspace:
             mean_x[:, i, j] = (p @ V).T / total
         ln_z = float(self.weights @ (lse @ self.z_weights))
         R = mean_x @ self.z_weights                             # (M, K_a)
-        return ln_z, R @ (V * self.weights[:, None])            # (M, M)
-
-
-def _workspace(prior, M, order=None):
-    if order is None:
-        order = DEFAULT_TENSOR_ORDER[M]
-    return _RankMWorkspace(prior, M, order)
+        return ln_z, R @ self.weighted_values                   # (M, M)
 
 
 def fm_rs(prior: Prior, M: int, Q, lam: float,
-          order: int | None = None, mc_budget: int | None = None,
+          quad: GaussQuadrature | None = None, mc_budget: int | None = None,
           rng: np.random.Generator | None = None) -> PotentialEvaluation:
     """Rank-M potential at overlap Q, through both equivalent forms.
 
-    Dimensions up to 3 use tensorized quadrature; 4..6 require a Monte Carlo
-    budget and generator.  The two stored values agree to machine precision on
-    the quadrature path and to Monte Carlo error otherwise.
+    Dimensions up to 3 use tensorized quadrature on ``quad`` (DEFAULT_ORDER[M]
+    nodes per axis by default); 4..6 require a Monte Carlo budget and
+    generator.  The two stored values agree to machine precision on the
+    quadrature path and to Monte Carlo error otherwise.
     """
     _check_snr(lam)
     Q = _check_overlap_matrix(Q, M)
     rho = prior.rho
     if M <= 3:
-        ws = _workspace(prior, M, order)
+        ws = _RankMWorkspace(prior, M, quad)
         ln_z = ws.ln_partition(Q, lam)
         mi = mi_vector_signal(prior, math.sqrt(lam) * psd_sqrt(Q), ws.quad)
     elif M <= 6:
@@ -448,25 +407,29 @@ def _fm_monte_carlo(prior, M, Q, lam, budget, rng):
     return float(ln_z_samples.mean()), float(mi_samples.mean())
 
 
-def _project(S, hi=None):
+def _project(S, hi=math.inf):
     """Euclidean projection of sym(S) onto {0 <= Q <= hi I}: clip the
     eigenvalues (Lewis 1996).  Returns the projection and its square root."""
+    if len(S) == 1:                     # a 1x1 matrix is its own eigenvalue
+        Q = np.minimum(np.maximum(S, 0.0), hi)
+        return Q, np.sqrt(Q)
     eigval, eigvec = np.linalg.eigh((S + S.T) / 2.0)
-    eigval = np.clip(eigval, 0.0, hi)
+    eigval = np.minimum(np.maximum(eigval, 0.0), hi)
     return (eigvec * eigval) @ eigvec.T, (eigvec * np.sqrt(eigval)) @ eigvec.T
 
 
 def fm_fixed_point(prior: Prior, M: int, lam: float, Q0,
-                   damping: float = 0.5, order: int | None = None,
+                   damping: float = 0.5, quad: GaussQuadrature | None = None,
                    tol: float = 1e-8, max_iter: int = 2_000) -> FixedPointResult:
     """Damped matrix fixed-point iteration from Q0 (symmetrize + PSD-project
-    each step).  Convergence is Frobenius residual / M <= tol."""
+    each step) on the workspace rule ``quad``.  Convergence is Frobenius
+    residual / M <= tol."""
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
     if M > 3:
         raise ValueError("matrix fixed point supports M <= 3")
     Q, sqrt_Q = _check_overlap_matrix(Q0, M), None
-    ws = _workspace(prior, M, order)
+    ws = _RankMWorkspace(prior, M, quad)
     iterations = 0
     while True:
         ln_z, cross = ws.value_and_moment(Q, lam, sqrt_Q)
@@ -484,8 +447,6 @@ def fm_fixed_point(prior: Prior, M: int, lam: float, Q0,
 def rotation_matrix(angles, M: int) -> np.ndarray:
     """Rotation from its angle coordinates: one angle for M=2, ZYZ Euler
     angles for M=3."""
-    if M == 1:
-        return np.eye(1)
     if M == 2:
         (t,) = angles
         c, s = math.cos(t), math.sin(t)
@@ -576,26 +537,17 @@ def fm_sup(prior: Prior, M: int, lam: float):
     Global coverage comes from a product grid over eigenvalues and rotation
     angles of Q = O diag(q) O', restricted to one fundamental domain of the
     potential's symmetry group (``_in_domain``) and evaluated in batches,
-    plus the isotropic line and the damped fixed-point limits.  The best
-    candidates are polished by projected gradient ascent (``_ascend``), first
-    at the coarse quadrature order, then the best three at the default order.
+    plus the isotropic line.  The best candidates, with rho I and rho/2 I, are
+    polished by projected gradient ascent (``_ascend``), first at the coarse
+    quadrature order, then the best three at the default order.
     Returns ``(value, Q_star)``.
     """
     if M not in (2, 3):
         raise ValueError("the matrix supremum is implemented for M in {2, 3}")
     _check_snr(lam)
     rho = prior.rho
-    ws = _workspace(prior, M)
-    coarse_ws = _workspace(prior, M, SUP_COARSE_ORDER[M])
-
-    def values(w, Q, sqrt_Q):
-        """FM at each overlap of the stack Q, SUP_BATCH elements per temporary."""
-        k = w.weights.size
-        size = max(1, SUP_BATCH // (k * max(k, w.z_weights.size)))
-        ln_z = np.concatenate([w.ln_partition(Q[i:i + size], lam, sqrt_Q[i:i + size])
-                               for i in range(0, len(Q), size)])
-        return ln_z / M - lam * np.sum(Q * Q, axis=(1, 2)) / (4.0 * M)
-
+    ws = _RankMWorkspace(prior, M)
+    coarse_ws = _RankMWorkspace(prior, M, gauss_hermite(SUP_COARSE_ORDER[M]))
     n_angle = SUP_ANGLES[M]
     eig_levels = np.linspace(0.0, rho, SUP_EIG_LEVELS[M])
     turn = np.linspace(0.0, 2 * math.pi, n_angle, endpoint=False)
@@ -609,24 +561,23 @@ def fm_sup(prior: Prior, M: int, lam: float):
     keep = _in_domain(grid_Q, _sign_symmetric(prior))
     # rotations are redundant for degenerate eigenvalues
     keep[np.ptp(np.round(eig_combos, 12), axis=1) == 0, 1:] = False
-    # seeds: the isotropic line (exactly decoupled; cheap at full accuracy)
-    # and the damped fixed-point limits
+    # and the isotropic line (exactly decoupled; cheap at full accuracy)
     taus = np.linspace(0.0, rho, 65)[:, None, None]
-    fps = [fm_fixed_point(prior, M, lam, q0 * np.eye(M), order=ws.quad.order,
-                          tol=1e-9, max_iter=400) for q0 in (rho, rho / 2)]
-    overlaps = np.concatenate([grid_Q[keep], taus * np.eye(M)]
-                              + [fp.overlap[None] for fp in fps])
-    vals = np.concatenate([values(coarse_ws, grid_Q[keep], grid_sqrt[keep]),
-                           values(ws, taus * np.eye(M), np.sqrt(taus) * np.eye(M)),
-                           [fp.potential_value for fp in fps]])
-    top = overlaps[np.argsort(-vals, kind="stable")[:SUP_CANDIDATES]]
-    coarse = sorted((_ascend(coarse_ws, lam, Q, rho, SUP_TOL[0]) for Q in top),
+    overlaps = np.concatenate([grid_Q[keep], taus * np.eye(M)])
+    vals = np.concatenate([coarse_ws.potential(grid_Q[keep], lam, grid_sqrt[keep]),
+                           ws.potential(taus * np.eye(M), lam, np.sqrt(taus) * np.eye(M))])
+    # rho I and rho/2 I always ascend, since the ascent's first step is the
+    # fixed-point map; a start that repeats an earlier one ascends once
+    top = np.concatenate([overlaps[np.argsort(-vals, kind="stable")[:SUP_CANDIDATES]],
+                          [rho * np.eye(M), rho / 2 * np.eye(M)]])
+    first = np.unique(top.reshape(len(top), -1), axis=0, return_index=True)[1]
+    coarse = sorted((_ascend(coarse_ws, lam, Q, rho, SUP_TOL[0]) for Q in top[np.sort(first)]),
                     key=lambda c: c[0], reverse=True)
     _, Q_star = max((_ascend(ws, lam, Q, rho, SUP_TOL[1]) for _, Q in coarse[:3]),
                     key=lambda c: c[0])
     # one evaluation at a finer grid removes most of the search quadrature bias
-    best_val = float(values(_workspace(prior, M, SUP_POLISH_ORDER[M]),
-                            Q_star[None], psd_sqrt(Q_star)[None])[0])
+    polish_ws = _RankMWorkspace(prior, M, gauss_hermite(SUP_POLISH_ORDER[M]))
+    best_val = float(polish_ws.potential(Q_star[None], lam, psd_sqrt(Q_star)[None])[0])
     # near-ties resolve to the zero matrix (noise floor around the origin)
     if 0.0 >= best_val - 1e-10:
         return 0.0, np.zeros((M, M))
@@ -647,8 +598,6 @@ def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None) -
         raise ValueError("SNR grid must be finite")
     if np.any(np.diff(lams) <= 0):
         raise ValueError("SNR grid must be sorted increasing")
-    if quad is None:
-        quad = gauss_hermite(DEFAULT_SCALAR_ORDER)
     values = np.empty(lams.size)
     q_stars = np.empty(lams.size)
     for i, lam in enumerate(lams):

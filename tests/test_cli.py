@@ -9,11 +9,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wignerlab import cli
+from wignerlab import cli, gauss_hermite, make_rademacher, replica
 
 
 def run(tmp_path, subcommand, config, name, seed=None):
@@ -102,6 +103,50 @@ class TestSubcommands:
         assert code == 0
         assert (out / "reduction.csv").exists()
         assert (out / "noise_checks.csv").exists()
+
+
+class TestQuadOrder:
+    """An explicit quad_order applies to every potential of the run; unset,
+    each potential takes its default order."""
+
+    def test_applies_at_rank_m(self, tmp_path):
+        base = {"prior": "rademacher", "lambda": 2.0, "M": 2, "tau_grid": [0.3, 0.7]}
+        rows = {}
+        for name, order in [("default", None), ("q20", 20), ("q8", 8)]:
+            config = base if order is None else {**base, "quad_order": order}
+            code, out = run(tmp_path, "potential", config, name)
+            assert code == 0
+            with open(out / "potential.csv", newline="") as fh:
+                rows[name] = list(csv.DictReader(fh))
+        prior, quad = make_rademacher(), gauss_hermite(8)
+        for default, q20, q8 in zip(rows["default"], rows["q20"], rows["q8"]):
+            tau = float(q8["tau"])
+            # 20 is the default order at M = 2 (64 at M = 1)
+            assert q20["fm_logz"] == default["fm_logz"] != q8["fm_logz"]
+            assert q20["f1"] != default["f1"]
+            ev = replica.fm_rs(prior, 2, tau * np.eye(2), 2.0, quad)
+            assert float(q8["fm_logz"]) == ev.value_logz
+            assert float(q8["fm_mi_form"]) == ev.value_mi
+            assert float(q8["f1"]) == replica.f1_rs(prior, tau, 2.0, quad)
+
+    def test_applies_to_matrix_fixed_point(self, tmp_path):
+        config = {"prior": "rademacher", "M": 2, "lambda_grid": [1.5], "quad_order": 8}
+        code, out = run(tmp_path, "fixed-point", config, "fp8")
+        assert code == 0
+        with open(out / "fixed_point.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        res = replica.fm_fixed_point(make_rademacher(), 2, 1.5, np.eye(2),
+                                     quad=gauss_hermite(8))
+        assert float(row["q_star"]) == float(np.trace(res.overlap)) / 2
+        assert int(row["iterations"]) == res.iterations
+
+    def test_temporary_bound(self):
+        """k^M max(k^M, order^M) may reach 2^24 elements but not pass it."""
+        cfg = {"prior": make_rademacher(), "quad_order": 128}
+        assert cli._quad(cfg, 3).order == 128
+        with pytest.raises(cli.ConfigError):
+            cli._quad({**cfg, "quad_order": 129}, 3)
+        assert cli._quad({**cfg, "quad_order": None}, 3) is None
 
 
 class TestDeterminism:
@@ -261,6 +306,11 @@ class TestMalformedInput:
         ("simulate", {"prior": "rademacher", "N": 3, "replicates": 2,
                       "posterior": "yes"}),
         ("prior", {"prior": {"kind": "rademacher", "p": 0.3}}),
+        # 2^3 atoms x 200^3 nodes per temporary, above 2^24
+        ("potential", {"prior": "rademacher", "M": 3, "quad_order": 200,
+                       "tau_grid": [0.5]}),
+        ("fixed-point", {"prior": "rademacher", "M": 3, "quad_order": 129,
+                         "lambda_grid": [0.5]}),
     ])
     def test_validation_exit(self, tmp_path, capsys, subcommand, config):
         code, out = run(tmp_path, subcommand, config, "bad")

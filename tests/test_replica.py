@@ -32,6 +32,102 @@ def binary_state_evolution(lam, quad, q0=1.0, damping=0.5, iters=20000):
     return q
 
 
+def scalar_exponents(prior, m, nodes):
+    """Exponents arg[..., a, x, n] of the scalar replica measure at m = lam tau
+    (a scalar, or a 1-d array that becomes the leading axis): the rank-one
+    kernel that the M = 1 workspace replaced, kept as its oracle."""
+    m = np.asarray(m)[..., None, None, None]
+    v = prior.values
+    logw = np.log(prior.weights)
+    return (np.sqrt(m) * nodes[None, None, :] * v[None, :, None]
+            + m * v[:, None, None] * v[None, :, None]
+            - 0.5 * m * v[None, :, None] ** 2
+            + logw[None, :, None])
+
+
+def scalar_lse(arg):
+    """log-sum-exp of ``arg`` over its atom axis x."""
+    amax = arg.max(axis=-2, keepdims=True)
+    return amax[..., 0, :] + np.log(np.exp(arg - amax).sum(axis=-2))
+
+
+def scalar_potential(prior, taus, lam, quad):
+    """F1 at each overlap of the 1-d sequence taus by the scalar kernel."""
+    taus = np.asarray(taus, dtype=float)
+    lse = scalar_lse(scalar_exponents(prior, lam * taus, quad.nodes))
+    return np.einsum("a,tan,n->t", prior.weights, lse, quad.weights) - lam * taus**2 / 4.0
+
+
+def scalar_update(prior, q, lam, quad):
+    """The scalar overlap map q -> E <x x0> by the scalar kernel."""
+    v = prior.values
+    arg = scalar_exponents(prior, lam * q, quad.nodes)
+    arg -= arg.max(axis=1, keepdims=True)
+    p = np.exp(arg)
+    mean_x = np.einsum("axn,x->an", p, v) / p.sum(axis=1)
+    return float(prior.weights @ ((v[:, None] * mean_x) @ quad.weights))
+
+
+def scalar_fixed_point(prior, lam, q0, quad, damping=0.5, tol=1e-10, max_iter=10_000):
+    """The damped scalar iteration on the scalar kernel, clipped to [0, rho];
+    returns (overlap, iterations, converged)."""
+    q, iterations = q0, 0
+    residual = abs(q - scalar_update(prior, q, lam, quad))
+    while residual > tol and iterations < max_iter:
+        q = min(max((1 - damping) * q + damping * scalar_update(prior, q, lam, quad), 0.0),
+                prior.rho)
+        residual = abs(q - scalar_update(prior, q, lam, quad))
+        iterations += 1
+    return q, iterations, residual <= tol
+
+
+class TestRankOneOracle:
+    """The rank-one potential runs on the M = 1 workspace; the scalar kernel
+    it replaced is the oracle."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0, 4.0, 290.0])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
+    def test_potential_and_moment(self, request, quad64, label, lam):
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        ws = replica._RankMWorkspace(prior, 1, quad64)
+        taus, vals = replica._f1_grid(ws, lam)
+        assert len(taus) == 512
+        np.testing.assert_allclose(vals, scalar_potential(prior, taus, lam, quad64),
+                                   rtol=0, atol=1e-12)
+        for tau in np.linspace(0.0, prior.rho, 7):
+            ref = scalar_potential(prior, [tau], lam, quad64)[0]
+            assert abs(replica.f1_rs(prior, tau, lam, quad64) - ref) <= 1e-12
+            cross = ws.value_and_moment(np.array([[tau]]), lam)[1]
+            assert abs(cross[0, 0] - scalar_update(prior, tau, lam, quad64)) <= 1e-12
+
+    @pytest.mark.parametrize("lam,q0,max_iter", [(3.0, 0.0, 10_000), (0.9, 1.0, 10_000),
+                                                 (1.5, 1.0, 10_000), (1.001, 1.0, 50)])
+    def test_fixed_point_iterations(self, rademacher, quad64, lam, q0, max_iter):
+        res = replica.f1_fixed_point(rademacher, lam, q0, quad=quad64, max_iter=max_iter)
+        q, iterations, converged = scalar_fixed_point(rademacher, lam, q0, quad64,
+                                                      max_iter=max_iter)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert abs(res.overlap - q) <= 1e-12
+
+    def test_projection_of_a_scalar(self):
+        """A 1x1 overlap is projected onto [0, hi] by clipping, with no eigh."""
+        for s, hi in [(-0.3, 1.0), (0.4, 1.0), (1.7, 1.0), (2.5, math.inf)]:
+            Q, root = replica._project(np.array([[s]]), hi)
+            expected = min(max(s, 0.0), hi)
+            assert Q[0, 0] == expected and root[0, 0] == math.sqrt(expected)
+
+    @pytest.mark.parametrize("lam", [280.0, 290.0, 300.0])
+    def test_fixed_point_iterations_sparse(self, quad64, lam):
+        """The inner branch of the double well on which
+        ``TestMmsePrediction.test_refuses_at_first_order_tie`` bisects."""
+        from wignerlab import make_sparse_rademacher
+        p = make_sparse_rademacher(0.05)
+        res = replica.f1_fixed_point(p, lam, 0.05, quad=quad64, max_iter=60_000)
+        q, iterations, converged = scalar_fixed_point(p, lam, 0.05, quad64, max_iter=60_000)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert abs(res.overlap - q) <= 1e-12
+
+
 class TestScalarPotential:
     def test_zero_overlap(self, rademacher, quad64):
         assert replica.f1_rs(rademacher, 0.0, 3.0, quad64) == 0.0
@@ -158,10 +254,9 @@ class TestRankM:
     def test_isotropic_decoupling(self, rademacher, M):
         """Product structure: the rank-M potential at tau*I equals the scalar
         potential on the same per-axis quadrature."""
-        order = 16
-        quad = channel.gauss_hermite(order)
+        quad = channel.gauss_hermite(16)
         for tau in np.linspace(0.0, 1.0, 9):
-            ev = replica.fm_rs(rademacher, M, tau * np.eye(M), 1.7, order=order)
+            ev = replica.fm_rs(rademacher, M, tau * np.eye(M), 1.7, quad=quad)
             f1 = replica.f1_rs(rademacher, tau, 1.7, quad)
             assert abs(ev.value_logz - f1) <= 1e-8
 
@@ -215,7 +310,7 @@ class TestMatrixFixedPoint:
         q_i^(1/2) (O_i' E<x x0'> O_i - q_i) = 0 to tolerance."""
         res = replica.fm_fixed_point(rademacher, 2, 4.0, np.eye(2))
         Q = res.overlap
-        cross = replica._workspace(rademacher, 2, None).value_and_moment(Q, 4.0)[1]
+        cross = replica._RankMWorkspace(rademacher, 2).value_and_moment(Q, 4.0)[1]
         eigval, eigvec = np.linalg.eigh(Q)
         for i in range(2):
             e_i = float(eigvec[:, i] @ cross @ eigvec[:, i])
@@ -244,7 +339,7 @@ def potential_and_gradient(ws, Q, lam):
 def certificate(prior, M, Q, lam):
     """Criticality residual |Q - P(sym E<x x0'>)|_F / M at the default order,
     P the projection onto {0 <= Q <= rho I}."""
-    cross = replica._workspace(prior, M).value_and_moment(Q, lam)[1]
+    cross = replica._RankMWorkspace(prior, M).value_and_moment(Q, lam)[1]
     return np.linalg.norm(Q - replica._project(cross, prior.rho)[0]) / M
 
 
@@ -255,7 +350,7 @@ class TestFusedPass:
     @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
     def test_matches_separate_kernels(self, request, label, M):
         prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
-        ws = replica._workspace(prior, M)
+        ws = replica._RankMWorkspace(prior, M)
         rng = np.random.default_rng(41 + M)
         for _ in range(3):
             Q = random_psd(M, rng, shift_scale=0.05) * (prior.rho / 2)
@@ -267,7 +362,7 @@ class TestFusedPass:
     def test_underflowed_entries(self, rademacher):
         """At a huge SNR every product of some (x0, z) entries underflows; the
         pairwise recomputation keeps ln Z and the moment finite and exact."""
-        ws = replica._workspace(rademacher, 2, 4)
+        ws = replica._RankMWorkspace(rademacher, 2, channel.gauss_hermite(4))
         Q = np.array([[0.9, 0.4], [0.4, 0.3]])
         A, B = ws._exponents(Q, 1e5)
         EB = np.exp(B - B.max(axis=1, keepdims=True))
@@ -290,7 +385,7 @@ class TestFusedPass:
         """Nishimori: grad FM = (lam / 2M)(sym E<x x0'> - Q), exact up to the
         quadrature error of Gaussian integration by parts."""
         prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
-        ws = replica._workspace(prior, M)
+        ws = replica._RankMWorkspace(prior, M)
         rng = np.random.default_rng(7 + M)
         h = 1e-5
         for _ in range(2):
@@ -304,7 +399,7 @@ class TestFusedPass:
                 assert abs((up - down) / (2 * h) - np.sum(grad * E)) <= tol
 
     def test_batched_ln_partition(self, rademacher):
-        ws = replica._workspace(rademacher, 3, 8)
+        ws = replica._RankMWorkspace(rademacher, 3, channel.gauss_hermite(8))
         rng = np.random.default_rng(5)
         Qs = np.array([random_psd(3, rng, shift_scale=0.05) / 2 for _ in range(4)])
         roots = np.array([channel.psd_sqrt(Q) for Q in Qs])
@@ -391,7 +486,7 @@ class TestGradientPolish:
     def test_ascent_from_a_bad_start(self, rademacher):
         """From a generic anisotropic overlap the ascent climbs to the
         isotropic maximizer of criterion 5's case."""
-        ws = replica._workspace(rademacher, 2)
+        ws = replica._RankMWorkspace(rademacher, 2)
         start = np.array([[1.0, 0.3], [0.3, 0.2]])
         value, Q = replica._ascend(ws, 4.0, start, rademacher.rho, 1e-9)
         _, q1 = replica.f1_sup(rademacher, 4.0, channel.gauss_hermite(64))
