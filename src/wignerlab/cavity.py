@@ -200,13 +200,13 @@ def build_table(prior: Prior, lam: float, schedule: DimensionSchedule,
     if over:
         raise BudgetError(f"entries over the enumeration budget: {over}")
     master = (max(n for n, _ in need), max(m for _, m in need))
-    acc = {key: np.empty(replicates) for key in need}
-    draws = _disorder(prior, master, TAG_CAVITY, seed, replicates)
-    for r, (X0, Z, Zt) in enumerate(draws):
+    chunks = {key: [] for key in need}
+    for X0, Z, Zt in _disorder(prior, master, TAG_CAVITY, seed, replicates):
         for (n, m) in need:
             pert = None if epsilon is None else PerturbationParams(
-                epsilon=float(epsilon), Ztilde=Zt[:n, :m])
-            acc[(n, m)][r] = _log_partition(prior, lam, X0[:n, :m], Z[:n, :n], pert)
+                epsilon=float(epsilon), Ztilde=Zt[:, :n, :m])
+            chunks[(n, m)].append(_log_partition(prior, lam, X0[:, :n, :m], Z[:, :n, :n], pert))
+    acc = {key: np.concatenate(vals) for key, vals in chunks.items()}
     entries = {key: (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates)),
                      replicates)
                for key, vals in acc.items()}

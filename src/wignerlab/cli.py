@@ -5,7 +5,8 @@ Every subcommand reads a JSON config, checks it against its schema in
 JSON type -- ``2.0`` is not an integer, ``"yes"`` is not a flag -- or an
 out-of-range or non-finite number is a validation error), runs its jobs in
 order, and writes CSV results plus a JSON run manifest (config echo, content
-hash, wall time).  Fixed (config, seed) reproduces CSV bodies byte-identically.
+hash, wall time, environment).  Fixed (config, seed) reproduces CSV bodies
+byte-identically.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration budget overflow,
 4 non-convergence flagged as fatal by the config, 5 a non-finite result or an
@@ -24,6 +25,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -459,6 +461,16 @@ def _counting(counter, show):
     return showwarning
 
 
+def _environment():
+    """Interpreter, NumPy and SciPy versions and the CPU count.  The versions
+    come from modules already loaded, so recording them imports nothing."""
+    scipy = sys.modules.get("scipy")
+    return {"python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "scipy": getattr(scipy, "__version__", None),
+            "cpu_count": os.cpu_count()}
+
+
 def _error_record(kind, detail):
     print(json.dumps({"error": kind, "detail": str(detail)}), file=sys.stderr)
 
@@ -484,6 +496,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "outputs": [],
         "partial": False,
+        "env": _environment(),
     }
     started = time.monotonic()
     warned = collections.Counter()

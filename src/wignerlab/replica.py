@@ -218,9 +218,13 @@ def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None):
 
 
 def _local_maxima(taus, vals):
-    idx = [0, len(vals) - 1]
-    interior = np.nonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-    return sorted(set(idx) | set(int(i) for i in interior))
+    """Grid indices of the local maxima, both ends included.  A run of equal
+    values counts as one point and is reported by its leftmost index, so a
+    flat potential (lam = 0) gives one candidate, not one per grid point."""
+    starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+    v = vals[starts]
+    interior = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    return sorted({0, int(starts[-1])} | {int(starts[j]) for j in interior})
 
 
 def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = None) -> float:

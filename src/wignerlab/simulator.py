@@ -21,6 +21,14 @@ built once per (prior, block shape) and reused, and every Gibbs weight comes
 from one matrix product over A-chunks in a fixed order (log-sum-exp rescaled
 to the running maximum).  Disorder averages are Monte Carlo over fresh
 (X0, Z, Zt) draws on counter-based streams.
+
+Replicates run in fixed chunks of _BATCH = 256, aligned at multiples of 256.
+Replicate r draws from its own stream (seed, tag, r), re-keyed from a batch
+of hashed keys (``rng.streams``).  Up to _WHOLE configurations a whole chunk
+is one GEMM and one exp-sum, and the last chunk is padded to 256 rows, so
+every such product has the same shape and replicate r's value is
+bit-identical however many replicates run.  Above _WHOLE each replicate runs
+the split-block enumeration on its own.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ __all__ = [
 ENUM_BUDGET_BITS = 24          # enumeration cap: k^(N M) <= 2^24
 _CHUNK = 1 << 18               # Gibbs weights held at once by the enumeration
 _WHOLE = 1 << 10               # up to this many configurations the rows stay whole
+_BATCH = 256                   # replicates per disorder chunk and per whole-row product
 
 TAG_INSTANCE = rngmod.tag("instance")
 TAG_SIM = rngmod.tag("simulate")
@@ -79,7 +88,8 @@ class ModelInstance:
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """Side-channel strength and its Gaussian coupling matrix."""
+    """Side-channel strength and its Gaussian coupling matrix (N x M, or a
+    (b, N, M) stack for a batch of replicates)."""
 
     epsilon: float
     Ztilde: np.ndarray
@@ -99,15 +109,31 @@ class PosteriorSummary:
     config_count: int
 
 
+def _atoms(prior: Prior, U: np.ndarray) -> np.ndarray:
+    """Prior atoms from uniforms U, by ``Generator.choice``'s own inverse-CDF
+    rule, so a stream gives the same signal either way."""
+    cdf = np.cumsum(prior.weights)
+    cdf /= cdf[-1]
+    return prior.values[cdf.searchsorted(U, side="right")]
+
+
+def _symmetric(G: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Wigner noise from the strict upper triangle of G (..., n, n) and the
+    diagonal sqrt(2) d (..., n)."""
+    upper = np.triu(G, 1)
+    Z = upper + upper.swapaxes(-1, -2)
+    i = np.arange(G.shape[-1])
+    Z[..., i, i] = math.sqrt(2.0) * d
+    return Z
+
+
 def _draw_wigner(rng: np.random.Generator, n: int) -> np.ndarray:
-    upper = np.triu(rng.standard_normal((n, n)), 1)
-    diag = math.sqrt(2.0) * rng.standard_normal(n)
-    return upper + upper.T + np.diag(diag)
+    G = rng.standard_normal((n, n))
+    return _symmetric(G, rng.standard_normal(n))
 
 
 def _draw_signal(prior: Prior, rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    idx = rng.choice(prior.n_atoms, size=(n, m), p=prior.weights)
-    return prior.values[idx]
+    return _atoms(prior, rng.random((n, m)))
 
 
 def sample_instance(prior: Prior, N: int, M: int, lam: float, seed: int) -> ModelInstance:
@@ -217,9 +243,10 @@ def _block_table(values: bytes, weights: bytes, n: int, M: int) -> _BlockTable:
 
 
 def _coefficients(lam: float, X0, Z, pert: PerturbationParams | None):
-    """The Hamiltonian of disorder (X0, Z) as (Zeff, X0, t, C) in the form of
-    ``_split_block``; the side channel's -eps |X|^2 / 2 joins Zeff."""
-    N = X0.shape[0]
+    """The Hamiltonians of the disorders (X0, Z) (b, N, M) and (b, N, N) as
+    (Zeff, X0, t, C) in the form of ``_split_block``; the side channel's
+    -eps |X|^2 / 2 joins Zeff."""
+    N = X0.shape[1]
     d = N if pert is None else N + 1
     Zeff = math.sqrt(lam / d) * Z
     if pert is None:
@@ -233,52 +260,91 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
 
         H(X) = Tr(X' Zeff X) / 2 + t |X' X0|_F^2 / 2 - t |X' X|_F^2 / 4 + <X, C>,
 
-    and with ``moments`` also the Gibbs averages <X> (N x M) and <X X'> (N x N).
+    for each of b replicates: Zeff is (b, N, N), X0 and C are (b, N, M), and
+    ln Z is (b,).  With ``moments`` also the Gibbs averages <X> (b, N, M) and
+    <X X'> (b, N, N).
 
-    Above _WHOLE configurations the rows split into A (the first ceil(N/2))
-    and B, and H(a, b) = h_A(a) + h_B(b) + u_A(a).v_B(b) with features
-    [Zeff_BA X_A, X_A' X0_A, X_A' X_A] against [X_B, t X_B' X0_B,
-    -t X_B' X_B / 2].  A-chunks of at most _CHUNK Gibbs weights are visited in
-    a fixed order, each one matrix product and one exp-sum rescaled to the
-    running maximum.
+    Up to _WHOLE configurations the rows stay whole (``_whole_block``: one
+    product for all replicates); above it every replicate runs
+    ``_split_rows`` on its own.
     """
-    N, M = X0.shape
+    b, N, M = X0.shape
     if N == 1 and M > 1:
         # x' x0 and x' x have rank one, so H depends on x only through |x|^2
         # and <x, C>: the same form for the M x 1 matrix x' without a signal
-        z_diag = Zeff[0, 0] + t * float(X0[0] @ X0[0])
-        out = _split_block(prior, z_diag * np.eye(M), np.zeros((M, 1)), t, C.T, moments)
-        return out if not moments else (out[0], out[1].T, np.array([[np.trace(out[2])]]))
-    nA = N if prior.n_atoms ** (N * M) <= _WHOLE else (N + 1) // 2
+        z_diag = Zeff[:, 0, 0] + t * np.einsum("bm,bm->b", X0[:, 0], X0[:, 0])
+        out = _split_block(prior, z_diag[:, None, None] * np.eye(M), np.zeros((b, M, 1)), t,
+                           C.transpose(0, 2, 1), moments)
+        if not moments:
+            return out
+        log_z, mean_x, mean_xxt = out
+        return (log_z, mean_x.transpose(0, 2, 1),
+                np.trace(mean_xxt, axis1=1, axis2=2)[:, None, None])
+    if prior.n_atoms ** (N * M) <= _WHOLE:
+        return _whole_block(prior, Zeff, X0, t, C, moments)
+    out = [_split_rows(prior, Zeff[i], X0[i], t, C[i], moments) for i in range(b)]
+    return np.array(out) if not moments else tuple(np.array(a) for a in zip(*out))
+
+
+def _whole_block(prior: Prior, Zeff, X0, t: float, C, moments: bool):
+    """``_split_block`` with the rows whole: H + ln W = phi . coef for every
+    configuration, so each block of _BATCH replicates is one (_BATCH, F) @
+    (F, k^(N M)) product and one max-shifted exp-sum.  The last block is padded
+    with zero rows, so every product has the same shape and replicate i's value
+    depends only on its own row and on i mod _BATCH."""
+    b, N, M = X0.shape
+    table = _block_table(prior.values.tobytes(), prior.weights.tobytes(), N, M)
+    K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.transpose(0, 2, 1))
+    coef = np.zeros((-(-b // _BATCH) * _BATCH, table.phi.shape[1]))
+    coef[:b] = np.concatenate([K.reshape(b, -1), C.reshape(b, -1),
+                               np.broadcast_to([1.0, -0.25 * t], (b, 2))], axis=1)
+    E = (coef.reshape(-1, _BATCH, coef.shape[1]) @ table.phi.T).reshape(len(coef), -1)
+    top = E.max(axis=1)
+    E -= top[:, None]
+    np.exp(E, out=E)
+    z = E.sum(axis=1)
+    log_z = (top + np.log(z))[:b]
+    if not moments:
+        return log_z
+    E /= z[:, None]
+    means = (E @ table.phi[:, :N * N + N * M])[:b]   # [vec(X X'), vec(X)] averages
+    return log_z, means[:, N * N:].reshape(b, N, M), means[:, :N * N].reshape(b, N, N)
+
+
+def _split_rows(prior: Prior, Zeff, X0, t: float, C, moments: bool):
+    """One replicate of ``_split_block`` above _WHOLE configurations.
+
+    The rows split into A (the first ceil(N/2)) and B, and H(a, b) = h_A(a) +
+    h_B(b) + u_A(a).v_B(b) with features [Zeff_BA X_A, X_A' X0_A, X_A' X_A]
+    against [X_B, t X_B' X0_B, -t X_B' X_B / 2].  A-chunks of at most _CHUNK
+    Gibbs weights are visited in a fixed order, each one matrix product and one
+    exp-sum rescaled to the running maximum.
+    """
+    N, M = X0.shape
+    nA = (N + 1) // 2
     nB = N - nA
     key = (prior.values.tobytes(), prior.weights.tobytes())
-    ta = _block_table(*key, nA, M)
+    ta, tb = _block_table(*key, nA, M), _block_table(*key, nB, M)
     K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.T)
     tail = [1.0, -0.25 * t]
     h_a = ta.phi @ np.concatenate([K[:nA, :nA].ravel(), C[:nA].ravel(), tail])
-    rows = h_a.size
-    if nB:
-        tb = _block_table(*key, nB, M)
-        h_b = tb.phi @ np.concatenate([K[nA:, nA:].ravel(), C[nA:].ravel(), tail])
-        eye = np.eye(M)
-        Q = (X0[:, None, None, :] * eye[:, :, None]).reshape(N * M, M * M)  # X Q = vec(X' X0)
-        kron = (Zeff[:nA, None, nA:, None] * eye[:, None, :]).reshape(nA * M, nB * M)
-        L_a = np.concatenate([kron, Q[:nA * M]], axis=1)
-        V = np.column_stack([tb.X, t * (tb.X @ Q[nA * M:]), (-0.5 * t) * tb.G,
-                             np.ones(h_b.size), h_b])
-        rows = max(1, _CHUNK // h_b.size)
+    h_b = tb.phi @ np.concatenate([K[nA:, nA:].ravel(), C[nA:].ravel(), tail])
+    eye = np.eye(M)
+    Q = (X0[:, None, None, :] * eye[:, :, None]).reshape(N * M, M * M)  # X Q = vec(X' X0)
+    kron = (Zeff[:nA, None, nA:, None] * eye[:, None, :]).reshape(nA * M, nB * M)
+    L_a = np.concatenate([kron, Q[:nA * M]], axis=1)
+    V = np.column_stack([tb.X, t * (tb.X @ Q[nA * M:]), (-0.5 * t) * tb.G,
+                         np.ones(h_b.size), h_b])
+    rows = max(1, _CHUNK // h_b.size)
     top, z = -math.inf, 0.0
     if moments:
         r_all = np.empty(h_a.size)
         col, cross = 0.0, 0.0
     for lo in range(0, h_a.size, rows):
         Xa = ta.X[lo:lo + rows]
-        if nB:
-            U = np.column_stack([Xa @ L_a, ta.G[lo:lo + rows], h_a[lo:lo + rows],
-                                 np.ones(len(Xa))])
-            E = U @ V.T                 # H + ln W over this A-chunk x all of B
-        else:
-            E = h_a[:, None].copy()
+        U = np.column_stack([Xa @ L_a, ta.G[lo:lo + rows], h_a[lo:lo + rows],
+                             np.ones(len(Xa))])
+        E = U @ V.T                     # H + ln W over this A-chunk x all of B
         m = float(E.max())
         E -= m
         np.exp(E, out=E)
@@ -289,48 +355,44 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
         if moments:
             r_all[:lo] *= old
             r_all[lo:lo + rows] = r * new
-            if nB:
-                col = col * old + E.sum(axis=0) * new
-                cross = cross * old + (Xa.T @ (E @ tb.X)) * new
+            col = col * old + E.sum(axis=0) * new
+            cross = cross * old + (Xa.T @ (E @ tb.X)) * new
     log_z = top + math.log(z)
     if not moments:
         return log_z
-    p_a = r_all / z
-    mean_x = p_a @ ta.X
-    mean_xxt = (p_a @ ta.phi[:, :nA * nA]).reshape(nA, nA)
-    if nB:
-        p_b = col / z
-        mean_x = np.concatenate([mean_x, p_b @ tb.X])
-        ab = np.trace((cross / z).reshape(nA, M, nB, M), axis1=1, axis2=3)
-        mean_xxt = np.block([[mean_xxt, ab],
-                             [ab.T, (p_b @ tb.phi[:, :nB * nB]).reshape(nB, nB)]])
+    p_a, p_b = r_all / z, col / z
+    mean_x = np.concatenate([p_a @ ta.X, p_b @ tb.X])
+    ab = np.trace((cross / z).reshape(nA, M, nB, M), axis1=1, axis2=3)
+    mean_xxt = np.block([[(p_a @ ta.phi[:, :nA * nA]).reshape(nA, nA), ab],
+                         [ab.T, (p_b @ tb.phi[:, :nB * nB]).reshape(nB, nB)]])
     return log_z, mean_x.reshape(N, M), mean_xxt
 
 
 def _log_partition(prior: Prior, lam: float, X0, Z,
-                   pert: PerturbationParams | None) -> float:
+                   pert: PerturbationParams | None) -> np.ndarray:
+    """ln Z of each replicate in the batch (X0, Z) (b, N, M) and (b, N, N)."""
     return _split_block(prior, *_coefficients(lam, X0, Z, pert))
 
 
 def _posterior(prior: Prior, lam: float, X0, Z,
-               pert: PerturbationParams | None) -> PosteriorSummary:
-    N, M = X0.shape
+               pert: PerturbationParams | None) -> list[PosteriorSummary]:
+    """Posterior summaries of each replicate in the batch (X0, Z)."""
+    b, N, M = X0.shape
     total = _check_budget(prior, N, M)
     log_z, mean_x, mean_xxt = _split_block(prior, *_coefficients(lam, X0, Z, pert),
                                            moments=True)
-    truth = X0 @ X0.T
-    mean_R = mean_x.T @ X0 / N
-    mean_R2 = float(np.sum(truth * mean_xxt)) / (N * N)
-    fluct = max(mean_R2 - float(np.sum(mean_R * mean_R)), 0.0)
-    mmse = float(np.sum((truth - mean_xxt) ** 2)) / (N * N * M)
-    return PosteriorSummary(
-        log_partition=log_z,
-        free_entropy=log_z / (N * M),
-        mean_overlap=mean_R,
-        overlap_fluct=fluct,
-        matrix_mmse=mmse,
-        config_count=total,
-    )
+    truth = X0 @ X0.transpose(0, 2, 1)
+    mean_R = mean_x.transpose(0, 2, 1) @ X0 / N
+    mean_R2 = (truth * mean_xxt).sum(axis=(1, 2)) / (N * N)
+    fluct = np.maximum(mean_R2 - (mean_R * mean_R).sum(axis=(1, 2)), 0.0)
+    mmse = ((truth - mean_xxt) ** 2).sum(axis=(1, 2)) / (N * N * M)
+    return [PosteriorSummary(log_partition=float(log_z[i]),
+                             free_entropy=float(log_z[i]) / (N * M),
+                             mean_overlap=mean_R[i],
+                             overlap_fluct=float(fluct[i]),
+                             matrix_mmse=float(mmse[i]),
+                             config_count=total)
+            for i in range(b)]
 
 
 def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
@@ -339,10 +401,11 @@ def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
 
     ``pert=None`` uses the base Hamiltonian H_N; otherwise the side-channel
     form with the N+1 coupling normalizer.  One split-block pass (see
-    ``_split_block``) gives ln Z, <X> and <X X'>; the overlap moments follow
-    from <R> = <X>' X0 / N and <|R|_F^2> = <X X', X0 X0'> / N^2.
+    ``_split_block``, here on a batch of one) gives ln Z, <X> and <X X'>; the
+    overlap moments follow from <R> = <X>' X0 / N and <|R|_F^2> = <X X', X0
+    X0'> / N^2.
     """
-    return _posterior(prior, instance.lam, instance.X0, instance.Z, pert)
+    return _posterior(prior, instance.lam, instance.X0[None], instance.Z[None], pert)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +413,21 @@ def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
 # ---------------------------------------------------------------------------
 
 def _disorder(prior: Prior, shape, tag: int, seed: int, replicates: int):
-    """Replicate r's disorder (X0, Z, Ztilde) at the master ``shape`` (n, m),
-    for r = 0 .. replicates-1, each from the counter-based stream
-    (seed, tag, r).  Callers evaluate top-left blocks, so every system size
-    cut from one master shares its random numbers, and replicate r is the
-    same however many replicates run."""
+    """Replicate disorder (X0, Z, Ztilde) at the master ``shape`` (n, m), in
+    chunks of _BATCH replicates: arrays (b, n, m), (b, n, n) and (b, n, m) for
+    replicates lo .. lo+b-1, lo a multiple of _BATCH.  Replicate r is drawn
+    from the counter-based stream (seed, tag, r), so it is the same however
+    many replicates run; callers evaluate top-left blocks, so every system
+    size cut from one master shares its random numbers."""
     n, m = shape
-    for r in range(replicates):
-        rng = rngmod.stream(seed, tag, r)
-        X0 = _draw_signal(prior, rng, n, m)
-        Z = _draw_wigner(rng, n)
-        yield X0, Z, rng.standard_normal((n, m))
+    for lo in range(0, replicates, _BATCH):
+        b = min(_BATCH, replicates - lo)
+        U, W = np.empty((b, n, m)), np.empty((b, n * n + n + n * m))
+        for i, rng in enumerate(rngmod.streams(seed, tag, r=range(lo, lo + b))):
+            rng.random(out=U[i])
+            rng.standard_normal(out=W[i])   # one call draws G, d and Ztilde in turn
+        G, d, Zt = W[:, :n * n], W[:, n * n:n * n + n], W[:, n * n + n:]
+        yield _atoms(prior, U), _symmetric(G.reshape(b, n, n), d), Zt.reshape(b, n, m)
 
 
 def _master_shape(N: int, M: int, master):
@@ -388,8 +455,8 @@ def free_entropy_replicates(prior: Prior, N: int, M: int, lam: float, *,
     """
     _check_budget(prior, N, M)
     shape = _master_shape(N, M, master)
-    return np.array([
-        _log_partition(prior, lam, X0[:N, :M], Z[:N, :N], _side(epsilon, Zt[:N, :M]))
+    return np.concatenate([
+        _log_partition(prior, lam, X0[:, :N, :M], Z[:, :N, :N], _side(epsilon, Zt[:, :N, :M]))
         for X0, Z, Zt in _disorder(prior, shape, TAG_SIM, seed, replicates)]) / (N * M)
 
 
@@ -414,8 +481,9 @@ def posterior_replicates(prior: Prior, N: int, M: int, lam: float, *,
     free_entropy_replicates for identical parameters)."""
     _check_budget(prior, N, M)
     shape = _master_shape(N, M, master)
-    return [_posterior(prior, lam, X0[:N, :M], Z[:N, :N], _side(epsilon, Zt[:N, :M]))
-            for X0, Z, Zt in _disorder(prior, shape, TAG_SIM, seed, replicates)]
+    return [s for X0, Z, Zt in _disorder(prior, shape, TAG_SIM, seed, replicates)
+            for s in _posterior(prior, lam, X0[:, :N, :M], Z[:, :N, :N],
+                                _side(epsilon, Zt[:, :N, :M]))]
 
 
 def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
@@ -433,10 +501,10 @@ def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
     _need_two(replicates)
     _check_budget(prior, N, M)
     eps_grid = s_N * (1.0 + (np.arange(n_eps) + 0.5) / n_eps)
-    vals = np.array([
-        np.mean([_posterior(prior, lam, X0, Z,
-                            PerturbationParams(epsilon=float(e), Ztilde=Zt)).overlap_fluct
-                 for e in eps_grid])
+    vals = np.concatenate([
+        np.mean([[s.overlap_fluct for s in _posterior(
+            prior, lam, X0, Z, PerturbationParams(epsilon=float(e), Ztilde=Zt))]
+            for e in eps_grid], axis=0)
         for X0, Z, Zt in _disorder(prior, (N, M), TAG_PERT, seed, replicates)])
     gamma = M**2 / math.sqrt(N * s_N)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates)), gamma
@@ -452,7 +520,7 @@ def perturbation_gap_replicates(prior: Prior, N: int, M: int, lam: float,
     if s_N < 0:
         raise ValueError("schedule value must be nonnegative")
     _check_budget(prior, N, M)
-    return np.array([
+    return np.concatenate([
         _log_partition(prior, lam, X0, Z, PerturbationParams(epsilon=s_N, Ztilde=Zt))
         / (N * M) - _log_partition(prior, lam, X0, Z, None) / (N * M)
         for X0, Z, Zt in _disorder(prior, (N, M), TAG_PERT, seed, replicates)])

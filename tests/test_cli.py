@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -167,6 +168,14 @@ class TestDeterminism:
         assert meta["outputs"] == ["mi.csv"]
         assert meta["partial"] is False
         assert len(meta["config_sha256"]) == 64
+
+    def test_manifest_records_environment(self, tmp_path):
+        import scipy
+
+        _, out = run(tmp_path, "prior", {"prior": "rademacher"}, "e1", seed=3)
+        env = json.loads((out / "prior_manifest.json").read_text())["env"]
+        assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                       "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
 
 
 class TestExitCodes:

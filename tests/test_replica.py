@@ -216,6 +216,23 @@ class TestMmsePrediction:
     def test_below_transition(self, rademacher, quad64):
         assert abs(replica.mmse_prediction(rademacher, 0.5, quad64) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("prior_name", ["rademacher", "sparse03"])
+    def test_flat_potential_runs_few_searches(self, request, quad64, monkeypatch,
+                                              prior_name):
+        """At lam = 0 every grid value is equal; the grid's one run of equal
+        values is one candidate, not one golden-section search per point."""
+        prior = request.getfixturevalue(prior_name)
+        calls = []
+        search = replica._golden_max
+
+        def counted(*args):
+            calls.append(args[1:])
+            return search(*args)
+
+        monkeypatch.setattr(replica, "_golden_max", counted)
+        assert replica.mmse_prediction(prior, 0.0, quad64) == prior.rho**2
+        assert len(calls) <= 4
+
     def test_refuses_at_first_order_tie(self, quad64):
         """A strongly sparse prior has a double-well potential; where the two
         maxima tie in value the prediction must refuse rather than guess.

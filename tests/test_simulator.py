@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from wignerlab import make_prior, replica, simulator
+from wignerlab import cavity, make_prior, make_rademacher, replica, simulator
 from wignerlab.simulator import (
     BudgetError,
     ModelInstance,
@@ -242,7 +243,7 @@ class TestSplitBlockKernel:
         log_z, mean_R, fluct, mmse = brute_force_posterior(inst, pert, prior)
         ps = simulator.exact_posterior(inst, pert, prior)
         assert abs(ps.log_partition - log_z) <= 1e-12
-        ln_z = simulator._log_partition(prior, lam, inst.X0, inst.Z, pert)
+        ln_z = simulator._log_partition(prior, lam, inst.X0[None], inst.Z[None], pert)[0]
         assert abs(ln_z - log_z) <= 1e-12
         assert np.abs(ps.mean_overlap - mean_R).max() <= 1e-12
         assert abs(ps.overlap_fluct - fluct) <= 1e-12
@@ -252,6 +253,45 @@ class TestSplitBlockKernel:
         """The N = 20 case above holds 2^20 Gibbs weights, so its A-loop runs
         more than one chunk."""
         assert simulator._WHOLE < simulator._CHUNK < 2 ** 20
+
+
+def whole_rows_oracle(prior, Zeff, X0, t, C):
+    """One replicate's ln Z, <X> and <X X'> from the whole-row table: the
+    per-replicate loop the batched kernel replaced."""
+    N, M = X0.shape
+    ta = simulator._block_table(prior.values.tobytes(), prior.weights.tobytes(), N, M)
+    K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.T)
+    h = ta.phi @ np.concatenate([K.ravel(), C.ravel(), [1.0, -0.25 * t]])
+    top = float(h.max())
+    w = np.exp(h - top)
+    z = float(w.sum())
+    p = w / z
+    return top + math.log(z), (p @ ta.X).reshape(N, M), (p @ ta.phi[:, :N * N]).reshape(N, N)
+
+
+# the whole-row oracle table at sparse(0.3), N = 6, M = 2 would hold 3^12 rows
+BATCHED_CASES = [(name, N, M, eps) for name in ("rademacher", "sparse03")
+                 for N in (1, 4, 6) for M in (1, 2) for eps in (0.0, 0.3)
+                 if (2 if name == "rademacher" else 3) ** (N * M) <= 1 << 13]
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("prior_name, N, M, eps", BATCHED_CASES)
+    def test_matches_per_replicate_oracle(self, request, prior_name, N, M, eps):
+        """260 replicates, so a full chunk and a padded one, against the
+        per-replicate whole-row enumeration."""
+        prior = request.getfixturevalue(prior_name)
+        for X0, Z, Zt in simulator._disorder(prior, (N, M), 1, 5, 260):
+            pert = simulator._side(eps, Zt)
+            Zeff, X0, t, C = simulator._coefficients(1.3, X0, Z, pert)
+            log_z = simulator._split_block(prior, Zeff, X0, t, C)
+            got = simulator._split_block(prior, Zeff, X0, t, C, moments=True)
+            np.testing.assert_array_equal(got[0], log_z)
+            for i in range(len(X0)):
+                want = whole_rows_oracle(prior, Zeff[i], X0[i], t, C[i])
+                assert abs(got[0][i] - want[0]) <= 1e-12
+                assert np.abs(got[1][i] - want[1]).max() <= 1e-12
+                assert np.abs(got[2][i] - want[2]).max() <= 1e-12
 
 
 class TestFreeEntropy:
@@ -336,6 +376,24 @@ class TestStandardErrors:
             simulator.perturbation_gap(rademacher, 4, 1, 1.0, 0.1, 1, seed=31)
 
 
+@functools.lru_cache(maxsize=None)
+def replicate_runs(R):
+    """Per-replicate values of every replicate engine caller at R replicates
+    (the cavity table at no fewer than 2, its minimum); cavity entries reach
+    (6, 2), above _WHOLE, so both kernel paths run."""
+    prior = make_rademacher()
+    table = cavity.build_table(prior, 1.0, cavity.dims_schedule(1.0, 0.5, 6), 0.3, max(R, 2),
+                               seed=3)
+    return {
+        "fe": simulator.free_entropy_replicates(prior, 4, 1, 1.0, epsilon=0.1, replicates=R,
+                                                seed=3, master=(6, 2)),
+        "post": [s.overlap_fluct for s in simulator.posterior_replicates(
+            prior, 4, 1, 1.0, replicates=R, seed=3)],
+        "gap": simulator.perturbation_gap_replicates(prior, 4, 1, 1.0, 0.2, R, seed=3),
+        "cavity": table.replicate_values,
+    }
+
+
 class TestReplicateStreams:
     """Replicate values pinned to their streams: a swapped stream tag, a
     reordered draw or a wrong master cut moves them."""
@@ -378,24 +436,30 @@ class TestReplicateStreams:
             gaps, [0.105506691979612, -0.07004205909682497, 0.0021217998253347803],
             rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("r", [0, 3, 9])
-    def test_prefix_stability(self, rademacher, r):
-        """Replicate r is the same whether r + 1 or 10 replicates run."""
-        def fe(R):
-            return simulator.free_entropy_replicates(rademacher, 4, 1, 1.0, epsilon=0.1,
-                                                     replicates=R, seed=3, master=(6, 2))
+    @pytest.mark.parametrize("r", [0, 3, 9, 255, 256, 300])
+    def test_prefix_stability(self, r):
+        """Replicate r is the same whether r + 1 or 600 replicates run, on
+        both sides of a 256-replicate chunk boundary."""
+        short, long = replicate_runs(r + 1), replicate_runs(600)
+        for name in ("fe", "post", "gap"):
+            assert short[name][r] == long[name][r], name
+        for key, vals in short["cavity"].items():
+            assert vals[r] == long["cavity"][key][r], key
 
-        def post(R):
-            return [s.overlap_fluct for s in simulator.posterior_replicates(
-                rademacher, 4, 1, 1.0, replicates=R, seed=3)]
-
-        def gap(R):
-            return simulator.perturbation_gap_replicates(rademacher, 4, 1, 1.0, 0.2, R,
-                                                         seed=3)
-
-        assert fe(r + 1)[r] == fe(10)[r]
-        assert post(r + 1)[r] == post(10)[r]
-        assert gap(r + 1)[r] == gap(10)[r]
+    def test_chunks_match_streams(self, sparse03):
+        """Chunked disorder equals per-replicate draws from ``rng.stream``
+        through ``Generator.choice`` and the triangle form of the noise."""
+        tag = simulator.TAG_SIM
+        chunks = list(simulator._disorder(sparse03, (5, 2), tag, 4, 300))
+        X0, Z, Zt = (np.concatenate(a) for a in zip(*chunks))
+        for r in (0, 1, 255, 256, 299):
+            g = simulator.rngmod.stream(4, tag, r)
+            idx = g.choice(sparse03.n_atoms, size=(5, 2), p=sparse03.weights)
+            upper = np.triu(g.standard_normal((5, 5)), 1)
+            want_Z = upper + upper.T + np.diag(math.sqrt(2.0) * g.standard_normal(5))
+            np.testing.assert_array_equal(X0[r], sparse03.values[idx])
+            np.testing.assert_array_equal(Z[r], want_Z)
+            np.testing.assert_array_equal(Zt[r], g.standard_normal((5, 2)))
 
     def test_master_must_cover_system(self, rademacher):
         with pytest.raises(ValueError):
