@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,11 +70,19 @@ class DimensionSchedule:
     gamma: float
     n_max: int
     m_of_n: np.ndarray                  # index n = 0..n_max
-    n_of_m: np.ndarray | None           # index m = 0..m_of_n[n_max]; None if gamma=0
     unit_steps: bool                    # whether m_of_n increments are in {0, 1}
 
     def rank_at(self, n: int) -> int:
         return int(self.m_of_n[n])
+
+    @cached_property
+    def n_of_m(self) -> np.ndarray | None:
+        """Index m = 0..m_of_n[n_max]; None if gamma = 0.  Built on first use,
+        so a rank far past the enumeration budget costs nothing until then."""
+        if self.gamma == 0:
+            return None
+        m = np.arange(self.m_of_n[-1] + 1, dtype=float)
+        return np.floor(m ** (1.0 / self.gamma) / self.alpha + 1e-9).astype(np.int64)
 
 
 def dims_schedule(alpha: float, gamma: float, n_max: int) -> DimensionSchedule:
@@ -85,18 +94,18 @@ def dims_schedule(alpha: float, gamma: float, n_max: int) -> DimensionSchedule:
         raise ValueError("n_max must be at least 1")
     n = np.arange(n_max + 1, dtype=float)
     # tolerance so that exact integer powers (e.g. 2 * 27^(1/3)) floor correctly
-    m_of_n = np.floor(alpha * n**gamma + 1e-9).astype(np.int64)
-    if gamma == 0:
-        n_of_m = None
-    else:
-        m = np.arange(m_of_n[-1] + 1, dtype=float)
-        n_of_m = np.floor(m ** (1.0 / gamma) / alpha + 1e-9).astype(np.int64)
+    with np.errstate(over="ignore"):
+        ranks = alpha * n**gamma + 1e-9
+    if not ranks[-1] <= 2.0**53:                # inf included
+        raise ValueError(f"rank floor(alpha * n_max^gamma) = {ranks[-1]:g} at n_max = "
+                         f"{n_max} is above 2^53, where floats stop being exact integers")
+    m_of_n = np.floor(ranks).astype(np.int64)
     steps = np.diff(m_of_n)
     unit_steps = bool(np.all((steps >= 0) & (steps <= 1)))
     if np.any(steps < 0):
         raise ValueError("rank schedule must be nondecreasing")
     return DimensionSchedule(alpha=alpha, gamma=gamma, n_max=n_max,
-                             m_of_n=m_of_n, n_of_m=n_of_m, unit_steps=unit_steps)
+                             m_of_n=m_of_n, unit_steps=unit_steps)
 
 
 def cavity_weights(schedule: DimensionSchedule, N: int, T: int):

@@ -5,8 +5,11 @@ Every subcommand reads a JSON config, checks it against its schema in
 JSON type -- ``2.0`` is not an integer, ``"yes"`` is not a flag -- or an
 out-of-range or non-finite number is a validation error), runs its jobs in
 order, and writes CSV results plus a JSON run manifest (config echo, content
-hash, wall time, environment).  Fixed (config, seed) reproduces CSV bodies
-byte-identically.
+hash, wall time, environment).  A handler returns each table as an ordered
+dict of columns; the key order is the header, fixed per file, and each column
+is checked and formatted in one pass.  Fixed (config, seed) reproduces CSV
+bodies byte-identically, cell format included: true/false, integers as
+written, floats as their shortest round-trip repr, minimal CSV quoting.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration budget overflow,
 4 non-convergence flagged as fatal by the config, 5 a non-finite result or an
@@ -23,6 +26,7 @@ import argparse
 import collections
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -59,41 +63,48 @@ class NonFiniteResultError(ArithmeticError):
     pass
 
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _config_hash(config) -> str:
     return hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 
 
-def _write_csv(path: Path, header, rows, meta):
-    # every row carries the run provenance
-    full_header = list(header) + ["seed", "config_sha256"]
-    tail = [str(meta["seed"]), meta["config_sha256"]]
+def _cells(column):
+    """One column's CSV cells: bools as true/false, integers as written (one
+    past int64 rides in an object column), floats as the shortest round-trip
+    repr (a Python float's str), text as given (NumPy would strip trailing NULs)."""
+    a = np.asarray(column)
+    if a.dtype == bool:
+        return np.where(a, "true", "false").tolist()
+    return list(map(str, column if a.dtype.kind == "U" else a.tolist()))
+
+
+def _write_csv(path: Path, columns, seed, config_sha256):
+    """The table, header from the column order; every row carries the run
+    provenance."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(full_header)
-        for row in rows:
-            writer.writerow([_fmt(row[h]) for h in header] + tail)
-    meta["outputs"].append(path.name)
+        writer.writerow([*columns, "seed", "config_sha256"])
+        writer.writerows(zip(*map(_cells, columns.values()),
+                             itertools.repeat(str(seed)), itertools.repeat(config_sha256)))
 
 
 def _check_finite(outputs):
-    """A NaN or inf in a result is an error, never a CSV value."""
-    for name, header, rows in outputs:
-        for i, row in enumerate(rows if header is not None else ()):
-            for h in header:
-                if isinstance(row[h], (float, np.floating)) and not math.isfinite(row[h]):
-                    raise NonFiniteResultError(f"{name}: column {h} is {row[h]!r} in row {i}")
+    """A NaN or inf in a result is an error, never a CSV value.  Reports the
+    first non-finite cell in row-major order."""
+    for name, columns in outputs:
+        if isinstance(columns, str):                # raw text artifact
+            continue
+        first = {}                                  # column -> (row, value)
+        for h, column in columns.items():
+            a = np.asarray(column)
+            bad = np.flatnonzero(~np.isfinite(a)) if a.dtype.kind == "f" else ()
+            if len(bad):
+                first[h] = int(bad[0]), float(a[bad[0]])
+        if first:
+            h = min(first, key=lambda h: first[h][0])   # the leftmost column among ties
+            i, value = first[h]
+            raise NonFiniteResultError(f"{name}: column {h} is {value!r} in row {i}")
 
 
 # config schema: key -> (parser, default or REQUIRED); a parser takes
@@ -221,21 +232,25 @@ SCHEMAS = {name: {**COMMON, **keys} for name, keys in {
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the checked config and the seed and returns
-# a list of (filename, header, rows)
+# a list of (filename, columns).  A table is an insertion-ordered dict of
+# columns, {name: NumPy array or list}; its key order is the CSV header.  A
+# str in place of the columns is a raw text artifact.
 # ---------------------------------------------------------------------------
+
+def _attrs(items):
+    """column(name): attribute ``name`` of every item, as one column."""
+    return lambda name: [getattr(item, name) for item in items]
+
 
 def run_prior(cfg, seed):
     p, count = cfg["prior"], cfg["sample_count"]
-    row = {
-        "label": p.label, "n_atoms": p.n_atoms,
-        "mean": float(p.weights @ p.values), "rho": p.rho, "D": p.support_bound,
-        "sample_count": count, "sample_mean": 0.0, "sample_second_moment": 0.0,
-    }
-    if count:
-        draws = priors.sample(p, count, rng.stream(seed, rng.tag("prior")))
-        row["sample_mean"] = float(draws.mean())
-        row["sample_second_moment"] = float((draws**2).mean())
-    return [("prior.csv", list(row), [row])]
+    # no draws: both sample moments are 0.0
+    draws = priors.sample(p, count, rng.stream(seed, rng.tag("prior"))) if count else np.zeros(1)
+    return [("prior.csv", {
+        "label": [p.label], "n_atoms": [p.n_atoms], "mean": [float(p.weights @ p.values)],
+        "rho": [p.rho], "D": [p.support_bound], "sample_count": [count],
+        "sample_mean": [float(draws.mean())],
+        "sample_second_moment": [float((draws**2).mean())]})]
 
 
 def _quad(cfg, M):
@@ -254,9 +269,10 @@ def _quad(cfg, M):
 
 def run_mi(cfg, seed):
     p, quad = cfg["prior"], _quad(cfg, 1) or channel.gauss_hermite(replica.DEFAULT_ORDER[1])
-    rows = [{"s": float(s), "mi": channel.mi_scalar_signal(p, float(s), quad),
-             "mmse": channel.mmse_scalar(p, float(s), quad)} for s in cfg["s_grid"]]
-    return [("mi.csv", ["s", "mi", "mmse"], rows)]
+    s = cfg["s_grid"]
+    return [("mi.csv", {"s": s,
+                        "mi": [channel.mi_scalar_signal(p, v, quad) for v in s.tolist()],
+                        "mmse": [channel.mmse_scalar(p, v, quad) for v in s.tolist()]})]
 
 
 def run_potential(cfg, seed):
@@ -264,110 +280,82 @@ def run_potential(cfg, seed):
     quad = _quad(cfg, M)
     if np.any(taus > p.rho + 1e-12):
         raise ConfigError("tau grid must stay in [0, rho]")
-
-    def job(tau):
-        row = {"tau": float(tau), "lambda": lam,
-               "f1": replica.f1_rs(p, float(tau), lam, quad)}
-        if M > 1:
-            ev = replica.fm_rs(p, M, float(tau) * np.eye(M), lam, quad)
-            row["fm_logz"] = ev.value_logz
-            row["fm_mi_form"] = ev.value_mi
-        return row
-
-    rows = [job(tau) for tau in taus]
-    header = ["tau", "lambda", "f1"] + (["fm_logz", "fm_mi_form"] if M > 1 else [])
-    return [("potential.csv", header, rows)]
+    columns = {"tau": taus, "lambda": [lam] * len(taus),
+               "f1": [replica.f1_rs(p, tau, lam, quad) for tau in taus.tolist()]}
+    if M > 1:
+        evs = [replica.fm_rs(p, M, tau * np.eye(M), lam, quad) for tau in taus.tolist()]
+        columns["fm_logz"] = _attrs(evs)("value_logz")
+        columns["fm_mi_form"] = _attrs(evs)("value_mi")
+    return [("potential.csv", columns)]
 
 
 def run_fixed_point(cfg, seed):
-    p, damping, M = cfg["prior"], cfg["damping"], cfg["M"]
+    p, damping, M, lams = cfg["prior"], cfg["damping"], cfg["M"], cfg["lambda_grid"]
     quad = _quad(cfg, M)
     q0 = p.rho if cfg["q0"] is None else cfg["q0"]
     if q0 > p.rho:
         raise ConfigError("q0 must lie in [0, rho]")
-
-    def job(lam):
-        if M == 1:
-            res = replica.f1_fixed_point(p, float(lam), q0, damping, quad)
-            q_out = res.overlap
-        else:
-            res = replica.fm_fixed_point(p, M, float(lam), q0 * np.eye(M), damping, quad)
-            q_out = float(np.trace(res.overlap)) / M
-        return {"lambda": float(lam), "q_star": q_out,
-                "iterations": res.iterations, "residual": res.residual,
-                "converged": res.converged, "potential": res.potential_value}
-
-    rows = [job(lam) for lam in cfg["lambda_grid"]]
-    if cfg["fatal_nonconvergence"] and not all(r["converged"] for r in rows):
+    if M == 1:
+        results = [replica.f1_fixed_point(p, lam, q0, damping, quad) for lam in lams.tolist()]
+        q_star = [res.overlap for res in results]
+    else:
+        results = [replica.fm_fixed_point(p, M, lam, q0 * np.eye(M), damping, quad)
+                   for lam in lams.tolist()]
+        q_star = [float(np.trace(res.overlap)) / M for res in results]
+    column = _attrs(results)
+    if cfg["fatal_nonconvergence"] and not all(column("converged")):
         raise NonConvergenceError("fixed-point iteration did not converge")
-    header = ["lambda", "q_star", "iterations", "residual", "converged", "potential"]
-    return [("fixed_point.csv", header, rows)]
+    return [("fixed_point.csv", {
+        "lambda": lams, "q_star": q_star, "iterations": column("iterations"),
+        "residual": column("residual"), "converged": column("converged"),
+        "potential": column("potential_value")})]
 
 
 def run_phase_scan(cfg, seed):
     p = cfg["prior"]
     scan = replica.phase_scan(p, cfg["lambda_grid"], _quad(cfg, 1))
-    rows = []
-    for i, lam in enumerate(scan.lambdas):
-        in_cell = bool(scan.jump_cell is not None
-                       and scan.jump_cell[0] <= lam <= scan.jump_cell[1])
-        rows.append({"lambda": float(lam), "q_star": float(scan.q_star[i]),
-                     "value": float(scan.value[i]),
-                     "dq_dlambda": float(scan.dq_dlambda[i]),
-                     "mmse_prediction": p.rho**2 - float(scan.q_star[i]) ** 2,
-                     "in_jump_cell": in_cell})
-    header = ["lambda", "q_star", "value", "dq_dlambda", "mmse_prediction",
-              "in_jump_cell"]
-    return [("phase_scan.csv", header, rows)]
+    lo, hi = scan.jump_cell or (math.inf, -math.inf)
+    return [("phase_scan.csv", {
+        "lambda": scan.lambdas, "q_star": scan.q_star, "value": scan.value,
+        "dq_dlambda": scan.dq_dlambda,
+        # Python's ** per value: NumPy's squaring can differ in the last ulp
+        "mmse_prediction": [p.rho**2 - q**2 for q in scan.q_star.tolist()],
+        "in_jump_cell": (lo <= scan.lambdas) & (scan.lambdas <= hi)})]
 
 
 def run_reduce(cfg, seed):
     p, M, n_sigma = cfg["prior"], cfg["M"], cfg["n_sigma"]
-    outputs = []
     reports = reduction.reduction_sweep(p, M, cfg["lambda_grid"])
-    rows = [{
-        "prior": r.prior_label, "M": r.M, "lambda": r.lam,
-        "fm_sup": r.fm_sup_value, "f1_sup": r.f1_sup_value, "gap": r.gap,
-        "isotropy": r.maximizer_isotropy, "near_critical": r.near_critical,
-        "pass_gap": r.passes["gap"], "pass_isotropy": r.passes["isotropy"],
-    } for r in reports]
-    outputs.append(("reduction.csv",
-                    ["prior", "M", "lambda", "fm_sup", "f1_sup", "gap",
-                     "isotropy", "near_critical", "pass_gap", "pass_isotropy"],
-                    rows))
+    column = _attrs(reports)
+    outputs = [("reduction.csv", {
+        "prior": column("prior_label"), "M": column("M"), "lambda": column("lam"),
+        "fm_sup": column("fm_sup_value"), "f1_sup": column("f1_sup_value"),
+        "gap": column("gap"), "isotropy": column("maximizer_isotropy"),
+        "near_critical": column("near_critical"),
+        "pass_gap": [r.passes["gap"] for r in reports],
+        "pass_isotropy": [r.passes["isotropy"] for r in reports]})]
     if n_sigma:
         trim, trace = reduction.noise_inequality_batch(p, M, n_sigma, seed)
-        rows = [{"sample": i, "trim_residual": float(trim[i]),
-                 "trace_residual": float(trace[i])} for i in range(n_sigma)]
-        outputs.append(("noise_checks.csv",
-                        ["sample", "trim_residual", "trace_residual"], rows))
+        outputs.append(("noise_checks.csv", {"sample": np.arange(n_sigma),
+                                             "trim_residual": trim, "trace_residual": trace}))
     return outputs
 
 
 def run_simulate(cfg, seed):
     p, N, M, lam = cfg["prior"], cfg["N"], cfg["M"], cfg["lambda"]
-    eps, replicates = cfg["epsilon"], cfg["replicates"]
+    kw = {"epsilon": cfg["epsilon"], "replicates": cfg["replicates"], "seed": seed}
     simulator._check_budget(p, N, M)
-    outputs = []
     if cfg["posterior"]:
-        summaries = simulator.posterior_replicates(
-            p, N, M, lam, epsilon=eps, replicates=replicates, seed=seed)
-        rows = [{"replicate": r, "free_entropy": s.free_entropy,
-                 "matrix_mmse": s.matrix_mmse, "overlap_fluct": s.overlap_fluct}
-                for r, s in enumerate(summaries)]
-        outputs.append(("simulate.csv",
-                        ["replicate", "free_entropy", "matrix_mmse",
-                         "overlap_fluct"], rows))
+        column = _attrs(simulator.posterior_replicates(p, N, M, lam, **kw))
+        columns = {"free_entropy": column("free_entropy"),
+                   "matrix_mmse": column("matrix_mmse"), "overlap_fluct": column("overlap_fluct")}
     else:
-        vals = simulator.free_entropy_replicates(
-            p, N, M, lam, epsilon=eps, replicates=replicates, seed=seed)
-        rows = [{"replicate": r, "free_entropy": float(v)}
-                for r, v in enumerate(vals)]
-        outputs.append(("simulate.csv", ["replicate", "free_entropy"], rows))
+        columns = {"free_entropy": simulator.free_entropy_replicates(p, N, M, lam, **kw)}
+    outputs = [("simulate.csv", {"replicate": np.arange(len(columns["free_entropy"])),
+                                 **columns})]
     if cfg["dump_instance"]:
         inst = simulator.sample_instance(p, N, M, lam, seed)
-        outputs.append(("instance.json", None,
-                        simulator.instance_to_json(inst, p.label)))
+        outputs.append(("instance.json", simulator.instance_to_json(inst, p.label)))
     return outputs
 
 
@@ -375,23 +363,23 @@ def run_concentration(cfg, seed):
     p, Ns, M, lam = cfg["prior"], cfg["N_grid"], cfg["M"], cfg["lambda"]
     for n in Ns:
         simulator._check_budget(p, n, M)
-
-    def job(n):
-        s_n = float(n) ** (-cfg["s_exponent"])
-        est, se, gamma = simulator.overlap_concentration(
-            p, n, M, lam, s_n, cfg["n_eps"], cfg["replicates"], seed)
-        return {"N": n, "s_N": s_n, "estimate": est, "std_err": se,
-                "gamma": gamma, "ratio": est / gamma}
-
-    rows = [job(n) for n in Ns]
-    header = ["N", "s_N", "estimate", "std_err", "gamma", "ratio"]
-    return [("concentration.csv", header, rows)]
+    try:
+        s = [float(n) ** -cfg["s_exponent"] for n in Ns]
+    except OverflowError:
+        raise ConfigError(f"s_exponent {cfg['s_exponent']!r} makes s_N = N^(-s_exponent) "
+                          f"overflow on N_grid {Ns}") from None
+    est, se, gamma = zip(*(simulator.overlap_concentration(
+        p, n, M, lam, s_n, cfg["n_eps"], cfg["replicates"], seed) for n, s_n in zip(Ns, s)))
+    # gamma = 0.0 (N s_N past the float range) makes a non-finite ratio, not an exception
+    return [("concentration.csv", {"N": Ns, "s_N": s, "estimate": est, "std_err": se,
+                                   "gamma": gamma, "ratio": np.divide(est, gamma)})]
 
 
 def run_cavity(cfg, seed):
     p, lam, n_max, T = cfg["prior"], cfg["lambda"], cfg["N_max"], cfg["T"]
     if T >= n_max:
         raise ConfigError("truncation T must satisfy 0 <= T < N_max")
+    simulator._check_budget(p, n_max, 1)        # before the schedule's arrays of N_max + 1
     schedule = cavity.dims_schedule(cfg["alpha"], cfg["gamma"], n_max)
     if schedule.rank_at(n_max) < 1:
         raise ConfigError("schedule reaches rank 0 at N_max; increase alpha or N_max")
@@ -399,32 +387,25 @@ def run_cavity(cfg, seed):
     table = cavity.build_table(p, lam, schedule, eps, cfg["replicates"], seed, T=T)
     report = cavity.cavity_report(p, lam, schedule, table, T=T)
     inc = report.increments
-
-    table_rows = [{"n": n, "m": m, "L": v[0], "std_err": v[1], "replicates": v[2]}
-                  for (n, m), v in sorted(table.entries.items())]
-    inc_rows = [{"n": int(n), "delta_N": float(inc.delta_N[i]),
-                 "delta_M": float(inc.delta_M[i]),
-                 "delta_N_norm": float(inc.delta_N_norm[i]),
-                 "delta_M_norm": float(inc.delta_M_norm[i]),
-                 "rank_step": bool(inc.increment_steps[i])}
-                for i, n in enumerate(inc.n_values)]
-    report_rows = [{
-        "f1_sup": report.f1_sup_value, "w_N": report.weights[0],
-        "w_M": report.weights[1], "combined": report.combined_mean,
-        "combined_se": report.combined_se,
-        "table_free_entropy": report.table_free_entropy,
-        "table_free_entropy_se": report.table_free_entropy_se,
-        "diff": report.diff, "diff_se": report.diff_se,
-        "plain_combined": report.plain_combined_mean,
-        "plain_diff": report.plain_diff,
-        "telescoping_residual": report.telescoping_residual,
-    }]
+    keys = sorted(table.entries)
+    L, se, count = zip(*map(table.entries.get, keys))
     return [
-        ("cavity_table.csv", ["n", "m", "L", "std_err", "replicates"], table_rows),
-        ("cavity_increments.csv",
-         ["n", "delta_N", "delta_M", "delta_N_norm", "delta_M_norm", "rank_step"],
-         inc_rows),
-        ("cavity_report.csv", list(report_rows[0]), report_rows),
+        ("cavity_table.csv", {"n": [n for n, _ in keys], "m": [m for _, m in keys],
+                              "L": L, "std_err": se, "replicates": count}),
+        ("cavity_increments.csv", {
+            "n": inc.n_values, "delta_N": inc.delta_N, "delta_M": inc.delta_M,
+            "delta_N_norm": inc.delta_N_norm, "delta_M_norm": inc.delta_M_norm,
+            "rank_step": inc.increment_steps}),
+        ("cavity_report.csv", {
+            "f1_sup": [report.f1_sup_value], "w_N": [report.weights[0]],
+            "w_M": [report.weights[1]], "combined": [report.combined_mean],
+            "combined_se": [report.combined_se],
+            "table_free_entropy": [report.table_free_entropy],
+            "table_free_entropy_se": [report.table_free_entropy_se],
+            "diff": [report.diff], "diff_se": [report.diff_se],
+            "plain_combined": [report.plain_combined_mean],
+            "plain_diff": [report.plain_diff],
+            "telescoping_residual": [report.telescoping_residual]}),
     ]
 
 
@@ -510,13 +491,12 @@ def main(argv=None) -> int:
             seed = meta["seed"] = cfg["seed"] if args.seed is None else args.seed
             outputs = HANDLERS[args.subcommand](cfg, seed)
             _check_finite(outputs)
-            for name, header, rows in outputs:
-                if header is None:                      # raw text artifact
-                    path = out_dir / name
-                    path.write_text(rows)
-                    meta["outputs"].append(name)
+            for name, columns in outputs:
+                if isinstance(columns, str):            # raw text artifact
+                    (out_dir / name).write_text(columns)
                 else:
-                    _write_csv(out_dir / name, header, rows, meta)
+                    _write_csv(out_dir / name, columns, seed, meta["config_sha256"])
+                meta["outputs"].append(name)
         code = EXIT_OK
     except Exception as exc:    # the boundary: every failure is reported, none escapes
         kind, code = next((k, c) for t, k, c in FAILURES if isinstance(exc, t))

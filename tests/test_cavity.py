@@ -43,6 +43,22 @@ class TestSchedule:
         sch = cavity.dims_schedule(0.7, 0.8, 200)
         assert np.all(np.diff(sch.m_of_n) >= 0)
 
+    @pytest.mark.parametrize("alpha,gamma,n_max", [(1.0, 50, 3), (1e300, 0.5, 8),
+                                                   (1e300, 0.0, 1), (2.0**53 + 2, 0.0, 1)])
+    def test_rejects_rank_past_exact_integers(self, alpha, gamma, n_max):
+        """Past 2^53 floor(alpha n^gamma) is no exact rank, and past 2^63 the
+        int64 cast would wrap it negative."""
+        with pytest.raises(ValueError, match=r"above 2\^53"):
+            cavity.dims_schedule(alpha, gamma, n_max)
+
+    def test_inverse_built_on_first_use(self):
+        """A rank of 2^50 is a valid schedule; only its inverse, 2^50 + 1
+        entries, could not be built."""
+        sch = cavity.dims_schedule(1.0, 50, 2)
+        assert sch.rank_at(2) == 2**50
+        small = cavity.dims_schedule(1.0, 0.5, 16)
+        assert small.n_of_m.tolist() == [0, 1, 4, 9, 16]
+
 
 class TestWeights:
     @pytest.mark.parametrize("gamma", [1 / 3, 0.5, 1.0])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wignerlab import cli, gauss_hermite, make_rademacher, replica
@@ -178,6 +178,90 @@ class TestDeterminism:
                        "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
 
 
+SCAN_GRID = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25]
+PROVENANCE = ["seed", "config_sha256"]
+
+
+class TestOutputFormat:
+    """The header of every file and the cell format are fixed: both are part
+    of the byte-identity contract."""
+
+    @pytest.mark.parametrize("subcommand,config,headers", [
+        ("prior", {"prior": "uniform", "sample_count": 3},
+         {"prior.csv": ["label", "n_atoms", "mean", "rho", "D", "sample_count",
+                        "sample_mean", "sample_second_moment"]}),
+        ("mi", {"prior": "rademacher", "s_grid": [0.5], "quad_order": 8},
+         {"mi.csv": ["s", "mi", "mmse"]}),
+        ("potential", {"prior": "rademacher", "tau_grid": [0.5]},
+         {"potential.csv": ["tau", "lambda", "f1"]}),
+        ("potential", {"prior": "rademacher", "M": 2, "tau_grid": [0.5], "quad_order": 8},
+         {"potential.csv": ["tau", "lambda", "f1", "fm_logz", "fm_mi_form"]}),
+        ("fixed-point", {"prior": "rademacher", "lambda_grid": [1.5], "quad_order": 8},
+         {"fixed_point.csv": ["lambda", "q_star", "iterations", "residual", "converged",
+                              "potential"]}),
+        ("phase-scan", {"prior": "rademacher", "lambda_grid": SCAN_GRID, "quad_order": 8},
+         {"phase_scan.csv": ["lambda", "q_star", "value", "dq_dlambda", "mmse_prediction",
+                             "in_jump_cell"]}),
+        ("reduce", {"prior": "rademacher", "M": 2, "lambda_grid": [0.5], "n_sigma": 2},
+         {"reduction.csv": ["prior", "M", "lambda", "fm_sup", "f1_sup", "gap", "isotropy",
+                            "near_critical", "pass_gap", "pass_isotropy"],
+          "noise_checks.csv": ["sample", "trim_residual", "trace_residual"]}),
+        ("simulate", {"prior": "rademacher", "N": 2, "replicates": 2},
+         {"simulate.csv": ["replicate", "free_entropy"]}),
+        ("simulate", {"prior": "rademacher", "N": 2, "replicates": 2, "posterior": True},
+         {"simulate.csv": ["replicate", "free_entropy", "matrix_mmse", "overlap_fluct"]}),
+        ("concentration", {"prior": "rademacher", "N_grid": [2], "replicates": 2, "n_eps": 2},
+         {"concentration.csv": ["N", "s_N", "estimate", "std_err", "gamma", "ratio"]}),
+        ("cavity", {"prior": "rademacher", "N_max": 3, "replicates": 2},
+         {"cavity_table.csv": ["n", "m", "L", "std_err", "replicates"],
+          "cavity_increments.csv": ["n", "delta_N", "delta_M", "delta_N_norm",
+                                    "delta_M_norm", "rank_step"],
+          "cavity_report.csv": ["f1_sup", "w_N", "w_M", "combined", "combined_se",
+                                "table_free_entropy", "table_free_entropy_se", "diff",
+                                "diff_se", "plain_combined", "plain_diff",
+                                "telescoping_residual"]}),
+    ])
+    def test_headers(self, tmp_path, subcommand, config, headers):
+        code, out = run(tmp_path, subcommand, config, "hdr", seed=1)
+        assert code == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(headers)
+        for name, header in headers.items():
+            with open(out / name, newline="") as fh:
+                assert next(csv.reader(fh)) == header + PROVENANCE
+
+    def test_cells(self, tmp_path):
+        """Bools as true/false, integers as written, floats as their shortest
+        round-trip repr, minimal quoting."""
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, {
+            "flag": np.array([True, False, True]),
+            "count": np.array([3, -1, 0], dtype=np.int64),
+            "lambda": [2, 2, 2],
+            "big": [10**20] * 3,
+            "x": np.array([-0.0, 5e-324, 0.1]),
+            "label": ['a,b "q"', "uniform(D=1,n=16)", "plain"],
+        }, 7, "abc")
+        assert path.read_bytes() == (
+            b'flag,count,lambda,big,x,label,seed,config_sha256\n'
+            b'true,3,2,100000000000000000000,-0.0,"a,b ""q""",7,abc\n'
+            b'false,-1,2,100000000000000000000,5e-324,"uniform(D=1,n=16)",7,abc\n'
+            b'true,0,2,100000000000000000000,0.1,plain,7,abc\n')
+
+    def test_first_non_finite_in_row_major_order(self):
+        """The earliest row wins over the earlier column, and the value prints
+        as a Python float, not as np.float64(...)."""
+        outputs = [("ok.csv", {"x": [1.0]}), ("raw.json", "nan"),
+                   ("t.csv", {"a": np.array([1.0, 2.0, math.nan]),
+                              "b": np.array([1.0, -math.inf, math.nan]),
+                              "c": [0.0, math.nan, 1.0]})]
+        with pytest.raises(cli.NonFiniteResultError, match=r"^t\.csv: column b is -inf in row 1$"):
+            cli._check_finite(outputs)
+
+    def test_int_and_text_never_flagged(self):
+        cli._check_finite([("t.csv", {"n": np.array([1, 2]), "big": [10**400, 1],
+                                      "label": ["nan", "inf"], "flag": [True, False]})])
+
+
 class TestExitCodes:
     def test_validation_error(self, tmp_path):
         code, out = run(tmp_path, "phase-scan",
@@ -194,6 +278,15 @@ class TestExitCodes:
         code, _ = run(tmp_path, "simulate",
                       {"prior": "rademacher", "N": 40, "M": 2, "lambda": 1.0,
                        "replicates": 2}, "bad3")
+        assert code == 3
+
+    @pytest.mark.parametrize("config", [
+        {"prior": "rademacher", "N_max": 10**15, "replicates": 2},
+        # rank 2^50 at N_max = 2: refused by the budget, not by allocating 2^50 entries
+        {"prior": "rademacher", "gamma": 50, "N_max": 2, "replicates": 2},
+    ])
+    def test_cavity_budget_overflow(self, tmp_path, config):
+        code, _ = run(tmp_path, "cavity", config, "bad3c")
         assert code == 3
 
     def test_fatal_nonconvergence(self, tmp_path):
@@ -253,6 +346,16 @@ class TestExitCodes:
         assert meta["outputs"] == []
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_concentration_scale_past_float_range(self, tmp_path, capsys):
+        """s_N = 2^1023 is finite, but N s_N is not: Gamma = 0 makes the ratio
+        non-finite, which is reported as such, not as a ZeroDivisionError."""
+        code, _ = run(tmp_path, "concentration",
+                      {"prior": "rademacher", "N_grid": [2], "replicates": 2, "n_eps": 2,
+                       "s_exponent": -1023}, "huge")
+        assert code == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "non-finite"
+
     def test_unexpected_exception(self, tmp_path, capsys, monkeypatch):
         """A bug surfaces as exit 5 with a record and a partial manifest."""
         def broken(cfg, seed):
@@ -271,9 +374,6 @@ class TestExitCodes:
         code = cli.main(["mi", "--config", str(tmp_path / "nope.json")])
         assert code == 2
         assert "error" in capsys.readouterr().err
-
-
-SCAN_GRID = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25]
 
 
 class TestMalformedInput:
@@ -320,6 +420,7 @@ class TestMalformedInput:
                        "tau_grid": [0.5]}),
         ("fixed-point", {"prior": "rademacher", "M": 3, "quad_order": 129,
                          "lambda_grid": [0.5]}),
+        ("concentration", {"prior": "rademacher", "N_grid": [2], "s_exponent": -1e300}),
     ])
     def test_validation_exit(self, tmp_path, capsys, subcommand, config):
         code, out = run(tmp_path, subcommand, config, "bad")
@@ -332,6 +433,19 @@ class TestMalformedInput:
         assert meta["partial"] is True
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("subcommand,config,phrase", [
+        # no exact integer rank past 2^53; past 2^63 the int64 cast would wrap
+        ("cavity", {"prior": "rademacher", "gamma": 50, "N_max": 3}, "above 2^53"),
+        ("cavity", {"prior": "rademacher", "alpha": 1e300}, "above 2^53"),
+        ("concentration", {"prior": "rademacher", "N_grid": [2], "s_exponent": -1e300},
+         "s_exponent"),
+    ])
+    def test_validation_detail(self, tmp_path, capsys, subcommand, config, phrase):
+        code, _ = run(tmp_path, subcommand, config, "bad")
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert phrase in record["detail"]
 
     @pytest.mark.parametrize("text", [None, '{"prior": '])
     def test_unreadable_config_file(self, tmp_path, capsys, text):
@@ -382,6 +496,8 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
+# finite numbers whose powers overflow, or fall far past a float's exact integers
+EXTREME = st.sampled_from([50, 1e300, -1e300])
 # per key, values that are often valid, so that the fuzz reaches the computations
 VALID = {
     "prior": st.sampled_from([
@@ -399,6 +515,13 @@ VALID = {
     "replicates": st.integers(1, 4),
     "posterior": st.booleans(),
     "dump_instance": st.booleans(),
+    "alpha": st.floats(0.5, 2.0) | EXTREME,
+    "gamma": st.floats(0.0, 1.0) | EXTREME,
+    "s_exponent": st.floats(-0.5, 0.5) | EXTREME,
+    "N_max": st.integers(1, 4),
+    "T": st.integers(0, 3),
+    "N_grid": st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    "n_eps": st.integers(2, 3),
 }
 # subcommand -> (a valid config, every key it accepts)
 FUZZ_CASES = {
@@ -409,6 +532,12 @@ FUZZ_CASES = {
     "simulate": ({"prior": "rademacher", "N": 2, "replicates": 2},
                  ["prior", "seed", "N", "M", "lambda", "epsilon", "replicates",
                   "posterior", "dump_instance"]),
+    "concentration": ({"prior": "rademacher", "N_grid": [2, 3], "replicates": 2, "n_eps": 2},
+                      ["prior", "seed", "N_grid", "M", "lambda", "s_exponent", "n_eps",
+                       "replicates"]),
+    "cavity": ({"prior": "rademacher", "N_max": 2, "replicates": 2},
+               ["prior", "seed", "lambda", "alpha", "gamma", "N_max", "T", "replicates",
+                "epsilon"]),
 }
 
 
@@ -421,7 +550,7 @@ def fuzzed_configs(draw):
     config = dict(base)
     if draw(st.integers(0, 9)) == 0:
         del config[draw(st.sampled_from(sorted(config)))]
-    keys = st.sampled_from(known) | st.sampled_from(["replicats", "kind"])
+    keys = st.sampled_from(known + ["replicats", "kind"])
     for key in draw(st.lists(keys, max_size=3, unique=True)):
         config[key] = draw(VALID.get(key, JSON_VALUES) | JSON_VALUES)
     if draw(st.integers(0, 19)) == 0:
@@ -430,9 +559,14 @@ def fuzzed_configs(draw):
 
 
 class TestFuzz:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(fuzzed_configs())
+    # extreme but finite inputs, always run: a schedule of rank 2^50, whose
+    # inverse cannot be built, and s_N = 2^(1e300), past the float range
+    @example(("cavity", {"prior": "rademacher", "N_max": 2, "replicates": 2, "gamma": 50}))
+    @example(("concentration", {"prior": "rademacher", "N_grid": [2], "replicates": 2,
+                                "n_eps": 2, "s_exponent": -1e300}))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fails_closed(self, case):
         """Never a traceback; always a manifest; a failure is exactly one JSON
