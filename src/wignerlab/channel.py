@@ -12,8 +12,8 @@ and their M-dimensional analogues with product input P_X^(x)M:
 * noise-scaled:   y = x0 + Sigma^(1/2) z          (``mi_vector``)
 
 All expectations over the input are exact atom sums; expectations over the
-Gaussian use Gauss-Hermite quadrature (tensorized up to dimension 3) or Monte
-Carlo above that.  Likelihood ratios are always formed in log space.
+Gaussian use NumPy's Gauss-Hermite_e rule (tensorized up to dimension 3) or
+Monte Carlo above that.  Likelihood ratios are always formed in log space.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import logsumexp
+from numpy.polynomial.hermite_e import hermegauss
 
 from .priors import Prior
 
@@ -93,26 +92,18 @@ class NoiseCovariance:
 
 @lru_cache(maxsize=32)
 def gauss_hermite(order: int) -> GaussQuadrature:
-    """Golub-Welsch rule for the unit-variance Gaussian weight.
+    """Gauss-Hermite rule for the unit-variance Gaussian weight.
 
-    Eigen-decomposition of the symmetric Jacobi matrix of the probabilists'
-    Hermite polynomials (off-diagonal sqrt(1..n-1)); weights are the squared
-    first eigenvector components.  Nodes are symmetrized so that odd moments
-    vanish identically.
+    NumPy's rule for the probabilists' Hermite polynomials (``hermegauss``,
+    weight exp(-z^2/2)), with the nodes symmetrized so that odd moments
+    vanish identically and the weights normalized to sum to 1.
     """
     if not 1 <= order <= 256:
         raise ValueError(f"order must be in [1, 256], got {order}")
-    if order == 1:
-        return GaussQuadrature(nodes=np.zeros(1), weights=np.ones(1), order=1)
-    diag = np.zeros(order)
-    off = np.sqrt(np.arange(1.0, order))
-    # the default driver underflows the tiny edge weights to zero
-    nodes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stev")
-    weights = vecs[0] ** 2
+    nodes, weights = hermegauss(order)
     nodes = (nodes - nodes[::-1]) / 2.0
     weights = (weights + weights[::-1]) / 2.0
-    weights = weights / weights.sum()
-    return GaussQuadrature(nodes=nodes, weights=weights, order=order)
+    return GaussQuadrature(nodes=nodes, weights=weights / weights.sum(), order=order)
 
 
 def tensor_nodes(quad: GaussQuadrature, dim: int):
@@ -131,6 +122,12 @@ def atom_grid(prior: Prior, dim: int):
     values = prior.values[idx]
     logw = np.log(prior.weights)[idx].sum(axis=1)
     return values, logw
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """ln sum exp(a) along ``axis``, with the maximum factored out."""
+    top = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
 
 
 def logsumexp_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -152,7 +149,7 @@ def logsumexp_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     inner[lost] = 1.0
     out = a_max + b_max + np.log(inner)
     rows, cols = np.broadcast_arrays(A[..., :, None, :], B.swapaxes(-1, -2)[..., None, :, :])
-    out[lost] = logsumexp(rows[lost] + cols[lost], axis=-1)
+    out[lost] = _logsumexp(rows[lost] + cols[lost], axis=-1)
     return out
 
 
@@ -171,7 +168,7 @@ def mi_scalar_signal(prior: Prior, s: float, quad: GaussQuadrature) -> float:
     d = v[None, :] - v[:, None]
     drift = s * v[:, None, None] + np.sqrt(s) * z[None, None, :]
     arg = drift * d[:, :, None] - 0.5 * s * (v[None, :, None] ** 2 - v[:, None, None] ** 2)
-    lse = logsumexp(arg + logw[None, :, None], axis=1)
+    lse = _logsumexp(arg + logw[None, :, None], axis=1)
     value = -float(prior.weights @ (lse @ quad.weights))
     return max(value, 0.0) if value > -1e-12 else value
 
@@ -268,7 +265,7 @@ def _mi_vector_mc(prior, inv_sqrt, n_samples, rng):
         z = rng.standard_normal((b, M))
         U = x0 @ inv_sqrt.T                       # rows: S x0
         arg = (E @ z.T) + (E @ U.T) - half_norms[:, None] + logw[:, None]
-        lse = logsumexp(arg, axis=0)
+        lse = _logsumexp(arg, axis=0)
         own = np.sum(U * z, axis=1) + 0.5 * np.sum(U * U, axis=1)
         samples.append(own - lse)
         done += b

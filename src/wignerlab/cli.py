@@ -153,6 +153,8 @@ def _int(lo, hi=math.inf):
 
 _flag = _value(bool, "true or false")
 _text = _value(str, "a string")
+# csv quotes a "\n" in a cell but leaves a "\r" bare, which splits the row on reading
+_label = _value(str, "a string without a carriage return", lambda v: "\r" not in v)
 
 
 def _list(each):
@@ -184,7 +186,7 @@ PRIOR_KINDS = {
                           lambda s: priors.make_sparse_rademacher(s["p"])),
     "uniform": ({"D": (_number(0, above=True), 1.0), "n_nodes": (_int(2), 16)},
                 lambda s: priors.make_discretized_uniform(s["D"], s["n_nodes"])),
-    "atoms": ({"atoms": (_list(_list(_number())), REQUIRED), "label": (_text, "custom")},
+    "atoms": ({"atoms": (_list(_list(_number())), REQUIRED), "label": (_label, "custom")},
               lambda s: priors.make_prior(s["atoms"], label=s["label"])),
 }
 
@@ -200,7 +202,8 @@ def _prior(value, name):
     return make(_fields({"kind": (_text, REQUIRED), **schema}, spec, name))
 
 
-COMMON = {"prior": (_prior, REQUIRED), "seed": (_int(0), 0)}
+SEED = _int(0)
+COMMON = {"prior": (_prior, REQUIRED), "seed": (SEED, 0)}
 # quad_order: Gauss-Hermite nodes per axis for every potential of the run;
 # unset, each potential takes its default order (replica.DEFAULT_ORDER)
 QUAD = {"quad_order": (_int(1, 256), None)}
@@ -443,13 +446,9 @@ def _counting(counter, show):
 
 
 def _environment():
-    """Interpreter, NumPy and SciPy versions and the CPU count.  The versions
-    come from modules already loaded, so recording them imports nothing."""
-    scipy = sys.modules.get("scipy")
+    """Interpreter and NumPy versions and the CPU count."""
     return {"python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__,
-            "scipy": getattr(scipy, "__version__", None),
-            "cpu_count": os.cpu_count()}
+            "numpy": np.__version__, "cpu_count": os.cpu_count()}
 
 
 def _error_record(kind, detail):
@@ -488,7 +487,7 @@ def main(argv=None) -> int:
             config = meta["config"] = _read_config(args.config)
             meta["config_sha256"] = _config_hash(config)
             cfg = _fields(SCHEMAS[args.subcommand], config, "config")
-            seed = meta["seed"] = cfg["seed"] if args.seed is None else args.seed
+            seed = meta["seed"] = cfg["seed"] if args.seed is None else SEED(args.seed, "--seed")
             outputs = HANDLERS[args.subcommand](cfg, seed)
             _check_finite(outputs)
             for name, columns in outputs:

@@ -126,12 +126,13 @@ def reduction_sweep(prior: Prior, M: int, lambda_grid, quad: GaussQuadrature | N
     if M not in (2, 3):
         raise ValueError("the reduction sweep covers M in {2, 3}")
     lams = np.asarray(lambda_grid, dtype=float)
-    jump_cell = None
-    if lams.size >= 8:
-        jump_cell = phase_scan(prior, lams, quad).jump_cell
+    if lams.size >= 8:          # the scan's suprema serve the rows too
+        scan = phase_scan(prior, lams, quad)
+        jump_cell, f1 = scan.jump_cell, zip(scan.value.tolist(), scan.q_star.tolist())
+    else:
+        jump_cell, f1 = None, (f1_sup(prior, float(lam), quad) for lam in lams)
     reports = []
-    for lam in lams:
-        f1_value, q_star = f1_sup(prior, float(lam), quad)
+    for lam, (f1_value, q_star) in zip(lams, f1):
         fm_value, Q_star = fm_sup(prior, M, float(lam))
         gap = abs(fm_value - f1_value)
         iso = float(np.linalg.norm(Q_star - q_star * np.eye(M), "fro"))

@@ -36,6 +36,7 @@ import numpy as np
 from .channel import (
     _TINY,
     GaussQuadrature,
+    _logsumexp,
     atom_grid,
     gauss_hermite,
     logsumexp_matmul,
@@ -399,13 +400,11 @@ def _fm_monte_carlo(prior, M, Q, lam, budget, rng):
         # log partition: coupling lam x0' Q x + sqrt(lam) x' sqrt(Q) z
         arg = (values @ (lam * (x0 @ Q).T + math.sqrt(lam) * (z @ sqrt_Q).T)
                - quad_term[:, None] + logw[:, None])
-        amax = arg.max(axis=0)
-        ln_z_samples[done:done + b] = amax + np.log(np.exp(arg - amax).sum(axis=0))
+        ln_z_samples[done:done + b] = _logsumexp(arg, axis=0)
         # channel information with the same draws
         U = x0 @ S.T
         arg_mi = (E @ z.T) + (E @ U.T) - half_norms[:, None] + logw[:, None]
-        amax = arg_mi.max(axis=0)
-        lse = amax + np.log(np.exp(arg_mi - amax).sum(axis=0))
+        lse = _logsumexp(arg_mi, axis=0)
         mi_samples[done:done + b] = np.sum(U * z, axis=1) + 0.5 * np.sum(U * U, axis=1) - lse
         done += b
     return float(ln_z_samples.mean()), float(mi_samples.mean())

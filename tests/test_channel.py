@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
 from wignerlab import channel
@@ -23,7 +24,40 @@ def binary_mi_oracle(s):
     return s - val
 
 
+def golub_welsch(order):
+    """The Golub-Welsch rule, symmetrized and normalized: nodes are the
+    eigenvalues of the probabilists' Hermite Jacobi matrix (off-diagonal
+    sqrt(1..n-1)), weights the squared first eigenvector components."""
+    if order == 1:
+        return np.zeros(1), np.ones(1)
+    # the default driver underflows the tiny edge weights to zero
+    nodes, vecs = eigh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1.0, order)),
+                                   lapack_driver="stev")
+    weights = vecs[0] ** 2
+    nodes = (nodes - nodes[::-1]) / 2.0
+    weights = (weights + weights[::-1]) / 2.0
+    return nodes, weights / weights.sum()
+
+
+ORDERS = [1, 2, 8, 14, 20, 24, 40, 64, 256]     # the orders in use and both ends
+
+
 class TestGaussHermite:
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_exact_even_moments(self, order):
+        """E z^(2k) = (2k-1)!! for every 2k < min(2 order, 80)."""
+        q = channel.gauss_hermite(order)
+        for k in range(min(order, 40)):
+            exact = math.prod(range(2 * k - 1, 0, -2))
+            assert abs(q.weights @ q.nodes ** (2 * k) - exact) <= 1e-13 * exact, k
+
+    @pytest.mark.parametrize("order", ORDERS + [128])
+    def test_matches_golub_welsch(self, order):
+        q = channel.gauss_hermite(order)
+        nodes, weights = golub_welsch(order)
+        np.testing.assert_allclose(q.nodes, nodes, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(q.weights, weights, rtol=5e-12, atol=0)
+
     def test_order_one(self):
         q = channel.gauss_hermite(1)
         np.testing.assert_array_equal(q.nodes, [0.0])
@@ -47,6 +81,18 @@ class TestGaussHermite:
         q = channel.gauss_hermite(order)
         assert np.all(q.weights > 0)
         assert abs(q.weights.sum() - 1.0) <= 1e-12
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_matches_scipy(self, rng, axis):
+        a = rng.normal(scale=30.0, size=(7, 9))
+        a[0] += 800.0
+        a[1] -= 800.0
+        a[2, :4] = 800.0 + rng.normal(size=4)
+        a[3, :4] = -800.0 + rng.normal(size=4)
+        np.testing.assert_allclose(channel._logsumexp(a, axis), logsumexp(a, axis=axis),
+                                   rtol=1e-13, atol=0)
 
 
 class TestLogsumexpMatmul:

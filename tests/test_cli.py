@@ -170,12 +170,22 @@ class TestDeterminism:
         assert len(meta["config_sha256"]) == 64
 
     def test_manifest_records_environment(self, tmp_path):
-        import scipy
-
         _, out = run(tmp_path, "prior", {"prior": "rademacher"}, "e1", seed=3)
         env = json.loads((out / "prior_manifest.json").read_text())["env"]
         assert env == {"python": platform.python_version(), "numpy": np.__version__,
-                       "scipy": scipy.__version__, "cpu_count": os.cpu_count()}
+                       "cpu_count": os.cpu_count()}
+
+    def test_cli_imports_no_scipy(self):
+        """NumPy is the only runtime dependency: a fresh interpreter that
+        imports the CLI has loaded no SciPy module."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        code = ("import sys, wignerlab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=60)
+        assert proc.stdout.strip() == "[]"
 
 
 SCAN_GRID = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25]
@@ -421,6 +431,9 @@ class TestMalformedInput:
         ("fixed-point", {"prior": "rademacher", "M": 3, "quad_order": 129,
                          "lambda_grid": [0.5]}),
         ("concentration", {"prior": "rademacher", "N_grid": [2], "s_exponent": -1e300}),
+        # csv would leave the "\r" unquoted and the row would read back as two
+        ("prior", {"prior": {"kind": "atoms", "atoms": [[1, 0.5], [-1, 0.5]],
+                             "label": "a\rb"}}),
     ])
     def test_validation_exit(self, tmp_path, capsys, subcommand, config):
         code, out = run(tmp_path, subcommand, config, "bad")
@@ -433,19 +446,32 @@ class TestMalformedInput:
         assert meta["partial"] is True
         assert not list(out.glob("*.csv"))
 
-    @pytest.mark.parametrize("subcommand,config,phrase", [
+    @pytest.mark.parametrize("subcommand,config,seed,phrase", [
         # no exact integer rank past 2^53; past 2^63 the int64 cast would wrap
-        ("cavity", {"prior": "rademacher", "gamma": 50, "N_max": 3}, "above 2^53"),
-        ("cavity", {"prior": "rademacher", "alpha": 1e300}, "above 2^53"),
-        ("concentration", {"prior": "rademacher", "N_grid": [2], "s_exponent": -1e300},
-         "s_exponent"),
+        pytest.param("cavity", {"prior": "rademacher", "gamma": 50, "N_max": 3}, None,
+                     "above 2^53", id="cavity-config0-above 2^53"),
+        pytest.param("cavity", {"prior": "rademacher", "alpha": 1e300}, None,
+                     "above 2^53", id="cavity-config1-above 2^53"),
+        pytest.param("concentration", {"prior": "rademacher", "N_grid": [2],
+                                       "s_exponent": -1e300}, None,
+                     "s_exponent", id="concentration-config2-s_exponent"),
+        # --seed goes through the config seed's parser, before any handler runs
+        pytest.param("prior", {"prior": "rademacher"}, -1, "--seed",
+                     id="prior-no-draws-seed-1"),
+        pytest.param("prior", {"prior": "rademacher", "sample_count": 3}, -1, "--seed",
+                     id="prior-draws-seed-1"),
+        pytest.param("simulate", {"prior": "rademacher", "N": 3, "replicates": 2}, -1,
+                     "--seed", id="simulate-seed-1"),
     ])
-    def test_validation_detail(self, tmp_path, capsys, subcommand, config, phrase):
-        code, _ = run(tmp_path, subcommand, config, "bad")
+    def test_validation_detail(self, tmp_path, capsys, subcommand, config, seed, phrase):
+        code, out = run(tmp_path, subcommand, config, "bad", seed=seed)
         assert code == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"
         assert phrase in record["detail"]
+        manifest = out / f"{subcommand.replace('-', '_')}_manifest.json"
+        assert json.loads(manifest.read_text())["partial"] is True
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("text", [None, '{"prior": '])
     def test_unreadable_config_file(self, tmp_path, capsys, text):

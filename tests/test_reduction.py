@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wignerlab import reduction
+from wignerlab import reduction, replica
 
 
 class TestRandomCovariance:
@@ -73,6 +73,22 @@ class TestReductionSweep:
         from wignerlab import make_sparse_rademacher
         (report,) = reduction.reduction_sweep(make_sparse_rademacher(0.5), 2, [4.0])
         assert report.gap <= 1e-3
+
+    def test_scan_suprema_reused(self, rademacher, monkeypatch):
+        """With 8 or more SNRs the phase scan's suprema fill the rows: one
+        f1_sup call per SNR, and every row holds that call's own value."""
+        f1_sup, calls = replica.f1_sup, []
+
+        def counted(prior, lam, quad=None):
+            calls.append(lam)
+            return f1_sup(prior, lam, quad)
+        monkeypatch.setattr(replica, "f1_sup", counted)
+        monkeypatch.setattr(reduction, "f1_sup", counted)
+        lams = np.linspace(0.5, 2.25, 8)
+        reports = reduction.reduction_sweep(rademacher, 2, lams)
+        assert len(calls) == 8
+        for r, lam in zip(reports, lams.tolist()):
+            assert r.f1_sup_value == f1_sup(rademacher, lam)[0]
 
     def test_rejects_large_rank(self, rademacher):
         with pytest.raises(ValueError):
