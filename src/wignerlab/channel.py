@@ -14,11 +14,19 @@ and their M-dimensional analogues with product input P_X^(x)M:
 All expectations over the input are exact atom sums; expectations over the
 Gaussian use NumPy's Gauss-Hermite_e rule (tensorized up to dimension 3) or
 Monte Carlo above that.  Likelihood ratios are always formed in log space.
+
+Tensor grids are built once per (rule, dimension, halved) and kept on the rule.
+When the prior is sign-symmetric and the rule is symmetric (nodes = -nodes
+reversed, palindromic weights; every ``gauss_hermite`` rule is), the integrand
+at (-x0, -z) equals the one at (x0, z), so after the exact sum over x0 it is an
+even function of z.  The halved grid then keeps each tensor node whose first
+nonzero coordinate is positive, with doubled weight (the all-zero node of an
+odd order keeps its weight): about half the nodes, the same quadrature sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -55,6 +63,14 @@ class GaussQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     order: int
+    # tensor grids of this rule, by (dim, halved); see ``tensor_nodes``
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether z -> -z maps the rule to itself, node for node."""
+        return bool(np.array_equal(self.nodes, -self.nodes[::-1])
+                    and np.array_equal(self.weights, self.weights[::-1]))
 
     def __post_init__(self):
         n = np.asarray(self.nodes, dtype=float)
@@ -106,13 +122,29 @@ def gauss_hermite(order: int) -> GaussQuadrature:
     return GaussQuadrature(nodes=nodes, weights=weights / weights.sum(), order=order)
 
 
-def tensor_nodes(quad: GaussQuadrature, dim: int):
-    """Tensorized grid: nodes (order^dim, dim) and product weights (order^dim,)."""
-    grids = np.meshgrid(*([quad.nodes] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([quad.weights] * dim), indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    return nodes, weights
+def tensor_nodes(quad: GaussQuadrature, dim: int, halved: bool = False):
+    """Tensorized grid: nodes (order^dim, dim) and product weights (order^dim,),
+    built once per (rule, dim, halved) and returned read-only.  ``halved``
+    allows one node of each +- pair, with doubled weight, for an integrand even
+    in z; a rule that is not ``symmetric`` keeps the full grid."""
+    key = (dim, halved and quad.symmetric)
+    if key not in quad._grids:
+        grids = np.meshgrid(*([quad.nodes] * dim), indexing="ij")
+        nodes = np.stack([g.ravel() for g in grids], axis=1)
+        wgrids = np.meshgrid(*([quad.weights] * dim), indexing="ij")
+        weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+        if key[1]:
+            # the grid is lexicographic in ascending nodes, so negation reverses
+            # it: the upper half holds the nodes with a positive first nonzero
+            # coordinate, preceded by the all-zero node when the order is odd
+            start = len(weights) // 2
+            nodes, weights = nodes[start:].copy(), 2.0 * weights[start:]
+            if quad.order % 2:
+                weights[0] /= 2.0
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        quad._grids[key] = nodes, weights
+    return quad._grids[key]
 
 
 def atom_grid(prior: Prior, dim: int):
@@ -232,12 +264,16 @@ def mi_vector_signal(prior: Prior, gain: np.ndarray, quad: GaussQuadrature) -> f
     Works for any PSD gain including singular ones.  The log likelihood ratio
     reduces to -ln sum_k W_k exp(e_k' z - |e_k|^2/2) with e_k = G(v_k - x0),
     which is evaluated for all (x0, z) pairs through one stabilized
-    exp-matmul per input configuration.
+    exp-matmul per input configuration.  For a sign-symmetric prior the ratio
+    at (-x0, -z) equals the one at (x0, z), so the grid may be halved.
     """
     gain = np.asarray(gain, dtype=float)
-    M = gain.shape[0]
+    if gain.ndim != 2 or gain.shape[0] != gain.shape[1] or not 1 <= len(gain) <= 3:
+        raise ValueError(f"gain must be a square matrix of dimension 1..3, "
+                         f"got shape {gain.shape}")
+    M = len(gain)
     values, logw = atom_grid(prior, M)            # (K, M), (K,)
-    z_nodes, z_w = tensor_nodes(quad, M)          # (Nz, M), (Nz,)
+    z_nodes, z_w = tensor_nodes(quad, M, halved=prior.sign_symmetric)
     E = values @ gain.T                           # rows: G v_k
     # G[k, n] = (G v_k)' z_n - |G v_k|^2 / 2 + ln W_k   (x0-independent part)
     G_part = E @ z_nodes.T - 0.5 * np.sum(E * E, axis=1)[:, None] + logw[:, None]

@@ -48,6 +48,13 @@ class Prior:
     def n_atoms(self) -> int:
         return self.values.size
 
+    @property
+    def sign_symmetric(self) -> bool:
+        """Whether x -> -x maps the prior to itself (sorted atoms are negated by
+        reversal, and their weights are palindromic)."""
+        return bool(np.array_equal(self.values, -self.values[::-1])
+                    and np.array_equal(self.weights, self.weights[::-1]))
+
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         w = np.asarray(self.weights, dtype=float)

@@ -234,6 +234,7 @@ def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = Non
     Refuses to answer (raises NonUniqueMaximizer) when two maximizers at
     distant overlaps agree in value to 1e-8, as happens at the critical SNR.
     """
+    _check_snr(lam)
     ws = _RankMWorkspace(prior, 1, quad)
     taus, vals = _f1_grid(ws, lam)
     candidates = []
@@ -280,13 +281,16 @@ def _check_overlap_matrix(Q, M):
 
 class _RankMWorkspace:
     """Precomputed atom/quadrature grids for repeated rank-M evaluations, on
-    the rule ``quad`` (DEFAULT_ORDER[M] nodes by default) in every axis."""
+    the rule ``quad`` (DEFAULT_ORDER[M] nodes by default) in every axis.
+    ln ZM and x0' <x> are unchanged by (z, x0) -> (-z, -x0) for a
+    sign-symmetric prior and every output sums over x0 before z, so such a
+    prior runs on the halved grid of ``tensor_nodes``."""
 
     def __init__(self, prior, M, quad=None):
         self.prior = prior
         self.M = M
         self.quad = gauss_hermite(DEFAULT_ORDER[M]) if quad is None else quad
-        self.z_nodes, self.z_weights = tensor_nodes(self.quad, M)
+        self.z_nodes, self.z_weights = tensor_nodes(self.quad, M, halved=prior.sign_symmetric)
         self.values, self.logw = atom_grid(prior, M)
         self.weights = np.exp(self.logw)
         self.weighted_values = self.values * self.weights[:, None]
@@ -471,13 +475,6 @@ def rotation_matrix(angles, M: int) -> np.ndarray:
     raise ValueError("rotation parametrization supports M <= 3")
 
 
-def _sign_symmetric(prior):
-    """Whether x -> -x maps the prior to itself (sorted atoms are negated by
-    reversal, and their weights are palindromic)."""
-    return bool(np.array_equal(prior.values, -prior.values[::-1])
-                and np.array_equal(prior.weights, prior.weights[::-1]))
-
-
 def _in_domain(Q, sign_symmetric):
     """Whether the overlap matrices Q[..., :, :] lie in one fundamental domain
     of the symmetry group of FM.
@@ -561,7 +558,7 @@ def fm_sup(prior: Prior, M: int, lam: float):
     q = eig_combos[:, None, None, :]                                     # (E, 1, 1, M)
     grid_Q = (O * q) @ O.swapaxes(-1, -2)                                # (E, R, M, M)
     grid_sqrt = (O * np.sqrt(q)) @ O.swapaxes(-1, -2)
-    keep = _in_domain(grid_Q, _sign_symmetric(prior))
+    keep = _in_domain(grid_Q, prior.sign_symmetric)
     # rotations are redundant for degenerate eigenvalues
     keep[np.ptp(np.round(eig_combos, 12), axis=1) == 0, 1:] = False
     # and the isotropic line (exactly decoupled; cheap at full accuracy)

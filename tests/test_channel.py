@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,11 @@ from scipy.integrate import quad as scipy_quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
-from wignerlab import channel
+from wignerlab import channel, make_discretized_uniform, make_prior
 from wignerlab.reduction import random_psd
+
+ASYMMETRIC = make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)])
+UNIFORM = make_discretized_uniform(1.0, 4)
 
 
 def binary_mi_oracle(s):
@@ -83,6 +87,97 @@ class TestGaussHermite:
         assert abs(q.weights.sum() - 1.0) <= 1e-12
 
 
+def skewed_rule():
+    """A valid two-node rule (weights sum to 1, E z^2 = 1) that z -> -z does
+    not map to itself."""
+    return channel.GaussQuadrature(nodes=np.array([-1.2, 0.8]),
+                                   weights=np.array([0.45, 0.55]), order=2)
+
+
+def fresh(quad):
+    """A copy of the rule with no grid built yet."""
+    return channel.GaussQuadrature(nodes=quad.nodes, weights=quad.weights, order=quad.order)
+
+
+def full_grid_mi(prior, gain, quad):
+    """I(x0; G x0 + z) by a direct logsumexp over every mixture component on
+    the full tensor grid: -E ln sum_k W_k exp(e_k' z - |e_k|^2 / 2),
+    e_k = G(v_k - x0)."""
+    values, logw = channel.atom_grid(prior, len(gain))
+    z, z_w = channel.tensor_nodes(quad, len(gain))
+    E = values @ gain.T
+    e = E[None, :, :] - E[:, None, :]                       # (x0, k, M)
+    arg = e @ z.T - 0.5 * np.sum(e * e, axis=2)[:, :, None] + logw[None, :, None]
+    return -float(np.exp(logw) @ (logsumexp(arg, axis=1) @ z_w))
+
+
+class TestTensorGrid:
+    @pytest.mark.parametrize("order", ORDERS + [7])
+    def test_gauss_hermite_is_symmetric(self, order):
+        assert channel.gauss_hermite(order).symmetric
+
+    def test_skewed_rules_are_not_symmetric(self):
+        assert not skewed_rule().symmetric
+        lopsided = channel.GaussQuadrature(nodes=np.array([-1.0, 1.0]),
+                                           weights=np.array([0.4, 0.6]), order=2)
+        assert not lopsided.symmetric
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_full_grid(self, dim):
+        quad = channel.gauss_hermite(5)
+        nodes, weights = channel.tensor_nodes(quad, dim)
+        assert nodes.shape == (5**dim, dim)
+        ref = np.array(list(itertools.product(quad.nodes, repeat=dim)))
+        np.testing.assert_array_equal(nodes, ref)
+        np.testing.assert_allclose(
+            weights, [np.prod(w) for w in itertools.product(quad.weights, repeat=dim)],
+            rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 7, 8])
+    def test_halved_grid(self, order, dim):
+        """One node of each +- pair, the one whose first nonzero coordinate is
+        positive, with doubled weight; the all-zero node keeps its weight."""
+        quad = channel.gauss_hermite(order)
+        full, full_w = channel.tensor_nodes(quad, dim)
+        half, half_w = channel.tensor_nodes(quad, dim, halved=True)
+        assert len(half) == (order**dim + 1) // 2
+        first = np.array([row[np.flatnonzero(row)[0]] if row.any() else 0.0 for row in half])
+        assert np.all(first >= 0)
+        assert np.count_nonzero(first == 0) == order % 2
+        lookup = {tuple(n): w for n, w in zip(full, full_w)}
+        for n, w in zip(half, half_w):
+            assert w == (1 if not n.any() else 2) * lookup[tuple(n)]
+            assert lookup[tuple(-n)] == lookup[tuple(n)]
+        # every even function of z integrates as on the full grid
+        for f in (lambda z: np.cosh(z @ np.arange(1.0, dim + 1)),
+                  lambda z: (z[:, 0] * z[:, -1]) ** 2 + z[:, 0] * z[:, -1]):
+            assert abs(half_w @ f(half) - full_w @ f(full)) <= 1e-12
+
+    def test_skewed_rule_keeps_full_grid(self):
+        skewed = skewed_rule()
+        assert channel.tensor_nodes(skewed, 2, halved=True) is channel.tensor_nodes(skewed, 2)
+        assert len(channel.tensor_nodes(skewed, 2)[1]) == 4
+
+    @pytest.mark.parametrize("halved", [False, True])
+    def test_cached_read_only(self, halved):
+        quad = channel.gauss_hermite(6)
+        nodes, weights = channel.tensor_nodes(quad, 2, halved)
+        again = channel.tensor_nodes(quad, 2, halved)
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_rules_of_one_order_do_not_share_a_grid(self):
+        nodes, weights = channel.tensor_nodes(channel.gauss_hermite(2), 2)
+        skewed = skewed_rule()
+        own, own_w = channel.tensor_nodes(skewed, 2)
+        assert not np.array_equal(own, nodes) and not np.array_equal(own_w, weights)
+        np.testing.assert_array_equal(own[:, 1], np.tile(skewed.nodes, 2))
+
+
 class TestLogsumexp:
     @pytest.mark.parametrize("axis", [0, 1, -1])
     def test_matches_scipy(self, rng, axis):
@@ -131,18 +226,13 @@ class TestLogsumexpMatmul:
     def test_ill_conditioned_vector_mi(self, request, prior_name, rng):
         """A randomly rotated gain Sigma^(-1/2) with noise eigenvalues
         (1e-3, 0.5, 2) against a direct logsumexp over every mixture
-        component: -E ln sum_k W_k exp(e_k' z - |e_k|^2 / 2), e_k = G(v_k - x0)."""
+        component on the full grid (``full_grid_mi``)."""
         prior = request.getfixturevalue(prior_name)
         R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         gain = channel.psd_inv_sqrt((R * [1e-3, 0.5, 2.0]) @ R.T)
         quad = channel.gauss_hermite(8)
-        values, logw = channel.atom_grid(prior, 3)
-        z, z_w = channel.tensor_nodes(quad, 3)
-        E = values @ gain.T
-        e = E[None, :, :] - E[:, None, :]                       # (x0, k, M)
-        arg = e @ z.T - 0.5 * np.sum(e * e, axis=2)[:, :, None] + logw[None, :, None]
-        direct = -float(np.exp(logw) @ (logsumexp(arg, axis=1) @ z_w))
-        assert abs(channel.mi_vector_signal(prior, gain, quad) - direct) <= 1e-13
+        assert abs(channel.mi_vector_signal(prior, gain, quad)
+                   - full_grid_mi(prior, gain, quad)) <= 1e-13
 
 
 class TestScalarMi:
@@ -279,6 +369,40 @@ class TestVectorMi:
         with pytest.raises(ValueError):
             channel.NoiseCovariance(sigma=np.array([[1.0, 0.5], [0.4, 1.0]]),
                                     dimension=2)
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("order", [7, 8])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "uniform"])
+    def test_halved_grid_matches_full(self, request, label, order, M):
+        """Sign-symmetric priors integrate on the halved grid; the full-grid
+        logsumexp agrees to 1e-12."""
+        prior = UNIFORM if label == "uniform" else request.getfixturevalue(label)
+        quad = fresh(channel.gauss_hermite(order))
+        rng = np.random.default_rng(11 * M + order)
+        gains = [channel.psd_sqrt(random_psd(M, rng, shift_scale=0.05)) * 1.3 for _ in range(2)]
+        values = [channel.mi_vector_signal(prior, gain, quad) for gain in gains]
+        assert list(quad._grids) == [(M, True)]
+        for gain, value in zip(gains, values):
+            assert abs(value - full_grid_mi(prior, gain, quad)) <= 1e-12
+
+    @pytest.mark.parametrize("label", ["asymmetric", "skewed_rule"])
+    def test_full_grid_without_symmetry(self, rademacher, label):
+        """Without a sign-symmetric prior or a symmetric rule the MI runs on
+        the full grid."""
+        prior, quad = ((ASYMMETRIC, fresh(channel.gauss_hermite(8))) if label == "asymmetric"
+                       else (rademacher, skewed_rule()))
+        rng = np.random.default_rng(3)
+        gain = channel.psd_sqrt(random_psd(2, rng, shift_scale=0.05))
+        value = channel.mi_vector_signal(prior, gain, quad)
+        assert list(quad._grids) == [(2, False)]
+        assert abs(value - full_grid_mi(prior, gain, quad)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (), (0, 0), (4, 4)])
+    def test_signal_gain_shape_checked_before_any_grid(self, rademacher, shape):
+        quad = fresh(channel.gauss_hermite(2))
+        with pytest.raises(ValueError):
+            channel.mi_vector_signal(rademacher, np.ones(shape), quad)
+        assert quad._grids == {}
 
 
 class TestConvexity:

@@ -125,6 +125,19 @@ class TestConstruction:
             p.values[0] = 3.0
 
 
+class TestSignSymmetry:
+    def test_symmetric_priors(self):
+        for p in (priors.make_rademacher(), priors.make_sparse_rademacher(0.3),
+                  priors.make_discretized_uniform(1.0, 5)):
+            assert p.sign_symmetric
+
+    def test_asymmetric_priors(self):
+        assert not priors.make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)]).sign_symmetric
+        # mirrored atoms with weights that are not
+        p = priors.make_prior([(-2.0, 0.3), (-1.0, 0.15), (1.0, 0.35), (2.0, 0.2)])
+        assert not p.sign_symmetric
+
+
 class TestJson:
     def test_round_trip(self):
         p = priors.make_sparse_rademacher(0.3)

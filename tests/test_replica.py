@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from wignerlab import channel, make_prior, replica
+from wignerlab import channel, make_discretized_uniform, make_prior, replica
 from wignerlab.reduction import random_psd
 
 # centred but not sign-symmetric
 ASYMMETRIC = make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)])
+UNIFORM = make_discretized_uniform(1.0, 4)
 
 
 def binary_potential_oracle(tau, lam, quad):
@@ -233,6 +234,11 @@ class TestMmsePrediction:
         assert replica.mmse_prediction(prior, 0.0, quad64) == prior.rho**2
         assert len(calls) <= 4
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_snr(self, rademacher, quad64, lam):
+        with pytest.raises(ValueError, match="SNR"):
+            replica.mmse_prediction(rademacher, lam, quad64)
+
     def test_refuses_at_first_order_tie(self, quad64):
         """A strongly sparse prior has a double-well potential; where the two
         maxima tie in value the prediction must refuse rather than guess.
@@ -424,6 +430,46 @@ class TestFusedPass:
                                    [ws.ln_partition(Q, 1.7) for Q in Qs], rtol=0, atol=1e-13)
 
 
+def full_grid_workspace(prior, M, quad):
+    """The rank-M workspace on the full tensor grid, whatever the prior."""
+    ws = replica._RankMWorkspace(prior, M, quad)
+    ws.z_nodes, ws.z_weights = channel.tensor_nodes(quad, M)
+    return ws
+
+
+class TestHalvedGrid:
+    """A sign-symmetric prior integrates on the sign-halved grid, to the
+    full grid's values."""
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("order", [7, 8])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "uniform"])
+    def test_matches_full_grid(self, request, label, order, M):
+        prior = UNIFORM if label == "uniform" else request.getfixturevalue(label)
+        quad = channel.gauss_hermite(order)
+        ws, full = replica._RankMWorkspace(prior, M, quad), full_grid_workspace(prior, M, quad)
+        assert len(ws.z_weights) == (order**M + 1) // 2
+        rng = np.random.default_rng(13 * M + order)
+        for _ in range(2):
+            Q = random_psd(M, rng, shift_scale=0.05) * (prior.rho / 2)
+            assert abs(ws.ln_partition(Q, 1.7) - full.ln_partition(Q, 1.7)) <= 1e-12
+            ln_z, cross = ws.value_and_moment(Q, 1.7)
+            ref_ln_z, ref_cross = full.value_and_moment(Q, 1.7)
+            assert abs(ln_z - ref_ln_z) <= 1e-12
+            np.testing.assert_allclose(cross, ref_cross, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_full_grid_without_symmetry(self, rademacher, M):
+        """The asymmetric prior, and a rule that z -> -z does not map to
+        itself, keep the full grid."""
+        quad = channel.gauss_hermite(6)
+        ws = replica._RankMWorkspace(ASYMMETRIC, M, quad)
+        assert ws.z_nodes is channel.tensor_nodes(quad, M)[0]
+        skewed = channel.GaussQuadrature(nodes=np.array([-1.2, 0.8]),
+                                         weights=np.array([0.45, 0.55]), order=2)
+        assert len(replica._RankMWorkspace(rademacher, M, skewed).z_weights) == 2**M
+
+
 class TestMatrixSup:
     def test_zero_snr(self, rademacher):
         value, Q = replica.fm_sup(rademacher, 2, 0.0)
@@ -526,7 +572,7 @@ class TestSymmetryReduction:
     def test_group_invariance(self, request, label, M):
         prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
         flips = label != "asymmetric"
-        assert replica._sign_symmetric(prior) == flips
+        assert prior.sign_symmetric == flips
         for Q in self.random_overlaps(prior, M, 3, 17 + M):
             ref = potential(prior, M, Q, 1.7)
             for g in group(M, flips):
@@ -550,7 +596,7 @@ class TestSymmetryReduction:
         """Every orbit meets the domain: the canonical image lies in it with
         an equal potential, and it is the only image of a generic Q there."""
         prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
-        flips = replica._sign_symmetric(prior)
+        flips = prior.sign_symmetric
         for Q in self.random_overlaps(prior, M, 5, 29 + M):
             C = canonical(Q, flips)
             assert replica._in_domain(C, flips)
