@@ -256,17 +256,22 @@ def run_prior(cfg, seed):
         "sample_second_moment": [float((draws**2).mean())]})]
 
 
-def _quad(cfg, M):
+def _quad(cfg, M, blocks=1):
     """The rule of ``quad_order``, or None when it is unset.  An order whose
-    rank-M evaluation needs a temporary of k^M max(k^M, order^M) elements (k
-    atoms) above QUAD_TEMP_LIMIT is refused."""
-    order = cfg["quad_order"]
+    rank-M evaluation needs a temporary of blocks k^M max(k^M, n) elements
+    above QUAD_TEMP_LIMIT is refused: k atoms, n the nodes the workspace keeps
+    (order^M, halved to (order^M + 1) // 2 for a sign-symmetric prior) and
+    ``blocks`` the row blocks of one pass (M + 1 for the fused
+    value-and-moment pass)."""
+    order, p = cfg["quad_order"], cfg["prior"]
     if order is None:
         return None
-    k = cfg["prior"].n_atoms ** M
-    if k * max(k, order**M) > QUAD_TEMP_LIMIT:
+    k = p.n_atoms ** M
+    nodes = (order**M + 1) // 2 if p.sign_symmetric else order**M
+    size = blocks * k * max(k, nodes)
+    if size > QUAD_TEMP_LIMIT:
         raise ConfigError(f"quad_order {order} at M = {M} needs a temporary of "
-                          f"{k * max(k, order**M)} elements, above {QUAD_TEMP_LIMIT}")
+                          f"{size} elements, above {QUAD_TEMP_LIMIT}")
     return channel.gauss_hermite(order)
 
 
@@ -294,7 +299,7 @@ def run_potential(cfg, seed):
 
 def run_fixed_point(cfg, seed):
     p, damping, M, lams = cfg["prior"], cfg["damping"], cfg["M"], cfg["lambda_grid"]
-    quad = _quad(cfg, M)
+    quad = _quad(cfg, M, blocks=M + 1)
     q0 = p.rho if cfg["q0"] is None else cfg["q0"]
     if q0 > p.rho:
         raise ConfigError("q0 must lie in [0, rho]")
@@ -316,7 +321,7 @@ def run_fixed_point(cfg, seed):
 
 def run_phase_scan(cfg, seed):
     p = cfg["prior"]
-    scan = replica.phase_scan(p, cfg["lambda_grid"], _quad(cfg, 1))
+    scan = replica.phase_scan(p, cfg["lambda_grid"], _quad(cfg, 1, blocks=2))
     lo, hi = scan.jump_cell or (math.inf, -math.inf)
     return [("phase_scan.csv", {
         "lambda": scan.lambdas, "q_star": scan.q_star, "value": scan.value,

@@ -20,9 +20,9 @@ quadrature grid.  Expectations over the signal are exact atom sums.
 The criticality condition Q = E <x x0'> drives the damped fixed-point
 iterations.  By the Nishimori identity it also gives the gradient
 grad FM = (lam / 2M)(sym E <x x0'> - Q), computed in one pass with E ln ZM.
-The scalar supremum is a grid search refined by golden section; the rank-M
-one is a symmetry-reduced grid search over an eigendecomposition
-parametrization polished by projected gradient ascent on {0 <= Q <= rho I}.
+Every supremum is a grid search polished by projected gradient ascent on
+{0 <= Q <= rho I} (``_ascend``): over a uniform overlap grid at M = 1, over a
+symmetry-reduced eigendecomposition parametrization at M = 2 and 3.
 """
 
 from __future__ import annotations
@@ -77,10 +77,9 @@ SUP_CANDIDATES = 20
 SUP_STEPS = 50
 SUP_TOL = (1e-5, 1e-9)
 SUP_POLISH_ORDER = {2: 40, 3: 24}
-# f1_sup and mmse_prediction: overlap grid points and golden-section tolerance;
+# f1_sup and mmse_prediction: overlap grid points, polished at SUP_TOL[1];
 # phase_scan: smallest jump of the maximizing overlap reported as a transition
 F1_GRID = 512
-F1_XTOL = 1e-10
 PHASE_JUMP_TOL = 1e-3
 _DOMAIN_TOL = 1e-12     # keeps grid points on a domain boundary despite rounding
 _ARMIJO = 1e-4          # fraction of the first-order rise an ascent step must reach
@@ -122,25 +121,6 @@ class PhaseScan:
     dq_dlambda: np.ndarray
     jump_cell: tuple | None    # (lam_left, lam_right) bracketing the largest jump
     jump_size: float
-
-
-def _golden_max(f, lo, hi, xtol):
-    """Golden-section maximization; ties keep the left subinterval."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +170,32 @@ def _f1_grid(ws, lam):
     return taus, _f1_values(ws, taus, lam)
 
 
+def _f1_polish(ws, lam, taus, vals, indices):
+    """Ascend from each grid index of the M = 1 workspace (``_ascend``).
+    Returns the end points ``(value, q)``, best first; a best end point within
+    1e-10 of the zero-overlap value, or below 1e-10 in overlap, becomes that
+    value at zero overlap, so the potential's noise floor around zero does not
+    produce a spurious positive maximizer."""
+    ends = sorted(((value, float(Q[0, 0])) for value, Q in
+                   (_ascend(ws, lam, [[taus[i]]], ws.prior.rho, SUP_TOL[1]) for i in indices)),
+                  reverse=True)
+    if vals[0] >= ends[0][0] - 1e-10 or ends[0][1] < 1e-10:
+        ends[0] = (float(vals[0]), 0.0)
+    return ends
+
+
 def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None):
     """Global maximum of the scalar potential over [0, rho].
 
-    Grid search followed by golden-section refinement around the best grid
-    point; near-ties (within 1e-10 in value) resolve to the smallest overlap.
-    Returns ``(value, q_star)``.
+    Grid search, then projected gradient ascent (``_ascend`` at M = 1) from the
+    best grid point; near-ties (within 1e-10 in value) resolve to the smallest
+    overlap.  Returns ``(value, q_star)``.
     """
     _check_snr(lam)
     ws = _RankMWorkspace(prior, 1, quad)
     taus, vals = _f1_grid(ws, lam)
-    best = vals.max()
-    idx = int(np.nonzero(vals >= best - 1e-10)[0][0])
-    lo = taus[max(idx - 1, 0)]
-    hi = taus[min(idx + 1, F1_GRID - 1)]
-    q_star, value = _golden_max(lambda t: _f1_values(ws, [t], lam)[0], lo, hi, F1_XTOL)
-    if vals[idx] > value:
-        q_star, value = taus[idx], vals[idx]
-    # near-ties resolve to the smallest overlap; in particular the potential's
-    # noise floor around zero must not produce a spurious positive maximizer
-    zero_value = vals[0]
-    if zero_value >= value - 1e-10:
-        return float(zero_value), 0.0
-    if q_star < 1e-10:
-        q_star = 0.0
-        value = zero_value
-    return float(value), float(q_star)
+    idx = int(np.nonzero(vals >= vals.max() - 1e-10)[0][0])
+    return _f1_polish(ws, lam, taus, vals, [idx])[0]
 
 
 def _local_maxima(taus, vals):
@@ -229,7 +209,8 @@ def _local_maxima(taus, vals):
 
 
 def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = None) -> float:
-    """Limiting matrix MMSE prediction rho^2 - q*(lam)^2.
+    """Limiting matrix MMSE prediction rho^2 - q*(lam)^2, with q* the best of
+    the ascents (``_ascend`` at M = 1) from every local maximum of the grid.
 
     Refuses to answer (raises NonUniqueMaximizer) when two maximizers at
     distant overlaps agree in value to 1e-8, as happens at the critical SNR.
@@ -237,17 +218,8 @@ def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = Non
     _check_snr(lam)
     ws = _RankMWorkspace(prior, 1, quad)
     taus, vals = _f1_grid(ws, lam)
-    candidates = []
-    for i in _local_maxima(taus, vals):
-        lo = taus[max(i - 1, 0)]
-        hi = taus[min(i + 1, F1_GRID - 1)]
-        t, val = _golden_max(lambda t: _f1_values(ws, [t], lam)[0], lo, hi, F1_XTOL)
-        candidates.append((val, t))
-    candidates.sort(reverse=True)
+    candidates = _f1_polish(ws, lam, taus, vals, _local_maxima(taus, vals))
     best_val, best_t = candidates[0]
-    zero_value = vals[0]
-    if zero_value >= best_val - 1e-10:
-        best_val, best_t = zero_value, 0.0
     loc_tol = 1e-2 * prior.rho
     for val, t in candidates:
         if best_val - val <= 1e-8 and abs(t - best_t) > loc_tol:
@@ -260,8 +232,7 @@ def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = Non
                 raise NonUniqueMaximizer(
                     f"near-tied maximizers at overlaps {best_t:.6g} and {t:.6g} "
                     f"(values differ by {best_val - val:.3g})")
-    q_star = 0.0 if best_t < 1e-10 else best_t
-    return prior.rho**2 - q_star**2
+    return prior.rho**2 - best_t**2
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wignerlab import cli, gauss_hermite, make_rademacher, replica
+from wignerlab import (cli, gauss_hermite, make_prior, make_rademacher,
+                       make_sparse_rademacher, replica)
 
 
 def run(tmp_path, subcommand, config, name, seed=None):
@@ -142,11 +143,22 @@ class TestQuadOrder:
         assert int(row["iterations"]) == res.iterations
 
     def test_temporary_bound(self):
-        """k^M max(k^M, order^M) may reach 2^24 elements but not pass it."""
-        cfg = {"prior": make_rademacher(), "quad_order": 128}
-        assert cli._quad(cfg, 3).order == 128
-        with pytest.raises(cli.ConfigError):
-            cli._quad({**cfg, "quad_order": 129}, 3)
+        """blocks k^M max(k^M, n) may reach 2^24 elements but not pass it, with
+        n the nodes the workspace keeps: half the grid for a sign-symmetric
+        prior.  One row block for the potential, M + 1 for the fused pass of
+        the fixed point; a refused order states the size counted."""
+        asymmetric = make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)])
+        for prior, blocks, last, refused_size in [
+                (make_rademacher(), 1, 161, 17_006_112),
+                (make_rademacher(), 4, 101, 16_979_328),
+                (make_sparse_rademacher(0.3), 1, 107, 17_006_112),
+                (make_sparse_rademacher(0.3), 4, 67, 16_979_328),
+                (asymmetric, 1, 128, 17_173_512),
+                (asymmetric, 4, 80, 17_006_112)]:
+            cfg = {"prior": prior, "quad_order": last}
+            assert cli._quad(cfg, 3, blocks).order == last
+            with pytest.raises(cli.ConfigError, match=f"temporary of {refused_size} "):
+                cli._quad({**cfg, "quad_order": last + 1}, 3, blocks)
         assert cli._quad({**cfg, "quad_order": None}, 3) is None
 
 
@@ -189,6 +201,9 @@ class TestDeterminism:
 
 
 SCAN_GRID = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25]
+SPARSE = {"kind": "sparse_rademacher", "p": 0.3}
+# centred but not sign-symmetric
+ASYMMETRIC = {"kind": "atoms", "atoms": [[-1.0, 2.0 / 3.0], [2.0, 1.0 / 3.0]]}
 PROVENANCE = ["seed", "config_sha256"]
 
 
@@ -425,15 +440,27 @@ class TestMalformedInput:
         ("simulate", {"prior": "rademacher", "N": 3, "replicates": 2,
                       "posterior": "yes"}),
         ("prior", {"prior": {"kind": "rademacher", "p": 0.3}}),
-        # 2^3 atoms x 200^3 nodes per temporary, above 2^24
-        ("potential", {"prior": "rademacher", "M": 3, "quad_order": 200,
+        # the first refused orders at M = 3: 2^3 atoms x 162^3 / 2 halved nodes
+        # per temporary, and 4 row blocks x 2^3 atoms x 102^3 / 2 halved nodes
+        # for the fused pass of the fixed point, are above 2^24
+        ("potential", {"prior": "rademacher", "M": 3, "quad_order": 162,
                        "tau_grid": [0.5]}),
-        ("fixed-point", {"prior": "rademacher", "M": 3, "quad_order": 129,
+        ("fixed-point", {"prior": "rademacher", "M": 3, "quad_order": 102,
                          "lambda_grid": [0.5]}),
         ("concentration", {"prior": "rademacher", "N_grid": [2], "s_exponent": -1e300}),
         # csv would leave the "\r" unquoted and the row would read back as two
         ("prior", {"prior": {"kind": "atoms", "atoms": [[1, 0.5], [-1, 0.5]],
                              "label": "a\rb"}}),
+        ("potential", {"prior": SPARSE, "M": 3, "quad_order": 108, "tau_grid": [0.1]}),
+        ("fixed-point", {"prior": SPARSE, "M": 3, "quad_order": 68, "lambda_grid": [0.5]}),
+        # no sign symmetry: the full grid, 2^3 atoms x 129^3 nodes
+        ("potential", {"prior": ASYMMETRIC, "M": 3, "quad_order": 129,
+                       "tau_grid": [0.5]}),
+        ("fixed-point", {"prior": ASYMMETRIC, "M": 3, "quad_order": 81,
+                         "lambda_grid": [0.5]}),
+        # the rank-one polish's fused pass: 2 row blocks x 2897^2 atom pairs
+        ("phase-scan", {"prior": {"kind": "uniform", "n_nodes": 2897}, "quad_order": 64,
+                        "lambda_grid": SCAN_GRID}),
     ])
     def test_validation_exit(self, tmp_path, capsys, subcommand, config):
         code, out = run(tmp_path, subcommand, config, "bad")

@@ -178,6 +178,40 @@ class TestScalarSup:
         _, q_star = replica.f1_sup(rademacher, lam, quad64)
         assert abs(q_star - t_oracle) <= 1e-4
 
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 4.0])
+    def test_polish_budget(self, rademacher, quad64, monkeypatch, lam):
+        """Beyond the 512-point grid, one call polishes with at least one and
+        at most 12 workspace passes."""
+        count = [0]
+        ws_class = replica._RankMWorkspace
+
+        def counted(name, batch):
+            method = getattr(ws_class, name)
+
+            def wrapper(self, Q, *args, **kwargs):
+                count[0] += len(Q) if batch and np.ndim(Q) == 3 else 1
+                return method(self, Q, *args, **kwargs)
+            monkeypatch.setattr(ws_class, name, wrapper)
+
+        counted("ln_partition", True)
+        counted("value_and_moment", False)
+        replica.f1_sup(rademacher, lam, quad64)
+        assert replica.F1_GRID < count[0] <= replica.F1_GRID + 12
+
+    @pytest.mark.parametrize("label,lam", [
+        ("rademacher", 1.5), ("rademacher", 4.0), ("sparse03", 15.0), ("sparse03", 20.0),
+        ("asymmetric", 0.5), ("asymmetric", 1.0)])
+    def test_maximizer_is_critical(self, request, quad64, label, lam):
+        """At an interior maximizer q* = clip(E<x x0>, 0, rho) on the same rule,
+        and the polish never ends below the grid's best value."""
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        value, q_star = replica.f1_sup(prior, lam, quad64)
+        assert 0.0 < q_star < prior.rho
+        ws = replica._RankMWorkspace(prior, 1, quad64)
+        cross = ws.value_and_moment(np.array([[q_star]]), lam)[1][0, 0]
+        assert abs(q_star - min(max(cross, 0.0), prior.rho)) <= 1e-9
+        assert value >= replica._f1_grid(ws, lam)[1].max()
+
 
 class TestScalarFixedPoint:
     def test_zero_start_is_fixed(self, rademacher, quad64):
@@ -221,16 +255,16 @@ class TestMmsePrediction:
     def test_flat_potential_runs_few_searches(self, request, quad64, monkeypatch,
                                               prior_name):
         """At lam = 0 every grid value is equal; the grid's one run of equal
-        values is one candidate, not one golden-section search per point."""
+        values is one candidate, not one polishing ascent per point."""
         prior = request.getfixturevalue(prior_name)
         calls = []
-        search = replica._golden_max
+        ascend = replica._ascend
 
         def counted(*args):
-            calls.append(args[1:])
-            return search(*args)
+            calls.append(args[2])
+            return ascend(*args)
 
-        monkeypatch.setattr(replica, "_golden_max", counted)
+        monkeypatch.setattr(replica, "_ascend", counted)
         assert replica.mmse_prediction(prior, 0.0, quad64) == prior.rho**2
         assert len(calls) <= 4
 
