@@ -172,15 +172,16 @@ def _f1_grid(ws, lam):
 
 def _f1_polish(ws, lam, taus, vals, indices):
     """Ascend from each grid index of the M = 1 workspace (``_ascend``).
-    Returns the end points ``(value, q)``, best first; a best end point within
-    1e-10 of the zero-overlap value, or below 1e-10 in overlap, becomes that
-    value at zero overlap, so the potential's noise floor around zero does not
-    produce a spurious positive maximizer."""
+    Returns the end points ``(value, q)``, best first.  When the best end
+    point is within 1e-10 of the zero-overlap value, or below 1e-10 in
+    overlap, that value at zero overlap is put in front, so the potential's
+    noise floor around zero does not produce a spurious positive maximizer;
+    every end point is kept for the double-well check."""
     ends = sorted(((value, float(Q[0, 0])) for value, Q in
                    (_ascend(ws, lam, [[taus[i]]], ws.prior.rho, SUP_TOL[1]) for i in indices)),
                   reverse=True)
     if vals[0] >= ends[0][0] - 1e-10 or ends[0][1] < 1e-10:
-        ends[0] = (float(vals[0]), 0.0)
+        ends.insert(0, (float(vals[0]), 0.0))
     return ends
 
 
