@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -282,9 +283,24 @@ class _RankMWorkspace:
 
     def ln_partition(self, Q, lam, sqrt_Q=None):
         """E_{z,x0} ln ZM(Q) on the tensor grid; a float for one overlap, an
-        array over the leading axes of a stack of them (which needs sqrt_Q)."""
+        array over the leading axes of a stack of them (which needs sqrt_Q).
+        The column maxima of A and row maxima of B are factored out of one
+        GEMM and summed outside the log; a stack where some product underflows
+        goes through ``logsumexp_matmul`` instead."""
         A, B = self._exponents(Q, lam, sqrt_Q)
-        ln_z = (logsumexp_matmul(B, A) @ self.z_weights) @ self.weights
+        a_max = A.max(axis=-2, keepdims=True)
+        b_max = B.max(axis=-1, keepdims=True)
+        A -= a_max
+        inner = np.exp(B - b_max) @ np.exp(A, out=A)
+        if inner.min() < _TINY:
+            A, B = self._exponents(Q, lam, sqrt_Q)
+            ln_z = (logsumexp_matmul(B, A) @ self.z_weights) @ self.weights
+        else:
+            # each sum is its own vector product per overlap, so an overlap's
+            # value does not depend on the stack it is evaluated in
+            ln_s = np.log(inner, out=inner) @ self.z_weights
+            ln_z = (ln_s[..., None, :] @ self.weights + self.weights @ b_max
+                    + a_max @ self.z_weights)[..., 0]
         return float(ln_z) if ln_z.ndim == 0 else ln_z
 
     def potential(self, Q, lam, sqrt_Q):
@@ -502,24 +518,12 @@ def _ascend(ws, lam, Q, rho, tol):
     return value, Q
 
 
-def fm_sup(prior: Prior, M: int, lam: float):
-    """Supremum of the rank-M potential over PSD matrices with eigenvalues
-    in [0, rho].
-
-    Global coverage comes from a product grid over eigenvalues and rotation
-    angles of Q = O diag(q) O', restricted to one fundamental domain of the
-    potential's symmetry group (``_in_domain``) and evaluated in batches,
-    plus the isotropic line.  The best candidates, with rho I and rho/2 I, are
-    polished by projected gradient ascent (``_ascend``), first at the coarse
-    quadrature order, then the best three at the default order.
-    Returns ``(value, Q_star)``.
-    """
-    if M not in (2, 3):
-        raise ValueError("the matrix supremum is implemented for M in {2, 3}")
-    _check_snr(lam)
-    rho = prior.rho
-    ws = _RankMWorkspace(prior, M)
-    coarse_ws = _RankMWorkspace(prior, M, gauss_hermite(SUP_COARSE_ORDER[M]))
+@lru_cache(maxsize=32)
+def _sup_grid(M, rho, sign_symmetric):
+    """fm_sup's coarse grid: the overlaps Q = O diag(q) O' of a product grid
+    over eigenvalues and rotation angles that lie in one fundamental domain
+    (``_in_domain``), each distinct overlap once (rows equal to 9 decimals,
+    first occurrence kept, in grid order).  Returns read-only (Q, sqrt Q)."""
     n_angle = SUP_ANGLES[M]
     eig_levels = np.linspace(0.0, rho, SUP_EIG_LEVELS[M])
     turn = np.linspace(0.0, 2 * math.pi, n_angle, endpoint=False)
@@ -529,14 +533,42 @@ def fm_sup(prior: Prior, M: int, lam: float):
     O = np.array([rotation_matrix(a, M) for a in itertools.product(*angle_grids)])[None]
     q = eig_combos[:, None, None, :]                                     # (E, 1, 1, M)
     grid_Q = (O * q) @ O.swapaxes(-1, -2)                                # (E, R, M, M)
-    grid_sqrt = (O * np.sqrt(q)) @ O.swapaxes(-1, -2)
-    keep = _in_domain(grid_Q, prior.sign_symmetric)
-    # rotations are redundant for degenerate eigenvalues
-    keep[np.ptp(np.round(eig_combos, 12), axis=1) == 0, 1:] = False
-    # and the isotropic line (exactly decoupled; cheap at full accuracy)
+    e, r = np.nonzero(_in_domain(grid_Q, sign_symmetric))
+    grid_Q, O = grid_Q[e, r], O[0, r]
+    grid_sqrt = (O * np.sqrt(eig_combos[e])[:, None, :]) @ O.swapaxes(-1, -2)
+    first = np.sort(np.unique(np.round(grid_Q.reshape(len(grid_Q), -1), 9), axis=0,
+                              return_index=True)[1])
+    grid_Q, grid_sqrt = grid_Q[first], grid_sqrt[first]
+    grid_Q.setflags(write=False)
+    grid_sqrt.setflags(write=False)
+    return grid_Q, grid_sqrt
+
+
+def fm_sup(prior: Prior, M: int, lam: float):
+    """Supremum of the rank-M potential over PSD matrices with eigenvalues
+    in [0, rho].
+
+    Global coverage comes from a product grid over eigenvalues and rotation
+    angles of Q = O diag(q) O', restricted to one fundamental domain of the
+    potential's symmetry group (``_in_domain``), plus the isotropic line.  The
+    grid is built once per (M, rho, sign symmetry) and holds each distinct
+    overlap once (``_sup_grid``); it is evaluated in batches, on a ln Z pass
+    that sums its maxima outside the log.  The best candidates, with rho I and
+    rho/2 I, are polished by projected gradient ascent (``_ascend``), first at
+    the coarse quadrature order, then the best three at the default order.
+    Returns ``(value, Q_star)``.
+    """
+    if M not in (2, 3):
+        raise ValueError("the matrix supremum is implemented for M in {2, 3}")
+    _check_snr(lam)
+    rho = prior.rho
+    ws = _RankMWorkspace(prior, M)
+    coarse_ws = _RankMWorkspace(prior, M, gauss_hermite(SUP_COARSE_ORDER[M]))
+    grid_Q, grid_sqrt = _sup_grid(M, rho, prior.sign_symmetric)
+    # the isotropic line (exactly decoupled; cheap at full accuracy)
     taus = np.linspace(0.0, rho, 65)[:, None, None]
-    overlaps = np.concatenate([grid_Q[keep], taus * np.eye(M)])
-    vals = np.concatenate([coarse_ws.potential(grid_Q[keep], lam, grid_sqrt[keep]),
+    overlaps = np.concatenate([grid_Q, taus * np.eye(M)])
+    vals = np.concatenate([coarse_ws.potential(grid_Q, lam, grid_sqrt),
                            ws.potential(taus * np.eye(M), lam, np.sqrt(taus) * np.eye(M))])
     # rho I and rho/2 I always ascend, since the ascent's first step is the
     # fixed-point map; a start that repeats an earlier one ascends once

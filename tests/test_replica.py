@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from wignerlab import channel, make_discretized_uniform, make_prior, replica
 from wignerlab.reduction import random_psd
@@ -526,6 +527,89 @@ class TestHalvedGrid:
         assert len(replica._RankMWorkspace(rademacher, M, skewed).z_weights) == 2**M
 
 
+def logsumexp_ln_partition(ws, Q, lam, sqrt_Q=None):
+    """E ln ZM through one stabilized exp-matmul per overlap, the maxima kept
+    inside the log: the reduction the folded ln Z pass replaced, kept as its
+    oracle."""
+    A, B = ws._exponents(Q, lam, sqrt_Q)
+    return (channel.logsumexp_matmul(B, A) @ ws.z_weights) @ ws.weights
+
+
+def overlap_stack(prior, M, count, seed):
+    rng = np.random.default_rng(seed)
+    Qs = np.array([random_psd(M, rng, shift_scale=0.05) * (prior.rho / 2)
+                   for _ in range(count)])
+    return Qs, np.array([channel.psd_sqrt(Q) for Q in Qs])
+
+
+class TestFoldedLnPartition:
+    """ln_partition sums the column maxima of A and the row maxima of B
+    outside the log, and falls back to logsumexp_matmul where a product
+    underflows."""
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("label,full", [("rademacher", False), ("rademacher", True),
+                                            ("sparse03", False), ("sparse03", True),
+                                            ("asymmetric", True)])
+    def test_matches_logsumexp_oracle(self, request, label, full, M):
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        quad = channel.gauss_hermite(replica.DEFAULT_ORDER[M])
+        ws = (full_grid_workspace(prior, M, quad) if full
+              else replica._RankMWorkspace(prior, M, quad))
+        assert len(ws.z_weights) == (quad.order**M if full else (quad.order**M + 1) // 2)
+        Qs, roots = overlap_stack(prior, M, 8, 3 * M)
+        for lam in (0.3, 1.7, 6.0):
+            np.testing.assert_allclose(ws.ln_partition(Qs, lam, roots),
+                                       logsumexp_ln_partition(ws, Qs, lam, roots),
+                                       rtol=0, atol=1e-12)
+            assert abs(ws.ln_partition(Qs[0], lam)
+                       - logsumexp_ln_partition(ws, Qs[0], lam)) <= 1e-12
+
+    def test_underflow_guard_in_a_mixed_stack(self, rademacher, monkeypatch):
+        """The exponents depend on lam Q and sqrt(lam) sqrt(Q) only, so a slice
+        scaled by 1e5 / lam is a lam = 1e5 slice.  Its products underflow, the
+        whole stack takes the logsumexp_matmul path and every slice keeps the
+        oracle's value; an ordinary stack never calls it."""
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return channel.logsumexp_matmul(*args)
+        monkeypatch.setattr(replica, "logsumexp_matmul", counted)
+        ws = replica._RankMWorkspace(rademacher, 2, channel.gauss_hermite(4))
+        Qs, roots = overlap_stack(rademacher, 2, 4, 17)
+        ws.ln_partition(Qs, 1.7, roots)
+        assert calls[0] == 0
+        hot = np.array([[0.9, 0.4], [0.4, 0.3]]) * (1e5 / 1.7)
+        Qs = np.concatenate([Qs[:2], hot[None], Qs[2:]])
+        roots = np.array([channel.psd_sqrt(Q) for Q in Qs])
+        A, B = ws._exponents(hot, 1.7)
+        EB = np.exp(B - B.max(axis=1, keepdims=True))
+        EA = np.exp(A - A.max(axis=0, keepdims=True))
+        assert np.any(EB @ EA < np.finfo(float).tiny)
+        got = ws.ln_partition(Qs, 1.7, roots)
+        assert calls[0] == 1
+        ref = logsumexp_ln_partition(ws, Qs, 1.7, roots)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert abs(ws.ln_partition(hot, 1.7) - ref[2]) <= 1e-12 * abs(ref[2])
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
+    def test_slice_independent_of_stack(self, request, label, M):
+        """fm_sup ranks grid overlaps evaluated in batches, so an overlap's
+        value is the same to the bit alone and inside a 64-overlap stack."""
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        order = {1: 64, 2: 20, 3: 8}[M]          # the orders of the suprema's grids
+        ws = replica._RankMWorkspace(prior, M, channel.gauss_hermite(order))
+        Qs, roots = overlap_stack(prior, M, 64, 5 + M)
+        stacked = ws.ln_partition(Qs, 1.7, roots)
+        np.testing.assert_array_equal(
+            stacked, [ws.ln_partition(Qs[i:i + 1], 1.7, roots[i:i + 1])[0] for i in range(64)])
+        np.testing.assert_array_equal(
+            stacked, [ws.ln_partition(Q, 1.7, root) for Q, root in zip(Qs, roots)])
+
+
 class TestMatrixSup:
     def test_zero_snr(self, rademacher):
         value, Q = replica.fm_sup(rademacher, 2, 0.0)
@@ -584,8 +668,9 @@ class TestGradientPolish:
         assert certificate(rademacher, M, Q, lam) <= 2e-4
 
     def test_evaluation_count(self, rademacher, monkeypatch):
-        """One M = 3 call evaluates the potential at fewer than 4,000 overlaps,
-        counting each member of a batch and each fused value-and-moment pass."""
+        """One M = 3 call evaluates the potential at more than the 515 distinct
+        grid overlaps and fewer than 1,000 overlaps in all, counting each
+        member of a batch and each fused value-and-moment pass."""
         count = [0]
         ws_class = replica._RankMWorkspace
 
@@ -600,7 +685,7 @@ class TestGradientPolish:
         counted("ln_partition", True)
         counted("value_and_moment", False)
         replica.fm_sup(rademacher, 3, 2.0)
-        assert 2_570 < count[0] < 4_000
+        assert 515 < count[0] < 1_000
 
     def test_ascent_from_a_bad_start(self, rademacher):
         """From a generic anisotropic overlap the ascent climbs to the
@@ -611,6 +696,68 @@ class TestGradientPolish:
         _, q1 = replica.f1_sup(rademacher, 4.0, channel.gauss_hermite(64))
         assert value > potential_and_gradient(ws, start, 4.0)[0]
         assert np.linalg.norm(Q - q1 * np.eye(2), "fro") <= 1e-4
+
+
+def redundant_sup_grid(M, rho, sign_symmetric):
+    """fm_sup's coarse grid as built before duplicate overlaps were removed:
+    every in-domain product-grid point, a degenerate spectrum at its first
+    rotation only.  Kept as the oracle of ``_sup_grid``."""
+    n_angle = replica.SUP_ANGLES[M]
+    eig_levels = np.linspace(0.0, rho, replica.SUP_EIG_LEVELS[M])
+    turn = np.linspace(0.0, 2 * math.pi, n_angle, endpoint=False)
+    angle_grids = ([np.linspace(0.0, math.pi, n_angle, endpoint=False)] if M == 2
+                   else [turn, np.linspace(0.0, math.pi, max(n_angle // 2, 3)), turn])
+    eig_combos = np.array(list(itertools.combinations_with_replacement(eig_levels, M)))
+    O = np.array([replica.rotation_matrix(a, M) for a in itertools.product(*angle_grids)])[None]
+    q = eig_combos[:, None, None, :]
+    grid_Q = (O * q) @ O.swapaxes(-1, -2)
+    grid_sqrt = (O * np.sqrt(q)) @ O.swapaxes(-1, -2)
+    keep = replica._in_domain(grid_Q, sign_symmetric)
+    keep[np.ptp(np.round(eig_combos, 12), axis=1) == 0, 1:] = False
+    return grid_Q[keep], grid_sqrt[keep]
+
+
+class TestSupGrid:
+    """fm_sup's coarse grid holds each distinct overlap once and is built
+    once per (M, rho, sign symmetry)."""
+
+    @pytest.mark.parametrize("sign_symmetric", [True, False])
+    @pytest.mark.parametrize("rho", [0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_distinct_rows_of_the_redundant_grid(self, M, rho, sign_symmetric):
+        grid_Q, grid_sqrt = redundant_sup_grid(M, rho, sign_symmetric)
+        first = {}
+        for i, row in enumerate(np.round(grid_Q.reshape(len(grid_Q), -1), 9)):
+            first.setdefault(tuple(row), i)
+        rows = sorted(first.values())
+        Q, root = replica._sup_grid(M, rho, sign_symmetric)
+        np.testing.assert_array_equal(Q, grid_Q[rows])
+        np.testing.assert_array_equal(root, grid_sqrt[rows])
+        assert not cKDTree(Q.reshape(len(Q), -1)).query_pairs(1e-9, p=np.inf)
+
+    @pytest.mark.parametrize("M,sign_symmetric,size", [(2, True, 3_504), (2, False, 6_480),
+                                                        (3, True, 515), (3, False, 1_408)])
+    def test_cached_read_only(self, M, sign_symmetric, size):
+        Q, root = replica._sup_grid(M, 1.0, sign_symmetric)
+        assert len(Q) == size
+        assert not Q.flags.writeable and not root.flags.writeable
+        again = replica._sup_grid(M, 1.0, sign_symmetric)
+        assert again[0] is Q and again[1] is root
+
+    def test_candidates_are_distinct(self, rademacher, monkeypatch):
+        """At rademacher M = 3, lam = 2 the coarse ascents start from
+        pairwise distinct overlaps, the grid's best candidates first."""
+        starts = []
+        ascend = replica._ascend
+
+        def recorded(ws, lam, Q, rho, tol):
+            if tol == replica.SUP_TOL[0]:
+                starts.append(np.array(Q, dtype=float).ravel())
+            return ascend(ws, lam, Q, rho, tol)
+        monkeypatch.setattr(replica, "_ascend", recorded)
+        replica.fm_sup(rademacher, 3, 2.0)
+        assert len(starts) >= replica.SUP_CANDIDATES
+        assert not cKDTree(np.array(starts)).query_pairs(1e-9, p=np.inf)
 
 
 class TestSymmetryReduction:
