@@ -275,12 +275,14 @@ def mi_vector_signal(prior: Prior, gain: np.ndarray, quad: GaussQuadrature) -> f
     values, logw = atom_grid(prior, M)            # (K, M), (K,)
     z_nodes, z_w = tensor_nodes(quad, M, halved=prior.sign_symmetric)
     E = values @ gain.T                           # rows: G v_k
+    Ez = E @ z_nodes.T                            # (G v_k)' z_n
+    half_norms = 0.5 * np.sum(E * E, axis=1)[:, None]
     # G[k, n] = (G v_k)' z_n - |G v_k|^2 / 2 + ln W_k   (x0-independent part)
-    G_part = E @ z_nodes.T - 0.5 * np.sum(E * E, axis=1)[:, None] + logw[:, None]
+    G_part = Ez - half_norms + logw[:, None]
     # cross term between mixture component k and input configuration a
     C = E @ E.T                                   # (K, K)
     lse = logsumexp_matmul(C, G_part)             # (K_a, Nz): row a fixes x0
-    own = E @ z_nodes.T + 0.5 * np.sum(E * E, axis=1)[:, None]
+    own = Ez + half_norms
     integrand = lse - own                         # ln p(y)/p(y|x0) at (a, n)
     value = -float(np.exp(logw) @ (integrand @ z_w))
     return max(value, 0.0) if value > -1e-12 else value

@@ -67,11 +67,11 @@ __all__ = [
 # batched potential evaluation
 DEFAULT_ORDER = {1: 64, 2: 20, 3: 14}
 BATCH = 1 << 17
-# fm_sup: coarse-grid quadrature order, eigenvalue levels and angles per
-# rotation axis, candidates polished, ascent steps per candidate, certificates
-# at which the ascent stops (coarse, then default order), final-evaluation
-# quadrature order
-SUP_COARSE_ORDER = {2: 20, 3: 8}
+# fm_sup: quadrature order of the coarse stage (grid ranking and SUP_TOL[0]
+# ascents) at every M, eigenvalue levels and angles per rotation axis,
+# candidates polished, ascent steps per candidate, certificates at which the
+# ascent stops (coarse, then default order), final-evaluation quadrature order
+SUP_COARSE_ORDER = 8
 SUP_EIG_LEVELS = {2: 32, 3: 10}
 SUP_ANGLES = {2: 24, 3: 8}
 SUP_CANDIDATES = 20
@@ -473,10 +473,14 @@ def _in_domain(Q, sign_symmetric):
     first row off the diagonal.  Every orbit meets the domain: sort the
     diagonal, then flip each coordinate j > 0 with Q[0, j] < 0.
     """
-    d = np.diagonal(Q, axis1=-2, axis2=-1)
+    return _domain_mask(np.diagonal(Q, axis1=-2, axis2=-1), Q[..., 0, :], sign_symmetric)
+
+
+def _domain_mask(d, row, sign_symmetric):
+    """``_in_domain`` from the diagonals d (..., M) and first rows (..., M)."""
     inside = np.all(d[..., :-1] >= d[..., 1:] - _DOMAIN_TOL, axis=-1)
     if sign_symmetric:
-        inside &= np.all(Q[..., 0, 1:] >= -_DOMAIN_TOL, axis=-1)
+        inside &= np.all(row[..., 1:] >= -_DOMAIN_TOL, axis=-1)
     return inside
 
 
@@ -530,11 +534,14 @@ def _sup_grid(M, rho, sign_symmetric):
     angle_grids = ([np.linspace(0.0, math.pi, n_angle, endpoint=False)] if M == 2
                    else [turn, np.linspace(0.0, math.pi, max(n_angle // 2, 3)), turn])
     eig_combos = np.array(list(itertools.combinations_with_replacement(eig_levels, M)))
-    O = np.array([rotation_matrix(a, M) for a in itertools.product(*angle_grids)])[None]
-    q = eig_combos[:, None, None, :]                                     # (E, 1, 1, M)
-    grid_Q = (O * q) @ O.swapaxes(-1, -2)                                # (E, R, M, M)
-    e, r = np.nonzero(_in_domain(grid_Q, sign_symmetric))
-    grid_Q, O = grid_Q[e, r], O[0, r]
+    O = np.array([rotation_matrix(a, M) for a in itertools.product(*angle_grids)])
+    # Q_ii = sum_m O_im^2 q_m and Q_0j = sum_m O_0m O_jm q_m decide the domain;
+    # the full product O diag(q) O' is formed for the kept points only
+    diag = np.einsum("rim,em->eri", O * O, eig_combos)                  # (E, R, M)
+    row = np.einsum("rjm,em->erj", O[:, :1] * O, eig_combos)            # (E, R, M)
+    e, r = np.nonzero(_domain_mask(diag, row, sign_symmetric))
+    O = O[r]
+    grid_Q = (O * eig_combos[e][:, None, :]) @ O.swapaxes(-1, -2)
     grid_sqrt = (O * np.sqrt(eig_combos[e])[:, None, :]) @ O.swapaxes(-1, -2)
     first = np.sort(np.unique(np.round(grid_Q.reshape(len(grid_Q), -1), 9), axis=0,
                               return_index=True)[1])
@@ -553,9 +560,10 @@ def fm_sup(prior: Prior, M: int, lam: float):
     potential's symmetry group (``_in_domain``), plus the isotropic line.  The
     grid is built once per (M, rho, sign symmetry) and holds each distinct
     overlap once (``_sup_grid``); it is evaluated in batches, on a ln Z pass
-    that sums its maxima outside the log.  The best candidates, with rho I and
-    rho/2 I, are polished by projected gradient ascent (``_ascend``), first at
-    the coarse quadrature order, then the best three at the default order.
+    that sums its maxima outside the log, on one coarse rule of SUP_COARSE_ORDER
+    nodes per axis at every M.  The best candidates, with rho I and rho/2 I,
+    climb on that rule by projected gradient ascent (``_ascend``); the
+    isotropic line and the best three climbs run at the default order.
     Returns ``(value, Q_star)``.
     """
     if M not in (2, 3):
@@ -563,7 +571,7 @@ def fm_sup(prior: Prior, M: int, lam: float):
     _check_snr(lam)
     rho = prior.rho
     ws = _RankMWorkspace(prior, M)
-    coarse_ws = _RankMWorkspace(prior, M, gauss_hermite(SUP_COARSE_ORDER[M]))
+    coarse_ws = _RankMWorkspace(prior, M, gauss_hermite(SUP_COARSE_ORDER))
     grid_Q, grid_sqrt = _sup_grid(M, rho, prior.sign_symmetric)
     # the isotropic line (exactly decoupled; cheap at full accuracy)
     taus = np.linspace(0.0, rho, 65)[:, None, None]

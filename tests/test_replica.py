@@ -698,6 +698,38 @@ class TestGradientPolish:
         assert np.linalg.norm(Q - q1 * np.eye(2), "fro") <= 1e-4
 
 
+class TestCoarseRule:
+    """fm_sup's coarse stage, the grid ranking and the coarse ascents, runs on
+    one rule of SUP_COARSE_ORDER nodes per axis at M = 2 as at M = 3."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 4.0])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
+    def test_same_basin_as_the_default_order(self, request, monkeypatch, label, lam):
+        """At M = 2 the coarse rule leads to the maximizer that ranking and
+        climbing at the default order reach; a wrong basin moves Q* by O(0.1)."""
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        value, Q = replica.fm_sup(prior, 2, lam)
+        monkeypatch.setattr(replica, "SUP_COARSE_ORDER", replica.DEFAULT_ORDER[2])
+        ref_value, ref_Q = replica.fm_sup(prior, 2, lam)
+        assert abs(value - ref_value) <= 1e-6
+        assert np.linalg.norm(Q - ref_Q, "fro") <= 2e-3
+
+    def test_evaluation_rules(self, rademacher, monkeypatch):
+        """One M = 2 call evaluates every grid overlap on the coarse rule and
+        only the 65-point isotropic line at the default order."""
+        counts = {}
+        ln_partition = replica._RankMWorkspace.ln_partition
+
+        def counted(self, Q, *args, **kwargs):
+            order = self.quad.order
+            counts[order] = counts.get(order, 0) + (len(Q) if np.ndim(Q) == 3 else 1)
+            return ln_partition(self, Q, *args, **kwargs)
+        monkeypatch.setattr(replica._RankMWorkspace, "ln_partition", counted)
+        replica.fm_sup(rademacher, 2, 2.0)
+        assert counts[replica.SUP_COARSE_ORDER] == 3_504
+        assert counts[replica.DEFAULT_ORDER[2]] == 65
+
+
 def redundant_sup_grid(M, rho, sign_symmetric):
     """fm_sup's coarse grid as built before duplicate overlaps were removed:
     every in-domain product-grid point, a degenerate spectrum at its first
