@@ -50,9 +50,6 @@ class ReductionReport:
     gap: float
     maximizer_isotropy: float     # |Q* - q* I|_F
     near_critical: bool = False   # inside the detected jump cell
-    trim_min_residual: float | None = None
-    trace_min_residual: float | None = None
-    convexity_min_second_diff: float | None = None
     passes: dict = field(default_factory=dict)
 
 
@@ -72,12 +69,10 @@ def random_psd(M: int, rng: np.random.Generator, diag_min: float | None = None,
     return sigma
 
 
-def diagonal_trim_residual(prior: Prior, sigma, quad: GaussQuadrature,
-                           mc_budget: int = 200_000,
-                           rng: np.random.Generator | None = None) -> float:
+def diagonal_trim_residual(prior: Prior, sigma, quad: GaussQuadrature) -> float:
     """mi_vector(Sigma) minus the sum of per-coordinate scalar informations."""
     mat = np.asarray(sigma, dtype=float)
-    value, _ = mi_vector(prior, mat, quad, mc_budget=mc_budget, rng=rng)
+    value, _ = mi_vector(prior, mat, quad)
     scalar_sum = sum(mi_scalar_noise(prior, float(t), quad) for t in mat.diagonal())
     return value - scalar_sum
 

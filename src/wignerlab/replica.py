@@ -8,8 +8,8 @@ Rank-M potential (overlap matrix Q in the PSD cone, SNR lam >= 0):
 The rank-one potential F1(tau) for an overlap tau in [0, rho] is its M = 1
 case, F1(tau) = FM([[tau]]).  One workspace (``_RankMWorkspace``) evaluates
 M = 1, 2 and 3 on a tensor Gauss-Hermite grid with ``DEFAULT_ORDER[M]`` nodes
-per axis unless a rule is given.  FM admits an equivalent mutual-information
-form
+per axis unless a rule is given, ln ZM and its Gibbs moments in one pass.
+FM admits an equivalent mutual-information form
 
     FM(Q) = -(1/M) I(x0; sqrt(lam Q) x0 + z) - lam |Q - rho I|_F^2 / (4M)
             + lam rho^2 / 4,
@@ -40,7 +40,6 @@ from .channel import (
     _logsumexp,
     atom_grid,
     gauss_hermite,
-    logsumexp_matmul,
     mi_vector_signal,
     psd_sqrt,
     tensor_nodes,
@@ -254,10 +253,10 @@ def _check_overlap_matrix(Q, M):
 
 class _RankMWorkspace:
     """Precomputed atom/quadrature grids for repeated rank-M evaluations, on
-    the rule ``quad`` (DEFAULT_ORDER[M] nodes by default) in every axis.
-    ln ZM and x0' <x> are unchanged by (z, x0) -> (-z, -x0) for a
-    sign-symmetric prior and every output sums over x0 before z, so such a
-    prior runs on the halved grid of ``tensor_nodes``."""
+    the rule ``quad`` (DEFAULT_ORDER[M] nodes by default) in every axis; every
+    output comes from one Gibbs pass.  ln ZM and x0' <x> are unchanged by
+    (z, x0) -> (-z, -x0) for a sign-symmetric prior and every output sums over
+    x0 before z, so such a prior runs on the halved grid of ``tensor_nodes``."""
 
     def __init__(self, prior, M, quad=None):
         self.prior = prior
@@ -281,26 +280,46 @@ class _RankMWorkspace:
         B = G - 0.5 * np.diagonal(G, axis1=-2, axis2=-1)[..., None, :] + self.logw
         return A, B
 
+    def _gibbs_pass(self, Q, lam, sqrt_Q, rows):
+        """E ln ZM at the overlaps Q (one, or a stack over leading axes), and
+        the Gibbs means (..., R-1, K_a, Nz) of the moment rows (R, 1, K_x)
+        after the first (all ones), from one GEMM [EB; EB V_1; ...] @ EA per
+        overlap.  The column maxima of A and row maxima of B are summed
+        outside the log, each overlap's sums as its own vector products, so a
+        value does not depend on its stack.  Entries whose every product
+        underflows are recomputed pairwise on rebuilt exponents."""
+        A, B = self._exponents(Q, lam, sqrt_Q)
+        a_max = A.max(axis=-2, keepdims=True)                   # (..., 1, Nz)
+        b_max = B.max(axis=-1, keepdims=True)                   # (..., K_a, 1)
+        A -= a_max
+        B -= b_max
+        stack = np.exp(B, out=B)[..., None, :, :] * rows        # (..., R, K_a, K_x)
+        sums = stack.reshape(*stack.shape[:-3], -1, stack.shape[-1]) @ np.exp(A, out=A)
+        sums = sums.reshape(*stack.shape[:-1], -1)              # (..., R, K_a, Nz)
+        denom = sums[..., 0, :, :]
+        lost = denom < _TINY
+        denom[lost] = 1.0
+        mean_x = sums[..., 1:, :, :] / denom[..., None, :, :]
+        ln_denom = np.log(denom, out=denom)
+        if lost.any():
+            A, B = self._exponents(Q, lam, sqrt_Q)
+            b_rows, a_cols = np.broadcast_arrays(B[..., :, None, :],
+                                                 A.swapaxes(-1, -2)[..., None, :, :])
+            arg = b_rows[lost] + a_cols[lost]                   # (lost, K_x)
+            top = arg.max(axis=1, keepdims=True)
+            p = np.exp(arg - top)
+            total = p.sum(axis=1)
+            ln_denom[lost] = top[:, 0] + np.log(total) - (b_max + a_max)[lost]
+            np.moveaxis(mean_x, -3, -1)[lost] = (p @ rows[1:, 0].T) / total[:, None]
+        ln_s = ln_denom @ self.z_weights                        # (..., K_a)
+        ln_z = (ln_s[..., None, :] @ self.weights + self.weights @ b_max
+                + a_max @ self.z_weights)[..., 0]
+        return ln_z, mean_x
+
     def ln_partition(self, Q, lam, sqrt_Q=None):
         """E_{z,x0} ln ZM(Q) on the tensor grid; a float for one overlap, an
-        array over the leading axes of a stack of them (which needs sqrt_Q).
-        The column maxima of A and row maxima of B are factored out of one
-        GEMM and summed outside the log; a stack where some product underflows
-        goes through ``logsumexp_matmul`` instead."""
-        A, B = self._exponents(Q, lam, sqrt_Q)
-        a_max = A.max(axis=-2, keepdims=True)
-        b_max = B.max(axis=-1, keepdims=True)
-        A -= a_max
-        inner = np.exp(B - b_max) @ np.exp(A, out=A)
-        if inner.min() < _TINY:
-            A, B = self._exponents(Q, lam, sqrt_Q)
-            ln_z = (logsumexp_matmul(B, A) @ self.z_weights) @ self.weights
-        else:
-            # each sum is its own vector product per overlap, so an overlap's
-            # value does not depend on the stack it is evaluated in
-            ln_s = np.log(inner, out=inner) @ self.z_weights
-            ln_z = (ln_s[..., None, :] @ self.weights + self.weights @ b_max
-                    + a_max @ self.z_weights)[..., 0]
+        array over the leading axes of a stack of them (which needs sqrt_Q)."""
+        ln_z = self._gibbs_pass(Q, lam, sqrt_Q, self.moments[:1])[0]
         return float(ln_z) if ln_z.ndim == 0 else ln_z
 
     def potential(self, Q, lam, sqrt_Q):
@@ -313,32 +332,10 @@ class _RankMWorkspace:
         return ln_z / self.M - lam * np.sum(Q * Q, axis=(1, 2)) / (4.0 * self.M)
 
     def value_and_moment(self, Q, lam, sqrt_Q=None):
-        """E ln ZM(Q) and E <x x0'> from one exponent build and one exponential
-        of A and of B: one GEMM [EB; EB V_1; ...; EB V_M] @ EA gives the
-        normalizers and the first moments of x together.  Entries whose every
-        product underflows are recomputed pairwise, as in ``logsumexp_matmul``."""
-        A, B = self._exponents(Q, lam, sqrt_Q)
-        V = self.values
-        a_max = B.max(axis=1, keepdims=True)
-        x_max = A.max(axis=0, keepdims=True)
-        stack = np.exp(B - a_max) * self.moments                # (M+1, K_a, K_x)
-        sums = (stack.reshape(-1, len(V)) @ np.exp(A - x_max)).reshape(self.M + 1, len(V), -1)
-        denom = sums[0]
-        lost = denom < _TINY
-        denom[lost] = 1.0
-        lse = a_max + x_max + np.log(denom)
-        mean_x = sums[1:] / denom
-        if lost.any():
-            i, j = np.nonzero(lost)
-            arg = B[i] + A[:, j].T                              # (lost, K_x)
-            top = arg.max(axis=1, keepdims=True)
-            p = np.exp(arg - top)
-            total = p.sum(axis=1)
-            lse[i, j] = top[:, 0] + np.log(total)
-            mean_x[:, i, j] = (p @ V).T / total
-        ln_z = float(self.weights @ (lse @ self.z_weights))
-        R = mean_x @ self.z_weights                             # (M, K_a)
-        return ln_z, R @ self.weighted_values                   # (M, M)
+        """E ln ZM(Q), bit-equal to ``ln_partition``, and E <x x0'> (M, M)
+        from the same ``_gibbs_pass`` on all M + 1 moment rows."""
+        ln_z, mean_x = self._gibbs_pass(Q, lam, sqrt_Q, self.moments)
+        return float(ln_z), (mean_x @ self.z_weights) @ self.weighted_values
 
 
 def fm_rs(prior: Prior, M: int, Q, lam: float,
@@ -356,8 +353,9 @@ def fm_rs(prior: Prior, M: int, Q, lam: float,
     rho = prior.rho
     if M <= 3:
         ws = _RankMWorkspace(prior, M, quad)
-        ln_z = ws.ln_partition(Q, lam)
-        mi = mi_vector_signal(prior, math.sqrt(lam) * psd_sqrt(Q), ws.quad)
+        sqrt_Q = psd_sqrt(Q)
+        ln_z = ws.ln_partition(Q, lam, sqrt_Q)
+        mi = mi_vector_signal(prior, math.sqrt(lam) * sqrt_Q, ws.quad)
     elif M <= 6:
         if mc_budget is None or rng is None:
             raise ValueError("dimensions above 3 need mc_budget and rng")

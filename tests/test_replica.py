@@ -543,9 +543,9 @@ def overlap_stack(prior, M, count, seed):
 
 
 class TestFoldedLnPartition:
-    """ln_partition sums the column maxima of A and the row maxima of B
-    outside the log, and falls back to logsumexp_matmul where a product
-    underflows."""
+    """ln_partition and value_and_moment share one Gibbs pass: it sums the
+    column maxima of A and the row maxima of B outside the log and recomputes
+    pairwise only the entries whose every product underflows."""
 
     @pytest.mark.parametrize("M", [1, 2, 3])
     @pytest.mark.parametrize("label,full", [("rademacher", False), ("rademacher", True),
@@ -565,21 +565,25 @@ class TestFoldedLnPartition:
             assert abs(ws.ln_partition(Qs[0], lam)
                        - logsumexp_ln_partition(ws, Qs[0], lam)) <= 1e-12
 
-    def test_underflow_guard_in_a_mixed_stack(self, rademacher, monkeypatch):
-        """The exponents depend on lam Q and sqrt(lam) sqrt(Q) only, so a slice
-        scaled by 1e5 / lam is a lam = 1e5 slice.  Its products underflow, the
-        whole stack takes the logsumexp_matmul path and every slice keeps the
-        oracle's value; an ordinary stack never calls it."""
-        calls = [0]
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
+    def test_fused_value_is_ln_partition(self, request, label, M):
+        """The suprema rank their grids with ln_partition and _ascend's Armijo
+        test reads value_and_moment, so both give one number, to the bit."""
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        Qs, _ = overlap_stack(prior, M, 10, 29 + M)
+        for order in (8, replica.DEFAULT_ORDER[M]):
+            ws = replica._RankMWorkspace(prior, M, channel.gauss_hermite(order))
+            for Q, lam in itertools.product(Qs, (0.3, 1.7, 6.0)):
+                assert ws.value_and_moment(Q, lam)[0] == ws.ln_partition(Q, lam)
 
-        def counted(*args):
-            calls[0] += 1
-            return channel.logsumexp_matmul(*args)
-        monkeypatch.setattr(replica, "logsumexp_matmul", counted)
+    def test_underflow_guard_in_a_mixed_stack(self, rademacher):
+        """The exponents depend on lam Q and sqrt(lam) sqrt(Q) only, so a slice
+        scaled by 1e5 / lam is a lam = 1e5 slice.  Its products underflow,
+        every slice keeps the oracle's value, and every slice equals its value
+        alone, to the bit."""
         ws = replica._RankMWorkspace(rademacher, 2, channel.gauss_hermite(4))
-        Qs, roots = overlap_stack(rademacher, 2, 4, 17)
-        ws.ln_partition(Qs, 1.7, roots)
-        assert calls[0] == 0
+        Qs, _ = overlap_stack(rademacher, 2, 4, 17)
         hot = np.array([[0.9, 0.4], [0.4, 0.3]]) * (1e5 / 1.7)
         Qs = np.concatenate([Qs[:2], hot[None], Qs[2:]])
         roots = np.array([channel.psd_sqrt(Q) for Q in Qs])
@@ -588,11 +592,12 @@ class TestFoldedLnPartition:
         EA = np.exp(A - A.max(axis=0, keepdims=True))
         assert np.any(EB @ EA < np.finfo(float).tiny)
         got = ws.ln_partition(Qs, 1.7, roots)
-        assert calls[0] == 1
         ref = logsumexp_ln_partition(ws, Qs, 1.7, roots)
         assert np.all(np.isfinite(got))
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert abs(ws.ln_partition(hot, 1.7) - ref[2]) <= 1e-12 * abs(ref[2])
+        np.testing.assert_array_equal(
+            got, [ws.ln_partition(Q, 1.7, root) for Q, root in zip(Qs, roots)])
 
     @pytest.mark.parametrize("M", [1, 2, 3])
     @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
