@@ -12,7 +12,6 @@ from .priors import (
 )
 from .channel import (
     GaussQuadrature,
-    NoiseCovariance,
     check_mi_convexity,
     denoiser_scalar,
     gauss_hermite,
@@ -48,13 +47,8 @@ from .simulator import (
     ModelInstance,
     PerturbationParams,
     PosteriorSummary,
-    exact_posterior,
     free_entropy_mc,
-    hamiltonian,
     overlap_concentration,
-    perturbation_gap,
-    perturbation_response,
-    perturbed_hamiltonian,
     sample_instance,
 )
 from .cavity import (

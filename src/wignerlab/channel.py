@@ -32,11 +32,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .priors import Prior
+from .priors import Prior, quantile
 
 __all__ = [
     "GaussQuadrature",
-    "NoiseCovariance",
     "gauss_hermite",
     "tensor_nodes",
     "atom_grid",
@@ -85,25 +84,6 @@ class GaussQuadrature:
         w.setflags(write=False)
         object.__setattr__(self, "nodes", n)
         object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class NoiseCovariance:
-    """Symmetric PSD noise covariance of an M-dimensional Gaussian channel."""
-
-    sigma: np.ndarray
-    dimension: int
-
-    def __post_init__(self):
-        s = np.asarray(self.sigma, dtype=float)
-        if s.shape != (self.dimension, self.dimension):
-            raise ValueError("covariance shape does not match dimension")
-        if np.max(np.abs(s - s.T)) > 1e-12:
-            raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(s).min() < _PSD_EIG_FLOOR:
-            raise ValueError("covariance must be positive semidefinite")
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma", s)
 
 
 @lru_cache(maxsize=32)
@@ -299,7 +279,7 @@ def _mi_vector_mc(prior, inv_sqrt, n_samples, rng):
     done = 0
     while done < n_samples:
         b = min(chunk, n_samples - done)
-        x0 = prior.values[rng.choice(prior.n_atoms, size=(b, M), p=prior.weights)]
+        x0 = quantile(prior, rng.random((b, M)))
         z = rng.standard_normal((b, M))
         U = x0 @ inv_sqrt.T                       # rows: S x0
         arg = (E @ z.T) + (E @ U.T) - half_norms[:, None] + logw[:, None]
@@ -320,11 +300,8 @@ def mi_vector(prior: Prior, sigma, quad: GaussQuadrature, mc_budget: int = 200_0
     the exact k^M-atom mixture density is returned with its standard error.
     Requires an invertible covariance.
     """
-    if isinstance(sigma, NoiseCovariance):
-        mat, M = sigma.sigma, sigma.dimension
-    else:
-        mat = np.asarray(sigma, dtype=float)
-        M = mat.shape[0]
+    mat = np.asarray(sigma, dtype=float)
+    M = mat.shape[0]
     if mat.shape != (M, M):
         raise ValueError("covariance shape does not match its dimension")
     if np.max(np.abs(mat - mat.T)) > 1e-12:

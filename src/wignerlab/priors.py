@@ -9,7 +9,6 @@ sums and makes exact posterior enumeration well-defined downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +19,8 @@ __all__ = [
     "make_rademacher",
     "make_sparse_rademacher",
     "make_discretized_uniform",
+    "quantile",
     "sample",
-    "to_json",
-    "from_json",
 ]
 
 # Canonicalization and invariant tolerances.
@@ -143,32 +141,17 @@ def make_discretized_uniform(D: float, n_nodes: int) -> Prior:
     )
 
 
+def quantile(prior: Prior, U: np.ndarray) -> np.ndarray:
+    """Prior atoms at uniforms U in [0, 1), by the inverse-CDF rule of
+    ``Generator.choice(k, p=weights)``: ``quantile(prior, rng.random(shape))``
+    is ``values[rng.choice(k, size=shape, p=weights)]`` draw for draw."""
+    cdf = np.cumsum(prior.weights)
+    cdf /= cdf[-1]
+    return prior.values[cdf.searchsorted(U, side="right")]
+
+
 def sample(prior: Prior, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. atoms; deterministic given the generator state."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty(0)
-    idx = rng.choice(prior.n_atoms, size=count, p=prior.weights)
-    return prior.values[idx]
-
-
-def to_json(prior: Prior) -> str:
-    return json.dumps(
-        {
-            "label": prior.label,
-            "atoms": [[float(v), float(w)] for v, w in zip(prior.values, prior.weights)],
-            "rho": prior.rho,
-            "D": prior.support_bound,
-        }
-    )
-
-
-def from_json(text: str) -> Prior:
-    obj = json.loads(text)
-    prior = make_prior(obj["atoms"], label=obj.get("label", "custom"),
-                       support_bound=obj.get("D"))
-    declared_rho = obj.get("rho")
-    if declared_rho is not None and abs(declared_rho - prior.rho) > _MOMENT_TOL:
-        raise ValueError("serialized rho does not match atoms")
-    return prior
+    return quantile(prior, rng.random(count))

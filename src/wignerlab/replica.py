@@ -44,7 +44,7 @@ from .channel import (
     psd_sqrt,
     tensor_nodes,
 )
-from .priors import Prior
+from .priors import Prior, quantile
 
 __all__ = [
     "FixedPointResult",
@@ -385,7 +385,7 @@ def _fm_monte_carlo(prior, M, Q, lam, budget, rng):
     done = 0
     while done < budget:
         b = min(chunk, budget - done)
-        x0 = prior.values[rng.choice(prior.n_atoms, size=(b, M), p=prior.weights)]
+        x0 = quantile(prior, rng.random((b, M)))
         z = rng.standard_normal((b, M))
         # log partition: coupling lam x0' Q x + sqrt(lam) x' sqrt(Q) z
         arg = (values @ (lam * (x0 @ Q).T + math.sqrt(lam) * (z @ sqrt_Q).T)
@@ -461,9 +461,9 @@ def rotation_matrix(angles, M: int) -> np.ndarray:
     raise ValueError("rotation parametrization supports M <= 3")
 
 
-def _in_domain(Q, sign_symmetric):
-    """Whether the overlap matrices Q[..., :, :] lie in one fundamental domain
-    of the symmetry group of FM.
+def _domain_mask(d, row, sign_symmetric):
+    """Whether the overlap matrices Q with diagonals d (..., M) and first rows
+    row (..., M) lie in one fundamental domain of the symmetry group of FM.
 
     A product prior makes FM(P Q P') = FM(Q) for every coordinate permutation
     P, which a non-increasing diagonal breaks.  A sign-symmetric prior adds the
@@ -471,11 +471,6 @@ def _in_domain(Q, sign_symmetric):
     first row off the diagonal.  Every orbit meets the domain: sort the
     diagonal, then flip each coordinate j > 0 with Q[0, j] < 0.
     """
-    return _domain_mask(np.diagonal(Q, axis1=-2, axis2=-1), Q[..., 0, :], sign_symmetric)
-
-
-def _domain_mask(d, row, sign_symmetric):
-    """``_in_domain`` from the diagonals d (..., M) and first rows (..., M)."""
     inside = np.all(d[..., :-1] >= d[..., 1:] - _DOMAIN_TOL, axis=-1)
     if sign_symmetric:
         inside &= np.all(row[..., 1:] >= -_DOMAIN_TOL, axis=-1)
@@ -524,7 +519,7 @@ def _ascend(ws, lam, Q, rho, tol):
 def _sup_grid(M, rho, sign_symmetric):
     """fm_sup's coarse grid: the overlaps Q = O diag(q) O' of a product grid
     over eigenvalues and rotation angles that lie in one fundamental domain
-    (``_in_domain``), each distinct overlap once (rows equal to 9 decimals,
+    (``_domain_mask``), each distinct overlap once (rows equal to 9 decimals,
     first occurrence kept, in grid order).  Returns read-only (Q, sqrt Q)."""
     n_angle = SUP_ANGLES[M]
     eig_levels = np.linspace(0.0, rho, SUP_EIG_LEVELS[M])
@@ -555,7 +550,7 @@ def fm_sup(prior: Prior, M: int, lam: float):
 
     Global coverage comes from a product grid over eigenvalues and rotation
     angles of Q = O diag(q) O', restricted to one fundamental domain of the
-    potential's symmetry group (``_in_domain``), plus the isotropic line.  The
+    potential's symmetry group (``_domain_mask``), plus the isotropic line.  The
     grid is built once per (M, rho, sign symmetry) and holds each distinct
     overlap once (``_sup_grid``); it is evaluated in batches, on a ln Z pass
     that sums its maxima outside the log, on one coarse rule of SUP_COARSE_ORDER

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as rngmod
-from .priors import Prior
+from .priors import Prior, quantile
 
 __all__ = [
     "BudgetError",
@@ -48,15 +48,10 @@ __all__ = [
     "PerturbationParams",
     "PosteriorSummary",
     "sample_instance",
-    "hamiltonian",
-    "perturbed_hamiltonian",
-    "perturbation_response",
-    "exact_posterior",
     "free_entropy_mc",
     "free_entropy_replicates",
     "posterior_replicates",
     "overlap_concentration",
-    "perturbation_gap",
     "instance_to_json",
     "instance_from_json",
 ]
@@ -109,14 +104,6 @@ class PosteriorSummary:
     config_count: int
 
 
-def _atoms(prior: Prior, U: np.ndarray) -> np.ndarray:
-    """Prior atoms from uniforms U, by ``Generator.choice``'s own inverse-CDF
-    rule, so a stream gives the same signal either way."""
-    cdf = np.cumsum(prior.weights)
-    cdf /= cdf[-1]
-    return prior.values[cdf.searchsorted(U, side="right")]
-
-
 def _symmetric(G: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Wigner noise from the strict upper triangle of G (..., n, n) and the
     diagonal sqrt(2) d (..., n)."""
@@ -133,7 +120,7 @@ def _draw_wigner(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _draw_signal(prior: Prior, rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    return _atoms(prior, rng.random((n, m)))
+    return quantile(prior, rng.random((n, m)))
 
 
 def sample_instance(prior: Prior, N: int, M: int, lam: float, seed: int) -> ModelInstance:
@@ -147,62 +134,6 @@ def sample_instance(prior: Prior, N: int, M: int, lam: float, seed: int) -> Mode
     Z = _draw_wigner(rng, N)
     Y = math.sqrt(lam / N) * (X0 @ X0.T) + Z
     return ModelInstance(N=N, M=M, lam=lam, X0=X0, Z=Z, Y=Y, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonians
-# ---------------------------------------------------------------------------
-
-def _hamiltonian_terms(X: np.ndarray, X0: np.ndarray, Z: np.ndarray):
-    """Batched trace terms for configurations X of shape (C, N, M)."""
-    C, N, M = X.shape
-    flat = X.transpose(1, 0, 2).reshape(N, C * M)
-    ZX = (Z @ flat).reshape(N, C, M).transpose(1, 0, 2)
-    t_noise = np.einsum("cim,cim->c", ZX, X)
-    cross = X.transpose(0, 2, 1).reshape(C * M, N) @ X0        # rows: (X' X0)
-    t_signal = np.einsum("cm,cm->c", cross.reshape(C, -1), cross.reshape(C, -1))
-    gram = np.matmul(X.transpose(0, 2, 1), X)                  # X' X, (C, M, M)
-    t_quartic = np.einsum("cmn,cmn->c", gram, gram)
-    return t_noise, t_signal, t_quartic
-
-
-def _hamiltonian_batch(X, X0, Z, lam, denom, pert: PerturbationParams | None):
-    t_noise, t_signal, t_quartic = _hamiltonian_terms(X, X0, Z)
-    H = 0.5 * (math.sqrt(lam / denom) * t_noise
-               + (lam / denom) * t_signal
-               - (lam / (2.0 * denom)) * t_quartic)
-    if pert is not None:
-        eps = pert.epsilon
-        s_side = np.einsum("cim,im->c", X, pert.Ztilde)
-        s_align = np.einsum("cim,im->c", X, X0)
-        s_norm = np.einsum("cim,cim->c", X, X)
-        H = H + math.sqrt(eps) * s_side + eps * s_align - 0.5 * eps * s_norm
-    return H
-
-
-def hamiltonian(instance: ModelInstance, X) -> float:
-    """Base log-likelihood H_N(X)."""
-    X = np.asarray(X, dtype=float).reshape(1, instance.N, instance.M)
-    return float(_hamiltonian_batch(X, instance.X0, instance.Z, instance.lam,
-                                    instance.N, None)[0])
-
-
-def perturbed_hamiltonian(instance: ModelInstance, pert: PerturbationParams, X) -> float:
-    """H_{N+1}(X) plus the side-channel trace term of strength eps."""
-    X = np.asarray(X, dtype=float).reshape(1, instance.N, instance.M)
-    return float(_hamiltonian_batch(X, instance.X0, instance.Z, instance.lam,
-                                    instance.N + 1, pert)[0])
-
-
-def perturbation_response(instance: ModelInstance, pert: PerturbationParams, X) -> float:
-    """Auxiliary statistic -(1/N) d/d(eps) H^eps(X); needs eps > 0."""
-    if pert.epsilon <= 0:
-        raise ValueError("the eps-derivative is singular at eps = 0")
-    X = np.asarray(X, dtype=float).reshape(instance.N, instance.M)
-    trace = (np.sum(X * pert.Ztilde) / (2.0 * math.sqrt(pert.epsilon))
-             + np.sum(X * instance.X0)
-             - 0.5 * np.sum(X * X))
-    return -trace / instance.N
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +307,13 @@ def _log_partition(prior: Prior, lam: float, X0, Z,
 
 def _posterior(prior: Prior, lam: float, X0, Z,
                pert: PerturbationParams | None) -> list[PosteriorSummary]:
-    """Posterior summaries of each replicate in the batch (X0, Z)."""
+    """Exact posterior summaries of each replicate in the batch (X0, Z).
+
+    ``pert=None`` uses the base Hamiltonian H_N; otherwise the side-channel
+    form with the N+1 coupling normalizer.  One split-block pass gives ln Z,
+    <X> and <X X'>; the overlap moments follow from <R> = <X>' X0 / N and
+    <|R|_F^2> = <X X', X0 X0'> / N^2.
+    """
     b, N, M = X0.shape
     total = _check_budget(prior, N, M)
     log_z, mean_x, mean_xxt = _split_block(prior, *_coefficients(lam, X0, Z, pert),
@@ -393,19 +330,6 @@ def _posterior(prior: Prior, lam: float, X0, Z,
                              matrix_mmse=float(mmse[i]),
                              config_count=total)
             for i in range(b)]
-
-
-def exact_posterior(instance: ModelInstance, pert: PerturbationParams | None,
-                    prior: Prior) -> PosteriorSummary:
-    """Exact posterior summary by enumeration of all configurations.
-
-    ``pert=None`` uses the base Hamiltonian H_N; otherwise the side-channel
-    form with the N+1 coupling normalizer.  One split-block pass (see
-    ``_split_block``, here on a batch of one) gives ln Z, <X> and <X X'>; the
-    overlap moments follow from <R> = <X>' X0 / N and <|R|_F^2> = <X X', X0
-    X0'> / N^2.
-    """
-    return _posterior(prior, instance.lam, instance.X0[None], instance.Z[None], pert)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +351,7 @@ def _disorder(prior: Prior, shape, tag: int, seed: int, replicates: int):
             rng.random(out=U[i])
             rng.standard_normal(out=W[i])   # one call draws G, d and Ztilde in turn
         G, d, Zt = W[:, :n * n], W[:, n * n:n * n + n], W[:, n * n + n:]
-        yield _atoms(prior, U), _symmetric(G.reshape(b, n, n), d), Zt.reshape(b, n, m)
+        yield quantile(prior, U), _symmetric(G.reshape(b, n, n), d), Zt.reshape(b, n, m)
 
 
 def _master_shape(N: int, M: int, master):
@@ -524,18 +448,6 @@ def perturbation_gap_replicates(prior: Prior, N: int, M: int, lam: float,
         _log_partition(prior, lam, X0, Z, PerturbationParams(epsilon=s_N, Ztilde=Zt))
         / (N * M) - _log_partition(prior, lam, X0, Z, None) / (N * M)
         for X0, Z, Zt in _disorder(prior, (N, M), TAG_PERT, seed, replicates)])
-
-
-def perturbation_gap(prior: Prior, N: int, M: int, lam: float, s_N: float,
-                     replicates: int, seed: int):
-    """Perturbed-minus-base free entropy at eps = s_N, common random numbers.
-
-    Both free entropies use the same (X0, Z) per replicate; only the perturbed
-    one sees Ztilde.  Returns (mean gap, std err of the gap).
-    """
-    _need_two(replicates)
-    diffs = perturbation_gap_replicates(prior, N, M, lam, s_N, replicates, seed)
-    return float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(replicates))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wignerlab import priors
+from wignerlab import cli, priors
 from wignerlab.rng import stream
 
 
@@ -138,10 +138,18 @@ class TestSignSymmetry:
         assert not p.sign_symmetric
 
 
+def atoms_spec(p):
+    """A prior as the CLI's JSON ``atoms`` spec."""
+    return json.dumps({"kind": "atoms", "label": p.label,
+                       "atoms": [[float(v), float(w)] for v, w in zip(p.values, p.weights)]})
+
+
 class TestJson:
+    """A prior travels as JSON through the CLI's ``atoms`` spec."""
+
     def test_round_trip(self):
         p = priors.make_sparse_rademacher(0.3)
-        q = priors.from_json(priors.to_json(p))
+        q = cli._prior(json.loads(atoms_spec(p)), "prior")
         np.testing.assert_array_equal(p.values, q.values)
         np.testing.assert_array_equal(p.weights, q.weights)
         assert p.rho == q.rho
@@ -149,5 +157,10 @@ class TestJson:
         assert p.label == q.label
 
     def test_schema_fields(self):
-        obj = json.loads(priors.to_json(priors.make_rademacher()))
-        assert set(obj) == {"label", "atoms", "rho", "D"}
+        """The spec holds the atoms and a label; rho and D follow from the
+        atoms, so a spec that states them is refused."""
+        assert set(cli.PRIOR_KINDS["atoms"][0]) == {"atoms", "label"}
+        obj = json.loads(atoms_spec(priors.make_rademacher()))
+        for key in ("rho", "D"):
+            with pytest.raises(cli.ConfigError, match="unknown key"):
+                cli._prior({**obj, key: 1.0}, "prior")

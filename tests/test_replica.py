@@ -648,6 +648,12 @@ def group(M, flips):
             for d in signs for p in itertools.permutations(range(M))]
 
 
+def in_domain(Q, flips):
+    """Whether the overlaps Q[..., :, :] lie in ``replica._domain_mask``'s
+    fundamental domain."""
+    return replica._domain_mask(np.diagonal(Q, axis1=-2, axis2=-1), Q[..., 0, :], flips)
+
+
 def canonical(Q, flips):
     """The image of Q with a non-increasing diagonal and, with flips, a
     nonnegative first row."""
@@ -749,7 +755,7 @@ def redundant_sup_grid(M, rho, sign_symmetric):
     q = eig_combos[:, None, None, :]
     grid_Q = (O * q) @ O.swapaxes(-1, -2)
     grid_sqrt = (O * np.sqrt(q)) @ O.swapaxes(-1, -2)
-    keep = replica._in_domain(grid_Q, sign_symmetric)
+    keep = in_domain(grid_Q, sign_symmetric)
     keep[np.ptp(np.round(eig_combos, 12), axis=1) == 0, 1:] = False
     return grid_Q[keep], grid_sqrt[keep]
 
@@ -839,17 +845,17 @@ class TestSymmetryReduction:
         flips = prior.sign_symmetric
         for Q in self.random_overlaps(prior, M, 5, 29 + M):
             C = canonical(Q, flips)
-            assert replica._in_domain(C, flips)
+            assert in_domain(C, flips)
             assert abs(potential(prior, M, C, 1.7) - potential(prior, M, Q, 1.7)) <= 1e-13
             images = {tuple(np.round(g @ Q @ g.T, 12).ravel()) for g in group(M, flips)}
             inside = [im for im in images
-                      if replica._in_domain(np.reshape(im, (M, M)), flips)]
+                      if in_domain(np.reshape(im, (M, M)), flips)]
             assert len(inside) == 1
 
     def test_domain_is_vectorized(self, rademacher):
         Qs = np.array(self.random_overlaps(rademacher, 3, 8, 3))
-        np.testing.assert_array_equal(replica._in_domain(Qs, True),
-                                      [replica._in_domain(Q, True) for Q in Qs])
+        np.testing.assert_array_equal(in_domain(Qs, True),
+                                      [in_domain(Q, True) for Q in Qs])
 
     def test_asymmetric_rank_three_reduction(self, quad64):
         """Criterion 4's gates on a prior without sign symmetry at M = 3,

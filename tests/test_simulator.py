@@ -6,12 +6,65 @@ import pytest
 from scipy.special import logsumexp
 
 from wignerlab import cavity, make_prior, make_rademacher, replica, simulator
-from wignerlab.simulator import (
-    BudgetError,
-    ModelInstance,
-    PerturbationParams,
-    _hamiltonian_batch,
-)
+from wignerlab.simulator import BudgetError, ModelInstance, PerturbationParams
+
+
+def hamiltonian_terms(X, X0, Z):
+    """Batched trace terms for configurations X of shape (C, N, M)."""
+    C, N, M = X.shape
+    flat = X.transpose(1, 0, 2).reshape(N, C * M)
+    ZX = (Z @ flat).reshape(N, C, M).transpose(1, 0, 2)
+    t_noise = np.einsum("cim,cim->c", ZX, X)
+    cross = X.transpose(0, 2, 1).reshape(C * M, N) @ X0        # rows: (X' X0)
+    t_signal = np.einsum("cm,cm->c", cross.reshape(C, -1), cross.reshape(C, -1))
+    gram = np.matmul(X.transpose(0, 2, 1), X)                  # X' X, (C, M, M)
+    t_quartic = np.einsum("cmn,cmn->c", gram, gram)
+    return t_noise, t_signal, t_quartic
+
+
+def hamiltonian_batch(X, X0, Z, lam, denom, pert):
+    """H of the ``simulator`` docstring with coupling normalizer ``denom``,
+    plus the side channel when ``pert`` is given, for configurations X
+    (C, N, M): the specification the enumeration kernel is checked against."""
+    t_noise, t_signal, t_quartic = hamiltonian_terms(X, X0, Z)
+    H = 0.5 * (math.sqrt(lam / denom) * t_noise
+               + (lam / denom) * t_signal
+               - (lam / (2.0 * denom)) * t_quartic)
+    if pert is not None:
+        eps = pert.epsilon
+        s_side = np.einsum("cim,im->c", X, pert.Ztilde)
+        s_align = np.einsum("cim,im->c", X, X0)
+        s_norm = np.einsum("cim,cim->c", X, X)
+        H = H + math.sqrt(eps) * s_side + eps * s_align - 0.5 * eps * s_norm
+    return H
+
+
+def hamiltonian(inst, X):
+    """Base log-likelihood H_N(X)."""
+    X = np.asarray(X, dtype=float).reshape(1, inst.N, inst.M)
+    return float(hamiltonian_batch(X, inst.X0, inst.Z, inst.lam, inst.N, None)[0])
+
+
+def perturbed_hamiltonian(inst, pert, X):
+    """H_{N+1}(X) plus the side-channel trace term of strength eps."""
+    X = np.asarray(X, dtype=float).reshape(1, inst.N, inst.M)
+    return float(hamiltonian_batch(X, inst.X0, inst.Z, inst.lam, inst.N + 1, pert)[0])
+
+
+def perturbation_response(inst, pert, X):
+    """Auxiliary statistic -(1/N) d/d(eps) H^eps(X); needs eps > 0."""
+    if pert.epsilon <= 0:
+        raise ValueError("the eps-derivative is singular at eps = 0")
+    X = np.asarray(X, dtype=float).reshape(inst.N, inst.M)
+    trace = (np.sum(X * pert.Ztilde) / (2.0 * math.sqrt(pert.epsilon))
+             + np.sum(X * inst.X0)
+             - 0.5 * np.sum(X * X))
+    return -trace / inst.N
+
+
+def exact_posterior(inst, pert, prior):
+    """The enumeration kernel's posterior summary of one instance."""
+    return simulator._posterior(prior, inst.lam, inst.X0[None], inst.Z[None], pert)[0]
 
 
 def brute_force_terms(inst, pert, prior, chunk=1 << 15):
@@ -25,7 +78,7 @@ def brute_force_terms(inst, pert, prior, chunk=1 << 15):
         idx = np.arange(start, min(start + chunk, k ** (N * M)), dtype=np.int64)
         digits = (idx[:, None] // powers) % k
         X = prior.values[digits].reshape(-1, N, M)
-        yield X, (_hamiltonian_batch(X, inst.X0, inst.Z, inst.lam, denom, pert)
+        yield X, (hamiltonian_batch(X, inst.X0, inst.Z, inst.lam, denom, pert)
                   + np.log(prior.weights)[digits].sum(axis=1))
 
 
@@ -80,11 +133,11 @@ class TestInstance:
 class TestHamiltonian:
     def test_zero_configuration(self, rademacher):
         inst = simulator.sample_instance(rademacher, 4, 2, 3.0, seed=5)
-        assert simulator.hamiltonian(inst, np.zeros((4, 2))) == 0.0
+        assert hamiltonian(inst, np.zeros((4, 2))) == 0.0
 
     def test_zero_snr(self, rademacher):
         inst = simulator.sample_instance(rademacher, 4, 2, 0.0, seed=6)
-        assert simulator.hamiltonian(inst, np.ones((4, 2))) == 0.0
+        assert hamiltonian(inst, np.ones((4, 2))) == 0.0
 
     def test_single_spin_hand_value(self, rademacher):
         """N=M=1 binary: H = (sqrt(lam) Z11 + lam x0^2 - lam/2)/2, independent
@@ -92,7 +145,7 @@ class TestHamiltonian:
         inst = simulator.sample_instance(rademacher, 1, 1, 2.0, seed=7)
         ref = 0.5 * (math.sqrt(2.0) * inst.Z[0, 0] + 2.0 * inst.X0[0, 0] ** 2 - 1.0)
         for x in (1.0, -1.0):
-            assert abs(simulator.hamiltonian(inst, [[x]]) - ref) <= 1e-14
+            assert abs(hamiltonian(inst, [[x]]) - ref) <= 1e-14
 
 
 class TestPerturbedHamiltonian:
@@ -100,21 +153,21 @@ class TestPerturbedHamiltonian:
         inst = simulator.sample_instance(rademacher, 5, 2, 1.0, seed=8)
         X = np.arange(10.0).reshape(5, 2) / 10
         pert = PerturbationParams(epsilon=0.0, Ztilde=np.zeros((5, 2)))
-        ref = _hamiltonian_batch(X.reshape(1, 5, 2), inst.X0, inst.Z, 1.0, 6, None)[0]
-        assert abs(simulator.perturbed_hamiltonian(inst, pert, X) - ref) <= 1e-14
+        ref = hamiltonian_batch(X.reshape(1, 5, 2), inst.X0, inst.Z, 1.0, 6, None)[0]
+        assert abs(perturbed_hamiltonian(inst, pert, X) - ref) <= 1e-14
 
     def test_zero_configuration(self, rademacher):
         inst = simulator.sample_instance(rademacher, 3, 1, 2.0, seed=9)
         pert = PerturbationParams(epsilon=0.4, Ztilde=np.ones((3, 1)))
-        assert simulator.perturbed_hamiltonian(inst, pert, np.zeros((3, 1))) == 0.0
+        assert perturbed_hamiltonian(inst, pert, np.zeros((3, 1))) == 0.0
 
     def test_aligned_with_truth(self, rademacher):
         """X = X0 with silent side channel adds eps |X0|_F^2 / 2."""
         inst = simulator.sample_instance(rademacher, 5, 2, 1.0, seed=10)
         pert = PerturbationParams(epsilon=0.3, Ztilde=np.zeros((5, 2)))
-        base = _hamiltonian_batch(inst.X0.reshape(1, 5, 2), inst.X0, inst.Z,
-                                  1.0, 6, None)[0]
-        got = simulator.perturbed_hamiltonian(inst, pert, inst.X0)
+        base = hamiltonian_batch(inst.X0.reshape(1, 5, 2), inst.X0, inst.Z,
+                                 1.0, 6, None)[0]
+        got = perturbed_hamiltonian(inst, pert, inst.X0)
         assert abs(got - (base + 0.15 * np.sum(inst.X0**2))) <= 1e-12
 
     def test_rejects_negative_strength(self):
@@ -126,12 +179,12 @@ class TestPerturbationResponse:
     def test_zero_configuration(self, rademacher):
         inst = simulator.sample_instance(rademacher, 4, 1, 1.0, seed=11)
         pert = PerturbationParams(epsilon=0.2, Ztilde=np.ones((4, 1)))
-        assert simulator.perturbation_response(inst, pert, np.zeros((4, 1))) == 0.0
+        assert perturbation_response(inst, pert, np.zeros((4, 1))) == 0.0
 
     def test_truth_with_silent_channel(self, rademacher):
         inst = simulator.sample_instance(rademacher, 4, 1, 1.0, seed=12)
         pert = PerturbationParams(epsilon=0.2, Ztilde=np.zeros((4, 1)))
-        got = simulator.perturbation_response(inst, pert, inst.X0)
+        got = perturbation_response(inst, pert, inst.X0)
         assert abs(got - (-np.sum(inst.X0**2) / 8.0)) <= 1e-14
 
     def test_matches_strength_derivative(self, rademacher):
@@ -141,12 +194,12 @@ class TestPerturbationResponse:
         Zt = simulator.rngmod.stream(13, 99).standard_normal((5, 2))
         X = 0.3 * np.ones((5, 2))
         eps, h = 0.01, 1e-5
-        up = simulator.perturbed_hamiltonian(
+        up = perturbed_hamiltonian(
             inst, PerturbationParams(epsilon=eps + h, Ztilde=Zt), X)
-        dn = simulator.perturbed_hamiltonian(
+        dn = perturbed_hamiltonian(
             inst, PerturbationParams(epsilon=eps - h, Ztilde=Zt), X)
         fd = (up - dn) / (2 * h)
-        resp = simulator.perturbation_response(
+        resp = perturbation_response(
             inst, PerturbationParams(epsilon=eps, Ztilde=Zt), X)
         assert abs(fd - (-5 * resp)) / abs(fd) <= 1e-6
 
@@ -154,20 +207,20 @@ class TestPerturbationResponse:
         inst = simulator.sample_instance(rademacher, 3, 1, 1.0, seed=14)
         pert = PerturbationParams(epsilon=0.0, Ztilde=np.zeros((3, 1)))
         with pytest.raises(ValueError):
-            simulator.perturbation_response(inst, pert, np.zeros((3, 1)))
+            perturbation_response(inst, pert, np.zeros((3, 1)))
 
 
 class TestExactPosterior:
     def test_prior_recovered_at_zero_snr(self, rademacher):
         inst = simulator.sample_instance(rademacher, 6, 1, 0.0, seed=15)
-        ps = simulator.exact_posterior(inst, None, rademacher)
+        ps = exact_posterior(inst, None, rademacher)
         assert np.abs(ps.mean_overlap).max() <= 1e-12
         assert abs(ps.overlap_fluct - 1.0 / 6.0) <= 1e-12
         assert ps.config_count == 2**6
 
     def test_fluctuation_nonnegative(self, sparse03):
         inst = simulator.sample_instance(sparse03, 4, 2, 2.0, seed=16)
-        ps = simulator.exact_posterior(inst, None, sparse03)
+        ps = exact_posterior(inst, None, sparse03)
         assert ps.overlap_fluct >= 0.0
         assert ps.matrix_mmse >= 0.0
 
@@ -175,12 +228,12 @@ class TestExactPosterior:
         inst = ModelInstance(N=30, M=2, lam=1.0, X0=np.zeros((30, 2)),
                              Z=np.zeros((30, 30)), Y=np.zeros((30, 30)), seed=0)
         with pytest.raises(BudgetError):
-            simulator.exact_posterior(inst, None, rademacher)
+            exact_posterior(inst, None, rademacher)
 
     def test_enumeration_order_invariance(self, rademacher):
         """Reversed configuration order reproduces ln Z to 1e-12."""
         inst = simulator.sample_instance(rademacher, 5, 2, 1.5, seed=17)
-        ps = simulator.exact_posterior(inst, None, rademacher)
+        ps = exact_posterior(inst, None, rademacher)
         terms = np.concatenate([g for _, g in brute_force_terms(inst, None, rademacher)])
         reversed_lnz = logsumexp(terms[::-1])
         assert abs(ps.log_partition - reversed_lnz) <= 1e-12
@@ -205,8 +258,8 @@ class TestExactPosterior:
         flipped = ModelInstance(N=4, M=2, lam=1.5, X0=-inst.X0, Z=inst.Z,
                                 Y=inst.Y, seed=inst.seed)
         pert_f = PerturbationParams(epsilon=0.2, Ztilde=-Zt)
-        a = simulator.exact_posterior(inst, pert, rademacher)
-        b = simulator.exact_posterior(flipped, pert_f, rademacher)
+        a = exact_posterior(inst, pert, rademacher)
+        b = exact_posterior(flipped, pert_f, rademacher)
         assert abs(a.log_partition - b.log_partition) <= 1e-12
         np.testing.assert_allclose(a.mean_overlap, b.mean_overlap, atol=1e-12)
         assert abs(a.overlap_fluct - b.overlap_fluct) <= 1e-12
@@ -241,7 +294,7 @@ class TestSplitBlockKernel:
         Zt = simulator.rngmod.stream(N, M).standard_normal((N, M))
         pert = None if eps == 0.0 else PerturbationParams(epsilon=eps, Ztilde=Zt)
         log_z, mean_R, fluct, mmse = brute_force_posterior(inst, pert, prior)
-        ps = simulator.exact_posterior(inst, pert, prior)
+        ps = exact_posterior(inst, pert, prior)
         assert abs(ps.log_partition - log_z) <= 1e-12
         ln_z = simulator._log_partition(prior, lam, inst.X0[None], inst.Z[None], pert)[0]
         assert abs(ln_z - log_z) <= 1e-12
@@ -348,13 +401,15 @@ class TestConcentration:
 
 class TestPerturbationGap:
     def test_zero_everything_is_exact_zero(self, rademacher):
-        gap, se = simulator.perturbation_gap(rademacher, 6, 1, 0.0, 0.0, 10, seed=27)
+        gap = simulator.perturbation_gap_replicates(rademacher, 6, 1, 0.0, 0.0, 10,
+                                                    seed=27).mean()
         assert gap == 0.0
 
     def test_normalizer_effect_is_small(self, rademacher):
         """At zero side-channel strength only the N+1 coupling remains; the
         gap is O(1/N)."""
-        gap, se = simulator.perturbation_gap(rademacher, 10, 1, 2.0, 0.0, 100, seed=28)
+        gap = simulator.perturbation_gap_replicates(rademacher, 10, 1, 2.0, 0.0, 100,
+                                                    seed=28).mean()
         assert abs(gap) <= 0.1
 
     def test_replicates_pair_across_strengths(self, rademacher):
@@ -372,8 +427,6 @@ class TestStandardErrors:
             simulator.free_entropy_mc(rademacher, 2, 1, 1.0, 0.0, 1, seed=31)
         with pytest.raises(ValueError):
             simulator.overlap_concentration(rademacher, 4, 1, 1.0, 0.5, 2, 1, seed=31)
-        with pytest.raises(ValueError):
-            simulator.perturbation_gap(rademacher, 4, 1, 1.0, 0.1, 1, seed=31)
 
 
 @functools.lru_cache(maxsize=None)
