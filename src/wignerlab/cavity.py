@@ -18,10 +18,10 @@ supremum, and their convex combination with weights
 
 reconstructs the table's own free entropy.
 
-Disorder draws use common random numbers: each replicate draws one master
-(X0, Z, Ztilde) at the largest size and every (n, m) entry evaluates its
-top-left blocks, which makes the increments differences of correlated
-estimates with small pooled errors.
+Disorder draws use common random numbers (``simulator.replicate_cuts``): each
+replicate draws one master (X0, Z, Ztilde) at the largest size and every
+(n, m) entry evaluates its top-left blocks, which makes the increments
+differences of correlated estimates with small pooled errors.
 """
 
 from __future__ import annotations
@@ -33,17 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from . import rng as rngmod
-from .channel import GaussQuadrature
 from .priors import Prior
 from .replica import f1_sup
-from .simulator import (
-    BudgetError,
-    ENUM_BUDGET_BITS,
-    PerturbationParams,
-    _disorder,
-    _log_partition,
-    _need_two,
-)
+from .simulator import _need_two, replicate_cuts
 
 __all__ = [
     "DimensionSchedule",
@@ -70,7 +62,6 @@ class DimensionSchedule:
     gamma: float
     n_max: int
     m_of_n: np.ndarray                  # index n = 0..n_max
-    unit_steps: bool                    # whether m_of_n increments are in {0, 1}
 
     def rank_at(self, n: int) -> int:
         return int(self.m_of_n[n])
@@ -100,29 +91,27 @@ def dims_schedule(alpha: float, gamma: float, n_max: int) -> DimensionSchedule:
         raise ValueError(f"rank floor(alpha * n_max^gamma) = {ranks[-1]:g} at n_max = "
                          f"{n_max} is above 2^53, where floats stop being exact integers")
     m_of_n = np.floor(ranks).astype(np.int64)
-    steps = np.diff(m_of_n)
-    unit_steps = bool(np.all((steps >= 0) & (steps <= 1)))
-    if np.any(steps < 0):
+    if np.any(np.diff(m_of_n) < 0):
         raise ValueError("rank schedule must be nondecreasing")
-    return DimensionSchedule(alpha=alpha, gamma=gamma, n_max=n_max,
-                             m_of_n=m_of_n, unit_steps=unit_steps)
+    return DimensionSchedule(alpha=alpha, gamma=gamma, n_max=n_max, m_of_n=m_of_n)
+
+
+def _index_sums(schedule: DimensionSchedule, N: int, T: int):
+    """sum_{n=T}^{N-1} m_n and sum_{m=m_T}^{m_(N-1)} n_m (0.0 at gamma = 0)."""
+    if not 0 <= T < N <= schedule.n_max:
+        raise ValueError("need 0 <= T < N <= n_max")
+    if schedule.rank_at(N) < 1:
+        raise ValueError("rank at N must be at least 1")
+    sum_m = float(schedule.m_of_n[T:N].sum())
+    if schedule.gamma == 0:
+        return sum_m, 0.0
+    return sum_m, float(schedule.n_of_m[schedule.rank_at(T):schedule.rank_at(N - 1) + 1].sum())
 
 
 def cavity_weights(schedule: DimensionSchedule, N: int, T: int):
     """The two normalized index sums (w_N, w_M); they approach
     1/(1+gamma) and gamma/(1+gamma) as N grows."""
-    if not 0 <= T < N <= schedule.n_max:
-        raise ValueError("need 0 <= T < N <= n_max")
-    M = schedule.rank_at(N)
-    if M < 1:
-        raise ValueError("rank at N must be at least 1")
-    w_n = float(schedule.m_of_n[T:N].sum()) / (N * M)
-    if schedule.gamma == 0:
-        return w_n, 0.0
-    m_lo = schedule.rank_at(T)
-    m_hi = schedule.rank_at(N - 1)
-    w_m = float(schedule.n_of_m[m_lo:m_hi + 1].sum()) / (N * M)
-    return w_n, w_m
+    return tuple(s / (N * schedule.rank_at(N)) for s in _index_sums(schedule, N, T))
 
 
 @dataclass
@@ -179,16 +168,32 @@ class CavityReport:
     increments: CavityIncrements
 
 
+def _steps(value, schedule: DimensionSchedule, T: int, N: int):
+    """The increments dN(n) = L(n+1, m_(n+1)) - L(n, m_(n+1)) and dM(n) =
+    L(n, m_(n+1)) - L(n, m_n) for n = T .. N-1, read from the entries
+    value(n, m), one row per step, and the mask of rank steps m_(n+1) > m_n;
+    dM is +0.0 where the rank holds."""
+    m = schedule.m_of_n
+    d_n, d_m, rank_step = [], [], []
+    for n in range(T, N):
+        m_next, m_here = int(m[n + 1]), int(m[n])
+        base = value(n, m_next)
+        d_n.append(value(n + 1, m_next) - base)
+        rank_step.append(m_next > m_here)
+        d_m.append(base - value(n, m_here) if rank_step[-1] else np.zeros_like(base))
+    return np.array(d_n), np.array(d_m), np.array(rank_step, dtype=bool)
+
+
 def required_entries(schedule: DimensionSchedule, T: int = 0) -> list:
     """All (n, m) pairs the increments on [T, n_max-1] read (nonzero sizes)."""
-    need = set()
-    m = schedule.m_of_n
-    for n in range(T, schedule.n_max):
-        need.add((n + 1, int(m[n + 1])))
-        need.add((n, int(m[n + 1])))
-        need.add((n, int(m[n])))
-    need.add((T, int(m[T])))
-    return sorted((n, mm) for n, mm in need if n > 0 and mm > 0)
+    need = {(T, schedule.rank_at(T))}
+
+    def read(n, m):
+        need.add((n, m))
+        return 0.0
+
+    _steps(read, schedule, T, schedule.n_max)
+    return sorted((n, m) for n, m in need if n > 0 and m > 0)
 
 
 def build_table(prior: Prior, lam: float, schedule: DimensionSchedule,
@@ -203,19 +208,8 @@ def build_table(prior: Prior, lam: float, schedule: DimensionSchedule,
     """
     _need_two(replicates)
     need = required_entries(schedule, T)
-    k = prior.n_atoms
-    over = [(n, m) for n, m in need
-            if n * m * math.log2(k) > ENUM_BUDGET_BITS + 1e-9]
-    if over:
-        raise BudgetError(f"entries over the enumeration budget: {over}")
-    master = (max(n for n, _ in need), max(m for _, m in need))
-    chunks = {key: [] for key in need}
-    for X0, Z, Zt in _disorder(prior, master, TAG_CAVITY, seed, replicates):
-        for (n, m) in need:
-            pert = None if epsilon is None else PerturbationParams(
-                epsilon=float(epsilon), Ztilde=Zt[:, :n, :m])
-            chunks[(n, m)].append(_log_partition(prior, lam, X0[:, :n, :m], Z[:, :n, :n], pert))
-    acc = {key: np.concatenate(vals) for key, vals in chunks.items()}
+    acc = dict(zip(need, replicate_cuts(prior, lam, None, [(n, m, epsilon) for n, m in need],
+                                        TAG_CAVITY, seed, replicates)))
     entries = {key: (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates)),
                      replicates)
                for key, vals in acc.items()}
@@ -229,17 +223,7 @@ def increments(table: FreeEntropyTable, schedule: DimensionSchedule,
     """Both increment sequences, assembled from stored values only."""
     m = schedule.m_of_n
     ns = np.arange(T, schedule.n_max)
-    d_n = np.empty(ns.size)
-    d_m = np.empty(ns.size)
-    steps = np.zeros(ns.size, dtype=bool)
-    for i, n in enumerate(ns):
-        m_next, m_here = int(m[n + 1]), int(m[n])
-        d_n[i] = table.value(n + 1, m_next) - table.value(n, m_next)
-        if m_next == m_here:
-            d_m[i] = 0.0              # same stored value would be subtracted
-        else:
-            d_m[i] = table.value(n, m_next) - table.value(n, m_here)
-            steps[i] = True
+    d_n, d_m, steps = _steps(table.value, schedule, T, schedule.n_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         norm_n = np.where(m[ns + 1] > 0, d_n / np.maximum(m[ns + 1], 1), 0.0)
         norm_m = np.where(steps & (ns > 0), d_m / np.maximum(ns, 1), 0.0)
@@ -256,20 +240,17 @@ def telescoping_check(table: FreeEntropyTable, schedule: DimensionSchedule,
         raise ValueError("need 0 <= T <= N <= n_max")
     if T == N:
         return 0.0
-    m = schedule.m_of_n
+    d_n, d_m, _ = _steps(table.value, schedule, T, N)
     total = 0.0
-    for n in range(T, N):
-        m_next, m_here = int(m[n + 1]), int(m[n])
-        total += table.value(n + 1, m_next) - table.value(n, m_next)
-        if m_next != m_here:
-            total += table.value(n, m_next) - table.value(n, m_here)
+    for a, b in zip(d_n.tolist(), d_m.tolist()):
+        total = total + a + b           # left to right: sum() of floats is compensated
+    m = schedule.m_of_n
     direct = table.value(N, int(m[N])) - table.value(T, int(m[T]))
     return abs(total - direct)
 
 
 def cavity_report(prior: Prior, lam: float, schedule: DimensionSchedule,
-                  table: FreeEntropyTable, quad: GaussQuadrature | None = None,
-                  T: int = 0) -> CavityReport:
+                  table: FreeEntropyTable, T: int = 0) -> CavityReport:
     """Compare normalized increments against the scalar supremum and the
     weighted increment combination against the table's own free entropy.
 
@@ -280,36 +261,30 @@ def cavity_report(prior: Prior, lam: float, schedule: DimensionSchedule,
     ``plain_combined_mean``; at desk scale they carry the spread of the early
     increments and are diagnostic only.  All statistics are evaluated per
     replicate (common random numbers), so differences carry pooled errors.
+
+    The identity holds by algebra: w_N * avg_N = sum dN / (N m_N) and
+    w_M * avg_M = sum dM / (N m_N), so by telescoping ``combined`` is
+    (L(N, m_N) - L(T, m_T)) / (N m_N) per replicate whatever the table holds,
+    and ``diff`` is -L(T, m_T) / (N m_N): rounding at T = 0, a fixed offset at
+    T > 0.  It checks the bookkeeping, not the estimates in the table.
     """
-    f1_value, _ = f1_sup(prior, lam, quad)
+    f1_value, _ = f1_sup(prior, lam)
     inc = increments(table, schedule, T)
-    w_n, w_m = cavity_weights(schedule, schedule.n_max, T)
     m = schedule.m_of_n
     N = schedule.n_max
     M = int(m[N])
+    w_n, w_m = cavity_weights(schedule, N, T)
+    sum_m, sum_nm = _index_sums(schedule, N, T)
 
     f_tilde = table.replicate(N, M) / (N * M)
-    # per-replicate increments, raw and normalized
-    dn_raw, dn_norm, dm_raw, dm_norm = [], [], [], []
-    for i, n in enumerate(inc.n_values):
-        m_next, m_here = int(m[n + 1]), int(m[n])
-        up = table.replicate(n + 1, m_next)
-        base = table.replicate(n, m_next)
-        dn_raw.append(up - base)
-        dn_norm.append((up - base) / max(m_next, 1))
-        if inc.increment_steps[i] and n > 0:
-            here = table.replicate(n, m_here)
-            dm_raw.append(base - here)
-            dm_norm.append((base - here) / n)
-    sum_m = float(schedule.m_of_n[T:N].sum())
-    avg_n = np.sum(dn_raw, axis=0) / sum_m
-    comb = w_n * avg_n
-    plain = w_n * np.mean(dn_norm, axis=0)
-    if dm_raw:
-        m_lo, m_hi = schedule.rank_at(T), schedule.rank_at(N - 1)
-        sum_nm = float(schedule.n_of_m[m_lo:m_hi + 1].sum())
-        comb = comb + w_m * np.sum(dm_raw, axis=0) / sum_nm
-        plain = plain + w_m * np.mean(dm_norm, axis=0)
+    # per-replicate increments, one row per step; dM/n only at rank steps with n > 0
+    d_n, d_m, _ = _steps(table.replicate, schedule, T, N)
+    ranked = inc.increment_steps & (inc.n_values > 0)
+    comb = w_n * (np.sum(d_n, axis=0) / sum_m)
+    plain = w_n * np.mean(d_n / np.maximum(m[inc.n_values + 1], 1)[:, None], axis=0)
+    if ranked.any():
+        comb = comb + w_m * np.sum(d_m[ranked], axis=0) / sum_nm
+        plain = plain + w_m * np.mean(d_m[ranked] / inc.n_values[ranked][:, None], axis=0)
     diff = comb - f_tilde
 
     def mean_se(x):
@@ -331,7 +306,6 @@ def cavity_report(prior: Prior, lam: float, schedule: DimensionSchedule,
         plain_diff=float(np.mean(plain - f_tilde)),
         telescoping_residual=telescoping_check(table, schedule, T, N),
         delta_N_gaps=inc.delta_N_norm - f1_value,
-        delta_M_gaps=inc.delta_M_norm[inc.increment_steps & (inc.n_values > 0)]
-        - f1_value,
+        delta_M_gaps=inc.delta_M_norm[ranked] - f1_value,
         increments=inc,
     )

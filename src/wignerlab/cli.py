@@ -352,7 +352,6 @@ def run_reduce(cfg, seed):
 def run_simulate(cfg, seed):
     p, N, M, lam = cfg["prior"], cfg["N"], cfg["M"], cfg["lambda"]
     kw = {"epsilon": cfg["epsilon"], "replicates": cfg["replicates"], "seed": seed}
-    simulator._check_budget(p, N, M)
     if cfg["posterior"]:
         column = _attrs(simulator.posterior_replicates(p, N, M, lam, **kw))
         columns = {"free_entropy": column("free_entropy"),
@@ -369,8 +368,7 @@ def run_simulate(cfg, seed):
 
 def run_concentration(cfg, seed):
     p, Ns, M, lam = cfg["prior"], cfg["N_grid"], cfg["M"], cfg["lambda"]
-    for n in Ns:
-        simulator._check_budget(p, n, M)
+    simulator._check_budget(p, [(n, M) for n in Ns])
     try:
         s = [float(n) ** -cfg["s_exponent"] for n in Ns]
     except OverflowError:
@@ -387,7 +385,7 @@ def run_cavity(cfg, seed):
     p, lam, n_max, T = cfg["prior"], cfg["lambda"], cfg["N_max"], cfg["T"]
     if T >= n_max:
         raise ConfigError("truncation T must satisfy 0 <= T < N_max")
-    simulator._check_budget(p, n_max, 1)        # before the schedule's arrays of N_max + 1
+    simulator._check_budget(p, [(n_max, 1)])    # before the schedule's arrays of N_max + 1
     schedule = cavity.dims_schedule(cfg["alpha"], cfg["gamma"], n_max)
     if schedule.rank_at(n_max) < 1:
         raise ConfigError("schedule reaches rank 0 at N_max; increase alpha or N_max")

@@ -90,15 +90,13 @@ def trace_noise_residual(prior: Prior, sigma, quad: GaussQuadrature) -> float:
     return value - M * mi_scalar_noise(prior, float(np.trace(mat)) / M, quad)
 
 
-def noise_inequality_batch(prior: Prior, M: int, n_samples: int, seed: int,
-                           quad: GaussQuadrature | None = None):
+def noise_inequality_batch(prior: Prior, M: int, n_samples: int, seed: int):
     """Residual suites over random covariances.
 
     Returns (trim residuals, trace residuals) as arrays of length n_samples;
     the trace suite draws its own covariances with diagonal >= D^2.
     """
-    if quad is None:
-        quad = gauss_hermite(24)
+    quad = gauss_hermite(24)
     rng = np.random.default_rng(seed)
     trim = np.empty(n_samples)
     trace = np.empty(n_samples)
@@ -109,9 +107,7 @@ def noise_inequality_batch(prior: Prior, M: int, n_samples: int, seed: int,
     return trim, trace
 
 
-def reduction_sweep(prior: Prior, M: int, lambda_grid, quad: GaussQuadrature | None = None,
-                    gap_tol: float = GAP_TOL,
-                    isotropy_tol: float = ISOTROPY_TOL) -> list[ReductionReport]:
+def reduction_sweep(prior: Prior, M: int, lambda_grid) -> list[ReductionReport]:
     """Compare sup FM against sup F1 across an SNR grid.
 
     The isotropy distance |Q* - q* I|_F is reported for every row but only
@@ -122,10 +118,10 @@ def reduction_sweep(prior: Prior, M: int, lambda_grid, quad: GaussQuadrature | N
         raise ValueError("the reduction sweep covers M in {2, 3}")
     lams = np.asarray(lambda_grid, dtype=float)
     if lams.size >= 8:          # the scan's suprema serve the rows too
-        scan = phase_scan(prior, lams, quad)
+        scan = phase_scan(prior, lams)
         jump_cell, f1 = scan.jump_cell, zip(scan.value.tolist(), scan.q_star.tolist())
     else:
-        jump_cell, f1 = None, (f1_sup(prior, float(lam), quad) for lam in lams)
+        jump_cell, f1 = None, (f1_sup(prior, float(lam)) for lam in lams)
     reports = []
     for lam, (f1_value, q_star) in zip(lams, f1):
         fm_value, Q_star = fm_sup(prior, M, float(lam))
@@ -138,8 +134,8 @@ def reduction_sweep(prior: Prior, M: int, lambda_grid, quad: GaussQuadrature | N
             fm_sup_value=fm_value, f1_sup_value=f1_value, gap=gap,
             maximizer_isotropy=iso, near_critical=near_c,
             passes={
-                "gap": gap <= gap_tol,
-                "isotropy": near_c or iso <= isotropy_tol,
+                "gap": gap <= GAP_TOL,
+                "isotropy": near_c or iso <= ISOTROPY_TOL,
             },
         ))
     return reports

@@ -120,7 +120,6 @@ class PhaseScan:
     value: np.ndarray
     dq_dlambda: np.ndarray
     jump_cell: tuple | None    # (lam_left, lam_right) bracketing the largest jump
-    jump_size: float
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,7 @@ def f1_rs(prior: Prior, tau: float, lam: float, quad: GaussQuadrature | None = N
 
 
 def f1_fixed_point(prior: Prior, lam: float, q0: float, damping: float = 0.5,
-                   quad: GaussQuadrature | None = None, tol: float = 1e-10,
+                   quad: GaussQuadrature | None = None,
                    max_iter: int = 10_000) -> FixedPointResult:
     """Damped iteration of the scalar overlap map q -> E <x x0> from q0, the
     M = 1 case of ``fm_fixed_point``.
@@ -159,7 +158,7 @@ def f1_fixed_point(prior: Prior, lam: float, q0: float, damping: float = 0.5,
     Non-convergence is reported through the ``converged`` flag, never raised.
     """
     _check_scalar_args(prior, q0, lam)
-    res = fm_fixed_point(prior, 1, lam, [[q0]], damping, quad, tol, max_iter)
+    res = fm_fixed_point(prior, 1, lam, [[q0]], damping, quad, tol=1e-10, max_iter=max_iter)
     res.overlap = float(res.overlap[0, 0])
     return res
 
@@ -613,4 +612,4 @@ def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None) -
     jump_size = float(jumps[cell])
     jump_cell = (float(lams[cell]), float(lams[cell + 1])) if jump_size > PHASE_JUMP_TOL else None
     return PhaseScan(lambdas=lams, q_star=q_stars, value=values, dq_dlambda=dq,
-                     jump_cell=jump_cell, jump_size=jump_size)
+                     jump_cell=jump_cell)

@@ -48,6 +48,7 @@ __all__ = [
     "PerturbationParams",
     "PosteriorSummary",
     "sample_instance",
+    "replicate_cuts",
     "free_entropy_mc",
     "free_entropy_replicates",
     "posterior_replicates",
@@ -140,13 +141,14 @@ def sample_instance(prior: Prior, N: int, M: int, lam: float, seed: int) -> Mode
 # exact posterior by enumeration
 # ---------------------------------------------------------------------------
 
-def _check_budget(prior: Prior, N: int, M: int):
-    bits = N * M * math.log2(prior.n_atoms)
-    if bits > ENUM_BUDGET_BITS + 1e-9:
-        raise BudgetError(
-            f"enumeration of {prior.n_atoms}^{N * M} configurations exceeds "
-            f"the 2^{ENUM_BUDGET_BITS} budget (N={N}, M={M})")
-    return prior.n_atoms ** (N * M)
+def _check_budget(prior: Prior, shapes):
+    """Raise BudgetError naming every (n, m) of ``shapes`` whose k^(n m)
+    configurations exceed 2^ENUM_BUDGET_BITS."""
+    over = sorted({(n, m) for n, m in shapes
+                   if n * m * math.log2(prior.n_atoms) > ENUM_BUDGET_BITS + 1e-9})
+    if over:
+        raise BudgetError(f"enumeration of {prior.n_atoms}^(n m) configurations exceeds "
+                          f"the 2^{ENUM_BUDGET_BITS} budget at (n, m) = {over}")
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,7 @@ def _posterior(prior: Prior, lam: float, X0, Z,
     <|R|_F^2> = <X X', X0 X0'> / N^2.
     """
     b, N, M = X0.shape
-    total = _check_budget(prior, N, M)
+    _check_budget(prior, [(N, M)])
     log_z, mean_x, mean_xxt = _split_block(prior, *_coefficients(lam, X0, Z, pert),
                                            moments=True)
     truth = X0 @ X0.transpose(0, 2, 1)
@@ -328,7 +330,7 @@ def _posterior(prior: Prior, lam: float, X0, Z,
                              mean_overlap=mean_R[i],
                              overlap_fluct=float(fluct[i]),
                              matrix_mmse=float(mmse[i]),
-                             config_count=total)
+                             config_count=prior.n_atoms ** (N * M))
             for i in range(b)]
 
 
@@ -354,16 +356,31 @@ def _disorder(prior: Prior, shape, tag: int, seed: int, replicates: int):
         yield quantile(prior, U), _symmetric(G.reshape(b, n, n), d), Zt.reshape(b, n, m)
 
 
-def _master_shape(N: int, M: int, master):
-    n_big, m_big = master if master is not None else (N, M)
-    if n_big < N or m_big < M:
+def replicate_cuts(prior: Prior, lam: float, shape, cuts, tag: int, seed: int,
+                   replicates: int, posterior: bool = False) -> list:
+    """Evaluate every cut (n, m, eps) of each replicate's master disorder.
+
+    Replicate r draws its master (X0, Z, Ztilde) of ``shape`` (None: the
+    smallest holding every cut) once, from the stream (seed, tag, r), and each
+    cut evaluates its top-left n x m block, so all cuts share their random
+    numbers.  eps None is the base Hamiltonian H_n; a float, 0.0 included, is
+    the side channel of that strength with the n+1 normalizer.  Returns one
+    (replicates,) array of ln Z per cut, or with ``posterior`` one list of
+    PosteriorSummary per cut.
+    """
+    _check_budget(prior, [(n, m) for n, m, _ in cuts])
+    need = (max(n for n, _, _ in cuts), max(m for _, m, _ in cuts))
+    shape = need if shape is None else shape
+    if shape[0] < need[0] or shape[1] < need[1]:
         raise ValueError("master shape smaller than requested system")
-    return n_big, m_big
-
-
-def _side(epsilon: float, Zt) -> PerturbationParams | None:
-    """epsilon = 0 is the base H_N; epsilon > 0 the side channel on Zt."""
-    return None if epsilon == 0.0 else PerturbationParams(epsilon=epsilon, Ztilde=Zt)
+    evaluate = _posterior if posterior else _log_partition
+    out = [[] for _ in cuts]
+    for X0, Z, Zt in _disorder(prior, shape, tag, seed, replicates):
+        for acc, (n, m, eps) in zip(out, cuts):
+            pert = None if eps is None else PerturbationParams(epsilon=eps, Ztilde=Zt[:, :n, :m])
+            acc.append(evaluate(prior, lam, X0[:, :n, :m], Z[:, :n, :n], pert))
+    return [[s for chunk in acc for s in chunk] if posterior else np.concatenate(acc)
+            for acc in out]
 
 
 def free_entropy_replicates(prior: Prior, N: int, M: int, lam: float, *,
@@ -377,11 +394,8 @@ def free_entropy_replicates(prior: Prior, N: int, M: int, lam: float, *,
     ``master=(n_big, m_big)`` it evaluates the top-left N x M block of a
     master draw, giving common random numbers across system sizes.
     """
-    _check_budget(prior, N, M)
-    shape = _master_shape(N, M, master)
-    return np.concatenate([
-        _log_partition(prior, lam, X0[:, :N, :M], Z[:, :N, :N], _side(epsilon, Zt[:, :N, :M]))
-        for X0, Z, Zt in _disorder(prior, shape, TAG_SIM, seed, replicates)]) / (N * M)
+    cut = (N, M, None if epsilon == 0.0 else epsilon)
+    return replicate_cuts(prior, lam, master, [cut], TAG_SIM, seed, replicates)[0] / (N * M)
 
 
 def _need_two(replicates: int):
@@ -403,11 +417,9 @@ def posterior_replicates(prior: Prior, N: int, M: int, lam: float, *,
                          master=None) -> list[PosteriorSummary]:
     """Full posterior summaries over disorder replicates (common streams with
     free_entropy_replicates for identical parameters)."""
-    _check_budget(prior, N, M)
-    shape = _master_shape(N, M, master)
-    return [s for X0, Z, Zt in _disorder(prior, shape, TAG_SIM, seed, replicates)
-            for s in _posterior(prior, lam, X0[:, :N, :M], Z[:, :N, :N],
-                                _side(epsilon, Zt[:, :N, :M]))]
+    cut = (N, M, None if epsilon == 0.0 else epsilon)
+    return replicate_cuts(prior, lam, master, [cut], TAG_SIM, seed, replicates,
+                          posterior=True)[0]
 
 
 def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
@@ -423,13 +435,10 @@ def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
     if s_N <= 0:
         raise ValueError("schedule value s_N must be positive")
     _need_two(replicates)
-    _check_budget(prior, N, M)
     eps_grid = s_N * (1.0 + (np.arange(n_eps) + 0.5) / n_eps)
-    vals = np.concatenate([
-        np.mean([[s.overlap_fluct for s in _posterior(
-            prior, lam, X0, Z, PerturbationParams(epsilon=float(e), Ztilde=Zt))]
-            for e in eps_grid], axis=0)
-        for X0, Z, Zt in _disorder(prior, (N, M), TAG_PERT, seed, replicates)])
+    runs = replicate_cuts(prior, lam, (N, M), [(N, M, float(e)) for e in eps_grid], TAG_PERT,
+                          seed, replicates, posterior=True)
+    vals = np.mean([[s.overlap_fluct for s in run] for run in runs], axis=0)
     gamma = M**2 / math.sqrt(N * s_N)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates)), gamma
 
@@ -443,11 +452,9 @@ def perturbation_gap_replicates(prior: Prior, N: int, M: int, lam: float,
     """
     if s_N < 0:
         raise ValueError("schedule value must be nonnegative")
-    _check_budget(prior, N, M)
-    return np.concatenate([
-        _log_partition(prior, lam, X0, Z, PerturbationParams(epsilon=s_N, Ztilde=Zt))
-        / (N * M) - _log_partition(prior, lam, X0, Z, None) / (N * M)
-        for X0, Z, Zt in _disorder(prior, (N, M), TAG_PERT, seed, replicates)])
+    side, base = replicate_cuts(prior, lam, (N, M), [(N, M, s_N), (N, M, None)], TAG_PERT,
+                                seed, replicates)
+    return side / (N * M) - base / (N * M)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,6 @@ class TestSchedule:
     def test_cube_root_scaled(self):
         assert cavity.dims_schedule(2.0, 1 / 3, 27).rank_at(27) == 6
 
-    def test_unit_steps_flag(self):
-        assert cavity.dims_schedule(1.0, 0.5, 50).unit_steps
-        assert not cavity.dims_schedule(2.0, 1.0, 10).unit_steps
-
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError):
             cavity.dims_schedule(1.0, -0.5, 10)
@@ -218,6 +214,27 @@ class TestReport:
         rep = cavity.cavity_report(rademacher, 2.0, sch, table)
         assert abs(rep.diff) <= max(3 * rep.diff_se, 1e-12)
         assert rep.telescoping_residual <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("T", [0, 2])
+    def test_combined_telescopes_on_any_table(self, rademacher, gamma, T):
+        """w_N avg_N = sum dN / (N m_N) and w_M avg_M = sum dM / (N m_N), so per
+        replicate the combined statistic is (L(N, m_N) - L(T, m_T)) / (N m_N)
+        and diff is -L(T, m_T) / (N m_N), whatever the table holds: criterion
+        13 holds by algebra."""
+        sch = cavity.dims_schedule(1.0, gamma, 8)
+        rng = np.random.default_rng(13)
+        values = {key: rng.standard_normal(5) * key[0] * key[1]
+                  for key in cavity.required_entries(sch, T)}
+        entries = {key: (float(v.mean()), 0.0, 5) for key, v in values.items()}
+        table = cavity.FreeEntropyTable(entries=entries, lam=2.0, prior_label="synthetic",
+                                        epsilon_label="none", replicate_values=values)
+        rep = cavity.cavity_report(rademacher, 2.0, sch, table, T=T)
+        size = 8 * sch.rank_at(8)
+        start = table.replicate(T, sch.rank_at(T)) / size
+        assert abs(rep.combined_mean - np.mean(table.replicate(8, sch.rank_at(8)) / size
+                                               - start)) <= 1e-12
+        assert abs(rep.diff + np.mean(start)) <= 1e-12
 
     def test_classical_single_index_direction(self, rademacher, quad64):
         """Constant rank reduces to the usual one-index cavity: the normalized

@@ -308,6 +308,11 @@ class TestSplitBlockKernel:
         assert simulator._WHOLE < simulator._CHUNK < 2 ** 20
 
 
+def side(eps, Zt):
+    """eps = 0 is the base H_N; eps > 0 the side channel on Zt."""
+    return None if eps == 0.0 else PerturbationParams(epsilon=eps, Ztilde=Zt)
+
+
 def whole_rows_oracle(prior, Zeff, X0, t, C):
     """One replicate's ln Z, <X> and <X X'> from the whole-row table: the
     per-replicate loop the batched kernel replaced."""
@@ -335,7 +340,7 @@ class TestBatchedKernel:
         per-replicate whole-row enumeration."""
         prior = request.getfixturevalue(prior_name)
         for X0, Z, Zt in simulator._disorder(prior, (N, M), 1, 5, 260):
-            pert = simulator._side(eps, Zt)
+            pert = side(eps, Zt)
             Zeff, X0, t, C = simulator._coefficients(1.3, X0, Z, pert)
             log_z = simulator._split_block(prior, Zeff, X0, t, C)
             got = simulator._split_block(prior, Zeff, X0, t, C, moments=True)
@@ -419,6 +424,107 @@ class TestPerturbationGap:
                                                   20, seed=29)
         d = b - a
         assert d.std() < np.concatenate([a, b]).std()
+
+
+def loop_free_entropy(prior, N, M, lam, eps, R, seed, master):
+    """The per-chunk replicate loops the engine replaced, as its oracle."""
+    return np.concatenate([
+        simulator._log_partition(prior, lam, X0[:, :N, :M], Z[:, :N, :N], side(eps, Zt[:, :N, :M]))
+        for X0, Z, Zt in simulator._disorder(prior, master, simulator.TAG_SIM, seed, R)]) / (N * M)
+
+
+def loop_posterior(prior, N, M, lam, eps, R, seed):
+    return [s for X0, Z, Zt in simulator._disorder(prior, (N, M), simulator.TAG_SIM, seed, R)
+            for s in simulator._posterior(prior, lam, X0, Z, side(eps, Zt))]
+
+
+def loop_concentration(prior, N, M, lam, s_N, n_eps, R, seed):
+    eps_grid = s_N * (1.0 + (np.arange(n_eps) + 0.5) / n_eps)
+    vals = np.concatenate([
+        np.mean([[s.overlap_fluct for s in simulator._posterior(
+            prior, lam, X0, Z, PerturbationParams(epsilon=float(e), Ztilde=Zt))]
+            for e in eps_grid], axis=0)
+        for X0, Z, Zt in simulator._disorder(prior, (N, M), simulator.TAG_PERT, seed, R)])
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(R)), M**2 / math.sqrt(N * s_N)
+
+
+def loop_gap(prior, N, M, lam, s_N, R, seed):
+    return np.concatenate([
+        simulator._log_partition(prior, lam, X0, Z, PerturbationParams(epsilon=s_N, Ztilde=Zt))
+        / (N * M) - simulator._log_partition(prior, lam, X0, Z, None) / (N * M)
+        for X0, Z, Zt in simulator._disorder(prior, (N, M), simulator.TAG_PERT, seed, R)])
+
+
+def loop_table(prior, lam, schedule, eps, R, seed, T):
+    """Per-replicate ln Z of every entry the increments on [T, n_max - 1] read."""
+    m = schedule.m_of_n
+    need = {(T, int(m[T]))}
+    for n in range(T, schedule.n_max):
+        need |= {(n + 1, int(m[n + 1])), (n, int(m[n + 1])), (n, int(m[n]))}
+    need = sorted((n, k) for n, k in need if n > 0 and k > 0)
+    master = (max(n for n, _ in need), max(k for _, k in need))
+    chunks = {key: [] for key in need}
+    for X0, Z, Zt in simulator._disorder(prior, master, cavity.TAG_CAVITY, seed, R):
+        for n, k in need:
+            pert = None if eps is None else PerturbationParams(epsilon=float(eps),
+                                                               Ztilde=Zt[:, :n, :k])
+            chunks[(n, k)].append(
+                simulator._log_partition(prior, lam, X0[:, :n, :k], Z[:, :n, :n], pert))
+    return {key: np.concatenate(vals) for key, vals in chunks.items()}
+
+
+class TestReplicateEngine:
+    """Every consumer of ``simulator.replicate_cuts`` reproduces, to the bit,
+    the replicate loop it replaced."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_free_entropy(self, sparse03, eps):
+        """300 replicates, so two chunks, on the (4, 2) cut of a (6, 3) master."""
+        got = simulator.free_entropy_replicates(sparse03, 4, 2, 1.3, epsilon=eps,
+                                                replicates=300, seed=41, master=(6, 3))
+        np.testing.assert_array_equal(got, loop_free_entropy(sparse03, 4, 2, 1.3, eps, 300,
+                                                             41, (6, 3)))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_posterior(self, sparse03, eps):
+        got = simulator.posterior_replicates(sparse03, 3, 2, 1.1, epsilon=eps,
+                                             replicates=260, seed=42)
+        want = loop_posterior(sparse03, 3, 2, 1.1, eps, 260, 42)
+        assert len(got) == len(want) == 260
+        for a, b in zip(got, want):
+            for name in ("log_partition", "free_entropy", "overlap_fluct", "matrix_mmse",
+                         "config_count"):
+                assert getattr(a, name) == getattr(b, name), name
+            np.testing.assert_array_equal(a.mean_overlap, b.mean_overlap)
+
+    @pytest.mark.parametrize("N, M", [(6, 1), (3, 2)])
+    def test_overlap_concentration(self, rademacher, N, M):
+        got = simulator.overlap_concentration(rademacher, N, M, 1.7, 0.4, 3, 12, seed=43)
+        assert got == loop_concentration(rademacher, N, M, 1.7, 0.4, 3, 12, 43)
+
+    @pytest.mark.parametrize("s", [0.0, 0.25])
+    def test_perturbation_gap(self, rademacher, s):
+        got = simulator.perturbation_gap_replicates(rademacher, 5, 2, 1.2, s, 20, seed=44)
+        np.testing.assert_array_equal(got, loop_gap(rademacher, 5, 2, 1.2, s, 20, 44))
+
+    @pytest.mark.parametrize("eps", [None, 0.0, 0.3])
+    @pytest.mark.parametrize("T", [0, 2])
+    def test_cavity_table(self, rademacher, eps, T):
+        """Entries reach (6, 2), above _WHOLE, so both kernel paths run."""
+        sch = cavity.dims_schedule(1.0, 0.5, 6)
+        table = cavity.build_table(rademacher, 1.4, sch, eps, 4, seed=45, T=T)
+        want = loop_table(rademacher, 1.4, sch, eps, 4, 45, T)
+        assert list(table.replicate_values) == list(want)
+        for key, vals in want.items():
+            np.testing.assert_array_equal(table.replicate_values[key], vals)
+            assert table.entries[key] == (float(vals.mean()),
+                                          float(vals.std(ddof=1) / math.sqrt(4)), 4)
+
+    def test_budget_names_every_offender(self, rademacher):
+        with pytest.raises(BudgetError, match=r"\(13, 2\), \(25, 1\)"):
+            simulator.replicate_cuts(rademacher, 1.0, None,
+                                     [(25, 1, None), (4, 1, 0.1), (13, 2, None)],
+                                     simulator.TAG_SIM, 1, 2)
 
 
 class TestStandardErrors:

@@ -1,9 +1,12 @@
 """The public surface is what the CLI and the acceptance criteria call: every
 name in a module's ``__all__`` is used somewhere in the package, or by
 ``tests/test_acceptance.py``, outside its own definition.  An import is not a
-use, so re-exporting a name from ``wignerlab/__init__`` does not keep it."""
+use, so re-exporting a name from ``wignerlab/__init__`` does not keep it.
+Likewise every defaulted parameter of a public function is set by some call in
+the package or the tests: a knob that nothing turns is a constant."""
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +51,45 @@ def test_every_public_name_has_a_caller():
                     if name not in used and name not in ALLOWED)
     assert not unused, f"public names nothing calls: {unused}"
     assert set(ALLOWED) <= {name for _, name in public}, "an exemption names no public name"
+
+
+def defaulted(func):
+    """(name, position) of each defaulted parameter of the function node
+    ``func``; the position of a keyword-only parameter is None."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def passed(trees):
+    """Per called name: the most positional arguments one call passes
+    (unbounded with a starred argument), and every keyword some call passes."""
+    most, keywords = {}, {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            most[name] = max(most.get(name, 0), math.inf if starred else len(node.args))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return most, keywords
+
+
+def test_every_default_is_passed_somewhere():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    tests = [ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))]
+    most, keywords = passed([*trees.values(), *tests])
+    unset = sorted(f"{module}:{func.name}({name})"
+                   for module, tree in trees.items() for func in tree.body
+                   if isinstance(func, ast.FunctionDef) and func.name in exported(tree)
+                   for name, pos in defaulted(func)
+                   if name not in keywords.get(func.name, ())
+                   and (pos is None or most.get(func.name, 0) <= pos))
+    assert not unset, f"defaulted parameters no call sets: {unset}"
