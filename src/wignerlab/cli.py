@@ -5,11 +5,11 @@ Every subcommand reads a JSON config, checks it against its schema in
 JSON type -- ``2.0`` is not an integer, ``"yes"`` is not a flag -- or an
 out-of-range or non-finite number is a validation error), runs its jobs in
 order, and writes CSV results plus a JSON run manifest (config echo, content
-hash, wall time, environment).  A handler returns each table as an ordered
-dict of columns; the key order is the header, fixed per file, and each column
-is checked and formatted in one pass.  Fixed (config, seed) reproduces CSV
-bodies byte-identically, cell format included: true/false, integers as
-written, floats as their shortest round-trip repr, minimal CSV quoting.
+hash, wall time, stage times, environment).  A handler returns each table as
+an ordered dict of columns; the key order is the header, fixed per file, and
+each column is checked and formatted in one pass.  Fixed (config, seed)
+reproduces CSV bodies byte for byte, cell format included: true/false,
+integers as written, floats as shortest round-trip repr, ``_quote`` on text.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration budget overflow,
 4 non-convergence flagged as fatal by the config, 5 a non-finite result or an
@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -69,24 +67,34 @@ def _config_hash(config) -> str:
     ).hexdigest()
 
 
+def _quote(text):
+    """csv's minimal quoting for a row of two or more fields: a field holding
+    a comma, a double quote or a newline is quoted, its quotes doubled."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cells(column):
     """One column's CSV cells: bools as true/false, integers as written (one
     past int64 rides in an object column), floats as the shortest round-trip
-    repr (a Python float's str), text as given (NumPy would strip trailing NULs)."""
+    repr (a Python float's str, never quoted), anything else as its str through
+    ``_quote`` (text as given: NumPy would strip trailing NULs)."""
     a = np.asarray(column)
     if a.dtype == bool:
         return np.where(a, "true", "false").tolist()
-    return list(map(str, column if a.dtype.kind == "U" else a.tolist()))
+    if a.dtype.kind in "iuf":
+        return list(map(str, a.tolist()))
+    return list(map(_quote, map(str, column if a.dtype.kind == "U" else a.tolist())))
 
 
 def _write_csv(path: Path, columns, seed, config_sha256):
     """The table, header from the column order; every row carries the run
-    provenance."""
+    provenance, a tail built once per file."""
+    tail = f",{seed},{config_sha256}\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*columns, "seed", "config_sha256"])
-        writer.writerows(zip(*map(_cells, columns.values()),
-                             itertools.repeat(str(seed)), itertools.repeat(config_sha256)))
+        fh.write(",".join(map(_quote, [*columns, "seed", "config_sha256"])) + "\n")
+        fh.writelines(row + tail for row in map(",".join, zip(*map(_cells, columns.values()))))
 
 
 def _check_finite(outputs):
@@ -153,7 +161,7 @@ def _int(lo, hi=math.inf):
 
 _flag = _value(bool, "true or false")
 _text = _value(str, "a string")
-# csv quotes a "\n" in a cell but leaves a "\r" bare, which splits the row on reading
+# _quote quotes a "\n" in a cell but leaves a "\r" bare, which splits the row on reading
 _label = _value(str, "a string without a carriage return", lambda v: "\r" not in v)
 
 
@@ -483,6 +491,7 @@ def main(argv=None) -> int:
     }
     started = time.monotonic()
     warned = collections.Counter()
+    stages = []                 # (name, start) of each stage entered
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always", RuntimeWarning)
@@ -491,16 +500,19 @@ def main(argv=None) -> int:
             meta["config_sha256"] = _config_hash(config)
             cfg = _fields(SCHEMAS[args.subcommand], config, "config")
             seed = meta["seed"] = cfg["seed"] if args.seed is None else SEED(args.seed, "--seed")
+            stages.append(("compute_s", time.monotonic()))
             outputs = HANDLERS[args.subcommand](cfg, seed)
             _check_finite(outputs)
+            stages.append(("write_s", time.monotonic()))
             for name, columns in outputs:
                 if isinstance(columns, str):            # raw text artifact
                     (out_dir / name).write_text(columns)
                 else:
                     _write_csv(out_dir / name, columns, seed, meta["config_sha256"])
                 meta["outputs"].append(name)
-        code = EXIT_OK
+        stopped, code = time.monotonic(), EXIT_OK
     except Exception as exc:    # the boundary: every failure is reported, none escapes
+        stopped = time.monotonic()
         kind, code = next((k, c) for t, k, c in FAILURES if isinstance(exc, t))
         meta["partial"] = True
         meta["error"] = str(exc)
@@ -508,6 +520,8 @@ def main(argv=None) -> int:
             exc = f"{type(exc).__name__}: {exc}"
             meta["traceback"] = traceback.format_exc()
         _error_record(kind, exc)
+    ends = [start for _, start in stages[1:]] + [stopped]
+    meta["stages"] = {name: end - start for (name, start), end in zip(stages, ends)}
     meta["runtime_warnings"] = {"count": sum(warned.values()), "messages": sorted(warned)}
     meta["wall_time_s"] = time.monotonic() - started
     with open(out_dir / f"{args.subcommand.replace('-', '_')}_manifest.json", "w") as fh:

@@ -316,7 +316,7 @@ def _posterior(prior: Prior, lam: float, X0, Z,
     <X> and <X X'>; the overlap moments follow from <R> = <X>' X0 / N and
     <|R|_F^2> = <X X', X0 X0'> / N^2.
     """
-    b, N, M = X0.shape
+    _, N, M = X0.shape
     _check_budget(prior, [(N, M)])
     log_z, mean_x, mean_xxt = _split_block(prior, *_coefficients(lam, X0, Z, pert),
                                            moments=True)
@@ -325,13 +325,9 @@ def _posterior(prior: Prior, lam: float, X0, Z,
     mean_R2 = (truth * mean_xxt).sum(axis=(1, 2)) / (N * N)
     fluct = np.maximum(mean_R2 - (mean_R * mean_R).sum(axis=(1, 2)), 0.0)
     mmse = ((truth - mean_xxt) ** 2).sum(axis=(1, 2)) / (N * N * M)
-    return [PosteriorSummary(log_partition=float(log_z[i]),
-                             free_entropy=float(log_z[i]) / (N * M),
-                             mean_overlap=mean_R[i],
-                             overlap_fluct=float(fluct[i]),
-                             matrix_mmse=float(mmse[i]),
-                             config_count=prior.n_atoms ** (N * M))
-            for i in range(b)]
+    return [PosteriorSummary(log_partition=lz, free_entropy=lz / (N * M), mean_overlap=R,
+                             overlap_fluct=f, matrix_mmse=e, config_count=prior.n_atoms ** (N * M))
+            for lz, R, f, e in zip(log_z.tolist(), mean_R, fluct.tolist(), mmse.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,32 @@ ASYMMETRIC = {"kind": "atoms", "atoms": [[-1.0, 2.0 / 3.0], [2.0, 1.0 / 3.0]]}
 PROVENANCE = ["seed", "config_sha256"]
 
 
+# cells csv must quote, and some it must leave bare; a "\r" is refused by the
+# config check (a label), so no table holds one
+LABELS = ['a,b "q"', "x\ny", "", " lead", "\x00", "\u00e9", "'"]
+WEIRD_ATOMS = {"kind": "atoms", "atoms": [[-1.0, 0.5], [1.0, 0.5]], "label": 'a,"b"\nc'}
+
+
+def assert_matches_csv_module(path, columns, seed, config_sha256):
+    """``cli._write_csv``'s bytes equal those of csv.writer over the same
+    cells, formatted here, plus the provenance columns."""
+    path.mkdir(parents=True)
+    cli._write_csv(path / "cli.csv", columns, seed, config_sha256)
+
+    def cells(column):
+        a = np.asarray(column)
+        if a.dtype == bool:
+            return ["true" if v else "false" for v in a.tolist()]
+        return [str(v) for v in (column if a.dtype.kind == "U" else a.tolist())]
+
+    with open(path / "oracle.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*columns, "seed", "config_sha256"])
+        for row in zip(*map(cells, columns.values())):
+            writer.writerow([*row, seed, config_sha256])
+    assert (path / "cli.csv").read_bytes() == (path / "oracle.csv").read_bytes()
+
+
 class TestOutputFormat:
     """The header of every file and the cell format are fixed: both are part
     of the byte-identity contract."""
@@ -272,6 +298,40 @@ class TestOutputFormat:
             b'false,-1,2,100000000000000000000,5e-324,"uniform(D=1,n=16)",7,abc\n'
             b'true,0,2,100000000000000000000,0.1,plain,7,abc\n')
 
+    @pytest.mark.parametrize("columns", [
+        {"label": LABELS, "flag": [True, False] * 3 + [True],
+         "count": np.array([3, -1, 0, 2**63 - 1, -2**63, 7, 1], dtype=np.int64),
+         "big": [10**20] * 7, "x": np.array([-0.0, 5e-324, 1e16, 0.1, 1.5, -2.0, 1e-7]),
+         'we,"ird"\nname': LABELS[::-1]},
+        {"only": LABELS},
+        {"x": np.array([]), "a,b": []},
+    ], ids=["mixed", "one-column", "no-rows"])
+    def test_quoting_matches_csv_module(self, tmp_path, columns):
+        """Header names and text are quoted as csv.writer's minimal quoting
+        would, byte for byte; numbers and bools are never quoted."""
+        assert_matches_csv_module(tmp_path / "t", columns, 7, "abc")
+
+    @pytest.mark.parametrize("subcommand,config", [
+        ("prior", {"prior": WEIRD_ATOMS, "sample_count": 3}),
+        ("prior", {"prior": "uniform"}),
+        ("mi", {"prior": "rademacher", "s_grid": [0.0, 0.5], "quad_order": 8}),
+        ("potential", {"prior": "rademacher", "M": 2, "tau_grid": [0.5], "quad_order": 8}),
+        ("fixed-point", {"prior": "rademacher", "lambda_grid": [1.5], "quad_order": 8}),
+        ("phase-scan", {"prior": "rademacher", "lambda_grid": SCAN_GRID, "quad_order": 8}),
+        ("reduce", {"prior": WEIRD_ATOMS, "M": 2, "lambda_grid": [0.5], "n_sigma": 2}),
+        ("simulate", {"prior": WEIRD_ATOMS, "N": 2, "M": 2, "replicates": 3,
+                      "posterior": True, "dump_instance": True}),
+        ("concentration", {"prior": "rademacher", "N_grid": [2], "replicates": 2, "n_eps": 2}),
+        ("cavity", {"prior": "rademacher", "N_max": 3, "replicates": 2}),
+    ])
+    def test_handler_tables_match_csv_module(self, tmp_path, subcommand, config):
+        cfg = cli._fields(cli.SCHEMAS[subcommand], config, "config")
+        tables = [(name, columns) for name, columns in cli.HANDLERS[subcommand](cfg, 4)
+                  if not isinstance(columns, str)]
+        assert tables
+        for name, columns in tables:
+            assert_matches_csv_module(tmp_path / name, columns, 4, "f" * 64)
+
     def test_first_non_finite_in_row_major_order(self):
         """The earliest row wins over the earlier column, and the value prints
         as a Python float, not as np.float64(...)."""
@@ -285,6 +345,38 @@ class TestOutputFormat:
     def test_int_and_text_never_flagged(self):
         cli._check_finite([("t.csv", {"n": np.array([1, 2]), "big": [10**400, 1],
                                       "label": ["nan", "inf"], "flag": [True, False]})])
+
+
+class TestStages:
+    """The manifest times each stage reached: the handler with the finiteness
+    check, then the writing of its outputs."""
+
+    def stages(self, out, subcommand):
+        meta = json.loads((out / f"{subcommand}_manifest.json").read_text())
+        assert all(t >= 0 for t in meta["stages"].values())
+        return sorted(meta["stages"])
+
+    def test_success(self, tmp_path):
+        code, out = run(tmp_path, "prior", {"prior": "rademacher"}, "ok")
+        assert code == 0
+        assert self.stages(out, "prior") == ["compute_s", "write_s"]
+
+    def test_failure_while_writing(self, tmp_path, capsys):
+        (tmp_path / "busy" / "prior.csv").mkdir(parents=True)   # a directory in the way
+        code, out = run(tmp_path, "prior", {"prior": "rademacher"}, "busy")
+        assert code == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "internal"
+        assert self.stages(out, "prior") == ["compute_s", "write_s"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("config,exit_code,reached", [
+        ({"prior": "rademacher", "sample_count": -1}, 2, []),
+        ({"prior": {"kind": "atoms", "atoms": [[-1e308, 0.5], [1e308, 0.5]]}}, 5, ["compute_s"]),
+    ], ids=["validation", "non-finite"])
+    def test_failure_records_stages_reached(self, tmp_path, config, exit_code, reached):
+        code, out = run(tmp_path, "prior", config, "early")
+        assert code == exit_code
+        assert self.stages(out, "prior") == reached
 
 
 class TestExitCodes:
