@@ -13,7 +13,6 @@ from .priors import (
 from .channel import (
     GaussQuadrature,
     check_mi_convexity,
-    denoiser_scalar,
     gauss_hermite,
     mi_scalar_noise,
     mi_scalar_signal,

@@ -14,6 +14,9 @@ and their M-dimensional analogues with product input P_X^(x)M:
 All expectations over the input are exact atom sums; expectations over the
 Gaussian use NumPy's Gauss-Hermite_e rule (tensorized up to dimension 3) or
 Monte Carlo above that.  Likelihood ratios are always formed in log space.
+One ``gibbs_pass``, the only guarded exp-GEMM, integrates every Gibbs measure
+sum_x W_x exp(x' G y - |G x|^2/2) on a grid: the information up to dimension 3,
+the MMSE, and ln Z and the moments of ``replica``'s rank-M workspace.
 
 Tensor grids are built once per (rule, dimension, halved) and kept on the rule.
 When the prior is sign-symmetric and the rule is symmetric (nodes = -nodes
@@ -39,11 +42,10 @@ __all__ = [
     "gauss_hermite",
     "tensor_nodes",
     "atom_grid",
-    "logsumexp_matmul",
+    "gibbs_pass",
     "mi_scalar_signal",
     "mi_scalar_noise",
     "mmse_scalar",
-    "denoiser_scalar",
     "mi_vector_signal",
     "mi_vector",
     "check_mi_convexity",
@@ -52,7 +54,7 @@ __all__ = [
 ]
 
 _PSD_EIG_FLOOR = -1e-10
-_TINY = np.finfo(float).tiny      # exp-matmul entries below this lost their precision
+_TINY = np.finfo(float).tiny      # exp-GEMM entries below this lost their precision
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,9 @@ def tensor_nodes(quad: GaussQuadrature, dim: int, halved: bool = False):
     built once per (rule, dim, halved) and returned read-only.  ``halved``
     allows one node of each +- pair, with doubled weight, for an integrand even
     in z; a rule that is not ``symmetric`` keeps the full grid."""
-    key = (dim, halved and quad.symmetric)
+    key = (dim, halved)
+    if halved and key not in quad._grids and not quad.symmetric:
+        key = (dim, False)
     if key not in quad._grids:
         grids = np.meshgrid(*([quad.nodes] * dim), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=1)
@@ -142,47 +146,69 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
 
 
-def logsumexp_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stable ln(exp(A) @ exp(B)) for A (..., p, q) and B (..., q, r), with
-    leading batch axes broadcast as in ``@``.
+def gibbs_pass(exponents, rows, weights, z_weights):
+    """E ln Z over (x0, z) for Z[a, n] = sum_x exp(A[x, n] + B[a, x]), and the
+    Gibbs means (..., R-1, K_a, Nz) of the rows (R, 1, K_x) after the first
+    (all ones), from one GEMM [EB; EB r_1; ...] @ EA per slice of a stack.
 
-    Row maxima of A and column maxima of B are factored out so the matrix
-    product runs on values in (0, 1]; this replaces a q-fold logsumexp per
-    output entry with one BLAS product.  Where a row maximum and a column
-    maximum sit at different inner indices every product can underflow; those
-    entries alone are recomputed by a pairwise logsumexp.
+    ``exponents()`` returns fresh A (..., K_x, Nz) and B (..., K_a, K_x); they
+    are overwritten, and built again only when some entry underflows.  ln Z is
+    weighted by ``weights`` over a and ``z_weights`` over n.  The column maxima
+    of A and row maxima of B are summed outside the log, each slice's sums as
+    its own vector products, so a value does not depend on its stack.  Entries
+    whose every product underflows are recomputed pairwise.
     """
-    a_max = A.max(axis=-1, keepdims=True)
-    b_max = B.max(axis=-2, keepdims=True)
-    inner = np.exp(A - a_max) @ np.exp(B - b_max)
-    if inner.min() >= _TINY:
-        return a_max + b_max + np.log(inner)
-    lost = inner < _TINY
-    inner[lost] = 1.0
-    out = a_max + b_max + np.log(inner)
-    rows, cols = np.broadcast_arrays(A[..., :, None, :], B.swapaxes(-1, -2)[..., None, :, :])
-    out[lost] = _logsumexp(rows[lost] + cols[lost], axis=-1)
-    return out
+    A, B = exponents()
+    a_max = A.max(axis=-2, keepdims=True)                   # (..., 1, Nz)
+    b_max = B.max(axis=-1, keepdims=True)                   # (..., K_a, 1)
+    A -= a_max
+    B -= b_max
+    stack = np.exp(B, out=B)[..., None, :, :] * rows        # (..., R, K_a, K_x)
+    sums = stack.reshape(*stack.shape[:-3], -1, stack.shape[-1]) @ np.exp(A, out=A)
+    sums = sums.reshape(*stack.shape[:-1], -1)              # (..., R, K_a, Nz)
+    denom = sums[..., 0, :, :]
+    lost = denom < _TINY
+    denom[lost] = 1.0
+    mean_x = sums[..., 1:, :, :] / denom[..., None, :, :]
+    ln_denom = np.log(denom, out=denom)
+    if lost.any():
+        A, B = exponents()
+        b_rows, a_cols = np.broadcast_arrays(B[..., :, None, :],
+                                             A.swapaxes(-1, -2)[..., None, :, :])
+        arg = b_rows[lost] + a_cols[lost]                   # (lost, K_x)
+        top = arg.max(axis=1, keepdims=True)
+        p = np.exp(arg - top)
+        total = p.sum(axis=1)
+        ln_denom[lost] = top[:, 0] + np.log(total) - (b_max + a_max)[lost]
+        np.moveaxis(mean_x, -3, -1)[lost] = (p @ rows[1:, 0].T) / total[:, None]
+    ln_s = ln_denom @ z_weights                             # (..., K_a)
+    ln_z = (ln_s[..., None, :] @ weights + weights @ b_max + a_max @ z_weights)[..., 0]
+    return ln_z, mean_x
+
+
+def _channel_pass(prior, gain, quad, rows):
+    """One ``gibbs_pass`` of y = G x0 + z at x0 = v_a, e_k = G v_k: returns the
+    information E[own] - E ln Z, own = e_a' z + |e_a|^2 / 2 and
+    Z = sum_k W_k exp(e_k' (e_a + z) - |e_k|^2 / 2), the posterior means of
+    ``rows`` and the node weights."""
+    M = len(gain)
+    values, logw = ((prior.values[:, None], np.log(prior.weights)) if M == 1
+                    else atom_grid(prior, M))                   # (K, M), (K,)
+    z_nodes, z_w = tensor_nodes(quad, M, halved=prior.sign_symmetric)
+    weights = np.exp(logw)
+    E = values @ gain.T                                         # rows: G v_k
+    half_norms = 0.5 * (E * E).sum(axis=1)
+    ln_z, mean_x = gibbs_pass(lambda: (E @ z_nodes.T, E @ E.T - half_norms + logw),
+                              rows, weights, z_w)
+    own = weights @ (E @ (z_w @ z_nodes) + half_norms * z_w.sum())
+    return own - ln_z, mean_x, z_w
 
 
 def mi_scalar_signal(prior: Prior, s: float, quad: GaussQuadrature) -> float:
-    """I(x0; sqrt(s) x0 + z) in nats.
-
-    Averages the log likelihood ratio ln p(y|x0)/p(y) with the exact atom
-    mixture for p(y); expectation over x0 is an atom sum, over z quadrature.
-    """
+    """I(x0; sqrt(s) x0 + z) in nats: ``mi_vector_signal`` at the 1 x 1 gain."""
     if s < 0:
         raise ValueError("signal scale s must be nonnegative")
-    v = prior.values
-    logw = np.log(prior.weights)
-    z = quad.nodes
-    # arg[a, i, n] = (s v_a + sqrt(s) z_n)(v_i - v_a) - s (v_i^2 - v_a^2)/2
-    d = v[None, :] - v[:, None]
-    drift = s * v[:, None, None] + np.sqrt(s) * z[None, None, :]
-    arg = drift * d[:, :, None] - 0.5 * s * (v[None, :, None] ** 2 - v[:, None, None] ** 2)
-    lse = _logsumexp(arg + logw[None, :, None], axis=1)
-    value = -float(prior.weights @ (lse @ quad.weights))
-    return max(value, 0.0) if value > -1e-12 else value
+    return mi_vector_signal(prior, np.array([[np.sqrt(s)]]), quad)
 
 
 def mi_scalar_noise(prior: Prior, t: float, quad: GaussQuadrature) -> float:
@@ -193,29 +219,16 @@ def mi_scalar_noise(prior: Prior, t: float, quad: GaussQuadrature) -> float:
     return mi_scalar_signal(prior, 1.0 / t, quad)
 
 
-def denoiser_scalar(prior: Prior, y, s: float):
-    """Posterior mean E[x0 | sqrt(s) x0 + z = y]; accepts scalar or array y."""
-    if s < 0:
-        raise ValueError("signal scale s must be nonnegative")
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    v = prior.values
-    logp = np.log(prior.weights)[None, :] + np.sqrt(s) * y_arr[:, None] * v[None, :] \
-        - 0.5 * s * v[None, :] ** 2
-    logp -= logp.max(axis=1, keepdims=True)
-    p = np.exp(logp)
-    m = (p @ v) / p.sum(axis=1)
-    return float(m[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else m
-
-
 def mmse_scalar(prior: Prior, s: float, quad: GaussQuadrature) -> float:
-    """E (x0 - E[x0|y])^2 for y = sqrt(s) x0 + z; lies in [0, rho]."""
+    """E (x0 - E[x0|y])^2 for y = sqrt(s) x0 + z; lies in [0, rho].  The
+    posterior mean is the x row of the dimension-1 channel pass; the squared
+    error is unchanged by (x0, z) -> (-x0, -z), so the grid may be halved."""
     if s < 0:
         raise ValueError("signal scale s must be nonnegative")
     v = prior.values
-    y = np.sqrt(s) * v[:, None] + quad.nodes[None, :]          # (k, n)
-    m = denoiser_scalar(prior, y.ravel(), s).reshape(y.shape)
-    err = (v[:, None] - m) ** 2
-    return float(prior.weights @ (err @ quad.weights))
+    _, mean_x, z_w = _channel_pass(prior, np.array([[np.sqrt(s)]]), quad,
+                                   np.stack([np.ones_like(v), v])[:, None, :])
+    return float(prior.weights @ ((v[:, None] - mean_x[0]) ** 2 @ z_w))
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -241,30 +254,17 @@ def psd_inv_sqrt(mat: np.ndarray) -> np.ndarray:
 def mi_vector_signal(prior: Prior, gain: np.ndarray, quad: GaussQuadrature) -> float:
     """I(x0; G x0 + z) for a symmetric PSD gain G, via tensorized quadrature.
 
-    Works for any PSD gain including singular ones.  The log likelihood ratio
-    reduces to -ln sum_k W_k exp(e_k' z - |e_k|^2/2) with e_k = G(v_k - x0),
-    which is evaluated for all (x0, z) pairs through one stabilized
-    exp-matmul per input configuration.  For a sign-symmetric prior the ratio
-    at (-x0, -z) equals the one at (x0, z), so the grid may be halved.
+    Works for any PSD gain including singular ones.  The log likelihood
+    ratio is integrated over (x0, z) by one ``gibbs_pass`` (``_channel_pass``),
+    on exponents built from the gain alone.  For a sign-symmetric prior the
+    ratio at (-x0, -z) equals the one at (x0, z), so the grid may be halved.
     """
     gain = np.asarray(gain, dtype=float)
     if gain.ndim != 2 or gain.shape[0] != gain.shape[1] or not 1 <= len(gain) <= 3:
         raise ValueError(f"gain must be a square matrix of dimension 1..3, "
                          f"got shape {gain.shape}")
-    M = len(gain)
-    values, logw = atom_grid(prior, M)            # (K, M), (K,)
-    z_nodes, z_w = tensor_nodes(quad, M, halved=prior.sign_symmetric)
-    E = values @ gain.T                           # rows: G v_k
-    Ez = E @ z_nodes.T                            # (G v_k)' z_n
-    half_norms = 0.5 * np.sum(E * E, axis=1)[:, None]
-    # G[k, n] = (G v_k)' z_n - |G v_k|^2 / 2 + ln W_k   (x0-independent part)
-    G_part = Ez - half_norms + logw[:, None]
-    # cross term between mixture component k and input configuration a
-    C = E @ E.T                                   # (K, K)
-    lse = logsumexp_matmul(C, G_part)             # (K_a, Nz): row a fixes x0
-    own = Ez + half_norms
-    integrand = lse - own                         # ln p(y)/p(y|x0) at (a, n)
-    value = -float(np.exp(logw) @ (integrand @ z_w))
+    ones = np.ones((1, 1, prior.n_atoms ** len(gain)))
+    value = float(_channel_pass(prior, gain, quad, ones)[0])
     return max(value, 0.0) if value > -1e-12 else value
 
 

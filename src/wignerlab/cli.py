@@ -264,27 +264,27 @@ def run_prior(cfg, seed):
         "sample_second_moment": [float((draws**2).mean())]})]
 
 
-def _quad(cfg, M, blocks=1):
-    """The rule of ``quad_order``, or None when it is unset.  An order whose
-    rank-M evaluation needs a temporary of blocks k^M max(k^M, n) elements
-    above QUAD_TEMP_LIMIT is refused: k atoms, n the nodes the workspace keeps
-    (order^M, halved to (order^M + 1) // 2 for a sign-symmetric prior) and
-    ``blocks`` the row blocks of one pass (M + 1 for the fused
-    value-and-moment pass)."""
-    order, p = cfg["quad_order"], cfg["prior"]
-    if order is None:
-        return None
+def _check_pass(p, M, order, blocks):
+    """Refuse a rank-M pass whose temporary of blocks k^M max(k^M, n) elements
+    is above QUAD_TEMP_LIMIT: k atoms, n the nodes it keeps (order^M, halved to
+    (order^M + 1) // 2 for a sign-symmetric prior), ``blocks`` its row blocks."""
     k = p.n_atoms ** M
     nodes = (order**M + 1) // 2 if p.sign_symmetric else order**M
     size = blocks * k * max(k, nodes)
     if size > QUAD_TEMP_LIMIT:
-        raise ConfigError(f"quad_order {order} at M = {M} needs a temporary of "
+        raise ConfigError(f"order {order} at M = {M} needs a temporary of "
                           f"{size} elements, above {QUAD_TEMP_LIMIT}")
+
+
+def _quad(cfg, M, blocks=1):
+    """The checked rule of ``quad_order``, or of replica.DEFAULT_ORDER[M]."""
+    order = replica.DEFAULT_ORDER[M] if cfg["quad_order"] is None else cfg["quad_order"]
+    _check_pass(cfg["prior"], M, order, blocks)
     return channel.gauss_hermite(order)
 
 
 def run_mi(cfg, seed):
-    p, quad = cfg["prior"], _quad(cfg, 1) or channel.gauss_hermite(replica.DEFAULT_ORDER[1])
+    p, quad = cfg["prior"], _quad(cfg, 1, blocks=2)
     s = cfg["s_grid"]
     return [("mi.csv", {"s": s,
                         "mi": [channel.mi_scalar_signal(p, v, quad) for v in s.tolist()],
@@ -293,11 +293,11 @@ def run_mi(cfg, seed):
 
 def run_potential(cfg, seed):
     p, lam, M, taus = cfg["prior"], cfg["lambda"], cfg["M"], cfg["tau_grid"]
-    quad = _quad(cfg, M)
+    f1_quad, quad = _quad(cfg, 1), _quad(cfg, M)
     if np.any(taus > p.rho + 1e-12):
         raise ConfigError("tau grid must stay in [0, rho]")
     columns = {"tau": taus, "lambda": [lam] * len(taus),
-               "f1": [replica.f1_rs(p, tau, lam, quad) for tau in taus.tolist()]}
+               "f1": [replica.f1_rs(p, tau, lam, f1_quad) for tau in taus.tolist()]}
     if M > 1:
         evs = [replica.fm_rs(p, M, tau * np.eye(M), lam, quad) for tau in taus.tolist()]
         columns["fm_logz"] = _attrs(evs)("value_logz")
@@ -341,6 +341,11 @@ def run_phase_scan(cfg, seed):
 
 def run_reduce(cfg, seed):
     p, M, n_sigma = cfg["prior"], cfg["M"], cfg["n_sigma"]
+    # the largest passes; fm_sup's polish order is at least the noise checks' 24
+    for dim, order, blocks in [(1, replica.DEFAULT_ORDER[1], 2),
+                               (M, replica.DEFAULT_ORDER[M], M + 1),
+                               (M, replica.SUP_POLISH_ORDER[M], 1)]:
+        _check_pass(p, dim, order, blocks)
     reports = reduction.reduction_sweep(p, M, cfg["lambda_grid"])
     column = _attrs(reports)
     outputs = [("reduction.csv", {

@@ -35,11 +35,11 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import (
-    _TINY,
     GaussQuadrature,
     _logsumexp,
     atom_grid,
     gauss_hermite,
+    gibbs_pass,
     mi_vector_signal,
     psd_sqrt,
     tensor_nodes,
@@ -253,7 +253,7 @@ def _check_overlap_matrix(Q, M):
 class _RankMWorkspace:
     """Precomputed atom/quadrature grids for repeated rank-M evaluations, on
     the rule ``quad`` (DEFAULT_ORDER[M] nodes by default) in every axis; every
-    output comes from one Gibbs pass.  ln ZM and x0' <x> are unchanged by
+    output comes from one ``gibbs_pass`` on the exponents of ``_exponents``.  ln ZM and x0' <x> are unchanged by
     (z, x0) -> (-z, -x0) for a sign-symmetric prior and every output sums over
     x0 before z, so such a prior runs on the halved grid of ``tensor_nodes``."""
 
@@ -279,46 +279,11 @@ class _RankMWorkspace:
         B = G - 0.5 * np.diagonal(G, axis1=-2, axis2=-1)[..., None, :] + self.logw
         return A, B
 
-    def _gibbs_pass(self, Q, lam, sqrt_Q, rows):
-        """E ln ZM at the overlaps Q (one, or a stack over leading axes), and
-        the Gibbs means (..., R-1, K_a, Nz) of the moment rows (R, 1, K_x)
-        after the first (all ones), from one GEMM [EB; EB V_1; ...] @ EA per
-        overlap.  The column maxima of A and row maxima of B are summed
-        outside the log, each overlap's sums as its own vector products, so a
-        value does not depend on its stack.  Entries whose every product
-        underflows are recomputed pairwise on rebuilt exponents."""
-        A, B = self._exponents(Q, lam, sqrt_Q)
-        a_max = A.max(axis=-2, keepdims=True)                   # (..., 1, Nz)
-        b_max = B.max(axis=-1, keepdims=True)                   # (..., K_a, 1)
-        A -= a_max
-        B -= b_max
-        stack = np.exp(B, out=B)[..., None, :, :] * rows        # (..., R, K_a, K_x)
-        sums = stack.reshape(*stack.shape[:-3], -1, stack.shape[-1]) @ np.exp(A, out=A)
-        sums = sums.reshape(*stack.shape[:-1], -1)              # (..., R, K_a, Nz)
-        denom = sums[..., 0, :, :]
-        lost = denom < _TINY
-        denom[lost] = 1.0
-        mean_x = sums[..., 1:, :, :] / denom[..., None, :, :]
-        ln_denom = np.log(denom, out=denom)
-        if lost.any():
-            A, B = self._exponents(Q, lam, sqrt_Q)
-            b_rows, a_cols = np.broadcast_arrays(B[..., :, None, :],
-                                                 A.swapaxes(-1, -2)[..., None, :, :])
-            arg = b_rows[lost] + a_cols[lost]                   # (lost, K_x)
-            top = arg.max(axis=1, keepdims=True)
-            p = np.exp(arg - top)
-            total = p.sum(axis=1)
-            ln_denom[lost] = top[:, 0] + np.log(total) - (b_max + a_max)[lost]
-            np.moveaxis(mean_x, -3, -1)[lost] = (p @ rows[1:, 0].T) / total[:, None]
-        ln_s = ln_denom @ self.z_weights                        # (..., K_a)
-        ln_z = (ln_s[..., None, :] @ self.weights + self.weights @ b_max
-                + a_max @ self.z_weights)[..., 0]
-        return ln_z, mean_x
-
     def ln_partition(self, Q, lam, sqrt_Q=None):
         """E_{z,x0} ln ZM(Q) on the tensor grid; a float for one overlap, an
         array over the leading axes of a stack of them (which needs sqrt_Q)."""
-        ln_z = self._gibbs_pass(Q, lam, sqrt_Q, self.moments[:1])[0]
+        ln_z = gibbs_pass(lambda: self._exponents(Q, lam, sqrt_Q), self.moments[:1],
+                          self.weights, self.z_weights)[0]
         return float(ln_z) if ln_z.ndim == 0 else ln_z
 
     def potential(self, Q, lam, sqrt_Q):
@@ -332,8 +297,9 @@ class _RankMWorkspace:
 
     def value_and_moment(self, Q, lam, sqrt_Q=None):
         """E ln ZM(Q), bit-equal to ``ln_partition``, and E <x x0'> (M, M)
-        from the same ``_gibbs_pass`` on all M + 1 moment rows."""
-        ln_z, mean_x = self._gibbs_pass(Q, lam, sqrt_Q, self.moments)
+        from the same ``gibbs_pass`` on all M + 1 moment rows."""
+        ln_z, mean_x = gibbs_pass(lambda: self._exponents(Q, lam, sqrt_Q), self.moments,
+                                  self.weights, self.z_weights)
         return float(ln_z), (mean_x @ self.z_weights) @ self.weighted_values
 
 

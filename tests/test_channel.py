@@ -7,6 +7,14 @@ from scipy.integrate import quad as scipy_quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
+from oracles import (
+    denoiser_scalar,
+    full_grid_mi,
+    logsumexp_matmul,
+    mi_scalar_lse,
+    mi_vector_lse,
+    mmse_denoiser,
+)
 from wignerlab import channel, make_discretized_uniform, make_prior
 from wignerlab.reduction import random_psd
 
@@ -99,18 +107,6 @@ def fresh(quad):
     return channel.GaussQuadrature(nodes=quad.nodes, weights=quad.weights, order=quad.order)
 
 
-def full_grid_mi(prior, gain, quad):
-    """I(x0; G x0 + z) by a direct logsumexp over every mixture component on
-    the full tensor grid: -E ln sum_k W_k exp(e_k' z - |e_k|^2 / 2),
-    e_k = G(v_k - x0)."""
-    values, logw = channel.atom_grid(prior, len(gain))
-    z, z_w = channel.tensor_nodes(quad, len(gain))
-    E = values @ gain.T
-    e = E[None, :, :] - E[:, None, :]                       # (x0, k, M)
-    arg = e @ z.T - 0.5 * np.sum(e * e, axis=2)[:, :, None] + logw[None, :, None]
-    return -float(np.exp(logw) @ (logsumexp(arg, axis=1) @ z_w))
-
-
 class TestTensorGrid:
     @pytest.mark.parametrize("order", ORDERS + [7])
     def test_gauss_hermite_is_symmetric(self, order):
@@ -194,15 +190,14 @@ class TestLogsumexpMatmul:
     def test_matches_direct(self, rng):
         A = rng.normal(scale=5.0, size=(6, 9))
         B = rng.normal(scale=5.0, size=(9, 7))
-        got = channel.logsumexp_matmul(A, B)
+        got = logsumexp_matmul(A, B)
         ref = logsumexp(A[:, :, None] + B[None, :, :], axis=1)
         np.testing.assert_allclose(got, ref, atol=1e-13)
 
     def test_underflowed_entry(self):
         """Row and column maxima at different inner indices: every product
         underflows, and the entry is -800 + ln 2, not -inf."""
-        got = channel.logsumexp_matmul(np.array([[0.0, -800.0]]),
-                                       np.array([[-800.0], [0.0]]))
+        got = logsumexp_matmul(np.array([[0.0, -800.0]]), np.array([[-800.0], [0.0]]))
         assert abs(got[0, 0] - (-800.0 + math.log(2.0))) <= 1e-13
 
     def test_batched_matches_slices(self, rng):
@@ -212,11 +207,11 @@ class TestLogsumexpMatmul:
         B = rng.normal(scale=5.0, size=(3, 6, 5))
         A[1, 0, :2], B[1, :2, 0] = (0.0, -800.0), (-800.0, 0.0)
         A[1, 0, 2:], B[1, 2:, 0] = -900.0, -900.0
-        got = channel.logsumexp_matmul(A, B)
+        got = logsumexp_matmul(A, B)
         assert np.exp(A[1] - A[1].max(axis=1, keepdims=True))[0] @ \
             np.exp(B[1] - B[1].max(axis=0, keepdims=True))[:, 0] < np.finfo(float).tiny
         for k in range(3):
-            np.testing.assert_allclose(got[k], channel.logsumexp_matmul(A[k], B[k]),
+            np.testing.assert_allclose(got[k], logsumexp_matmul(A[k], B[k]),
                                        rtol=0, atol=1e-13)
             ref = logsumexp(A[k][:, :, None] + B[k][None, :, :], axis=1)
             np.testing.assert_allclose(got[k], ref, rtol=0, atol=1e-13)
@@ -233,6 +228,79 @@ class TestLogsumexpMatmul:
         quad = channel.gauss_hermite(8)
         assert abs(channel.mi_vector_signal(prior, gain, quad)
                    - full_grid_mi(prior, gain, quad)) <= 1e-13
+
+
+class TestGibbsPass:
+    def test_underflowed_entry(self):
+        """The row maximum of B and the column maximum of A sit at different
+        configurations: every product underflows, and the entry is recomputed
+        pairwise to -800 + ln 2, with the Gibbs mean of a row through the same
+        guard."""
+        calls = []
+
+        def exponents():
+            calls.append(1)
+            return np.array([[-800.0], [0.0]]), np.array([[0.0, -800.0]])
+
+        rows = np.array([[1.0, 1.0], [3.0, 5.0]])[:, None, :]
+        ln_z, mean_x = channel.gibbs_pass(exponents, rows, np.ones(1), np.ones(1))
+        assert abs(ln_z - (-800.0 + math.log(2.0))) <= 1e-13
+        assert abs(mean_x[0, 0, 0] - 4.0) <= 1e-13
+        assert len(calls) == 2
+
+
+PRIORS = ["rademacher", "sparse03", "asymmetric", "uniform"]
+
+
+def named_prior(request, label):
+    own = {"asymmetric": ASYMMETRIC, "uniform": UNIFORM}
+    return own[label] if label in own else request.getfixturevalue(label)
+
+
+class TestAgainstReplacedKernels:
+    """mi_vector_signal, mi_scalar_signal and mmse_scalar run on one
+    ``gibbs_pass``; the kernels they replaced (``oracles``) agree to 1e-12."""
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("label", PRIORS)
+    def test_vector_mi(self, request, label, M):
+        prior = named_prior(request, label)
+        quad = channel.gauss_hermite({1: 64, 2: 20, 3: 8}[M])
+        R, _ = np.linalg.qr(np.random.default_rng(7 * M).standard_normal((M, M)))
+        ill = channel.psd_inv_sqrt((R * [1e-3, 0.5, 2.0][:M]) @ R.T)
+        for gain in (np.zeros((M, M)), ill, 30.0 * np.eye(M)):
+            assert abs(channel.mi_vector_signal(prior, gain, quad)
+                       - mi_vector_lse(prior, gain, quad)) <= 1e-12
+
+    @pytest.mark.parametrize("label", PRIORS)
+    def test_scalar_mi_and_mmse(self, request, label, quad64):
+        prior = named_prior(request, label)
+        for s in (0.0, 1e-3, 0.5, 2.0, 30.0, 1e3, 1e4):
+            assert abs(channel.mi_scalar_signal(prior, s, quad64)
+                       - mi_scalar_lse(prior, s, quad64)) <= 1e-12, s
+            assert abs(channel.mmse_scalar(prior, s, quad64)
+                       - mmse_denoiser(prior, s, quad64)) <= 1e-12, s
+
+    @pytest.mark.parametrize("label", PRIORS)
+    def test_guard_recomputes_at_high_snr(self, request, label, quad64, monkeypatch):
+        """At s = 1e4 the pass loses entries far out in z and rebuilds its
+        exponents for them; the values still agree."""
+        prior = named_prior(request, label)
+        calls = []
+
+        def counting(exponents, *args):
+            def counted():
+                calls.append(1)
+                return exponents()
+            return gibbs_pass(counted, *args)
+
+        gibbs_pass = channel.gibbs_pass
+        monkeypatch.setattr(channel, "gibbs_pass", counting)
+        for ours, ref in [(channel.mi_scalar_signal, mi_scalar_lse),
+                          (channel.mmse_scalar, mmse_denoiser)]:
+            calls.clear()
+            assert abs(ours(prior, 1e4, quad64) - ref(prior, 1e4, quad64)) <= 1e-12
+            assert len(calls) == 2
 
 
 class TestScalarMi:
@@ -299,19 +367,19 @@ class TestMmse:
 
 class TestDenoiser:
     def test_odd_symmetry(self, sparse03):
-        assert channel.denoiser_scalar(sparse03, 0.0, 3.0) == 0.0
+        assert denoiser_scalar(sparse03, 0.0, 3.0) == 0.0
 
     def test_binary_is_tanh(self, rademacher):
         ys = np.linspace(-4, 4, 17)
-        got = channel.denoiser_scalar(rademacher, ys, 2.5)
+        got = denoiser_scalar(rademacher, ys, 2.5)
         np.testing.assert_allclose(got, np.tanh(math.sqrt(2.5) * ys), atol=1e-14)
 
     def test_zero_snr_prior_mean(self, sparse03):
         for y in (-3.0, 0.7, 11.0):
-            assert abs(channel.denoiser_scalar(sparse03, y, 0.0)) <= 1e-15
+            assert abs(denoiser_scalar(sparse03, y, 0.0)) <= 1e-15
 
     def test_extreme_observation_stable(self, sparse03):
-        val = channel.denoiser_scalar(sparse03, 500.0, 9.0)
+        val = denoiser_scalar(sparse03, 500.0, 9.0)
         assert np.isfinite(val) and abs(val) <= 1.0
 
 

@@ -159,7 +159,41 @@ class TestQuadOrder:
             assert cli._quad(cfg, 3, blocks).order == last
             with pytest.raises(cli.ConfigError, match=f"temporary of {refused_size} "):
                 cli._quad({**cfg, "quad_order": last + 1}, 3, blocks)
-        assert cli._quad({**cfg, "quad_order": None}, 3) is None
+        assert cli._quad({**cfg, "quad_order": None}, 3) is \
+            gauss_hermite(replica.DEFAULT_ORDER[3])
+
+    def test_unset_order_is_checked(self):
+        """An unset quad_order is the default order, and its pass is checked:
+        2 k max(k, 32) for the 64-node scalar pass of phase-scan and mi."""
+        for n, refused in [(2896, False), (2897, True)]:
+            prior = make_prior([((2 * j - n + 1) / (n - 1), 1.0 / n) for j in range(n)])
+            cfg = {"prior": prior, "quad_order": None}
+            if refused:
+                with pytest.raises(cli.ConfigError, match="temporary of 16785218 "):
+                    cli._quad(cfg, 1, 2)
+            else:
+                assert cli._quad(cfg, 1, 2) is gauss_hermite(replica.DEFAULT_ORDER[1])
+
+    @pytest.mark.parametrize("prior,M,refused", [
+        ({"kind": "uniform", "n_nodes": 12}, 3, False),
+        # the fused pass at DEFAULT_ORDER[3]: 4 (13^3)^2 elements
+        ({"kind": "uniform", "n_nodes": 13}, 3, True),
+        ({"kind": "uniform", "n_nodes": 48}, 2, False),
+        ({"kind": "uniform", "n_nodes": 49}, 2, True),
+        # fm_sup's polish at order 24: 11^3 x 24^3 elements on the full grid
+        ({"kind": "atoms", "atoms": [[j * j - 35.0, 1.0 / 11.0] for j in range(11)]}, 3, True),
+    ])
+    def test_reduce_checks_its_passes(self, tmp_path, monkeypatch, capsys, prior, M, refused):
+        """reduce refuses an oversized pass before any computation starts."""
+        def sweep(*args):
+            raise RuntimeError("computation started")
+        monkeypatch.setattr(cli.reduction, "reduction_sweep", sweep)
+        code, _ = run(tmp_path, "reduce", {"prior": prior, "M": M, "lambda_grid": [1.0]}, "big")
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        if refused:
+            assert code == 2 and "needs a temporary of" in detail
+        else:
+            assert code == 5 and "computation started" in detail
 
 
 class TestDeterminism:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wignerlab import reduction, replica
+from oracles import full_grid_mi
+from wignerlab import channel, reduction, replica
 
 
 class TestRandomCovariance:
@@ -32,6 +33,31 @@ class TestTrimResidual:
         for _ in range(10):
             sigma = reduction.random_psd(3, rng)
             assert reduction.diagonal_trim_residual(rademacher, sigma, quad24) >= -1e-6
+
+
+class TestUnderflowSeeds:
+    """Seeds whose covariance, with a smallest eigenvalue of 1e-3 to 3e-3,
+    once gave an infinite trim residual: every product of some (x0, z) entries
+    of the information's exp-matmul underflowed."""
+
+    @pytest.mark.parametrize("label,M,seed,sample", [("rademacher", 3, 4, 21),
+                                                     ("sparse03", 2, 31, 33),
+                                                     ("sparse03", 2, 979246067, 33)])
+    def test_finite_residuals(self, request, quad24, label, M, seed, sample):
+        prior = request.getfixturevalue(label)
+        trim, trace = reduction.noise_inequality_batch(prior, M, sample + 1, seed)
+        assert np.all(np.isfinite(trim)) and np.all(np.isfinite(trace))
+        assert min(trim.min(), trace.min()) >= -1e-6
+        # the covariances of the last sample, drawn as the batch draws them
+        rng = np.random.default_rng(seed)
+        for _ in range(sample + 1):
+            sigmas = (reduction.random_psd(M, rng),
+                      reduction.random_psd(M, rng, diag_min=prior.support_bound**2))
+        assert np.linalg.eigvalsh(sigmas[0]).min() < 3e-3
+        for sigma in sigmas:
+            gain = channel.psd_inv_sqrt(sigma)
+            assert abs(channel.mi_vector(prior, sigma, quad24)[0]
+                       - full_grid_mi(prior, gain, quad24)) <= 1e-12
 
 
 class TestTraceResidual:

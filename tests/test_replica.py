@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from oracles import logsumexp_matmul
 from wignerlab import channel, make_discretized_uniform, make_prior, replica
 from wignerlab.reduction import random_psd
 
@@ -532,7 +533,7 @@ def logsumexp_ln_partition(ws, Q, lam, sqrt_Q=None):
     inside the log: the reduction the folded ln Z pass replaced, kept as its
     oracle."""
     A, B = ws._exponents(Q, lam, sqrt_Q)
-    return (channel.logsumexp_matmul(B, A) @ ws.z_weights) @ ws.weights
+    return (logsumexp_matmul(B, A) @ ws.z_weights) @ ws.weights
 
 
 def overlap_stack(prior, M, count, seed):
