@@ -64,14 +64,9 @@ class GaussQuadrature:
     nodes: np.ndarray
     weights: np.ndarray
     order: int
+    symmetric: bool = field(init=False, repr=False, compare=False)  # z -> -z maps it to itself
     # tensor grids of this rule, by (dim, halved); see ``tensor_nodes``
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def symmetric(self) -> bool:
-        """Whether z -> -z maps the rule to itself, node for node."""
-        return bool(np.array_equal(self.nodes, -self.nodes[::-1])
-                    and np.array_equal(self.weights, self.weights[::-1]))
 
     def __post_init__(self):
         n = np.asarray(self.nodes, dtype=float)
@@ -86,6 +81,8 @@ class GaussQuadrature:
         w.setflags(write=False)
         object.__setattr__(self, "nodes", n)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "symmetric", bool(np.array_equal(n, -n[::-1])
+                                                   and np.array_equal(w, w[::-1])))
 
 
 @lru_cache(maxsize=32)
@@ -109,9 +106,7 @@ def tensor_nodes(quad: GaussQuadrature, dim: int, halved: bool = False):
     built once per (rule, dim, halved) and returned read-only.  ``halved``
     allows one node of each +- pair, with doubled weight, for an integrand even
     in z; a rule that is not ``symmetric`` keeps the full grid."""
-    key = (dim, halved)
-    if halved and key not in quad._grids and not quad.symmetric:
-        key = (dim, False)
+    key = (dim, halved and quad.symmetric)
     if key not in quad._grids:
         grids = np.meshgrid(*([quad.nodes] * dim), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=1)
@@ -151,12 +146,13 @@ def gibbs_pass(exponents, rows, weights, z_weights):
     Gibbs means (..., R-1, K_a, Nz) of the rows (R, 1, K_x) after the first
     (all ones), from one GEMM [EB; EB r_1; ...] @ EA per slice of a stack.
 
-    ``exponents()`` returns fresh A (..., K_x, Nz) and B (..., K_a, K_x); they
-    are overwritten, and built again only when some entry underflows.  ln Z is
-    weighted by ``weights`` over a and ``z_weights`` over n.  The column maxima
-    of A and row maxima of B are summed outside the log, each slice's sums as
-    its own vector products, so a value does not depend on its stack.  Entries
-    whose every product underflows are recomputed pairwise.
+    ``exponents()`` returns fresh A (..., K_x, Nz) and B (..., K_a, K_x) with
+    the same stack axes; they are overwritten, and built again only when an
+    entry underflows.  ln Z is weighted by ``weights`` over a and ``z_weights``
+    over n.  The column maxima of A and row maxima of B are summed outside the
+    log, each slice's sums as its own vector products, so a value does not
+    depend on its stack.  Entries whose every product underflows are recomputed
+    pairwise.
     """
     A, B = exponents()
     a_max = A.max(axis=-2, keepdims=True)                   # (..., 1, Nz)
@@ -173,13 +169,12 @@ def gibbs_pass(exponents, rows, weights, z_weights):
     ln_denom = np.log(denom, out=denom)
     if lost.any():
         A, B = exponents()
-        b_rows, a_cols = np.broadcast_arrays(B[..., :, None, :],
-                                             A.swapaxes(-1, -2)[..., None, :, :])
-        arg = b_rows[lost] + a_cols[lost]                   # (lost, K_x)
+        *at, a, n = np.nonzero(lost)
+        arg = B[(*at, a)] + A.swapaxes(-1, -2)[(*at, n)]     # (lost, K_x)
         top = arg.max(axis=1, keepdims=True)
         p = np.exp(arg - top)
         total = p.sum(axis=1)
-        ln_denom[lost] = top[:, 0] + np.log(total) - (b_max + a_max)[lost]
+        ln_denom[lost] = top[:, 0] + np.log(total) - (b_max[(*at, a, 0)] + a_max[(*at, 0, n)])
         np.moveaxis(mean_x, -3, -1)[lost] = (p @ rows[1:, 0].T) / total[:, None]
     ln_s = ln_denom @ z_weights                             # (..., K_a)
     ln_z = (ln_s[..., None, :] @ weights + weights @ b_max + a_max @ z_weights)[..., 0]
@@ -187,21 +182,19 @@ def gibbs_pass(exponents, rows, weights, z_weights):
 
 
 def _channel_pass(prior, gain, quad, rows):
-    """One ``gibbs_pass`` of y = G x0 + z at x0 = v_a, e_k = G v_k: returns the
-    information E[own] - E ln Z, own = e_a' z + |e_a|^2 / 2 and
-    Z = sum_k W_k exp(e_k' (e_a + z) - |e_k|^2 / 2), the posterior means of
-    ``rows`` and the node weights."""
-    M = len(gain)
-    values, logw = ((prior.values[:, None], np.log(prior.weights)) if M == 1
-                    else atom_grid(prior, M))                   # (K, M), (K,)
-    z_nodes, z_w = tensor_nodes(quad, M, halved=prior.sign_symmetric)
-    weights = np.exp(logw)
+    """One ``gibbs_pass`` of y = G x0 + z at x0 = v_a, e_k = G v_k, on A[k, n] =
+    e_k' z_n and B[a, k] = ln W_k - |e_a - e_k|^2 / 2: the information
+    E[e_a' z] - E ln Z (rounded to about eps |e_a| |z|), the means of ``rows``
+    and the node weights.  A distance past the float range makes B NaN."""
+    values, logw = atom_grid(prior, len(gain))                  # (K, M), (K,)
+    z_nodes, z_w = tensor_nodes(quad, len(gain), halved=prior.sign_symmetric)
     E = values @ gain.T                                         # rows: G v_k
-    half_norms = 0.5 * (E * E).sum(axis=1)
-    ln_z, mean_x = gibbs_pass(lambda: (E @ z_nodes.T, E @ E.T - half_norms + logw),
-                              rows, weights, z_w)
-    own = weights @ (E @ (z_w @ z_nodes) + half_norms * z_w.sum())
-    return own - ln_z, mean_x, z_w
+    D = E[:, None, :] - E[None, :, :]                           # e_a - e_k
+    B = logw - 0.5 * (D * D).sum(axis=2)
+    B[~np.isfinite(B)] = np.nan
+    weights = np.exp(logw)
+    ln_z, mean_x = gibbs_pass(lambda: (E @ z_nodes.T, B.copy()), rows, weights, z_w)
+    return weights @ (E @ (z_w @ z_nodes)) - ln_z, mean_x, z_w
 
 
 def mi_scalar_signal(prior: Prior, s: float, quad: GaussQuadrature) -> float:

@@ -341,10 +341,7 @@ def run_phase_scan(cfg, seed):
 
 def run_reduce(cfg, seed):
     p, M, n_sigma = cfg["prior"], cfg["M"], cfg["n_sigma"]
-    # the largest passes; fm_sup's polish order is at least the noise checks' 24
-    for dim, order, blocks in [(1, replica.DEFAULT_ORDER[1], 2),
-                               (M, replica.DEFAULT_ORDER[M], M + 1),
-                               (M, replica.SUP_POLISH_ORDER[M], 1)]:
+    for dim, order, blocks in reduction.largest_passes(M):
         _check_pass(p, dim, order, blocks)
     reports = reduction.reduction_sweep(p, M, cfg["lambda_grid"])
     column = _attrs(reports)

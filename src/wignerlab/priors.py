@@ -41,17 +41,13 @@ class Prior:
     rho: float
     support_bound: float
     label: str = field(default="custom")
+    # whether x -> -x maps the prior to itself (sorted atoms are negated by
+    # reversal, and their weights are palindromic)
+    sign_symmetric: bool = field(init=False, repr=False, compare=False)
 
     @property
     def n_atoms(self) -> int:
         return self.values.size
-
-    @property
-    def sign_symmetric(self) -> bool:
-        """Whether x -> -x maps the prior to itself (sorted atoms are negated by
-        reversal, and their weights are palindromic)."""
-        return bool(np.array_equal(self.values, -self.values[::-1])
-                    and np.array_equal(self.weights, self.weights[::-1]))
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -75,6 +71,8 @@ class Prior:
         w.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "sign_symmetric", bool(np.array_equal(v, -v[::-1])
+                                                        and np.array_equal(w, w[::-1])))
 
 
 def make_prior(atoms, label="custom", support_bound=None) -> Prior:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import GaussQuadrature, gauss_hermite, mi_scalar_noise, mi_vector
 from .priors import Prior
-from .replica import f1_sup, fm_sup, phase_scan
+from .replica import DEFAULT_ORDER, SUP_POLISH_ORDER, f1_sup, fm_sup, phase_scan
 
 __all__ = [
     "ReductionReport",
@@ -32,10 +32,12 @@ __all__ = [
     "trace_noise_residual",
     "noise_inequality_batch",
     "reduction_sweep",
+    "largest_passes",
 ]
 
 GAP_TOL = 1e-3
 ISOTROPY_TOL = 1e-2
+NOISE_ORDER = 24    # the rule of the noise checks
 
 
 @dataclass
@@ -96,7 +98,7 @@ def noise_inequality_batch(prior: Prior, M: int, n_samples: int, seed: int):
     Returns (trim residuals, trace residuals) as arrays of length n_samples;
     the trace suite draws its own covariances with diagonal >= D^2.
     """
-    quad = gauss_hermite(24)
+    quad = gauss_hermite(NOISE_ORDER)
     rng = np.random.default_rng(seed)
     trim = np.empty(n_samples)
     trace = np.empty(n_samples)
@@ -139,3 +141,10 @@ def reduction_sweep(prior: Prior, M: int, lambda_grid) -> list[ReductionReport]:
             },
         ))
     return reports
+
+
+def largest_passes(M: int) -> list[tuple[int, int, int]]:
+    """(dimension, order, row blocks) of the largest Gibbs passes that
+    ``reduction_sweep`` and ``noise_inequality_batch`` run at rank M."""
+    return [(1, DEFAULT_ORDER[1], 2), (M, DEFAULT_ORDER[M], M + 1),
+            (M, SUP_POLISH_ORDER[M], 1), (M, NOISE_ORDER, 1)]

@@ -253,9 +253,10 @@ def _check_overlap_matrix(Q, M):
 class _RankMWorkspace:
     """Precomputed atom/quadrature grids for repeated rank-M evaluations, on
     the rule ``quad`` (DEFAULT_ORDER[M] nodes by default) in every axis; every
-    output comes from one ``gibbs_pass`` on the exponents of ``_exponents``.  ln ZM and x0' <x> are unchanged by
-    (z, x0) -> (-z, -x0) for a sign-symmetric prior and every output sums over
-    x0 before z, so such a prior runs on the halved grid of ``tensor_nodes``."""
+    output comes from one ``gibbs_pass`` on the exponents of ``_exponents``.
+    ln ZM and x0' <x> are unchanged by (z, x0) -> (-z, -x0) for a
+    sign-symmetric prior and every output sums over x0 before z, so such a
+    prior runs on the halved grid of ``tensor_nodes``."""
 
     def __init__(self, prior, M, quad=None):
         self.prior = prior

@@ -303,6 +303,43 @@ class TestAgainstReplacedKernels:
             assert len(calls) == 2
 
 
+class TestHighSnr:
+    """The information's exponents differ by e_a - e_k, so its rounding grows
+    like eps |e_a| |z|, about eps sqrt(s), not like eps s."""
+
+    @pytest.mark.parametrize("label", PRIORS)
+    def test_scalar_against_exact_lse(self, request, label, quad64):
+        prior = named_prior(request, label)
+        entropy = -float(prior.weights @ np.log(prior.weights))
+        for s in (1e6, 1e8, 1e10, 1e12, 1e14, 1e16):
+            ours = channel.mi_scalar_signal(prior, s, quad64)
+            assert abs(ours - mi_scalar_lse(prior, s, quad64)) <= 1e-15 * math.sqrt(s), s
+            assert ours <= entropy + 1e-15 * math.sqrt(s), s
+            assert abs(channel.mmse_scalar(prior, s, quad64)
+                       - mmse_denoiser(prior, s, quad64)) <= 1e-12, s
+
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("label", PRIORS)
+    def test_vector_against_full_grid(self, request, label, M):
+        prior = named_prior(request, label)
+        quad = channel.gauss_hermite({2: 20, 3: 8}[M])
+        R, _ = np.linalg.qr(np.random.default_rng(M).standard_normal((M, M)))
+        ill = channel.psd_inv_sqrt((R * [1e-3, 0.5, 2.0][:M]) @ R.T)
+        for scale in (1.0, 1e3, 1e5):
+            gain = scale * ill
+            assert abs(channel.mi_vector_signal(prior, gain, quad)
+                       - full_grid_mi(prior, gain, quad)) <= 1e-15 * np.linalg.norm(gain, 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_distance_is_nan(self, quad64):
+        """Atoms at +-1e200 put |e_a - e_k|^2 past the float range: NaN, never
+        a value read off infinite exponents."""
+        huge = make_prior([(-1e200, 0.5), (1e200, 0.5)])
+        assert math.isnan(channel.mi_scalar_signal(huge, 1.0, quad64))
+        assert math.isnan(channel.mmse_scalar(huge, 1.0, quad64))
+        assert math.isnan(channel.mi_vector_signal(huge, np.eye(2), channel.gauss_hermite(8)))
+
+
 class TestScalarMi:
     def test_zero_snr(self, rademacher, quad64):
         assert channel.mi_scalar_signal(rademacher, 0.0, quad64) == 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import full_grid_mi
-from wignerlab import channel, reduction, replica
+from wignerlab import channel, make_prior, reduction, replica
 
 
 class TestRandomCovariance:
@@ -58,6 +58,37 @@ class TestUnderflowSeeds:
             gain = channel.psd_inv_sqrt(sigma)
             assert abs(channel.mi_vector(prior, sigma, quad24)[0]
                        - full_grid_mi(prior, gain, quad24)) <= 1e-12
+
+
+class TestLargestPasses:
+    """``largest_passes`` names the largest Gibbs pass that the sweep and the
+    noise checks run, so the CLI's size check reads what actually runs."""
+
+    @pytest.mark.parametrize("label,M", [("rademacher", 2), ("asymmetric", 2),
+                                         ("rademacher", 3)])
+    def test_bounds_every_pass(self, request, monkeypatch, label, M):
+        prior = (make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)]) if label == "asymmetric"
+                 else request.getfixturevalue(label))
+        sizes = []
+
+        def recording(exponents, rows, weights, z_weights):
+            # per slice: rows x K_a x max(K_x, nodes)
+            sizes.append(len(rows) * len(weights) * max(rows.shape[-1], len(z_weights)))
+            return gibbs_pass(exponents, rows, weights, z_weights)
+
+        gibbs_pass = channel.gibbs_pass
+        monkeypatch.setattr(channel, "gibbs_pass", recording)
+        monkeypatch.setattr(replica, "gibbs_pass", recording)
+        reduction.reduction_sweep(prior, M, [0.5, 2.0])
+        reduction.noise_inequality_batch(prior, M, 2, 0)
+
+        def size(dim, order, blocks):
+            k = prior.n_atoms ** dim
+            nodes = (order**dim + 1) // 2 if prior.sign_symmetric else order**dim
+            return blocks * k * max(k, nodes)
+
+        listed = [size(*p) for p in reduction.largest_passes(M)]
+        assert max(sizes) == max(listed)
 
 
 class TestTraceResidual:
