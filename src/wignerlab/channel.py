@@ -12,11 +12,14 @@ and their M-dimensional analogues with product input P_X^(x)M:
 * noise-scaled:   y = x0 + Sigma^(1/2) z          (``mi_vector``)
 
 All expectations over the input are exact atom sums; expectations over the
-Gaussian use NumPy's Gauss-Hermite_e rule (tensorized up to dimension 3) or
-Monte Carlo above that.  Likelihood ratios are always formed in log space.
-One ``gibbs_pass``, the only guarded exp-GEMM, integrates every Gibbs measure
-sum_x W_x exp(x' G y - |G x|^2/2) on a grid: the information up to dimension 3,
-the MMSE, and ln Z and the moments of ``replica``'s rank-M workspace.
+Gaussian use NumPy's Gauss-Hermite_e rule, tensorized up to dimension 3, the
+largest dimension the channel takes.  Likelihood ratios are always formed in
+log space.  One ``gibbs_pass``, the only guarded exp-GEMM, integrates every
+Gibbs measure sum_x W_x exp(x' G y - |G x|^2/2) on a grid: the information,
+the MMSE, and ln Z and the moments of ``replica``'s rank-M workspace.  The
+information and the MMSE take a stack of gains or a grid of scales and run
+it in parts of at most BATCH elements per temporary (``batched``), each
+value as it would be alone.
 
 Tensor grids are built once per (rule, dimension, halved) and kept on the rule.
 When the prior is sign-symmetric and the rule is symmetric (nodes = -nodes
@@ -35,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .priors import Prior, quantile
+from .priors import Prior
 
 __all__ = [
     "GaussQuadrature",
@@ -43,6 +46,7 @@ __all__ = [
     "tensor_nodes",
     "atom_grid",
     "gibbs_pass",
+    "batched",
     "mi_scalar_signal",
     "mi_scalar_noise",
     "mmse_scalar",
@@ -55,6 +59,7 @@ __all__ = [
 
 _PSD_EIG_FLOOR = -1e-10
 _TINY = np.finfo(float).tiny      # exp-GEMM entries below this lost their precision
+BATCH = 1 << 17                   # elements per temporary of a stacked Gibbs pass
 
 
 @dataclass(frozen=True)
@@ -135,12 +140,6 @@ def atom_grid(prior: Prior, dim: int):
     return values, logw
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """ln sum exp(a) along ``axis``, with the maximum factored out."""
-    top = a.max(axis=axis, keepdims=True)
-    return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
-
-
 def gibbs_pass(exponents, rows, weights, z_weights):
     """E ln Z over (x0, z) for Z[a, n] = sum_x exp(A[x, n] + B[a, x]), and the
     Gibbs means (..., R-1, K_a, Nz) of the rows (R, 1, K_x) after the first
@@ -181,47 +180,79 @@ def gibbs_pass(exponents, rows, weights, z_weights):
     return ln_z, mean_x
 
 
-def _channel_pass(prior, gain, quad, rows):
-    """One ``gibbs_pass`` of y = G x0 + z at x0 = v_a, e_k = G v_k, on A[k, n] =
-    e_k' z_n and B[a, k] = ln W_k - |e_a - e_k|^2 / 2: the information
-    E[e_a' z] - E ln Z (rounded to about eps |e_a| |z|), the means of ``rows``
-    and the node weights.  A distance past the float range makes B NaN."""
-    values, logw = atom_grid(prior, len(gain))                  # (K, M), (K,)
-    z_nodes, z_w = tensor_nodes(quad, len(gain), halved=prior.sign_symmetric)
-    E = values @ gain.T                                         # rows: G v_k
-    D = E[:, None, :] - E[None, :, :]                           # e_a - e_k
-    B = logw - 0.5 * (D * D).sum(axis=2)
-    B[~np.isfinite(B)] = np.nan
+def batched(run, n, per_item):
+    """``run(part)`` on consecutive slices ``part`` of range(n), each of at
+    most BATCH // per_item items (one at least), concatenated: a stack whose
+    item needs ``per_item`` elements per temporary keeps each within BATCH."""
+    size = max(1, BATCH // per_item)
+    return np.concatenate([run(slice(i, i + size)) for i in range(0, n, size)])
+
+
+def _channel_pass(prior, gains, quad, rows, value):
+    """One ``gibbs_pass`` of y = G x0 + z per gain G of the stack (..., d, d),
+    at x0 = v_a, e_k = G v_k, on A[k, n] = e_k' z_n and B[a, k] = ln W_k -
+    |e_a - e_k|^2 / 2.  ``value(info, mean_x, z_w)`` maps a part's
+    informations E[e_a' z] - E ln Z (rounded to about eps |e_a| |z|), the means
+    (part, R-1, K, Nz) of ``rows`` and the node weights to one value per gain:
+    a float for one gain, an array in the stack's shape otherwise.  A distance
+    past the float range makes B NaN."""
+    d = gains.shape[-1]
+    stack = gains.reshape(-1, d, d)
+    values, logw = atom_grid(prior, d)                          # (K, d), (K,)
+    z_nodes, z_w = tensor_nodes(quad, d, halved=prior.sign_symmetric)
     weights = np.exp(logw)
-    ln_z, mean_x = gibbs_pass(lambda: (E @ z_nodes.T, B.copy()), rows, weights, z_w)
-    return weights @ (E @ (z_w @ z_nodes)) - ln_z, mean_x, z_w
+    z_mean = z_w @ z_nodes
+
+    def run(part):
+        E = values @ stack[part].swapaxes(-1, -2)               # rows: G v_k
+        D = E[:, :, None, :] - E[:, None, :, :]                 # e_a - e_k
+        B = logw - 0.5 * (D * D).sum(axis=-1)
+        B[~np.isfinite(B)] = np.nan
+        ln_z, mean_x = gibbs_pass(lambda: (E @ z_nodes.T, B.copy()), rows, weights, z_w)
+        own = ((E @ z_mean)[:, None, :] @ weights)[:, 0]       # per gain the dot of one gain
+        return value(own - ln_z, mean_x, z_w)
+
+    K = len(weights)
+    out = batched(run, len(stack), max(len(rows), d) * K * max(K, len(z_w)))
+    return float(out[0]) if gains.ndim == 2 else out.reshape(gains.shape[:-2])
 
 
-def mi_scalar_signal(prior: Prior, s: float, quad: GaussQuadrature) -> float:
-    """I(x0; sqrt(s) x0 + z) in nats: ``mi_vector_signal`` at the 1 x 1 gain."""
-    if s < 0:
+def _scalar_gains(s):
+    """The 1 x 1 gains sqrt(s) of a signal scale s or of a grid of them."""
+    s = np.asarray(s, dtype=float)
+    if (s < 0).any():
         raise ValueError("signal scale s must be nonnegative")
-    return mi_vector_signal(prior, np.array([[np.sqrt(s)]]), quad)
+    return np.sqrt(s)[..., None, None]
 
 
-def mi_scalar_noise(prior: Prior, t: float, quad: GaussQuadrature) -> float:
-    """I(x0; x0 + sqrt(t) z); identical to the signal-scaled form at s = 1/t."""
-    if t <= 0:
+def mi_scalar_signal(prior: Prior, s, quad: GaussQuadrature):
+    """I(x0; sqrt(s) x0 + z) in nats: ``mi_vector_signal`` at the 1 x 1 gain.
+    A float for a scale s, an array for a 1-d grid of them."""
+    return mi_vector_signal(prior, _scalar_gains(s), quad)
+
+
+def mi_scalar_noise(prior: Prior, t, quad: GaussQuadrature):
+    """I(x0; x0 + sqrt(t) z); identical to the signal-scaled form at s = 1/t.
+    A float for a level t, an array for a 1-d grid of them."""
+    t = np.asarray(t, dtype=float)
+    if (t <= 0).any():
         raise ValueError("noise level t must be positive (use the signal-scaled "
                          "form for the zero-noise limit)")
     return mi_scalar_signal(prior, 1.0 / t, quad)
 
 
-def mmse_scalar(prior: Prior, s: float, quad: GaussQuadrature) -> float:
-    """E (x0 - E[x0|y])^2 for y = sqrt(s) x0 + z; lies in [0, rho].  The
-    posterior mean is the x row of the dimension-1 channel pass; the squared
-    error is unchanged by (x0, z) -> (-x0, -z), so the grid may be halved."""
-    if s < 0:
-        raise ValueError("signal scale s must be nonnegative")
+def mmse_scalar(prior: Prior, s, quad: GaussQuadrature):
+    """E (x0 - E[x0|y])^2 for y = sqrt(s) x0 + z; lies in [0, rho].  A float
+    for a scale s, an array for a 1-d grid of them.  The posterior mean is
+    the x row of the dimension-1 channel pass; the squared error is unchanged
+    by (x0, z) -> (-x0, -z), so the grid may be halved."""
     v = prior.values
-    _, mean_x, z_w = _channel_pass(prior, np.array([[np.sqrt(s)]]), quad,
-                                   np.stack([np.ones_like(v), v])[:, None, :])
-    return float(prior.weights @ ((v[:, None] - mean_x[0]) ** 2 @ z_w))
+
+    def mmse(info, mean_x, z_w):
+        return (((v[:, None] - mean_x[:, 0]) ** 2 @ z_w)[:, None, :] @ prior.weights)[:, 0]
+
+    return _channel_pass(prior, _scalar_gains(s), quad,
+                         np.stack([np.ones_like(v), v])[:, None, :], mmse)
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -244,8 +275,10 @@ def psd_inv_sqrt(mat: np.ndarray) -> np.ndarray:
     return (eigvec / np.sqrt(eigval)) @ eigvec.T
 
 
-def mi_vector_signal(prior: Prior, gain: np.ndarray, quad: GaussQuadrature) -> float:
-    """I(x0; G x0 + z) for a symmetric PSD gain G, via tensorized quadrature.
+def mi_vector_signal(prior: Prior, gain, quad: GaussQuadrature):
+    """I(x0; G x0 + z) for a symmetric PSD gain G of dimension 1..3, via
+    tensorized quadrature; a float for one gain, an array over the leading
+    axes of a stack (..., d, d) of them.
 
     Works for any PSD gain including singular ones.  The log likelihood
     ratio is integrated over (x0, z) by one ``gibbs_pass`` (``_channel_pass``),
@@ -253,60 +286,34 @@ def mi_vector_signal(prior: Prior, gain: np.ndarray, quad: GaussQuadrature) -> f
     ratio at (-x0, -z) equals the one at (x0, z), so the grid may be halved.
     """
     gain = np.asarray(gain, dtype=float)
-    if gain.ndim != 2 or gain.shape[0] != gain.shape[1] or not 1 <= len(gain) <= 3:
+    if gain.ndim < 2 or gain.shape[-1] != gain.shape[-2] or not 1 <= gain.shape[-1] <= 3:
         raise ValueError(f"gain must be a square matrix of dimension 1..3, "
                          f"got shape {gain.shape}")
-    ones = np.ones((1, 1, prior.n_atoms ** len(gain)))
-    value = float(_channel_pass(prior, gain, quad, ones)[0])
-    return max(value, 0.0) if value > -1e-12 else value
+
+    def clamped(info, mean_x, z_w):     # within 1e-12 below zero is rounding
+        info[(info > -1e-12) & (info < 0.0)] = 0.0
+        return info
+
+    ones = np.ones((1, 1, prior.n_atoms ** gain.shape[-1]))
+    return _channel_pass(prior, gain, quad, ones, clamped)
 
 
-def _mi_vector_mc(prior, inv_sqrt, n_samples, rng):
-    """Monte Carlo over (x0, z) with the exact atom mixture for p(y)."""
-    M = inv_sqrt.shape[0]
-    values, logw = atom_grid(prior, M)
-    E = values @ inv_sqrt.T                       # (K, M)
-    half_norms = 0.5 * np.sum(E * E, axis=1)
-    samples = []
-    chunk = max(1, min(n_samples, (1 << 22) // max(E.shape[0], 1)))
-    done = 0
-    while done < n_samples:
-        b = min(chunk, n_samples - done)
-        x0 = quantile(prior, rng.random((b, M)))
-        z = rng.standard_normal((b, M))
-        U = x0 @ inv_sqrt.T                       # rows: S x0
-        arg = (E @ z.T) + (E @ U.T) - half_norms[:, None] + logw[:, None]
-        lse = _logsumexp(arg, axis=0)
-        own = np.sum(U * z, axis=1) + 0.5 * np.sum(U * U, axis=1)
-        samples.append(own - lse)
-        done += b
-    vals = np.concatenate(samples)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
-
-
-def mi_vector(prior: Prior, sigma, quad: GaussQuadrature, mc_budget: int = 200_000,
-              rng: np.random.Generator | None = None):
-    """I(x0; x0 + Sigma^(1/2) z) with product input.
-
-    Dimension <= 3 uses tensorized quadrature and reports std_err = 0
-    (quadrature-limited); above that a Monte Carlo estimate over (x0, z) with
-    the exact k^M-atom mixture density is returned with its standard error.
-    Requires an invertible covariance.
+def mi_vector(prior: Prior, sigma, quad: GaussQuadrature) -> float:
+    """I(x0; x0 + Sigma^(1/2) z) with product input, for a covariance of
+    dimension 1..3: ``mi_vector_signal`` at the gain Sigma^(-1/2), on
+    tensorized quadrature.  Requires an invertible covariance.
     """
     mat = np.asarray(sigma, dtype=float)
     M = mat.shape[0]
     if mat.shape != (M, M):
         raise ValueError("covariance shape does not match its dimension")
+    if M > 3:
+        raise ValueError(f"covariance dimension must be 1..3, got {M}")
     if np.max(np.abs(mat - mat.T)) > 1e-12:
         raise ValueError("covariance must be symmetric")
     if prior.n_atoms ** M > 1 << 20:
         raise ValueError("atom mixture k^M exceeds the 2^20 budget")
-    inv_sqrt = psd_inv_sqrt(mat)
-    if M <= 3:
-        return mi_vector_signal(prior, inv_sqrt, quad), 0.0
-    if rng is None:
-        raise ValueError("dimension > 3 needs an rng for the Monte Carlo path")
-    return _mi_vector_mc(prior, inv_sqrt, int(mc_budget), rng)
+    return mi_vector_signal(prior, psd_inv_sqrt(mat), quad)
 
 
 def check_mi_convexity(prior: Prior, t_grid, quad: GaussQuadrature) -> float:
@@ -324,6 +331,6 @@ def check_mi_convexity(prior: Prior, t_grid, quad: GaussQuadrature) -> float:
         raise ValueError("grid must be uniformly spaced")
     if t[0] < prior.support_bound**2 - 1e-12:
         raise ValueError("grid enters t < D^2 where convexity is not guaranteed")
-    vals = np.array([mi_scalar_noise(prior, ti, quad) for ti in t])
+    vals = mi_scalar_noise(prior, t, quad)
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     return float(second.min())

@@ -286,9 +286,8 @@ def _quad(cfg, M, blocks=1):
 def run_mi(cfg, seed):
     p, quad = cfg["prior"], _quad(cfg, 1, blocks=2)
     s = cfg["s_grid"]
-    return [("mi.csv", {"s": s,
-                        "mi": [channel.mi_scalar_signal(p, v, quad) for v in s.tolist()],
-                        "mmse": [channel.mmse_scalar(p, v, quad) for v in s.tolist()]})]
+    return [("mi.csv", {"s": s, "mi": channel.mi_scalar_signal(p, s, quad),
+                        "mmse": channel.mmse_scalar(p, s, quad)})]
 
 
 def run_potential(cfg, seed):

@@ -72,11 +72,12 @@ def random_psd(M: int, rng: np.random.Generator, diag_min: float | None = None,
 
 
 def diagonal_trim_residual(prior: Prior, sigma, quad: GaussQuadrature) -> float:
-    """mi_vector(Sigma) minus the sum of per-coordinate scalar informations."""
+    """mi_vector(Sigma) minus the sum of per-coordinate scalar informations,
+    all of them from one call over the diagonal."""
     mat = np.asarray(sigma, dtype=float)
-    value, _ = mi_vector(prior, mat, quad)
-    scalar_sum = sum(mi_scalar_noise(prior, float(t), quad) for t in mat.diagonal())
-    return value - scalar_sum
+    value = mi_vector(prior, mat, quad)
+    # Python's sum: NumPy's pairwise order can differ in the last ulp
+    return value - sum(mi_scalar_noise(prior, mat.diagonal(), quad).tolist())
 
 
 def trace_noise_residual(prior: Prior, sigma, quad: GaussQuadrature) -> float:
@@ -88,7 +89,7 @@ def trace_noise_residual(prior: Prior, sigma, quad: GaussQuadrature) -> float:
     if mat.diagonal().min() < d_sq - 1e-12:
         raise ValueError("trace-average comparison needs diagonal entries >= D^2 "
                          "(the scalar information is only convex there)")
-    value, _ = mi_vector(prior, mat, quad)
+    value = mi_vector(prior, mat, quad)
     return value - M * mi_scalar_noise(prior, float(np.trace(mat)) / M, quad)
 
 

@@ -36,15 +36,15 @@ import numpy as np
 
 from .channel import (
     GaussQuadrature,
-    _logsumexp,
     atom_grid,
+    batched,
     gauss_hermite,
     gibbs_pass,
     mi_vector_signal,
     psd_sqrt,
     tensor_nodes,
 )
-from .priors import Prior, quantile
+from .priors import Prior
 
 __all__ = [
     "FixedPointResult",
@@ -62,10 +62,8 @@ __all__ = [
     "rotation_matrix",
 ]
 
-# Gauss-Hermite nodes per axis by dimension M; elements per temporary of a
-# batched potential evaluation
+# Gauss-Hermite nodes per axis by dimension M
 DEFAULT_ORDER = {1: 64, 2: 20, 3: 14}
-BATCH = 1 << 17
 # fm_sup: quadrature order of the coarse stage (grid ranking and SUP_TOL[0]
 # ascents) at every M, eigenvalue levels and angles per rotation axis,
 # candidates polished, ascent steps per candidate, certificates at which the
@@ -289,11 +287,10 @@ class _RankMWorkspace:
 
     def potential(self, Q, lam, sqrt_Q):
         """FM at each overlap of the stack Q (n, M, M) with roots sqrt_Q, in
-        batches of at most BATCH elements per temporary."""
+        parts of at most BATCH elements per temporary (``batched``)."""
         k = self.weights.size
-        size = max(1, BATCH // (k * max(k, self.z_weights.size)))
-        ln_z = np.concatenate([self.ln_partition(Q[i:i + size], lam, sqrt_Q[i:i + size])
-                               for i in range(0, len(Q), size)])
+        ln_z = batched(lambda part: self.ln_partition(Q[part], lam, sqrt_Q[part]), len(Q),
+                       k * max(k, self.z_weights.size))
         return ln_z / self.M - lam * np.sum(Q * Q, axis=(1, 2)) / (4.0 * self.M)
 
     def value_and_moment(self, Q, lam, sqrt_Q=None):
@@ -305,65 +302,28 @@ class _RankMWorkspace:
 
 
 def fm_rs(prior: Prior, M: int, Q, lam: float,
-          quad: GaussQuadrature | None = None, mc_budget: int | None = None,
-          rng: np.random.Generator | None = None) -> PotentialEvaluation:
+          quad: GaussQuadrature | None = None) -> PotentialEvaluation:
     """Rank-M potential at overlap Q, through both equivalent forms.
 
-    Dimensions up to 3 use tensorized quadrature on ``quad`` (DEFAULT_ORDER[M]
-    nodes per axis by default); 4..6 require a Monte Carlo budget and
-    generator.  The two stored values agree to machine precision on the
-    quadrature path and to Monte Carlo error otherwise.
+    Dimensions 1..3 on tensorized quadrature on ``quad`` (DEFAULT_ORDER[M]
+    nodes per axis by default); the two stored values agree to machine
+    precision.
     """
     _check_snr(lam)
+    if not 1 <= M <= 3:
+        raise ValueError("rank-M evaluation supports M in 1..3")
     Q = _check_overlap_matrix(Q, M)
     rho = prior.rho
-    if M <= 3:
-        ws = _RankMWorkspace(prior, M, quad)
-        sqrt_Q = psd_sqrt(Q)
-        ln_z = ws.ln_partition(Q, lam, sqrt_Q)
-        mi = mi_vector_signal(prior, math.sqrt(lam) * sqrt_Q, ws.quad)
-    elif M <= 6:
-        if mc_budget is None or rng is None:
-            raise ValueError("dimensions above 3 need mc_budget and rng")
-        ln_z, mi = _fm_monte_carlo(prior, M, Q, lam, mc_budget, rng)
-    else:
-        raise ValueError("rank-M evaluation supports M <= 6")
+    ws = _RankMWorkspace(prior, M, quad)
+    sqrt_Q = psd_sqrt(Q)
+    ln_z = ws.ln_partition(Q, lam, sqrt_Q)
+    mi = mi_vector_signal(prior, math.sqrt(lam) * sqrt_Q, ws.quad)
     value_logz = ln_z / M - lam * float(np.trace(Q @ Q)) / (4.0 * M)
     value_mi = (-mi / M
                 - lam * float(np.sum((Q - rho * np.eye(M)) ** 2)) / (4.0 * M)
                 + lam * rho**2 / 4.0)
     return PotentialEvaluation(value_logz=value_logz, value_mi=value_mi,
                                lam=lam, overlap=Q)
-
-
-def _fm_monte_carlo(prior, M, Q, lam, budget, rng):
-    """Shared-draw MC estimates of E ln ZM and the channel information."""
-    values, logw = atom_grid(prior, M)
-    sqrt_Q = psd_sqrt(Q)
-    S = math.sqrt(lam) * sqrt_Q
-    VQ = values @ Q
-    quad_term = 0.5 * lam * np.sum(VQ * values, axis=1)
-    ln_z_samples = np.empty(budget)
-    mi_samples = np.empty(budget)
-    E = values @ S.T
-    half_norms = 0.5 * np.sum(E * E, axis=1)
-    chunk = max(1, (1 << 22) // values.shape[0])
-    done = 0
-    while done < budget:
-        b = min(chunk, budget - done)
-        x0 = quantile(prior, rng.random((b, M)))
-        z = rng.standard_normal((b, M))
-        # log partition: coupling lam x0' Q x + sqrt(lam) x' sqrt(Q) z
-        arg = (values @ (lam * (x0 @ Q).T + math.sqrt(lam) * (z @ sqrt_Q).T)
-               - quad_term[:, None] + logw[:, None])
-        ln_z_samples[done:done + b] = _logsumexp(arg, axis=0)
-        # channel information with the same draws
-        U = x0 @ S.T
-        arg_mi = (E @ z.T) + (E @ U.T) - half_norms[:, None] + logw[:, None]
-        lse = _logsumexp(arg_mi, axis=0)
-        mi_samples[done:done + b] = np.sum(U * z, axis=1) + 0.5 * np.sum(U * U, axis=1) - lse
-        done += b
-    return float(ln_z_samples.mean()), float(mi_samples.mean())
 
 
 def _project(S, hi=math.inf):

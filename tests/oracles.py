@@ -4,16 +4,27 @@ These are the kernels that ``channel.gibbs_pass`` replaced, kept as written:
 a stabilized exp-matmul with its own underflow guard, the scalar information
 as a logsumexp over a k x k x n array, the vector information through one
 exp-matmul per input configuration, and the MMSE through the explicit
-posterior-mean denoiser; and the vector information by a direct logsumexp
-over every mixture component on the full tensor grid.
+posterior-mean denoiser; the vector information by a direct logsumexp over
+every mixture component on the full tensor grid; the channel pass at one gain,
+as it ran before the channel took stacks; and the Monte Carlo estimates of the
+information and of the rank-M potential above dimension 3.
 """
+
+import math
 
 import numpy as np
 from scipy.special import logsumexp
 
-from wignerlab import channel
+from wignerlab import channel, replica
+from wignerlab.priors import quantile
 
 _TINY = np.finfo(float).tiny
+
+
+def _logsumexp(a, axis):
+    """ln sum exp(a) along ``axis``, with the maximum factored out."""
+    top = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis)
 
 
 def logsumexp_matmul(A, B):
@@ -34,7 +45,7 @@ def logsumexp_matmul(A, B):
     inner[lost] = 1.0
     out = a_max + b_max + np.log(inner)
     rows, cols = np.broadcast_arrays(A[..., :, None, :], B.swapaxes(-1, -2)[..., None, :, :])
-    out[lost] = channel._logsumexp(rows[lost] + cols[lost], axis=-1)
+    out[lost] = _logsumexp(rows[lost] + cols[lost], axis=-1)
     return out
 
 
@@ -66,7 +77,7 @@ def mi_scalar_lse(prior, s, quad):
     d = v[None, :] - v[:, None]
     drift = s * v[:, None, None] + np.sqrt(s) * z[None, None, :]
     arg = drift * d[:, :, None] - 0.5 * s * (v[None, :, None] ** 2 - v[:, None, None] ** 2)
-    lse = channel._logsumexp(arg + logw[None, :, None], axis=1)
+    lse = _logsumexp(arg + logw[None, :, None], axis=1)
     return _clamp(-float(prior.weights @ (lse @ quad.weights)))
 
 
@@ -103,3 +114,102 @@ def full_grid_mi(prior, gain, quad):
     e = E[None, :, :] - E[:, None, :]                       # (x0, k, M)
     arg = e @ z.T - 0.5 * np.sum(e * e, axis=2)[:, :, None] + logw[None, :, None]
     return -float(np.exp(logw) @ (logsumexp(arg, axis=1) @ z_w))
+
+
+def channel_pass_point(prior, gain, quad, rows):
+    """One ``channel.gibbs_pass`` of y = G x0 + z at one gain (d, d), at
+    x0 = v_a, e_k = G v_k, on A[k, n] = e_k' z_n and B[a, k] = ln W_k -
+    |e_a - e_k|^2 / 2: the information E[e_a' z] - E ln Z, the means of
+    ``rows`` and the node weights."""
+    values, logw = channel.atom_grid(prior, len(gain))
+    z_nodes, z_w = channel.tensor_nodes(quad, len(gain), halved=prior.sign_symmetric)
+    E = values @ gain.T
+    D = E[:, None, :] - E[None, :, :]
+    B = logw - 0.5 * (D * D).sum(axis=2)
+    B[~np.isfinite(B)] = np.nan
+    weights = np.exp(logw)
+    ln_z, mean_x = channel.gibbs_pass(lambda: (E @ z_nodes.T, B.copy()), rows, weights, z_w)
+    return weights @ (E @ (z_w @ z_nodes)) - ln_z, mean_x, z_w
+
+
+def mi_signal_point(prior, gain, quad):
+    """I(x0; G x0 + z) at one gain through ``channel_pass_point``."""
+    gain = np.asarray(gain, dtype=float)
+    ones = np.ones((1, 1, prior.n_atoms ** len(gain)))
+    return _clamp(float(channel_pass_point(prior, gain, quad, ones)[0]))
+
+
+def mmse_point(prior, s, quad):
+    """E (x0 - E[x0|y])^2 at one scale s through ``channel_pass_point``."""
+    v = prior.values
+    _, mean_x, z_w = channel_pass_point(prior, np.array([[np.sqrt(s)]]), quad,
+                                        np.stack([np.ones_like(v), v])[:, None, :])
+    return float(prior.weights @ ((v[:, None] - mean_x[0]) ** 2 @ z_w))
+
+
+def mi_vector_mc(prior, inv_sqrt, n_samples, rng):
+    """I(x0; x0 + Sigma^(1/2) z) at the gain inv_sqrt = Sigma^(-1/2), by Monte
+    Carlo over (x0, z) with the exact atom mixture for p(y): (mean, standard
+    error).  Each sample forms own = U'z + |U|^2/2 - lse, whose terms of size
+    |U|^2 cancel, so its rounding grows like eps |U|^2; harmless at the gains
+    the tests use, unlike the channel's exponents built from distances."""
+    M = inv_sqrt.shape[0]
+    values, logw = channel.atom_grid(prior, M)
+    E = values @ inv_sqrt.T                       # (K, M)
+    half_norms = 0.5 * np.sum(E * E, axis=1)
+    samples = []
+    chunk = max(1, min(n_samples, (1 << 22) // max(E.shape[0], 1)))
+    done = 0
+    while done < n_samples:
+        b = min(chunk, n_samples - done)
+        x0 = quantile(prior, rng.random((b, M)))
+        z = rng.standard_normal((b, M))
+        U = x0 @ inv_sqrt.T                       # rows: S x0
+        arg = (E @ z.T) + (E @ U.T) - half_norms[:, None] + logw[:, None]
+        lse = _logsumexp(arg, axis=0)
+        own = np.sum(U * z, axis=1) + 0.5 * np.sum(U * U, axis=1)
+        samples.append(own - lse)
+        done += b
+    vals = np.concatenate(samples)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
+
+
+def fm_rs_monte_carlo(prior, M, Q, lam, budget, rng):
+    """Rank-M potential at overlap Q through both forms, E ln ZM and the
+    channel information estimated on shared Monte Carlo draws; the forms
+    agree to Monte Carlo error.  The information has ``mi_vector_mc``'s
+    cancellation."""
+    Q = np.asarray(Q, dtype=float)
+    values, logw = channel.atom_grid(prior, M)
+    sqrt_Q = channel.psd_sqrt(Q)
+    S = math.sqrt(lam) * sqrt_Q
+    VQ = values @ Q
+    quad_term = 0.5 * lam * np.sum(VQ * values, axis=1)
+    ln_z_samples = np.empty(budget)
+    mi_samples = np.empty(budget)
+    E = values @ S.T
+    half_norms = 0.5 * np.sum(E * E, axis=1)
+    chunk = max(1, (1 << 22) // values.shape[0])
+    done = 0
+    while done < budget:
+        b = min(chunk, budget - done)
+        x0 = quantile(prior, rng.random((b, M)))
+        z = rng.standard_normal((b, M))
+        # log partition: coupling lam x0' Q x + sqrt(lam) x' sqrt(Q) z
+        arg = (values @ (lam * (x0 @ Q).T + math.sqrt(lam) * (z @ sqrt_Q).T)
+               - quad_term[:, None] + logw[:, None])
+        ln_z_samples[done:done + b] = _logsumexp(arg, axis=0)
+        # channel information with the same draws
+        U = x0 @ S.T
+        arg_mi = (E @ z.T) + (E @ U.T) - half_norms[:, None] + logw[:, None]
+        lse = _logsumexp(arg_mi, axis=0)
+        mi_samples[done:done + b] = np.sum(U * z, axis=1) + 0.5 * np.sum(U * U, axis=1) - lse
+        done += b
+    ln_z, mi = float(ln_z_samples.mean()), float(mi_samples.mean())
+    rho = prior.rho
+    value_logz = ln_z / M - lam * float(np.trace(Q @ Q)) / (4.0 * M)
+    value_mi = (-mi / M
+                - lam * float(np.sum((Q - rho * np.eye(M)) ** 2)) / (4.0 * M)
+                + lam * rho**2 / 4.0)
+    return replica.PotentialEvaluation(value_logz=value_logz, value_mi=value_mi,
+                                       lam=lam, overlap=Q)

@@ -8,12 +8,16 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import logsumexp
 
 from oracles import (
+    _logsumexp,
     denoiser_scalar,
     full_grid_mi,
     logsumexp_matmul,
     mi_scalar_lse,
+    mi_signal_point,
     mi_vector_lse,
+    mi_vector_mc,
     mmse_denoiser,
+    mmse_point,
 )
 from wignerlab import channel, make_discretized_uniform, make_prior
 from wignerlab.reduction import random_psd
@@ -182,7 +186,7 @@ class TestLogsumexp:
         a[1] -= 800.0
         a[2, :4] = 800.0 + rng.normal(size=4)
         a[3, :4] = -800.0 + rng.normal(size=4)
-        np.testing.assert_allclose(channel._logsumexp(a, axis), logsumexp(a, axis=axis),
+        np.testing.assert_allclose(_logsumexp(a, axis), logsumexp(a, axis=axis),
                                    rtol=1e-13, atol=0)
 
 
@@ -303,6 +307,85 @@ class TestAgainstReplacedKernels:
             assert len(calls) == 2
 
 
+STACK_PRIORS = {"rademacher": None, "sparse03": None, "asymmetric": ASYMMETRIC,
+                "uniform5": make_discretized_uniform(1.0, 5)}
+S_GRID = np.r_[0.0, np.logspace(-3, 4, 200)]
+
+
+def stack_prior(request, label):
+    return STACK_PRIORS[label] or request.getfixturevalue(label)
+
+
+class TestStacks:
+    """A grid or a stack of gains gives, bit for bit, what one call per point
+    gives on the channel pass at one gain (``oracles.channel_pass_point``)."""
+
+    @pytest.mark.parametrize("label", list(STACK_PRIORS))
+    def test_scalar_grid_matches_points(self, request, label, quad64, monkeypatch):
+        """s in {0} and logspace(-3, 4), where the guard fires at the top; a
+        tiled copy of the grid is longer than one part of every pass, and
+        each part keeps its temporaries within BATCH."""
+        prior = stack_prior(request, label)
+        mi = [mi_signal_point(prior, np.array([[math.sqrt(s)]]), quad64) for s in S_GRID]
+        mmse = [mmse_point(prior, s, quad64) for s in S_GRID]
+        t = 1.0 / S_GRID[1:]
+        noise = [mi_signal_point(prior, np.array([[math.sqrt(1.0 / ti)]]), quad64) for ti in t]
+        assert np.array_equal(channel.mi_scalar_signal(prior, S_GRID, quad64), mi)
+        assert np.array_equal(channel.mmse_scalar(prior, S_GRID, quad64), mmse)
+        assert np.array_equal(channel.mi_scalar_noise(prior, t, quad64), noise)
+
+        parts = []
+
+        def recording(exponents, rows, *args):
+            A, B = exponents()
+            parts.append((len(A), len(rows) * max(A.size, B.size)))
+            return gibbs_pass(exponents, rows, *args)
+
+        gibbs_pass = channel.gibbs_pass
+        monkeypatch.setattr(channel, "gibbs_pass", recording)
+        tiles = 11
+        for func, ref in [(channel.mi_scalar_signal, mi), (channel.mmse_scalar, mmse)]:
+            parts.clear()
+            assert np.array_equal(func(prior, np.tile(S_GRID, tiles), quad64),
+                                  np.tile(ref, tiles))
+            assert len(parts) > 1 and sum(n for n, _ in parts) == tiles * len(S_GRID)
+            assert max(size for _, size in parts) <= channel.BATCH
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("label", list(STACK_PRIORS))
+    def test_vector_stack_matches_gains(self, request, label, d):
+        prior = stack_prior(request, label)
+        quad = channel.gauss_hermite({2: 20, 3: 8}[d])
+        rng = np.random.default_rng(5 * d)
+        gains = np.array([scale * channel.psd_sqrt(random_psd(d, rng, shift_scale=0.05))
+                          for scale in (0.0, 0.3, 1.0, 3.0, 30.0, 1e3)]).reshape(2, 3, d, d)
+        got = channel.mi_vector_signal(prior, gains, quad)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, [[mi_signal_point(prior, g, quad) for g in row]
+                                    for row in gains])
+
+    def test_scalar_in_float_out(self, rademacher, quad64):
+        for value in (channel.mi_scalar_signal(rademacher, 1.0, quad64),
+                      channel.mi_scalar_noise(rademacher, np.float64(2.0), quad64),
+                      channel.mmse_scalar(rademacher, np.array(1.0), quad64),
+                      channel.mi_vector_signal(rademacher, np.eye(2), quad64)):
+            assert type(value) is float
+
+    def test_convexity_makes_one_call(self, rademacher, quad64, monkeypatch):
+        grid = np.arange(1.0, 5.0001, 0.1)
+        expected = channel.check_mi_convexity(rademacher, grid, quad64)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return mi_scalar_noise(*args)
+
+        mi_scalar_noise = channel.mi_scalar_noise
+        monkeypatch.setattr(channel, "mi_scalar_noise", counting)
+        assert channel.check_mi_convexity(rademacher, grid, quad64) == expected
+        assert len(calls) == 1
+
+
 class TestHighSnr:
     """The information's exponents differ by e_a - e_k, so its rounding grows
     like eps |e_a| |z|, about eps sqrt(s), not like eps s."""
@@ -376,8 +459,16 @@ class TestScalarMi:
         assert channel.mi_scalar_noise(sparse03, 0.25, quad64) <= math.log(3)
 
     def test_rejects_nonpositive_noise(self, rademacher, quad64):
-        with pytest.raises(ValueError):
-            channel.mi_scalar_noise(rademacher, 0.0, quad64)
+        """A nonpositive level, alone or as the last point of a grid."""
+        for t in (0.0, -1.0, [1.0, 2.0, 0.0], np.array([0.5, 2.0, -3.0])):
+            with pytest.raises(ValueError, match="noise level t must be positive"):
+                channel.mi_scalar_noise(rademacher, t, quad64)
+
+    @pytest.mark.parametrize("func", [channel.mi_scalar_signal, channel.mmse_scalar])
+    @pytest.mark.parametrize("s", [-1.0, [0.0, 2.0, -1e-3]])
+    def test_rejects_negative_scale(self, rademacher, quad64, func, s):
+        with pytest.raises(ValueError, match="signal scale s must be nonnegative"):
+            func(rademacher, s, quad64)
 
 
 class TestMmse:
@@ -424,13 +515,13 @@ class TestVectorMi:
     @pytest.mark.parametrize("M", [2, 3])
     def test_diagonal_decouples(self, rademacher, quad24, M, rng):
         t = 0.5 + rng.random(M)
-        vec, se = channel.mi_vector(rademacher, np.diag(t), quad24)
+        vec = channel.mi_vector(rademacher, np.diag(t), quad24)
         scalar = sum(channel.mi_scalar_noise(rademacher, ti, quad24) for ti in t)
-        assert se == 0.0
+        assert isinstance(vec, float)
         assert abs(vec - scalar) <= 1e-8
 
     def test_isotropic_two_dim(self, sparse03, quad24):
-        vec, _ = channel.mi_vector(sparse03, 0.8 * np.eye(2), quad24)
+        vec = channel.mi_vector(sparse03, 0.8 * np.eye(2), quad24)
         assert abs(vec - 2 * channel.mi_scalar_noise(sparse03, 0.8, quad24)) <= 1e-8
 
     @pytest.mark.parametrize("M", [2, 3])
@@ -438,7 +529,7 @@ class TestVectorMi:
         """Correlated noise carries at least the sum of per-coordinate rates."""
         for _ in range(20):
             sigma = random_psd(M, rng)
-            vec, _ = channel.mi_vector(sparse03, sigma, quad24)
+            vec = channel.mi_vector(sparse03, sigma, quad24)
             scalar = sum(channel.mi_scalar_noise(sparse03, t, quad24)
                          for t in sigma.diagonal())
             assert vec - scalar >= -1e-6
@@ -446,19 +537,22 @@ class TestVectorMi:
     def test_worst_trace_direction(self, rademacher, quad24, rng):
         for _ in range(20):
             sigma = random_psd(2, rng, diag_min=1.0)
-            vec, _ = channel.mi_vector(rademacher, sigma, quad24)
+            vec = channel.mi_vector(rademacher, sigma, quad24)
             ref = 2 * channel.mi_scalar_noise(rademacher, np.trace(sigma) / 2, quad24)
             assert vec - ref >= -1e-6
 
     def test_monte_carlo_against_diagonal(self, rademacher, quad24, rng):
-        """M=4 goes through the Monte Carlo path; diagonal covariance gives an
-        exact scalar-sum oracle."""
+        """The Monte Carlo oracle at M=4 (``oracles.mi_vector_mc``); diagonal
+        covariance gives an exact scalar-sum oracle."""
         t = np.array([1.0, 1.5, 2.0, 2.5])
-        vec, se = channel.mi_vector(rademacher, np.diag(t), quad24,
-                                    mc_budget=200_000, rng=rng)
+        vec, se = mi_vector_mc(rademacher, channel.psd_inv_sqrt(np.diag(t)), 200_000, rng)
         scalar = sum(channel.mi_scalar_noise(rademacher, ti, quad24) for ti in t)
         assert se > 0.0
         assert abs(vec - scalar) <= 4 * se
+
+    def test_rejects_dimension_above_three(self, rademacher, quad24):
+        with pytest.raises(ValueError, match="dimension must be 1..3"):
+            channel.mi_vector(rademacher, np.eye(4), quad24)
 
     def test_rejects_dimension_mismatch(self, rademacher, quad24):
         with pytest.raises(ValueError):

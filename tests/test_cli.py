@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wignerlab import (cli, gauss_hermite, make_prior, make_rademacher,
+from wignerlab import (channel, cli, gauss_hermite, make_prior, make_rademacher,
                        make_sparse_rademacher, replica)
 
 
@@ -46,6 +46,19 @@ class TestSubcommands:
                          "s_grid": {"start": 0.0, "stop": 2.0, "count": 5}}, "mi")
         assert code == 0
         assert len((out / "mi.csv").read_text().splitlines()) == 6
+
+    def test_mi_one_call_per_column(self, tmp_path, monkeypatch):
+        """The information and the MMSE each take the whole grid in one call."""
+        calls = []
+        for name in ("mi_scalar_signal", "mmse_scalar"):
+            def counting(prior, s, quad, name=name, func=getattr(channel, name)):
+                calls.append((name, len(s)))
+                return func(prior, s, quad)
+            monkeypatch.setattr(channel, name, counting)
+        code, _ = run(tmp_path, "mi", {"prior": "rademacher",
+                                       "s_grid": {"start": 0.0, "stop": 2.0, "count": 9}}, "mi")
+        assert code == 0
+        assert sorted(calls) == [("mi_scalar_signal", 9), ("mmse_scalar", 9)]
 
     def test_potential(self, tmp_path):
         code, out = run(tmp_path, "potential",

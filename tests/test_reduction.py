@@ -34,6 +34,23 @@ class TestTrimResidual:
             sigma = reduction.random_psd(3, rng)
             assert reduction.diagonal_trim_residual(rademacher, sigma, quad24) >= -1e-6
 
+    def test_one_scalar_call_per_covariance(self, rademacher, quad24, monkeypatch):
+        """The scalar informations of the diagonal come from one call: each
+        sample of a noise batch makes one for its trim and one for its trace."""
+        calls = []
+
+        def counting(prior, t, quad):
+            calls.append(np.shape(t))
+            return mi_scalar_noise(prior, t, quad)
+
+        mi_scalar_noise = reduction.mi_scalar_noise
+        monkeypatch.setattr(reduction, "mi_scalar_noise", counting)
+        reduction.diagonal_trim_residual(rademacher, np.diag([0.5, 1.0, 2.0]), quad24)
+        assert calls == [(3,)]
+        calls.clear()
+        reduction.noise_inequality_batch(rademacher, 3, 4, seed=1)
+        assert calls == [(3,), ()] * 4
+
 
 class TestUnderflowSeeds:
     """Seeds whose covariance, with a smallest eigenvalue of 1e-3 to 3e-3,
@@ -56,7 +73,7 @@ class TestUnderflowSeeds:
         assert np.linalg.eigvalsh(sigmas[0]).min() < 3e-3
         for sigma in sigmas:
             gain = channel.psd_inv_sqrt(sigma)
-            assert abs(channel.mi_vector(prior, sigma, quad24)[0]
+            assert abs(channel.mi_vector(prior, sigma, quad24)
                        - full_grid_mi(prior, gain, quad24)) <= 1e-12
 
 

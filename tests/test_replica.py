@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import logsumexp_matmul
+from oracles import fm_rs_monte_carlo, logsumexp_matmul
 from wignerlab import channel, make_discretized_uniform, make_prior, replica
 from wignerlab.reduction import random_psd
 
@@ -351,11 +351,10 @@ class TestRankM:
             assert ev.form_gap <= 1e-6
 
     def test_monte_carlo_path(self, rademacher, rng):
-        """M=4 falls back to Monte Carlo; the isotropic value has the scalar
-        decoupling as its oracle."""
+        """The Monte Carlo oracle at M=4 (``oracles.fm_rs_monte_carlo``); the
+        isotropic value has the scalar decoupling as its oracle."""
         tau = 0.6
-        ev = replica.fm_rs(rademacher, 4, tau * np.eye(4), 2.0,
-                           mc_budget=200_000, rng=rng)
+        ev = fm_rs_monte_carlo(rademacher, 4, tau * np.eye(4), 2.0, 200_000, rng)
         f1 = replica.f1_rs(rademacher, tau, 2.0, channel.gauss_hermite(64))
         assert abs(ev.value_logz - f1) <= 5e-3
         assert ev.form_gap <= 5e-3
@@ -365,8 +364,9 @@ class TestRankM:
             replica.fm_rs(rademacher, 2, np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
 
     def test_rejects_large_dimension(self, rademacher):
-        with pytest.raises(ValueError):
-            replica.fm_rs(rademacher, 7, np.eye(7), 1.0)
+        for M in (4, 7):
+            with pytest.raises(ValueError, match="supports M in 1..3"):
+                replica.fm_rs(rademacher, M, np.eye(M), 1.0)
 
 
 class TestMatrixFixedPoint:
