@@ -59,7 +59,7 @@ __all__ = [
 
 _PSD_EIG_FLOOR = -1e-10
 _TINY = np.finfo(float).tiny      # exp-GEMM entries below this lost their precision
-BATCH = 1 << 17                   # elements per temporary of a stacked Gibbs pass
+BATCH = 1 << 16                   # elements per temporary of a stacked Gibbs pass
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,16 @@ def gibbs_pass(exponents, rows, weights, z_weights):
 
 def batched(run, n, per_item):
     """``run(part)`` on consecutive slices ``part`` of range(n), each of at
-    most BATCH // per_item items (one at least), concatenated: a stack whose
-    item needs ``per_item`` elements per temporary keeps each within BATCH."""
+    most BATCH // per_item items (one at least), concatenated (each array of
+    a tuple apart): a stack whose item needs ``per_item`` elements per
+    temporary keeps each within BATCH."""
     size = max(1, BATCH // per_item)
-    return np.concatenate([run(slice(i, i + size)) for i in range(0, n, size)])
+    if n <= size:
+        return run(slice(0, n))
+    parts = [run(slice(i, i + size)) for i in range(0, n, size)]
+    if isinstance(parts[0], tuple):
+        return tuple(map(np.concatenate, zip(*parts)))
+    return np.concatenate(parts)
 
 
 def _channel_pass(prior, gains, quad, rows, value):
@@ -256,23 +262,25 @@ def mmse_scalar(prior: Prior, s, quad: GaussQuadrature):
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root; eigenvalues in [-1e-10, 0) are clipped to 0."""
+    """Symmetric square root of each matrix of a stack (..., M, M);
+    eigenvalues in [-1e-10, 0) are clipped to 0."""
     eigval, eigvec = np.linalg.eigh(mat)
     if eigval.min() < _PSD_EIG_FLOOR:
         raise ValueError("matrix is not positive semidefinite")
     eigval = np.clip(eigval, 0.0, None)
-    return (eigvec * np.sqrt(eigval)) @ eigvec.T
+    return (eigvec * np.sqrt(eigval)[..., None, :]) @ eigvec.swapaxes(-1, -2)
 
 
 def psd_inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of a positive definite matrix."""
+    """Symmetric inverse square root of each positive definite matrix of a
+    stack (..., M, M), each as it would be alone."""
     eigval, eigvec = np.linalg.eigh(mat)
     if eigval.min() < _PSD_EIG_FLOOR:
         raise ValueError("matrix is not positive semidefinite")
-    if eigval.min() <= 1e-12 * max(eigval.max(), 1.0):
+    if np.any(eigval.min(axis=-1) <= 1e-12 * np.maximum(eigval.max(axis=-1), 1.0)):
         raise ValueError("matrix is numerically singular; the noise-scaled "
                          "channel needs an invertible covariance")
-    return (eigvec / np.sqrt(eigval)) @ eigvec.T
+    return (eigvec / np.sqrt(eigval)[..., None, :]) @ eigvec.swapaxes(-1, -2)
 
 
 def mi_vector_signal(prior: Prior, gain, quad: GaussQuadrature):
@@ -298,18 +306,19 @@ def mi_vector_signal(prior: Prior, gain, quad: GaussQuadrature):
     return _channel_pass(prior, gain, quad, ones, clamped)
 
 
-def mi_vector(prior: Prior, sigma, quad: GaussQuadrature) -> float:
+def mi_vector(prior: Prior, sigma, quad: GaussQuadrature):
     """I(x0; x0 + Sigma^(1/2) z) with product input, for a covariance of
     dimension 1..3: ``mi_vector_signal`` at the gain Sigma^(-1/2), on
-    tensorized quadrature.  Requires an invertible covariance.
+    tensorized quadrature.  Requires invertible covariances; a float for one
+    covariance, an array over the leading axes of a stack (..., M, M).
     """
     mat = np.asarray(sigma, dtype=float)
-    M = mat.shape[0]
-    if mat.shape != (M, M):
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError("covariance shape does not match its dimension")
+    M = mat.shape[-1]
     if M > 3:
         raise ValueError(f"covariance dimension must be 1..3, got {M}")
-    if np.max(np.abs(mat - mat.T)) > 1e-12:
+    if np.max(np.abs(mat - mat.swapaxes(-1, -2))) > 1e-12:
         raise ValueError("covariance must be symmetric")
     if prior.n_atoms ** M > 1 << 20:
         raise ValueError("atom mixture k^M exceeds the 2^20 budget")

@@ -13,6 +13,12 @@ Three checks, each returning a signed residual that must be >= -tol:
   with equality at Sigma = sigma I.
 * ``reduction_sweep``: the supremum of the rank-M potential coincides with the
   scalar one, and its maximizer is (away from the critical SNR) isotropic.
+
+The two residuals take a covariance or a stack of them.  A suite of
+``noise_inequality_batch`` draws all its covariances first, in the order a
+sample-by-sample loop draws them, then makes one ``mi_vector`` call over every
+covariance and one ``mi_scalar_noise`` call over every diagonal entry and
+trace level; each residual is the one its covariance gives alone, to the bit.
 """
 
 from __future__ import annotations
@@ -71,43 +77,62 @@ def random_psd(M: int, rng: np.random.Generator, diag_min: float | None = None,
     return sigma
 
 
-def diagonal_trim_residual(prior: Prior, sigma, quad: GaussQuadrature) -> float:
-    """mi_vector(Sigma) minus the sum of per-coordinate scalar informations,
-    all of them from one call over the diagonal."""
-    mat = np.asarray(sigma, dtype=float)
-    value = mi_vector(prior, mat, quad)
-    # Python's sum: NumPy's pairwise order can differ in the last ulp
-    return value - sum(mi_scalar_noise(prior, mat.diagonal(), quad).tolist())
+def _trim(info, diagonal_info):
+    """The trim residuals: each information less its coordinates' scalar
+    informations (..., M), summed in coordinate order as Python's ``sum``
+    would (NumPy's pairwise order can differ in the last ulp)."""
+    return info - np.cumsum(diagonal_info, axis=-1)[..., -1]
 
 
-def trace_noise_residual(prior: Prior, sigma, quad: GaussQuadrature) -> float:
-    """mi_vector(Sigma) minus M times the scalar information at the
-    trace-average noise level; requires every diagonal entry >= D^2."""
-    mat = np.asarray(sigma, dtype=float)
-    M = mat.shape[0]
-    d_sq = prior.support_bound**2
-    if mat.diagonal().min() < d_sq - 1e-12:
+def _trace_levels(prior: Prior, mat):
+    """The trace-average noise levels tr Sigma / M of a stack of covariances
+    (..., M, M), each of whose diagonal entries must be >= D^2."""
+    if mat.diagonal(axis1=-2, axis2=-1).min() < prior.support_bound**2 - 1e-12:
         raise ValueError("trace-average comparison needs diagonal entries >= D^2 "
                          "(the scalar information is only convex there)")
-    value = mi_vector(prior, mat, quad)
-    return value - M * mi_scalar_noise(prior, float(np.trace(mat)) / M, quad)
+    return np.trace(mat, axis1=-2, axis2=-1) / mat.shape[-1]
+
+
+def diagonal_trim_residual(prior: Prior, sigma, quad: GaussQuadrature):
+    """mi_vector(Sigma) minus the sum of per-coordinate scalar informations,
+    for a covariance or a stack (..., M, M) of them, from one ``mi_vector``
+    and one ``mi_scalar_noise`` call."""
+    mat = np.asarray(sigma, dtype=float)
+    return _trim(mi_vector(prior, mat, quad),
+                 mi_scalar_noise(prior, mat.diagonal(axis1=-2, axis2=-1), quad))
+
+
+def trace_noise_residual(prior: Prior, sigma, quad: GaussQuadrature):
+    """mi_vector(Sigma) minus M times the scalar information at the
+    trace-average noise level, for a covariance or a stack (..., M, M) of
+    them; requires every diagonal entry >= D^2."""
+    mat = np.asarray(sigma, dtype=float)
+    levels = _trace_levels(prior, mat)
+    return mi_vector(prior, mat, quad) - mat.shape[-1] * mi_scalar_noise(prior, levels, quad)
 
 
 def noise_inequality_batch(prior: Prior, M: int, n_samples: int, seed: int):
     """Residual suites over random covariances.
 
     Returns (trim residuals, trace residuals) as arrays of length n_samples;
-    the trace suite draws its own covariances with diagonal >= D^2.
+    the trace suite draws its own covariances with diagonal >= D^2.  Each
+    sample draws its trim covariance, then its trace one; the suites then
+    make one ``mi_vector`` call over every covariance and one
+    ``mi_scalar_noise`` call over every diagonal entry and trace level.
     """
+    if not n_samples:
+        return np.empty(0), np.empty(0)
     quad = gauss_hermite(NOISE_ORDER)
     rng = np.random.default_rng(seed)
-    trim = np.empty(n_samples)
-    trace = np.empty(n_samples)
     d_sq = prior.support_bound**2
-    for i in range(n_samples):
-        trim[i] = diagonal_trim_residual(prior, random_psd(M, rng), quad)
-        trace[i] = trace_noise_residual(prior, random_psd(M, rng, diag_min=d_sq), quad)
-    return trim, trace
+    sigmas = np.array([(random_psd(M, rng), random_psd(M, rng, diag_min=d_sq))
+                       for _ in range(n_samples)]).reshape(n_samples, 2, M, M)
+    levels = np.concatenate([sigmas[:, 0].diagonal(axis1=-2, axis2=-1).ravel(),
+                             _trace_levels(prior, sigmas[:, 1])])
+    info = mi_vector(prior, sigmas, quad)
+    scalar = mi_scalar_noise(prior, levels, quad)
+    return (_trim(info[:, 0], scalar[:n_samples * M].reshape(n_samples, M)),
+            info[:, 1] - M * scalar[n_samples * M:])
 
 
 def reduction_sweep(prior: Prior, M: int, lambda_grid) -> list[ReductionReport]:

@@ -22,7 +22,11 @@ iterations.  By the Nishimori identity it also gives the gradient
 grad FM = (lam / 2M)(sym E <x x0'> - Q), computed in one pass with E ln ZM.
 Every supremum is a grid search polished by projected gradient ascent on
 {0 <= Q <= rho I} (``_ascend``): over a uniform overlap grid at M = 1, over a
-symmetry-reduced eigendecomposition parametrization at M = 2 and 3.
+symmetry-reduced eigendecomposition parametrization at M = 2 and 3.  The
+ascents of one search run in lockstep, one stacked workspace pass per round
+for all of them, each ending where it ends alone; ``phase_scan`` runs every
+SNR's grid as one stacked potential and every SNR's ascent in one such
+search, and ``f1_sup`` is its one-SNR case.
 """
 
 from __future__ import annotations
@@ -136,7 +140,8 @@ def _check_scalar_args(prior, tau, lam):
 
 
 def _f1_values(ws, taus, lam):
-    """F1 at each overlap of the 1-d sequence taus, on the M = 1 workspace."""
+    """F1 at each overlap of the 1-d sequence taus, on the M = 1 workspace, at
+    the SNR lam or at each of a 1-d array of them (one row per SNR)."""
     taus = np.asarray(taus, dtype=float)[:, None, None]
     return ws.potential(taus, lam, np.sqrt(taus))
 
@@ -161,25 +166,32 @@ def f1_fixed_point(prior: Prior, lam: float, q0: float, damping: float = 0.5,
     return res
 
 
-def _f1_grid(ws, lam):
-    """Potential on a uniform overlap grid, batched over the grid."""
+def _f1_grid(ws, lams):
+    """The potential on a uniform overlap grid at each SNR of the 1-d array
+    lams, as one stack: the grid and the values (len(lams), F1_GRID)."""
     taus = np.linspace(0.0, ws.prior.rho, F1_GRID)
-    return taus, _f1_values(ws, taus, lam)
+    return taus, _f1_values(ws, taus, lams)
 
 
-def _f1_polish(ws, lam, taus, vals, indices):
-    """Ascend from each grid index of the M = 1 workspace (``_ascend``).
-    Returns the end points ``(value, q)``, best first.  When the best end
-    point is within 1e-10 of the zero-overlap value, or below 1e-10 in
-    overlap, that value at zero overlap is put in front, so the potential's
-    noise floor around zero does not produce a spurious positive maximizer;
-    every end point is kept for the double-well check."""
-    ends = sorted(((value, float(Q[0, 0])) for value, Q in
-                   (_ascend(ws, lam, [[taus[i]]], ws.prior.rho, SUP_TOL[1]) for i in indices)),
-                  reverse=True)
-    if vals[0] >= ends[0][0] - 1e-10 or ends[0][1] < 1e-10:
-        ends.insert(0, (float(vals[0]), 0.0))
-    return ends
+def _at_zero(zero_value, value, q):
+    """Whether the best end point (value, q) gives way to zero overlap: within
+    1e-10 of the zero-overlap value, or below 1e-10 in overlap, so that the
+    potential's noise floor around zero does not produce a spurious positive
+    maximizer."""
+    return (zero_value >= value - 1e-10) | (q < 1e-10)
+
+
+def _f1_sups(ws, lams):
+    """sup F1 at each SNR of the 1-d array lams: each grid's best point (the
+    smallest overlap among values within 1e-10 of its maximum) ascends
+    (``_ascend`` at M = 1), all of them in lockstep, and ``_at_zero`` picks
+    zero overlap where it applies.  Returns the values and the maximizers."""
+    taus, vals = _f1_grid(ws, lams)
+    best = np.argmax(vals >= vals.max(axis=1, keepdims=True) - 1e-10, axis=1)
+    values, ends = _ascend(ws, lams, taus[best, None, None], ws.prior.rho, SUP_TOL[1])
+    q = ends[:, 0, 0]
+    zero = _at_zero(vals[:, 0], values, q)
+    return np.where(zero, vals[:, 0], values), np.where(zero, 0.0, q)
 
 
 def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None):
@@ -187,13 +199,12 @@ def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None):
 
     Grid search, then projected gradient ascent (``_ascend`` at M = 1) from the
     best grid point; near-ties (within 1e-10 in value) resolve to the smallest
-    overlap.  Returns ``(value, q_star)``.
+    overlap.  The one-SNR case of ``phase_scan``'s search.  Returns
+    ``(value, q_star)``.
     """
     _check_snr(lam)
-    ws = _RankMWorkspace(prior, 1, quad)
-    taus, vals = _f1_grid(ws, lam)
-    idx = int(np.nonzero(vals >= vals.max() - 1e-10)[0][0])
-    return _f1_polish(ws, lam, taus, vals, [idx])[0]
+    values, q = _f1_sups(_RankMWorkspace(prior, 1, quad), np.array([lam], dtype=float))
+    return float(values[0]), float(q[0])
 
 
 def _local_maxima(taus, vals):
@@ -208,15 +219,21 @@ def _local_maxima(taus, vals):
 
 def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = None) -> float:
     """Limiting matrix MMSE prediction rho^2 - q*(lam)^2, with q* the best of
-    the ascents (``_ascend`` at M = 1) from every local maximum of the grid.
+    the ascents (``_ascend`` at M = 1, in lockstep) from every local maximum
+    of the grid.
 
     Refuses to answer (raises NonUniqueMaximizer) when two maximizers at
     distant overlaps agree in value to 1e-8, as happens at the critical SNR.
     """
     _check_snr(lam)
     ws = _RankMWorkspace(prior, 1, quad)
-    taus, vals = _f1_grid(ws, lam)
-    candidates = _f1_polish(ws, lam, taus, vals, _local_maxima(taus, vals))
+    taus, (vals,) = _f1_grid(ws, np.array([lam], dtype=float))
+    values, qs = _ascend(ws, lam, taus[_local_maxima(taus, vals), None, None], prior.rho,
+                         SUP_TOL[1])
+    # every end point, best first, stays a candidate for the double-well check
+    candidates = sorted(zip(values.tolist(), qs[:, 0, 0].tolist()), reverse=True)
+    if _at_zero(vals[0], *candidates[0]):
+        candidates.insert(0, (float(vals[0]), 0.0))
     best_val, best_t = candidates[0]
     loc_tol = 1e-2 * prior.rho
     for val, t in candidates:
@@ -269,14 +286,21 @@ class _RankMWorkspace:
 
     def _exponents(self, Q, lam, sqrt_Q=None):
         """The exponent matrices A (..., K_x, Nz) and B (..., K_a, K_x) of the
-        replica measure at the overlaps Q (..., M, M)."""
+        replica measure at the overlaps Q (..., M, M), at the SNR lam or one
+        per overlap (np.sqrt gives math.sqrt's bits)."""
         if sqrt_Q is None:
             sqrt_Q = psd_sqrt(Q)
         V = self.values
-        A = (V @ (math.sqrt(lam) * sqrt_Q)) @ self.z_nodes.T
+        lam = np.asarray(lam)[..., None, None]
+        A = (V @ (np.sqrt(lam) * sqrt_Q)) @ self.z_nodes.T
         G = V @ (lam * Q) @ V.T                                 # lam x0' Q x
         B = G - 0.5 * np.diagonal(G, axis1=-2, axis2=-1)[..., None, :] + self.logw
         return A, B
+
+    def _per_item(self, rows):
+        """Elements per temporary of one overlap's pass on ``rows`` rows."""
+        k = self.weights.size
+        return rows * k * max(k, self.z_weights.size)
 
     def ln_partition(self, Q, lam, sqrt_Q=None):
         """E_{z,x0} ln ZM(Q) on the tensor grid; a float for one overlap, an
@@ -286,19 +310,38 @@ class _RankMWorkspace:
         return float(ln_z) if ln_z.ndim == 0 else ln_z
 
     def potential(self, Q, lam, sqrt_Q):
-        """FM at each overlap of the stack Q (n, M, M) with roots sqrt_Q, in
-        parts of at most BATCH elements per temporary (``batched``)."""
-        k = self.weights.size
-        ln_z = batched(lambda part: self.ln_partition(Q[part], lam, sqrt_Q[part]), len(Q),
-                       k * max(k, self.z_weights.size))
-        return ln_z / self.M - lam * np.sum(Q * Q, axis=(1, 2)) / (4.0 * self.M)
+        """FM at each overlap of the stack Q (n, M, M) with roots sqrt_Q, at the
+        SNR lam, or at each of a 1-d array of SNRs ((len(lam), n) out).  The
+        (SNR, overlap) pairs run in parts of at most BATCH elements per
+        temporary (``batched``), each part's slices gathered by index."""
+        lams = np.reshape(lam, -1)
+        n = len(Q)
+
+        def run(part):
+            i, j = np.divmod(np.arange(*part.indices(lams.size * n)), n)
+            return self.ln_partition(Q[j], lams[i], sqrt_Q[j])
+
+        ln_z = batched(run, lams.size * n, self._per_item(1)).reshape(lams.size, n)
+        values = ln_z / self.M - lams[:, None] * np.sum(Q * Q, axis=(1, 2)) / (4.0 * self.M)
+        return values if np.ndim(lam) else values[0]
+
+    def _moments(self, Q, lam, sqrt_Q):
+        """ln Z and E <x x0'> from one ``gibbs_pass`` on all M + 1 rows."""
+        ln_z, mean_x = gibbs_pass(lambda: self._exponents(Q, lam, sqrt_Q), self.moments,
+                                  self.weights, self.z_weights)
+        return ln_z, (mean_x @ self.z_weights) @ self.weighted_values
 
     def value_and_moment(self, Q, lam, sqrt_Q=None):
         """E ln ZM(Q), bit-equal to ``ln_partition``, and E <x x0'> (M, M)
-        from the same ``gibbs_pass`` on all M + 1 moment rows."""
-        ln_z, mean_x = gibbs_pass(lambda: self._exponents(Q, lam, sqrt_Q), self.moments,
-                                  self.weights, self.z_weights)
-        return float(ln_z), (mean_x @ self.z_weights) @ self.weighted_values
+        from the same ``gibbs_pass`` on all M + 1 moment rows: a float and a
+        matrix for one overlap; arrays (n,) and (n, M, M) for a stack of them
+        with their roots sqrt_Q and SNRs lam (n,), in parts of at most BATCH
+        elements per temporary."""
+        if np.ndim(Q) == 2:
+            ln_z, cross = self._moments(Q, lam, sqrt_Q)
+            return float(ln_z), cross
+        return batched(lambda part: self._moments(Q[part], lam[part], sqrt_Q[part]),
+                       len(Q), self._per_item(self.M + 1))
 
 
 def fm_rs(prior: Prior, M: int, Q, lam: float,
@@ -327,14 +370,16 @@ def fm_rs(prior: Prior, M: int, Q, lam: float,
 
 
 def _project(S, hi=math.inf):
-    """Euclidean projection of sym(S) onto {0 <= Q <= hi I}: clip the
-    eigenvalues (Lewis 1996).  Returns the projection and its square root."""
-    if len(S) == 1:                     # a 1x1 matrix is its own eigenvalue
+    """Euclidean projection of sym(S) onto {0 <= Q <= hi I}, for each matrix
+    of a stack (..., M, M): clip the eigenvalues (Lewis 1996).  Returns the
+    projections and their square roots."""
+    if S.shape[-1] == 1:                # a 1x1 matrix is its own eigenvalue
         Q = np.minimum(np.maximum(S, 0.0), hi)
         return Q, np.sqrt(Q)
-    eigval, eigvec = np.linalg.eigh((S + S.T) / 2.0)
-    eigval = np.minimum(np.maximum(eigval, 0.0), hi)
-    return (eigvec * eigval) @ eigvec.T, (eigvec * np.sqrt(eigval)) @ eigvec.T
+    eigval, eigvec = np.linalg.eigh((S + S.swapaxes(-1, -2)) / 2.0)
+    eigval = np.minimum(np.maximum(eigval, 0.0), hi)[..., None, :]
+    eigvec_t = eigvec.swapaxes(-1, -2)
+    return (eigvec * eigval) @ eigvec_t, (eigvec * np.sqrt(eigval)) @ eigvec_t
 
 
 def fm_fixed_point(prior: Prior, M: int, lam: float, Q0,
@@ -403,42 +448,72 @@ def _domain_mask(d, row, sign_symmetric):
     return inside
 
 
-def _ascend(ws, lam, Q, rho, tol):
-    """Projected gradient ascent of FM over {0 <= Q <= rho I} from Q.
+def _sums(X):
+    """The sum of each matrix of a stack (n, M, M), as np.sum of it alone."""
+    return np.add.reduce(X, axis=(-2, -1))
+
+
+def _ascend(ws, lam, starts, rho, tol):
+    """Projected gradient ascents of FM over {0 <= Q <= rho I} from each
+    overlap of the stack starts (n, M, M), at the SNR lam or one per start.
 
     By the Nishimori identity the gradient is (lam / 2M) D with
     D = sym E<x x0'> - Q, so steps are measured in units of 2M / lam, at which
-    a step is the fixed-point map Q -> E<x x0'>.  Each run starts at that unit
-    step; later steps are Barzilai-Borwein, halved until FM rises (Armijo).
-    Stops when the criticality certificate |Q - P(sym E<x x0'>)|_F / M is at
-    most ``tol`` or no halving raises FM.  Returns ``(value, Q)``.
+    a step is the fixed-point map Q -> E<x x0'>.  Each ascent starts at that
+    unit step; later steps are Barzilai-Borwein, halved until FM rises
+    (Armijo).  An ascent stops when the criticality certificate
+    |Q - P(sym E<x x0'>)|_F / M is at most ``tol``, after SUP_STEPS steps, or
+    when no halving raises FM.
+
+    The ascents run in lockstep: in each round every running ascent makes one
+    move, a certificate check and then a trial step or a halving, and all the
+    trials of a round share one stacked ``value_and_moment``.  Each ascent's
+    arithmetic is the one it makes alone, to the bit.  Returns the values
+    (n,) and the end points (n, M, M).
     """
-    M = ws.M
+    M, n = ws.M, len(starts)
+    lam = np.full(n, lam, dtype=float)
 
-    def probe(Q, sqrt_Q):
+    def probe(lam, Q, sqrt_Q):
         ln_z, cross = ws.value_and_moment(Q, lam, sqrt_Q)
-        return (ln_z / M - lam * float(np.sum(Q * Q)) / (4.0 * M),
-                (cross + cross.T) / 2.0 - Q)
+        return (ln_z / M - lam * _sums(Q * Q) / (4.0 * M),
+                (cross + cross.swapaxes(-1, -2)) / 2.0 - Q)
 
-    Q, sqrt_Q = _project(Q, rho)
-    value, D = probe(Q, sqrt_Q)
-    step = 1.0
-    for _ in range(SUP_STEPS):
-        if np.linalg.norm(Q - _project(Q + D, rho)[0]) / M <= tol:
-            break
-        for _ in range(_HALVINGS):
-            Q_new, sqrt_new = _project(Q + step * D, rho)
-            value_new, D_new = probe(Q_new, sqrt_new)
-            if value_new >= value + _ARMIJO * lam / (2.0 * M) * np.sum(D * (Q_new - Q)):
-                break
-            step /= 2.0
-        else:
-            break
+    Q, sqrt_Q = _project(np.asarray(starts, dtype=float), rho)
+    value, D = probe(lam, Q, sqrt_Q)
+    end_value, end_Q = np.empty(n), np.empty_like(Q)
+    # per running ascent: its start, step, steps taken and trials rejected
+    # since its last move
+    run, step, taken, fails = np.arange(n), np.ones(n), np.zeros(n, int), np.zeros(n, int)
+    while True:
+        # the fixed-point map's projection for the certificate, with the trial
+        # step's; an ascent that has not moved since its last check keeps its
+        # certificate, so only a move can meet it
+        P, sqrt_P = _project(np.concatenate([Q + D, Q + step[:, None, None] * D]), rho)
+        gap = (Q - P[:len(run)]).reshape(len(run), 1, M * M)
+        cert = np.sqrt(gap @ gap.swapaxes(-1, -2))[:, 0, 0] / M
+        done = (taken == SUP_STEPS) | (cert <= tol) | (fails == _HALVINGS)
+        Q_new, sqrt_new = P[len(run):], sqrt_P[len(run):]
+        if done.any():
+            end_value[run[done]], end_Q[run[done]] = value[done], Q[done]
+            keep = ~done
+            run, lam, Q, D, value, step, taken, fails, Q_new, sqrt_new = (
+                a[keep] for a in (run, lam, Q, D, value, step, taken, fails, Q_new, sqrt_new))
+            if not run.size:
+                return end_value, end_Q
+        # one trial step each, halved after each rejection (Armijo); a move
+        # takes the Barzilai-Borwein step next
+        value_new, D_new = probe(lam, Q_new, sqrt_new)
         s, y = Q_new - Q, D - D_new
-        sy = float(np.sum(s * y))
-        step = float(np.sum(s * s)) / sy if sy > 0 else 1.0
-        Q, value, D = Q_new, value_new, D_new
-    return value, Q
+        moved = value_new >= value + _ARMIJO * lam / (2.0 * M) * _sums(D * s)
+        sy = _sums(s * y)
+        bb = sy > 0
+        step = np.where(moved, np.where(bb, _sums(s * s), 1.0) / np.where(bb, sy, 1.0),
+                        step / 2.0)
+        taken, fails = taken + moved, np.where(moved, 0, fails + 1)
+        value = np.where(moved, value_new, value)
+        moved = moved[:, None, None]
+        Q, D = np.where(moved, Q_new, Q), np.where(moved, D_new, D)
 
 
 @lru_cache(maxsize=32)
@@ -502,10 +577,10 @@ def fm_sup(prior: Prior, M: int, lam: float):
     top = np.concatenate([overlaps[np.argsort(-vals, kind="stable")[:SUP_CANDIDATES]],
                           [rho * np.eye(M), rho / 2 * np.eye(M)]])
     first = np.unique(top.reshape(len(top), -1), axis=0, return_index=True)[1]
-    coarse = sorted((_ascend(coarse_ws, lam, Q, rho, SUP_TOL[0]) for Q in top[np.sort(first)]),
-                    key=lambda c: c[0], reverse=True)
-    _, Q_star = max((_ascend(ws, lam, Q, rho, SUP_TOL[1]) for _, Q in coarse[:3]),
-                    key=lambda c: c[0])
+    values, ends = _ascend(coarse_ws, lam, top[np.sort(first)], rho, SUP_TOL[0])
+    best = ends[np.argsort(-values, kind="stable")[:3]]
+    values, ends = _ascend(ws, lam, best, rho, SUP_TOL[1])
+    Q_star = ends[np.argmax(values)]
     # one evaluation at a finer grid removes most of the search quadrature bias
     polish_ws = _RankMWorkspace(prior, M, gauss_hermite(SUP_POLISH_ORDER[M]))
     best_val = float(polish_ws.potential(Q_star[None], lam, psd_sqrt(Q_star)[None])[0])
@@ -529,10 +604,8 @@ def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None) -
         raise ValueError("SNR grid must be finite")
     if np.any(np.diff(lams) <= 0):
         raise ValueError("SNR grid must be sorted increasing")
-    values = np.empty(lams.size)
-    q_stars = np.empty(lams.size)
-    for i, lam in enumerate(lams):
-        values[i], q_stars[i] = f1_sup(prior, lam, quad)
+    _check_snr(lams[0])                 # the smallest SNR of the sorted grid
+    values, q_stars = _f1_sups(_RankMWorkspace(prior, 1, quad), lams)
     dq = np.gradient(q_stars, lams)
     jumps = np.abs(np.diff(q_stars))
     cell = int(np.argmax(jumps))

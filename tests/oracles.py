@@ -6,8 +6,10 @@ as a logsumexp over a k x k x n array, the vector information through one
 exp-matmul per input configuration, and the MMSE through the explicit
 posterior-mean denoiser; the vector information by a direct logsumexp over
 every mixture component on the full tensor grid; the channel pass at one gain,
-as it ran before the channel took stacks; and the Monte Carlo estimates of the
-information and of the rank-M potential above dimension 3.
+as it ran before the channel took stacks; the Monte Carlo estimates of the
+information and of the rank-M potential above dimension 3; the projected
+gradient ascent from one start, as it ran before the ascents ran in lockstep;
+and the noise-inequality suites with one channel call per covariance.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from wignerlab import channel, replica
+from wignerlab import channel, reduction, replica
 from wignerlab.priors import quantile
 
 _TINY = np.finfo(float).tiny
@@ -213,3 +215,53 @@ def fm_rs_monte_carlo(prior, M, Q, lam, budget, rng):
                 + lam * rho**2 / 4.0)
     return replica.PotentialEvaluation(value_logz=value_logz, value_mi=value_mi,
                                        lam=lam, overlap=Q)
+
+
+def ascend_one(ws, lam, Q, rho, tol):
+    """Projected gradient ascent of FM over {0 <= Q <= rho I} from one overlap
+    Q (M, M), one workspace pass per trial step: the sequential form of
+    ``replica._ascend``, kept as its oracle.  Returns ``(value, Q)``."""
+    M = ws.M
+
+    def probe(Q, sqrt_Q):
+        ln_z, cross = ws.value_and_moment(Q, lam, sqrt_Q)
+        return (ln_z / M - lam * float(np.sum(Q * Q)) / (4.0 * M),
+                (cross + cross.T) / 2.0 - Q)
+
+    Q, sqrt_Q = replica._project(np.asarray(Q, dtype=float), rho)
+    value, D = probe(Q, sqrt_Q)
+    step = 1.0
+    for _ in range(replica.SUP_STEPS):
+        if np.linalg.norm(Q - replica._project(Q + D, rho)[0]) / M <= tol:
+            break
+        for _ in range(replica._HALVINGS):
+            Q_new, sqrt_new = replica._project(Q + step * D, rho)
+            value_new, D_new = probe(Q_new, sqrt_new)
+            if value_new >= value + replica._ARMIJO * lam / (2.0 * M) * np.sum(D * (Q_new - Q)):
+                break
+            step /= 2.0
+        else:
+            break
+        s, y = Q_new - Q, D - D_new
+        sy = float(np.sum(s * y))
+        step = float(np.sum(s * s)) / sy if sy > 0 else 1.0
+        Q, value, D = Q_new, value_new, D_new
+    return value, Q
+
+
+def noise_batch_loop(prior, M, n_samples, seed):
+    """``reduction.noise_inequality_batch`` one covariance at a time: per
+    sample, its trim covariance's information less the sum of its diagonal's
+    scalar informations, then its trace covariance's information less M times
+    the scalar information at its trace-average level."""
+    quad = channel.gauss_hermite(reduction.NOISE_ORDER)
+    rng = np.random.default_rng(seed)
+    trim, trace = np.empty(n_samples), np.empty(n_samples)
+    for i in range(n_samples):
+        mat = reduction.random_psd(M, rng)
+        trim[i] = (channel.mi_vector(prior, mat, quad)
+                   - sum(channel.mi_scalar_noise(prior, mat.diagonal(), quad).tolist()))
+        mat = reduction.random_psd(M, rng, diag_min=prior.support_bound**2)
+        trace[i] = (channel.mi_vector(prior, mat, quad)
+                    - M * channel.mi_scalar_noise(prior, float(np.trace(mat)) / M, quad))
+    return trim, trace

@@ -364,6 +364,40 @@ class TestStacks:
         assert np.array_equal(got, [[mi_signal_point(prior, g, quad) for g in row]
                                     for row in gains])
 
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_roots_of_a_stack(self, M):
+        """The stacked square root and inverse square root equal the
+        per-matrix eigendecomposition formulas, to the bit, on 500 draws."""
+        rng = np.random.default_rng(40 + M)
+        mats = np.array([random_psd(M, rng) for _ in range(500)])
+        roots, inv_roots = channel.psd_sqrt(mats), channel.psd_inv_sqrt(mats)
+        for mat, root, inv_root in zip(mats, roots, inv_roots):
+            eigval, eigvec = np.linalg.eigh(mat)
+            assert np.array_equal(root, (eigvec * np.sqrt(eigval)) @ eigvec.T)
+            assert np.array_equal(inv_root, (eigvec / np.sqrt(eigval)) @ eigvec.T)
+            assert np.array_equal(inv_root, channel.psd_inv_sqrt(mat))
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_covariance_stack(self, sparse03, quad24, M):
+        """``mi_vector`` over a stack of covariances gives each one's value,
+        and a non-symmetric, indefinite or singular covariance anywhere in the
+        stack, the last included, fails with its own message."""
+        rng = np.random.default_rng(M)
+        sigmas = np.array([random_psd(M, rng) for _ in range(6)]).reshape(2, 3, M, M)
+        got = channel.mi_vector(sparse03, sigmas, quad24)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, [[channel.mi_vector(sparse03, m, quad24) for m in row]
+                                    for row in sigmas])
+        bad = {"symmetric": np.eye(M) + np.triu(np.full((M, M), 0.3), 1),
+               "positive semidefinite": np.eye(M) - 1.5 * np.ones((M, M)) / M,
+               "singular": np.ones((M, M))}
+        for match, mat in bad.items():
+            for where in [(0, 0), (1, 2)]:
+                stack = sigmas.copy()
+                stack[where] = mat
+                with pytest.raises(ValueError, match=match):
+                    channel.mi_vector(sparse03, stack, quad24)
+
     def test_scalar_in_float_out(self, rademacher, quad64):
         for value in (channel.mi_scalar_signal(rademacher, 1.0, quad64),
                       channel.mi_scalar_noise(rademacher, np.float64(2.0), quad64),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import full_grid_mi
+from oracles import full_grid_mi, noise_batch_loop
 from wignerlab import channel, make_prior, reduction, replica
 
 
@@ -34,22 +34,28 @@ class TestTrimResidual:
             sigma = reduction.random_psd(3, rng)
             assert reduction.diagonal_trim_residual(rademacher, sigma, quad24) >= -1e-6
 
-    def test_one_scalar_call_per_covariance(self, rademacher, quad24, monkeypatch):
-        """The scalar informations of the diagonal come from one call: each
-        sample of a noise batch makes one for its trim and one for its trace."""
+    def test_one_scalar_call_per_suite(self, rademacher, quad24, monkeypatch):
+        """The scalar informations of the diagonal come from one call, and a
+        noise batch makes one scalar call over every diagonal entry and trace
+        level and one vector call over every covariance of both suites."""
         calls = []
 
         def counting(prior, t, quad):
             calls.append(np.shape(t))
             return mi_scalar_noise(prior, t, quad)
 
-        mi_scalar_noise = reduction.mi_scalar_noise
+        def counting_vector(prior, sigma, quad):
+            calls.append(np.shape(sigma))
+            return mi_vector(prior, sigma, quad)
+
+        mi_scalar_noise, mi_vector = reduction.mi_scalar_noise, reduction.mi_vector
         monkeypatch.setattr(reduction, "mi_scalar_noise", counting)
+        monkeypatch.setattr(reduction, "mi_vector", counting_vector)
         reduction.diagonal_trim_residual(rademacher, np.diag([0.5, 1.0, 2.0]), quad24)
-        assert calls == [(3,)]
+        assert calls == [(3, 3), (3,)]
         calls.clear()
         reduction.noise_inequality_batch(rademacher, 3, 4, seed=1)
-        assert calls == [(3,), ()] * 4
+        assert calls == [(4, 2, 3, 3), (4 * 3 + 4,)]
 
 
 class TestUnderflowSeeds:
@@ -130,6 +136,78 @@ class TestBatch:
         assert trim.min() >= -1e-6
         assert trace.min() >= -1e-6
 
+    def test_no_samples(self, sparse03):
+        for residuals in reduction.noise_inequality_batch(sparse03, 2, 0, seed=5):
+            assert residuals.shape == (0,)
+
+    @pytest.mark.parametrize("label,M,n,seed", [("rademacher", 3, 20, 4), ("sparse03", 2, 30, 7),
+                                                ("asymmetric", 2, 30, 11),
+                                                ("rademacher", 3, 22, 4), ("sparse03", 2, 34, 31),
+                                                ("sparse03", 2, 34, 979246067)])
+    def test_matches_one_covariance_at_a_time(self, request, label, M, n, seed):
+        """The stacked suites equal the per-sample loop, to the bit; the last
+        three cases are the seeds of ``TestUnderflowSeeds``."""
+        prior = (make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)]) if label == "asymmetric"
+                 else request.getfixturevalue(label))
+        for got, ref in zip(reduction.noise_inequality_batch(prior, M, n, seed),
+                            noise_batch_loop(prior, M, n, seed)):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_stacked_residuals(self, rademacher, quad24, rng):
+        """Both residuals take a stack of covariances, each residual as it is
+        alone."""
+        trims = np.array([reduction.random_psd(3, rng) for _ in range(5)])
+        traces = np.array([reduction.random_psd(3, rng, diag_min=1.0) for _ in range(5)])
+        np.testing.assert_array_equal(
+            reduction.diagonal_trim_residual(rademacher, trims, quad24),
+            [reduction.diagonal_trim_residual(rademacher, m, quad24) for m in trims])
+        np.testing.assert_array_equal(
+            reduction.trace_noise_residual(rademacher, traces, quad24),
+            [reduction.trace_noise_residual(rademacher, m, quad24) for m in traces])
+
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_rejects_a_bad_covariance_anywhere(self, rademacher, quad24, rng, where):
+        """A non-symmetric, singular or (for the trace) low-diagonal covariance
+        at any place of a stack, the last included, fails as it fails alone."""
+        good = np.array([reduction.random_psd(2, rng, diag_min=1.0) for _ in range(4)])
+        for bad, match in [([[1.0, 0.5], [0.4, 1.0]], "symmetric"),
+                           ([[1.0, 1.0], [1.0, 1.0]], "singular"),
+                           ([[0.5, 0.0], [0.0, 2.0]], "D\\^2")]:
+            stack = good.copy()
+            stack[where] = bad
+            residuals = [reduction.trace_noise_residual]
+            if match != "D\\^2":
+                residuals.append(reduction.diagonal_trim_residual)
+            for residual in residuals:
+                with pytest.raises(ValueError, match=match):
+                    residual(rademacher, stack, quad24)
+                with pytest.raises(ValueError, match=match):
+                    residual(rademacher, np.asarray(bad), quad24)
+
+    def test_rejects_a_low_diagonal_in_the_trace_suite(self, rademacher, monkeypatch):
+        """A trace-suite covariance whose diagonal falls below D^2, here the
+        last one drawn, stops the batch."""
+        draws, random_psd = [], reduction.random_psd
+
+        def drawn(M, rng, diag_min=None, shift_scale=0.5):
+            sigma = random_psd(M, rng, diag_min, shift_scale)
+            draws.append(diag_min)
+            if len(draws) == 8:
+                sigma[1, 1] = 0.5
+            return sigma
+        monkeypatch.setattr(reduction, "random_psd", drawn)
+        with pytest.raises(ValueError, match="D\\^2"):
+            reduction.noise_inequality_batch(rademacher, 2, 4, seed=3)
+        assert draws[-1] == 1.0
+
+    def test_bounded_parts(self, sparse03, monkeypatch):
+        """With parts of at most 2^10 elements per temporary, the suites give
+        the same bits."""
+        ref = reduction.noise_inequality_batch(sparse03, 2, 12, seed=2)
+        monkeypatch.setattr(channel, "BATCH", 1 << 10)
+        for got, want in zip(reduction.noise_inequality_batch(sparse03, 2, 12, seed=2), ref):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestReductionSweep:
     def test_zero_snr_gap(self, rademacher):
@@ -150,19 +228,20 @@ class TestReductionSweep:
 
     def test_scan_suprema_reused(self, rademacher, monkeypatch):
         """With 8 or more SNRs the phase scan's suprema fill the rows: one
-        f1_sup call per SNR, and every row holds that call's own value."""
-        f1_sup, calls = replica.f1_sup, []
+        rank-one ascent start per SNR, and every row holds the value f1_sup
+        gives at its SNR."""
+        ascend, starts = replica._ascend, []
 
-        def counted(prior, lam, quad=None):
-            calls.append(lam)
-            return f1_sup(prior, lam, quad)
-        monkeypatch.setattr(replica, "f1_sup", counted)
-        monkeypatch.setattr(reduction, "f1_sup", counted)
+        def counted(ws, lam, stack, rho, tol):
+            if ws.M == 1:
+                starts.extend(stack)
+            return ascend(ws, lam, stack, rho, tol)
+        monkeypatch.setattr(replica, "_ascend", counted)
         lams = np.linspace(0.5, 2.25, 8)
         reports = reduction.reduction_sweep(rademacher, 2, lams)
-        assert len(calls) == 8
+        assert len(starts) == 8
         for r, lam in zip(reports, lams.tolist()):
-            assert r.f1_sup_value == f1_sup(rademacher, lam)[0]
+            assert r.f1_sup_value == replica.f1_sup(rademacher, lam)[0]
 
     def test_rejects_large_rank(self, rademacher):
         with pytest.raises(ValueError):

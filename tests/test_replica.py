@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import fm_rs_monte_carlo, logsumexp_matmul
+from oracles import ascend_one, fm_rs_monte_carlo, logsumexp_matmul
 from wignerlab import channel, make_discretized_uniform, make_prior, replica
 from wignerlab.reduction import random_psd
 
@@ -183,7 +183,7 @@ class TestScalarSup:
     @pytest.mark.parametrize("lam", [1.5, 2.0, 4.0])
     def test_polish_budget(self, rademacher, quad64, monkeypatch, lam):
         """Beyond the 512-point grid, one call polishes with at least one and
-        at most 12 workspace passes."""
+        at most 12 workspace evaluations, counting each overlap of a stack."""
         count = [0]
         ws_class = replica._RankMWorkspace
 
@@ -196,7 +196,7 @@ class TestScalarSup:
             monkeypatch.setattr(ws_class, name, wrapper)
 
         counted("ln_partition", True)
-        counted("value_and_moment", False)
+        counted("value_and_moment", True)
         replica.f1_sup(rademacher, lam, quad64)
         assert replica.F1_GRID < count[0] <= replica.F1_GRID + 12
 
@@ -263,16 +263,16 @@ class TestMmsePrediction:
         """At lam = 0 every grid value is equal; the grid's one run of equal
         values is one candidate, not one polishing ascent per point."""
         prior = request.getfixturevalue(prior_name)
-        calls = []
+        starts = []
         ascend = replica._ascend
 
         def counted(*args):
-            calls.append(args[2])
+            starts.extend(args[2])
             return ascend(*args)
 
         monkeypatch.setattr(replica, "_ascend", counted)
         assert replica.mmse_prediction(prior, 0.0, quad64) == prior.rho**2
-        assert len(calls) <= 4
+        assert len(starts) <= 4
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
     def test_rejects_bad_snr(self, rademacher, quad64, lam):
@@ -313,11 +313,11 @@ class TestMmsePrediction:
         zero end by 5e-11, with a dip between, is still refused."""
         taus = np.linspace(0.0, rademacher.rho, replica.F1_GRID)
         monkeypatch.setattr(replica, "_f1_grid",
-                            lambda ws, lam: (taus, -taus * (rademacher.rho - taus)))
+                            lambda ws, lams: (taus, np.tile(-taus * (rademacher.rho - taus),
+                                                            (len(lams), 1))))
 
-        def ascend(ws, lam, Q0, hi, tol):
-            q = Q0[0][0]
-            return (5e-11 if q > 0 else 0.0), np.array([[q]])
+        def ascend(ws, lam, starts, hi, tol):
+            return np.where(starts[:, 0, 0] > 0, 5e-11, 0.0), starts.copy()
 
         monkeypatch.setattr(replica, "_ascend", ascend)
         with pytest.raises(replica.NonUniqueMaximizer):
@@ -682,7 +682,7 @@ class TestGradientPolish:
     def test_evaluation_count(self, rademacher, monkeypatch):
         """One M = 3 call evaluates the potential at more than the 515 distinct
         grid overlaps and fewer than 1,000 overlaps in all, counting each
-        member of a batch and each fused value-and-moment pass."""
+        member of a batch, value-and-moment stacks included."""
         count = [0]
         ws_class = replica._RankMWorkspace
 
@@ -695,7 +695,7 @@ class TestGradientPolish:
             monkeypatch.setattr(ws_class, name, wrapper)
 
         counted("ln_partition", True)
-        counted("value_and_moment", False)
+        counted("value_and_moment", True)
         replica.fm_sup(rademacher, 3, 2.0)
         assert 515 < count[0] < 1_000
 
@@ -704,10 +704,97 @@ class TestGradientPolish:
         isotropic maximizer of criterion 5's case."""
         ws = replica._RankMWorkspace(rademacher, 2)
         start = np.array([[1.0, 0.3], [0.3, 0.2]])
-        value, Q = replica._ascend(ws, 4.0, start, rademacher.rho, 1e-9)
+        (value,), (Q,) = replica._ascend(ws, 4.0, start[None], rademacher.rho, 1e-9)
         _, q1 = replica.f1_sup(rademacher, 4.0, channel.gauss_hermite(64))
         assert value > potential_and_gradient(ws, start, 4.0)[0]
         assert np.linalg.norm(Q - q1 * np.eye(2), "fro") <= 1e-4
+
+
+class TestLockstep:
+    """The ascents of a stack run in lockstep, one stacked workspace pass per
+    round, and each ends where it ends alone (``oracles.ascend_one``), to the
+    bit."""
+
+    LAMS = (0.5, 1.5, 2.0, 4.0)
+
+    def starts(self, prior, M, seed):
+        """Two random overlaps, a repeat of the first, rho I, and q* I with
+        q* the scalar maximizer: per SNR of LAMS, with its SNR."""
+        rng = np.random.default_rng(seed)
+        base = [random_psd(M, rng, shift_scale=0.05) * (prior.rho / 2) for _ in range(2)]
+        stack = [(Q, lam) for lam in self.LAMS
+                 for Q in base + [base[0], prior.rho * np.eye(M),
+                                  replica.f1_sup(prior, lam)[1] * np.eye(M)]]
+        return np.array([Q for Q, _ in stack]), np.array([lam for _, lam in stack])
+
+    @pytest.mark.parametrize("order", ["coarse", "default"])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
+    def test_matches_one_at_a_time(self, request, label, M, order):
+        prior = ASYMMETRIC if label == "asymmetric" else request.getfixturevalue(label)
+        coarse = order == "coarse"
+        ws = replica._RankMWorkspace(prior, M, channel.gauss_hermite(
+            replica.SUP_COARSE_ORDER if coarse else replica.DEFAULT_ORDER[M]))
+        tol = replica.SUP_TOL[0 if coarse else 1]
+        starts, lams = self.starts(prior, M, 3 + M)
+        values, ends = replica._ascend(ws, lams, starts, prior.rho, tol)
+        for Q0, lam, value, end in zip(starts, lams.tolist(), values, ends):
+            ref_value, ref_Q = ascend_one(ws, lam, Q0, prior.rho, tol)
+            assert value == ref_value
+            np.testing.assert_array_equal(end, ref_Q)
+
+    def test_a_start_exhausts_its_halvings(self):
+        """At the asymmetric prior's flat top (lam = 4, M = 1) an ascent from
+        the scalar maximizer ends with every halving rejected, its certificate
+        above the tolerance; it stops in the middle of a stack whose other
+        ascents keep climbing, and still ends as it does alone."""
+        ws = replica._RankMWorkspace(ASYMMETRIC, 1)
+        q1 = replica.f1_sup(ASYMMETRIC, 4.0)[1]
+        starts = np.array([[[0.3]], [[q1]], [[1.0]], [[q1]]])
+        passes = []
+        value_and_moment = ws.value_and_moment
+
+        def counted(Q, *args):
+            passes.append(len(np.atleast_3d(Q)))
+            return value_and_moment(Q, *args)
+
+        ws.value_and_moment = counted
+        ref = [ascend_one(ws, 4.0, Q0, ASYMMETRIC.rho, replica.SUP_TOL[1]) for Q0 in starts]
+        # from q* it stopped before SUP_STEPS steps with its certificate unmet
+        passes.clear()
+        ascend_one(ws, 4.0, starts[1], ASYMMETRIC.rho, replica.SUP_TOL[1])
+        assert 1 + replica._HALVINGS <= len(passes) < 1 + replica.SUP_STEPS
+        cross = value_and_moment(ref[1][1], 4.0)[1]
+        assert abs(ref[1][1][0, 0] - min(max(cross[0, 0], 0.0), ASYMMETRIC.rho)) > 1e-9
+        passes.clear()
+        values, ends = replica._ascend(ws, 4.0, starts, ASYMMETRIC.rho, replica.SUP_TOL[1])
+        assert passes[-1] < len(starts) == passes[0]
+        np.testing.assert_array_equal(values, [v for v, _ in ref])
+        np.testing.assert_array_equal(ends, [Q for _, Q in ref])
+
+    def test_scan_rows_are_scalar_suprema(self, request):
+        """Each row of the lockstep scan is ``f1_sup`` at its SNR, to the bit."""
+        for prior in (request.getfixturevalue("rademacher"), ASYMMETRIC):
+            lams = np.linspace(0.2, 4.0, 12)
+            scan = replica.phase_scan(prior, lams)
+            for lam, value, q in zip(lams.tolist(), scan.value.tolist(), scan.q_star.tolist()):
+                assert (value, q) == replica.f1_sup(prior, lam)
+
+    def test_bounded_parts(self, rademacher, monkeypatch):
+        """With parts of at most 2^10 elements per temporary, the searches give
+        the same bits."""
+        lams = np.linspace(0.2, 3.0, 9)
+        ref = (replica.fm_sup(rademacher, 2, 2.0), replica.fm_sup(ASYMMETRIC, 3, 1.5),
+               replica.phase_scan(rademacher, lams), replica.mmse_prediction(ASYMMETRIC, 1.5))
+        monkeypatch.setattr(channel, "BATCH", 1 << 10)
+        got = (replica.fm_sup(rademacher, 2, 2.0), replica.fm_sup(ASYMMETRIC, 3, 1.5),
+               replica.phase_scan(rademacher, lams), replica.mmse_prediction(ASYMMETRIC, 1.5))
+        for (v, Q), (v_ref, Q_ref) in zip(got[:2], ref[:2]):
+            assert v == v_ref
+            np.testing.assert_array_equal(Q, Q_ref)
+        for name in ("value", "q_star", "dq_dlambda"):
+            np.testing.assert_array_equal(getattr(got[2], name), getattr(ref[2], name))
+        assert got[3] == ref[3]
 
 
 class TestCoarseRule:
@@ -794,10 +881,10 @@ class TestSupGrid:
         starts = []
         ascend = replica._ascend
 
-        def recorded(ws, lam, Q, rho, tol):
+        def recorded(ws, lam, stack, rho, tol):
             if tol == replica.SUP_TOL[0]:
-                starts.append(np.array(Q, dtype=float).ravel())
-            return ascend(ws, lam, Q, rho, tol)
+                starts.extend(stack.reshape(len(stack), -1))
+            return ascend(ws, lam, stack, rho, tol)
         monkeypatch.setattr(replica, "_ascend", recorded)
         replica.fm_sup(rademacher, 3, 2.0)
         assert len(starts) >= replica.SUP_CANDIDATES
