@@ -427,12 +427,13 @@ def run_cavity(cfg, seed):
 HANDLERS = {name: globals()[f"run_{name.replace('-', '_')}"] for name in SCHEMAS}
 
 
-# exception type -> (error record kind, exit code); the first match wins
+# exception types -> (error record kind, exit code); the first match wins.  A
+# float overflow (a valid prior's rho**2 past the float range) is a non-finite result
 FAILURES = [
     (ConfigFileError, "config", EXIT_VALIDATION),
     (simulator.BudgetError, "budget", EXIT_BUDGET),
     (NonConvergenceError, "non-convergence", EXIT_NONCONVERGENCE),
-    (NonFiniteResultError, "non-finite", EXIT_INTERNAL),
+    ((NonFiniteResultError, OverflowError), "non-finite", EXIT_INTERNAL),
     (ValueError, "validation", EXIT_VALIDATION),
     (Exception, "internal", EXIT_INTERNAL),
 ]

@@ -24,9 +24,9 @@ Every supremum is a grid search polished by projected gradient ascent on
 {0 <= Q <= rho I} (``_ascend``): over a uniform overlap grid at M = 1, over a
 symmetry-reduced eigendecomposition parametrization at M = 2 and 3.  The
 ascents of one search run in lockstep, one stacked workspace pass per round
-for all of them, each ending where it ends alone; ``phase_scan`` runs every
-SNR's grid as one stacked potential and every SNR's ascent in one such
-search, and ``f1_sup`` is its one-SNR case.
+for all of them, each ending where it ends alone.  One rank-one search,
+``_f1_sups``, serves ``f1_sup``, ``phase_scan`` and ``mmse_prediction``: every
+local maximum of every SNR's grid ascends in one such search.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ SUP_CANDIDATES = 20
 SUP_STEPS = 50
 SUP_TOL = (1e-5, 1e-9)
 SUP_POLISH_ORDER = {2: 40, 3: 24}
-# f1_sup and mmse_prediction: overlap grid points, polished at SUP_TOL[1];
+# the rank-one search: overlap grid points, polished at SUP_TOL[1];
 # phase_scan: smallest jump of the maximizing overlap reported as a transition
 F1_GRID = 512
 PHASE_JUMP_TOL = 1e-3
@@ -181,73 +181,69 @@ def _at_zero(zero_value, value, q):
     return (zero_value >= value - 1e-10) | (q < 1e-10)
 
 
+def _local_maxima(vals):
+    """Mask of the local maxima of each row of vals: above the left neighbour
+    and not below the right one, each end against -inf.  A run of equal values
+    counts by its leftmost index (one for a flat row, lam = 0); a NaN always
+    counts, so it carries into its row's supremum; a row not all -inf has one."""
+    padded = np.full((len(vals), vals.shape[1] + 2), -np.inf)
+    padded[:, 1:-1] = vals
+    return (vals > padded[:, :-2]) & (vals >= padded[:, 2:]) | np.isnan(vals)
+
+
 def _f1_sups(ws, lams):
-    """sup F1 at each SNR of the 1-d array lams: each grid's best point (the
-    smallest overlap among values within 1e-10 of its maximum) ascends
-    (``_ascend`` at M = 1), all of them in lockstep, and ``_at_zero`` picks
-    zero overlap where it applies.  Returns the values and the maximizers."""
+    """sup F1 at each SNR of the 1-d array lams, the one rank-one search: every
+    grid local maximum ascends (``_ascend`` at M = 1), all in lockstep; each SNR
+    takes its best end point, the larger overlap among equal values, or zero
+    overlap (``_at_zero``).  Returns the values and maximizers per SNR, and the
+    grid, its values (len(lams), F1_GRID) and every end point's value and q."""
     taus, vals = _f1_grid(ws, lams)
-    best = np.argmax(vals >= vals.max(axis=1, keepdims=True) - 1e-10, axis=1)
-    values, ends = _ascend(ws, lams, taus[best, None, None], ws.prior.rho, SUP_TOL[1])
-    q = ends[:, 0, 0]
-    zero = _at_zero(vals[:, 0], values, q)
-    return np.where(zero, vals[:, 0], values), np.where(zero, 0.0, q)
+    row, start = np.nonzero(_local_maxima(vals))
+    ends, end_Q = _ascend(ws, lams[row], taus[start, None, None], ws.prior.rho, SUP_TOL[1])
+    q = end_Q[:, 0, 0]
+    # np.nonzero gives row sorted: by SNR, value and overlap, each SNR's best is last
+    best = np.lexsort((q, ends, row))[np.r_[row[1:] != row[:-1], True]]
+    zero = _at_zero(vals[:, 0], ends[best], q[best])
+    return (np.where(zero, vals[:, 0], ends[best]), np.where(zero, 0.0, q[best]),
+            (taus, vals, ends, q))
 
 
 def f1_sup(prior: Prior, lam: float, quad: GaussQuadrature | None = None):
     """Global maximum of the scalar potential over [0, rho].
 
-    Grid search, then projected gradient ascent (``_ascend`` at M = 1) from the
-    best grid point; near-ties (within 1e-10 in value) resolve to the smallest
-    overlap.  The one-SNR case of ``phase_scan``'s search.  Returns
-    ``(value, q_star)``.
+    Grid search, then projected gradient ascent (``_ascend`` at M = 1) from
+    every grid local maximum; the best end point wins (``_f1_sups``), and a NaN
+    potential gives a NaN value.  The one-SNR case of ``phase_scan``'s search.
+    Returns ``(value, q_star)``.
     """
     _check_snr(lam)
-    values, q = _f1_sups(_RankMWorkspace(prior, 1, quad), np.array([lam], dtype=float))
+    values, q, _ = _f1_sups(_RankMWorkspace(prior, 1, quad), np.array([lam], dtype=float))
     return float(values[0]), float(q[0])
 
 
-def _local_maxima(taus, vals):
-    """Grid indices of the local maxima, both ends included.  A run of equal
-    values counts as one point and is reported by its leftmost index, so a
-    flat potential (lam = 0) gives one candidate, not one per grid point."""
-    starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
-    v = vals[starts]
-    interior = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
-    return sorted({0, int(starts[-1])} | {int(starts[j]) for j in interior})
-
-
 def mmse_prediction(prior: Prior, lam: float, quad: GaussQuadrature | None = None) -> float:
-    """Limiting matrix MMSE prediction rho^2 - q*(lam)^2, with q* the best of
-    the ascents (``_ascend`` at M = 1, in lockstep) from every local maximum
-    of the grid.
+    """Limiting matrix MMSE prediction rho^2 - q*(lam)^2, with q* the maximizer
+    of ``f1_sup``'s search, so ``phase_scan``'s q* at the same SNR.
 
-    Refuses to answer (raises NonUniqueMaximizer) when two maximizers at
-    distant overlaps agree in value to 1e-8, as happens at the critical SNR.
+    Refuses to answer (raises NonUniqueMaximizer) when an end point of that
+    search at a distant overlap agrees with the maximum in value to 1e-8 and
+    the grid dips between them, as happens at the critical SNR.
     """
     _check_snr(lam)
-    ws = _RankMWorkspace(prior, 1, quad)
-    taus, (vals,) = _f1_grid(ws, np.array([lam], dtype=float))
-    values, qs = _ascend(ws, lam, taus[_local_maxima(taus, vals), None, None], prior.rho,
-                         SUP_TOL[1])
-    # every end point, best first, stays a candidate for the double-well check
-    candidates = sorted(zip(values.tolist(), qs[:, 0, 0].tolist()), reverse=True)
-    if _at_zero(vals[0], *candidates[0]):
-        candidates.insert(0, (float(vals[0]), 0.0))
-    best_val, best_t = candidates[0]
+    (best_val,), (best_t,), (taus, (vals,), ends, qs) = _f1_sups(
+        _RankMWorkspace(prior, 1, quad), np.array([lam], dtype=float))
     loc_tol = 1e-2 * prior.rho
-    for val, t in candidates:
+    for val, t in zip(ends.tolist(), qs.tolist()):
         if best_val - val <= 1e-8 and abs(t - best_t) > loc_tol:
             # tied values at distant overlaps: refuse only for a genuine
-            # double well (a dip between them); a flat plateau tie-breaks
-            # to the smaller overlap
+            # double well (a dip between them), not for a flat plateau
             lo, hi = sorted((t, best_t))
             between = vals[(taus > lo) & (taus < hi)]
             if between.size and between.min() < best_val - 1e-8:
                 raise NonUniqueMaximizer(
                     f"near-tied maximizers at overlaps {best_t:.6g} and {t:.6g} "
                     f"(values differ by {best_val - val:.3g})")
-    return prior.rho**2 - best_t**2
+    return prior.rho**2 - float(best_t)**2
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +587,8 @@ def fm_sup(prior: Prior, M: int, lam: float):
 
 
 def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None) -> PhaseScan:
-    """Sweep the scalar supremum over a sorted SNR grid.
+    """Sweep the scalar supremum over a sorted SNR grid, in one rank-one
+    search whose row at each SNR is ``f1_sup`` there, to the bit.
 
     The critical-point estimate is the grid cell with the largest jump of the
     maximizing overlap, reported as an interval and only when the jump exceeds
@@ -605,7 +602,7 @@ def phase_scan(prior: Prior, lambda_grid, quad: GaussQuadrature | None = None) -
     if np.any(np.diff(lams) <= 0):
         raise ValueError("SNR grid must be sorted increasing")
     _check_snr(lams[0])                 # the smallest SNR of the sorted grid
-    values, q_stars = _f1_sups(_RankMWorkspace(prior, 1, quad), lams)
+    values, q_stars, _ = _f1_sups(_RankMWorkspace(prior, 1, quad), lams)
     dq = np.gradient(q_stars, lams)
     jumps = np.abs(np.diff(q_stars))
     cell = int(np.argmax(jumps))

@@ -510,6 +510,22 @@ class TestExitCodes:
         assert meta["outputs"] == []
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("atom", [1e150, 1e200])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_prior_scan_is_non_finite(self, tmp_path, capsys, atom):
+        """A valid prior whose potential is NaN off zero overlap (rho = 1e300,
+        whose square overflows, or rho = inf) fails closed as non-finite, not
+        as an internal or validation error."""
+        code, out = run(tmp_path, "phase-scan",
+                        {"prior": {"kind": "atoms", "atoms": [[-atom, 0.5], [atom, 0.5]]},
+                         "lambda_grid": [0.2 * k for k in range(1, 9)]}, "huge")
+        assert code == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "non-finite"
+        meta = json.loads((out / "phase_scan_manifest.json").read_text())
+        assert meta["partial"] is True
+        assert meta["outputs"] == []
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_concentration_scale_past_float_range(self, tmp_path, capsys):
         """s_N = 2^1023 is finite, but N s_N is not: Gamma = 0 makes the ratio

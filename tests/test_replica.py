@@ -218,6 +218,29 @@ class TestScalarSup:
         assert abs(q_star - min(max(cross, 0.0), prior.rho)) <= 1e-9
         assert value >= replica._f1_grid(ws, lam)[1].max()
 
+    def test_starts_are_the_grid_maxima(self):
+        """Every local maximum of a grid row starts an ascent: a point above
+        its left neighbour and not below its right one, each end against
+        -inf, a run of equal values by its leftmost index, a NaN always; one
+        mask over a stack of rows."""
+        cases = [([0.0, 1.0, 1.0, 1.0, 0.0], [1]),             # a plateau top
+                 ([0.0, 1.0, 1.0, 2.0, 0.0], [1, 3]),          # a plateau, then a rise
+                 ([1.0, 0.0, 0.5, 0.0, 1.0], [0, 2, 4]),       # both ends
+                 ([3.0, 2.0, 1.0, 0.0, -1.0], [0]),            # decreasing
+                 ([0.5, 0.5, 0.5, 0.5, 0.5], [0]),             # flat, as at lam = 0
+                 ([0.0, math.nan, math.nan, 0.0, 1.0], [1, 2, 4])]
+        mask = replica._local_maxima(np.array([row for row, _ in cases]))
+        for row_mask, (_, starts) in zip(mask, cases):
+            assert np.flatnonzero(row_mask).tolist() == starts
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_potential_gives_nan(self):
+        """With atoms +-1e150 the potential is NaN off zero overlap; the NaN
+        carries into the supremum rather than a clean (0, 0)."""
+        prior = make_prior([(-1e150, 0.5), (1e150, 0.5)])
+        value, _ = replica.f1_sup(prior, 1.0)
+        assert math.isnan(value)
+
 
 class TestScalarFixedPoint:
     def test_zero_start_is_fixed(self, rademacher, quad64):
@@ -278,6 +301,15 @@ class TestMmsePrediction:
     def test_rejects_bad_snr(self, rademacher, quad64, lam):
         with pytest.raises(ValueError, match="SNR"):
             replica.mmse_prediction(rademacher, lam, quad64)
+
+    def test_scan_rows_are_predictions(self, rademacher):
+        """rho^2 - q*^2 of each ``phase_scan`` row, by Python's **, is
+        ``mmse_prediction`` at its SNR, to the bit: one search gives both."""
+        lams = np.linspace(0.2, 4.0, 12)
+        for prior in (rademacher, ASYMMETRIC):
+            scan = replica.phase_scan(prior, lams)
+            for lam, q in zip(lams.tolist(), scan.q_star.tolist()):
+                assert prior.rho**2 - q**2 == replica.mmse_prediction(prior, lam)
 
     def test_refuses_at_first_order_tie(self, quad64):
         """A strongly sparse prior has a double-well potential; where the two
