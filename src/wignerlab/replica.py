@@ -184,11 +184,13 @@ def _at_zero(zero_value, value, q):
 def _local_maxima(vals):
     """Mask of the local maxima of each row of vals: above the left neighbour
     and not below the right one, each end against -inf.  A run of equal values
-    counts by its leftmost index (one for a flat row, lam = 0); a NaN always
-    counts, so it carries into its row's supremum; a row not all -inf has one."""
+    counts by its leftmost index (one for a flat row, lam = 0); a row's first
+    NaN counts, so it carries into its row's supremum; a row not all -inf has
+    one."""
     padded = np.full((len(vals), vals.shape[1] + 2), -np.inf)
     padded[:, 1:-1] = vals
-    return (vals > padded[:, :-2]) & (vals >= padded[:, 2:]) | np.isnan(vals)
+    nan = np.isnan(vals)
+    return (vals > padded[:, :-2]) & (vals >= padded[:, 2:]) | nan & (nan.cumsum(axis=1) == 1)
 
 
 def _f1_sups(ws, lams):

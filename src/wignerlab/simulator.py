@@ -17,18 +17,18 @@ the same N x M spins.  For discrete priors all posterior quantities are
 computed exactly by enumerating the k^(N M) configurations in one pass.  H is
 quadratic in the rows, so splitting them into two blocks A and B makes
 H(a, b) = h_A(a) + h_B(b) + u_A(a).v_B(b): per-block configuration tables are
-built once per (prior, block shape) and reused, and every Gibbs weight comes
-from one matrix product over A-chunks in a fixed order (log-sum-exp rescaled
-to the running maximum).  Disorder averages are Monte Carlo over fresh
-(X0, Z, Zt) draws on counter-based streams.
+built once per (prior, block shape) and reused, and the Gibbs weights come
+from one stacked matrix product per group of replicates and A-chunk, visited
+in a fixed order (log-sum-exp rescaled to each replicate's running maximum).
+Disorder averages are Monte Carlo over fresh (X0, Z, Zt) draws on
+counter-based streams.
 
 Replicates run in fixed chunks of _BATCH = 256, aligned at multiples of 256.
 Replicate r draws from its own stream (seed, tag, r), re-keyed from a batch
-of hashed keys (``rng.streams``).  Up to _WHOLE configurations a whole chunk
-is one GEMM and one exp-sum, and the last chunk is padded to 256 rows, so
-every such product has the same shape and replicate r's value is
-bit-identical however many replicates run.  Above _WHOLE each replicate runs
-the split-block enumeration on its own.
+of hashed keys (``rng.streams``).  A chunk is enumerated in one pass, but
+every product in it is the replicate's own (a stacked matmul multiplies each
+item on its own), so replicate r's value is bit-identical however many
+replicates run.
 """
 
 from __future__ import annotations
@@ -58,9 +58,8 @@ __all__ = [
 ]
 
 ENUM_BUDGET_BITS = 24          # enumeration cap: k^(N M) <= 2^24
-_CHUNK = 1 << 18               # Gibbs weights held at once by the enumeration
-_WHOLE = 1 << 10               # up to this many configurations the rows stay whole
-_BATCH = 256                   # replicates per disorder chunk and per whole-row product
+_CHUNK = 1 << 16               # Gibbs weights held at once by the enumeration
+_BATCH = 256                   # replicates per disorder chunk
 
 TAG_INSTANCE = rngmod.tag("instance")
 TAG_SIM = rngmod.tag("simulate")
@@ -153,7 +152,8 @@ def _check_budget(prior: Prior, shapes):
 
 @dataclass(frozen=True)
 class _BlockTable:
-    """Every configuration of an n x M block with its instance-free features."""
+    """Every configuration of an n x M block with its instance-free features;
+    n = 0 has one configuration, the empty block, with phi = [0, 0]."""
 
     X: np.ndarray        # (C, n M) entries, row-major; first entry varies slowest
     G: np.ndarray        # (C, M^2) vec(X' X)
@@ -164,7 +164,7 @@ class _BlockTable:
 def _block_table(values: bytes, weights: bytes, n: int, M: int) -> _BlockTable:
     v, w = np.frombuffer(values), np.frombuffer(weights)
     d = n * M
-    idx = np.indices((v.size,) * d).reshape(d, -1).T
+    idx = np.indices((v.size,) * d).reshape(d, v.size ** d).T
     X = v[idx]
     Xr = X.reshape(len(X), n, M)
     XX = np.matmul(Xr, Xr.transpose(0, 2, 1)).reshape(len(X), n * n)
@@ -188,6 +188,12 @@ def _coefficients(lam: float, X0, Z, pert: PerturbationParams | None):
     return (Zeff - eps * np.eye(N), X0, lam / d, math.sqrt(eps) * pert.Ztilde + eps * X0)
 
 
+def _each(v, A):
+    """Row i of v (b, n) times A (n, p), each as its own vector product, so
+    that a row's value does not depend on the batch it is evaluated in."""
+    return (v[:, None, :] @ A)[:, 0]
+
+
 def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
     """ln Z = ln sum_X W(X) exp H(X) over all k^(N M) configurations of
 
@@ -197,9 +203,14 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
     ln Z is (b,).  With ``moments`` also the Gibbs averages <X> (b, N, M) and
     <X X'> (b, N, N).
 
-    Up to _WHOLE configurations the rows stay whole (``_whole_block``: one
-    product for all replicates); above it every replicate runs
-    ``_split_rows`` on its own.
+    The rows split into A (the first ceil(N/2)) and B (the rest, possibly
+    none), and H(a, b) = h_A(a) + h_B(b) + u_A(a).v_B(b) with features
+    [Zeff_BA X_A, X_A' X0_A, X_A' X_A] against [X_B, t X_B' X0_B,
+    -t X_B' X_B / 2].  The A-chunks are visited in a fixed order; each group of
+    replicates x A-chunk is one stacked product U @ V of at most _CHUNK Gibbs
+    weights and one exp-sum, rescaled to each replicate's running maximum.
+    Every product is per replicate, so a replicate's value does not depend on
+    b.
     """
     b, N, M = X0.shape
     if N == 1 and M > 1:
@@ -213,92 +224,61 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
         log_z, mean_x, mean_xxt = out
         return (log_z, mean_x.transpose(0, 2, 1),
                 np.trace(mean_xxt, axis1=1, axis2=2)[:, None, None])
-    if prior.n_atoms ** (N * M) <= _WHOLE:
-        return _whole_block(prior, Zeff, X0, t, C, moments)
-    out = [_split_rows(prior, Zeff[i], X0[i], t, C[i], moments) for i in range(b)]
-    return np.array(out) if not moments else tuple(np.array(a) for a in zip(*out))
-
-
-def _whole_block(prior: Prior, Zeff, X0, t: float, C, moments: bool):
-    """``_split_block`` with the rows whole: H + ln W = phi . coef for every
-    configuration, so each block of _BATCH replicates is one (_BATCH, F) @
-    (F, k^(N M)) product and one max-shifted exp-sum.  The last block is padded
-    with zero rows, so every product has the same shape and replicate i's value
-    depends only on its own row and on i mod _BATCH."""
-    b, N, M = X0.shape
-    table = _block_table(prior.values.tobytes(), prior.weights.tobytes(), N, M)
-    K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.transpose(0, 2, 1))
-    coef = np.zeros((-(-b // _BATCH) * _BATCH, table.phi.shape[1]))
-    coef[:b] = np.concatenate([K.reshape(b, -1), C.reshape(b, -1),
-                               np.broadcast_to([1.0, -0.25 * t], (b, 2))], axis=1)
-    E = (coef.reshape(-1, _BATCH, coef.shape[1]) @ table.phi.T).reshape(len(coef), -1)
-    top = E.max(axis=1)
-    E -= top[:, None]
-    np.exp(E, out=E)
-    z = E.sum(axis=1)
-    log_z = (top + np.log(z))[:b]
-    if not moments:
-        return log_z
-    E /= z[:, None]
-    means = (E @ table.phi[:, :N * N + N * M])[:b]   # [vec(X X'), vec(X)] averages
-    return log_z, means[:, N * N:].reshape(b, N, M), means[:, :N * N].reshape(b, N, N)
-
-
-def _split_rows(prior: Prior, Zeff, X0, t: float, C, moments: bool):
-    """One replicate of ``_split_block`` above _WHOLE configurations.
-
-    The rows split into A (the first ceil(N/2)) and B, and H(a, b) = h_A(a) +
-    h_B(b) + u_A(a).v_B(b) with features [Zeff_BA X_A, X_A' X0_A, X_A' X_A]
-    against [X_B, t X_B' X0_B, -t X_B' X_B / 2].  A-chunks of at most _CHUNK
-    Gibbs weights are visited in a fixed order, each one matrix product and one
-    exp-sum rescaled to the running maximum.
-    """
-    N, M = X0.shape
     nA = (N + 1) // 2
     nB = N - nA
     key = (prior.values.tobytes(), prior.weights.tobytes())
     ta, tb = _block_table(*key, nA, M), _block_table(*key, nB, M)
-    K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.T)
-    tail = [1.0, -0.25 * t]
-    h_a = ta.phi @ np.concatenate([K[:nA, :nA].ravel(), C[:nA].ravel(), tail])
-    h_b = tb.phi @ np.concatenate([K[nA:, nA:].ravel(), C[nA:].ravel(), tail])
+    K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.transpose(0, 2, 1))
+    tail = np.broadcast_to([1.0, -0.25 * t], (b, 2))
+    h_a, h_b = (_each(np.concatenate([K[:, s, s].reshape(b, -1), C[:, s].reshape(b, -1), tail],
+                                     axis=1), table.phi.T)
+                for s, table in ((slice(nA), ta), (slice(nA, N), tb)))
     eye = np.eye(M)
-    Q = (X0[:, None, None, :] * eye[:, :, None]).reshape(N * M, M * M)  # X Q = vec(X' X0)
-    kron = (Zeff[:nA, None, nA:, None] * eye[:, None, :]).reshape(nA * M, nB * M)
-    L_a = np.concatenate([kron, Q[:nA * M]], axis=1)
-    V = np.column_stack([tb.X, t * (tb.X @ Q[nA * M:]), (-0.5 * t) * tb.G,
-                         np.ones(h_b.size), h_b])
-    rows = max(1, _CHUNK // h_b.size)
-    top, z = -math.inf, 0.0
+    Q = (X0[:, :, None, None, :] * eye[:, :, None]).reshape(b, N * M, M * M)  # X Q = vec(X' X0)
+    kron = (Zeff[:, :nA, None, nA:, None] * eye[:, None, :]).reshape(b, nA * M, nB * M)
+    L_a = np.concatenate([kron, Q[:, :nA * M]], axis=2)
+    ca, cb = h_a.shape[1], h_b.shape[1]
+    V = np.concatenate([np.broadcast_to(tb.X, (b, cb, nB * M)), t * (tb.X @ Q[:, nA * M:]),
+                        np.broadcast_to((-0.5 * t) * tb.G, (b, cb, M * M)),
+                        np.ones((b, cb, 1)), h_b[:, :, None]], axis=2).transpose(0, 2, 1)
+    rows = min(ca, max(1, _CHUNK // cb))
+    group = max(1, _CHUNK // (rows * cb))
+    top, z = np.full(b, -np.inf), np.zeros(b)
     if moments:
-        r_all = np.empty(h_a.size)
-        col, cross = 0.0, 0.0
-    for lo in range(0, h_a.size, rows):
-        Xa = ta.X[lo:lo + rows]
-        U = np.column_stack([Xa @ L_a, ta.G[lo:lo + rows], h_a[lo:lo + rows],
-                             np.ones(len(Xa))])
-        E = U @ V.T                     # H + ln W over this A-chunk x all of B
-        m = float(E.max())
-        E -= m
-        np.exp(E, out=E)
-        r = E.sum(axis=1)
-        old, new = (math.exp(top - m), 1.0) if m > top else (1.0, math.exp(m - top))
-        top = max(top, m)
-        z = z * old + float(r.sum()) * new
-        if moments:
-            r_all[:lo] *= old
-            r_all[lo:lo + rows] = r * new
-            col = col * old + E.sum(axis=0) * new
-            cross = cross * old + (Xa.T @ (E @ tb.X)) * new
-    log_z = top + math.log(z)
+        r_all, col, cross = np.empty((b, ca)), np.zeros((b, cb)), np.zeros((b, nA * M, nB * M))
+    for g0 in range(0, b, group):
+        g = slice(g0, g0 + group)
+        for lo in range(0, ca, rows):
+            Xa, h = ta.X[lo:lo + rows], h_a[g, lo:lo + rows, None]
+            G_a = np.broadcast_to(ta.G[lo:lo + rows], h.shape[:2] + (M * M,))
+            U = np.concatenate([Xa @ L_a[g], G_a, h, np.ones_like(h)], axis=2)
+            E = U @ V[g]                # H + ln W over this A-chunk x all of B
+            m = E.max(axis=(1, 2))
+            E -= m[:, None, None]
+            np.exp(E, out=E)
+            r = E.sum(axis=2)
+            peak = np.maximum(top[g], m)
+            old, new = np.exp(top[g] - peak), np.exp(m - peak)
+            top[g] = peak
+            z[g] = z[g] * old + r.sum(axis=1) * new
+            if moments:
+                r_all[g, :lo] *= old[:, None]
+                r_all[g, lo:lo + rows] = r * new[:, None]
+                col[g] = col[g] * old[:, None] + E.sum(axis=1) * new[:, None]
+                cross[g] = cross[g] * old[:, None, None] + (Xa.T @ (E @ tb.X)) * new[:, None, None]
+    log_z = top + np.log(z)
     if not moments:
         return log_z
-    p_a, p_b = r_all / z, col / z
-    mean_x = np.concatenate([p_a @ ta.X, p_b @ tb.X])
-    ab = np.trace((cross / z).reshape(nA, M, nB, M), axis1=1, axis2=3)
-    mean_xxt = np.block([[(p_a @ ta.phi[:, :nA * nA]).reshape(nA, nA), ab],
-                         [ab.T, (p_b @ tb.phi[:, :nB * nB]).reshape(nB, nB)]])
-    return log_z, mean_x.reshape(N, M), mean_xxt
+    mean_a = _each(r_all / z[:, None], ta.phi[:, :nA * nA + nA * M])   # [vec(X X'), vec(X)]
+    mean_b = _each(col / z[:, None], tb.phi[:, :nB * nB + nB * M])
+    mean_x = np.concatenate([mean_a[:, nA * nA:], mean_b[:, nB * nB:]], axis=1)
+    mean_xxt = np.empty((b, N, N))
+    mean_xxt[:, :nA, :nA] = mean_a[:, :nA * nA].reshape(b, nA, nA)
+    mean_xxt[:, nA:, nA:] = mean_b[:, :nB * nB].reshape(b, nB, nB)
+    mean_xxt[:, :nA, nA:] = np.trace((cross / z[:, None, None]).reshape(b, nA, M, nB, M),
+                                     axis1=2, axis2=4)
+    mean_xxt[:, nA:, :nA] = mean_xxt[:, :nA, nA:].transpose(0, 2, 1)
+    return log_z, mean_x.reshape(b, N, M), mean_xxt
 
 
 def _log_partition(prior: Prior, lam: float, X0, Z,

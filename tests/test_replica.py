@@ -221,14 +221,14 @@ class TestScalarSup:
     def test_starts_are_the_grid_maxima(self):
         """Every local maximum of a grid row starts an ascent: a point above
         its left neighbour and not below its right one, each end against
-        -inf, a run of equal values by its leftmost index, a NaN always; one
-        mask over a stack of rows."""
+        -inf, a run of equal values by its leftmost index, and the row's first
+        NaN; one mask over a stack of rows."""
         cases = [([0.0, 1.0, 1.0, 1.0, 0.0], [1]),             # a plateau top
                  ([0.0, 1.0, 1.0, 2.0, 0.0], [1, 3]),          # a plateau, then a rise
                  ([1.0, 0.0, 0.5, 0.0, 1.0], [0, 2, 4]),       # both ends
                  ([3.0, 2.0, 1.0, 0.0, -1.0], [0]),            # decreasing
                  ([0.5, 0.5, 0.5, 0.5, 0.5], [0]),             # flat, as at lam = 0
-                 ([0.0, math.nan, math.nan, 0.0, 1.0], [1, 2, 4])]
+                 ([0.0, math.nan, math.nan, 0.0, 1.0], [1, 4])]  # the first NaN
         mask = replica._local_maxima(np.array([row for row, _ in cases]))
         for row_mask, (_, starts) in zip(mask, cases):
             assert np.flatnonzero(row_mask).tolist() == starts
@@ -1023,6 +1023,30 @@ class TestPhaseScan:
     def test_rejects_short_grid(self, rademacher, quad64):
         with pytest.raises(ValueError):
             replica.phase_scan(rademacher, [0.5, 1.0, 1.5], quad64)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_rows_start_once(self, monkeypatch):
+        """On atoms +-1e150 the potential is NaN off zero overlap: each NaN
+        row of the grid starts one ascent besides its real maxima, and the
+        scan's values stay NaN."""
+        prior = make_prior([(-1e150, 0.5), (1e150, 0.5)])
+        lams = np.linspace(0.2, 3.0, 57)
+        starts = []
+        ascend = replica._ascend
+
+        def counting(ws, lam, Q, *args):
+            starts.append(len(Q))
+            return ascend(ws, lam, Q, *args)
+
+        monkeypatch.setattr(replica, "_ascend", counting)
+        scan = replica.phase_scan(prior, lams)
+        vals = replica._f1_grid(replica._RankMWorkspace(prior, 1, None), lams)[1]
+        padded = np.pad(vals, ((0, 0), (1, 1)), constant_values=-np.inf)
+        real = (vals > padded[:, :-2]) & (vals >= padded[:, 2:])
+        nan_rows = np.isnan(vals).any(axis=1).sum()
+        assert nan_rows > 0
+        assert sum(starts) <= nan_rows + real.sum()
+        assert np.all(np.isnan(scan.value))
 
 
 class TestSupremumInLambda:

@@ -277,7 +277,7 @@ class TestSplitBlockKernel:
         ("sparse03", 1, 1, 2.0, 0.3),
         ("asymmetric", 1, 4, 1.5, 0.2),     # one row, M > 1
         ("rademacher", 1, 12, 1.0, 0.2),    # one row, split as a column
-        ("rademacher", 4, 2, 1.0, 0.2),     # rows kept whole
+        ("rademacher", 4, 2, 1.0, 0.2),     # even N, M = 2
         ("rademacher", 11, 1, 1.5, 0.0),    # odd N, split
         ("rademacher", 6, 2, 2.0, 0.0),     # M = 2, split
         ("sparse03", 7, 1, 2.0, 0.0),       # k = 3, odd N, split
@@ -303,9 +303,11 @@ class TestSplitBlockKernel:
         assert abs(ps.matrix_mmse - mmse) <= 1e-12
 
     def test_several_chunks(self):
-        """The N = 20 case above holds 2^20 Gibbs weights, so its A-loop runs
-        more than one chunk."""
-        assert simulator._WHOLE < simulator._CHUNK < 2 ** 20
+        """The N = 20 case above holds 2^10 x 2^10 Gibbs weights, so its
+        A-loop runs more than one chunk; ``TestBatchedKernel``'s 260
+        replicates at rademacher (6, 2) hold 2^6 x 2^6 weights each, so they
+        run more than one group of replicates, each group more than one."""
+        assert 2 * 2 ** 12 <= simulator._CHUNK < 2 ** 20
 
 
 def side(eps, Zt):
@@ -314,8 +316,8 @@ def side(eps, Zt):
 
 
 def whole_rows_oracle(prior, Zeff, X0, t, C):
-    """One replicate's ln Z, <X> and <X X'> from the whole-row table: the
-    per-replicate loop the batched kernel replaced."""
+    """One replicate's ln Z, <X> and <X X'> from the whole-row table, one
+    exp-sum over every configuration: the split kernel's reference."""
     N, M = X0.shape
     ta = simulator._block_table(prior.values.tobytes(), prior.weights.tobytes(), N, M)
     K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.T)
@@ -333,23 +335,42 @@ BATCHED_CASES = [(name, N, M, eps) for name in ("rademacher", "sparse03")
                  if (2 if name == "rademacher" else 3) ** (N * M) <= 1 << 13]
 
 
+def batch_of(prior, N, M, eps, R=260):
+    """The kernel arguments (Zeff, X0, t, C) of R replicates at lambda = 1.3."""
+    X0, Z, Zt = (np.concatenate(a) for a in zip(*simulator._disorder(prior, (N, M), 1, 5, R)))
+    return simulator._coefficients(1.3, X0, Z, side(eps, Zt))
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("prior_name, N, M, eps", BATCHED_CASES)
     def test_matches_per_replicate_oracle(self, request, prior_name, N, M, eps):
-        """260 replicates, so a full chunk and a padded one, against the
-        per-replicate whole-row enumeration."""
+        """260 replicates in one call, so more than one group of replicates,
+        against the per-replicate whole-row enumeration."""
         prior = request.getfixturevalue(prior_name)
-        for X0, Z, Zt in simulator._disorder(prior, (N, M), 1, 5, 260):
-            pert = side(eps, Zt)
-            Zeff, X0, t, C = simulator._coefficients(1.3, X0, Z, pert)
-            log_z = simulator._split_block(prior, Zeff, X0, t, C)
-            got = simulator._split_block(prior, Zeff, X0, t, C, moments=True)
-            np.testing.assert_array_equal(got[0], log_z)
-            for i in range(len(X0)):
-                want = whole_rows_oracle(prior, Zeff[i], X0[i], t, C[i])
-                assert abs(got[0][i] - want[0]) <= 1e-12
-                assert np.abs(got[1][i] - want[1]).max() <= 1e-12
-                assert np.abs(got[2][i] - want[2]).max() <= 1e-12
+        Zeff, X0, t, C = batch_of(prior, N, M, eps)
+        log_z = simulator._split_block(prior, Zeff, X0, t, C)
+        got = simulator._split_block(prior, Zeff, X0, t, C, moments=True)
+        np.testing.assert_array_equal(got[0], log_z)
+        for i in range(len(X0)):
+            want = whole_rows_oracle(prior, Zeff[i], X0[i], t, C[i])
+            assert abs(got[0][i] - want[0]) <= 1e-12
+            assert np.abs(got[1][i] - want[1]).max() <= 1e-12
+            assert np.abs(got[2][i] - want[2]).max() <= 1e-12
+
+    # rademacher (11, 1) adds blocks of unequal size, 6 and 5 rows
+    @pytest.mark.parametrize("prior_name, N, M, eps", BATCHED_CASES + [
+        ("rademacher", 11, 1, 0.0), ("rademacher", 11, 1, 0.3)])
+    def test_value_does_not_depend_on_batch(self, request, prior_name, N, M, eps):
+        """Each replicate's ln Z, <X> and <X X'> evaluated alone (b = 1) equal
+        its row of the 260-replicate call bit for bit."""
+        prior = request.getfixturevalue(prior_name)
+        Zeff, X0, t, C = batch_of(prior, N, M, eps)
+        batch = simulator._split_block(prior, Zeff, X0, t, C, moments=True)
+        for i in range(len(X0)):
+            one = simulator._split_block(prior, Zeff[i:i + 1], X0[i:i + 1], t, C[i:i + 1],
+                                         moments=True)
+            for a, b in zip(one, batch):
+                np.testing.assert_array_equal(a[0], b[i])
 
 
 class TestFreeEntropy:
@@ -510,7 +531,7 @@ class TestReplicateEngine:
     @pytest.mark.parametrize("eps", [None, 0.0, 0.3])
     @pytest.mark.parametrize("T", [0, 2])
     def test_cavity_table(self, rademacher, eps, T):
-        """Entries reach (6, 2), above _WHOLE, so both kernel paths run."""
+        """Entries reach (6, 2): block B runs from no row to three."""
         sch = cavity.dims_schedule(1.0, 0.5, 6)
         table = cavity.build_table(rademacher, 1.4, sch, eps, 4, seed=45, T=T)
         want = loop_table(rademacher, 1.4, sch, eps, 4, 45, T)
@@ -539,7 +560,7 @@ class TestStandardErrors:
 def replicate_runs(R):
     """Per-replicate values of every replicate engine caller at R replicates
     (the cavity table at no fewer than 2, its minimum); cavity entries reach
-    (6, 2), above _WHOLE, so both kernel paths run."""
+    (6, 2), so block B runs from no row to three."""
     prior = make_rademacher()
     table = cavity.build_table(prior, 1.0, cavity.dims_schedule(1.0, 0.5, 6), 0.3, max(R, 2),
                                seed=3)

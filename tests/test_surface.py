@@ -3,7 +3,9 @@ name in a module's ``__all__`` is used somewhere in the package, or by
 ``tests/test_acceptance.py``, outside its own definition.  An import is not a
 use, so re-exporting a name from ``wignerlab/__init__`` does not keep it.
 Likewise every defaulted parameter of a public function is set by some call in
-the package or the tests: a knob that nothing turns is a constant."""
+the package or the tests: a knob that nothing turns is a constant.  And every
+module-level constant of the package is read by the package outside its own
+assignment: a constant that only a test reads is a dead switch."""
 
 import ast
 import math
@@ -93,3 +95,31 @@ def test_every_default_is_passed_somewhere():
                    if name not in keywords.get(func.name, ())
                    and (pos is None or most.get(func.name, 0) <= pos))
     assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+def constants(tree):
+    """(name, statement) of each module-level assignment to a name, dunder
+    names such as ``__all__`` aside."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                    yield name.id, node
+
+
+def reads(node):
+    """Names and attributes loaded in ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_constant_is_read():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read_by = [(stmt, reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    unread = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name, own in constants(tree)
+                    if not any(name in names for stmt, names in read_by if stmt is not own))
+    assert not unread, f"module-level constants the package never reads: {unread}"
