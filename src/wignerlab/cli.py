@@ -218,6 +218,7 @@ QUAD = {"quad_order": (_int(1, 256), None)}
 QUAD_TEMP_LIMIT = 1 << 24       # elements of the largest temporary an order may need
 LAMBDA = (_number(0), 1.0)
 
+# replicates: at most 2^32, as rng.keys keys replicate indices below 2^32
 SCHEMAS = {name: {**COMMON, **keys} for name, keys in {
     "prior": {"sample_count": (_int(0), 0)},
     "mi": {**QUAD, "s_grid": (_grid(0), REQUIRED)},
@@ -230,14 +231,14 @@ SCHEMAS = {name: {**COMMON, **keys} for name, keys in {
     "reduce": {"M": (_int(2, 3), 2), "lambda_grid": (_grid(0), REQUIRED),
                "n_sigma": (_int(0), 0)},
     "simulate": {"N": (_int(1), REQUIRED), "M": (_int(1), 1), "lambda": LAMBDA,
-                 "epsilon": (_number(0), 0.0), "replicates": (_int(1), 100),
+                 "epsilon": (_number(0), 0.0), "replicates": (_int(1, 2 ** 32), 100),
                  "posterior": (_flag, False), "dump_instance": (_flag, False)},
     "concentration": {"N_grid": (_list(_int(1)), REQUIRED), "M": (_int(1), 1),
                       "lambda": LAMBDA, "s_exponent": (_number(), 0.125),
-                      "n_eps": (_int(2), 4), "replicates": (_int(1), 100)},
+                      "n_eps": (_int(2), 4), "replicates": (_int(1, 2 ** 32), 100)},
     "cavity": {"lambda": LAMBDA, "alpha": (_number(0, above=True), 1.0),
                "gamma": (_number(0), 0.5), "N_max": (_int(1), 8), "T": (_int(0), 0),
-               "replicates": (_int(1), 100), "epsilon": (_number(0), None)},
+               "replicates": (_int(1, 2 ** 32), 100), "epsilon": (_number(0), None)},
 }.items()}
 
 

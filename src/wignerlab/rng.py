@@ -113,9 +113,9 @@ def keys(seed: int, *path: int, r) -> np.ndarray:
 def streams(seed: int, *path: int, r):
     """Yield a generator equal to ``stream(seed, *path, r_i)`` for each r_i.
 
-    One generator is built, by ``stream`` for the first index, and its Philox
-    is re-keyed in place (counter 0, empty buffer) to each key in turn, so a
-    yielded generator is only valid until the next one is drawn.
+    One generator is built per call (one disorder chunk), by ``stream`` for
+    r[0], and its Philox is re-keyed in place (counter 0, empty buffer) to each
+    key in turn, so a yielded generator is only valid until the next is drawn.
     """
     r = np.asarray(r, dtype=np.int64).ravel()
     key_list = keys(seed, *path, r=r).tolist()

@@ -23,12 +23,12 @@ in a fixed order (log-sum-exp rescaled to each replicate's running maximum).
 Disorder averages are Monte Carlo over fresh (X0, Z, Zt) draws on
 counter-based streams.
 
-Replicates run in fixed chunks of _BATCH = 256, aligned at multiples of 256.
-Replicate r draws from its own stream (seed, tag, r), re-keyed from a batch
-of hashed keys (``rng.streams``).  A chunk is enumerated in one pass, but
-every product in it is the replicate's own (a stacked matmul multiplies each
-item on its own), so replicate r's value is bit-identical however many
-replicates run.
+Replicates run in chunks of as many as fit the budget _CHUNK (``_batch``).
+Replicate r draws from its own stream (seed, tag, r), re-keyed from a chunk of
+hashed keys (``rng.streams``).  A chunk is enumerated in one pass, but every
+product in it is the replicate's own (a stacked matmul multiplies each item on
+its own), so replicate r's value is bit-identical however replicates are
+chunked.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 ENUM_BUDGET_BITS = 24          # enumeration cap: k^(N M) <= 2^24
-_CHUNK = 1 << 16               # Gibbs weights held at once by the enumeration
-_BATCH = 256                   # replicates per disorder chunk
+_CHUNK = 1 << 16               # Gibbs weights held at once; also the disorder chunk budget
 
 TAG_INSTANCE = rngmod.tag("instance")
 TAG_SIM = rngmod.tag("simulate")
@@ -314,16 +313,24 @@ def _posterior(prior: Prior, lam: float, X0, Z,
 # disorder averages
 # ---------------------------------------------------------------------------
 
-def _disorder(prior: Prior, shape, tag: int, seed: int, replicates: int):
+def _batch(prior: Prior, shape, cuts) -> int:
+    """Replicates per disorder chunk: _CHUNK over the larger of the master
+    draw (n^2 + 2 n m numbers) and the largest cut's block-A table
+    (k^(ceil(n/2) m) configurations; block B's is no larger), at least one."""
+    table = max(prior.n_atoms ** ((n + 1) // 2 * m) for n, m, _ in cuts)
+    return max(1, _CHUNK // max(table, shape[0] * (shape[0] + 2 * shape[1])))
+
+
+def _disorder(prior: Prior, shape, tag: int, seed: int, replicates: int, batch: int):
     """Replicate disorder (X0, Z, Ztilde) at the master ``shape`` (n, m), in
-    chunks of _BATCH replicates: arrays (b, n, m), (b, n, n) and (b, n, m) for
-    replicates lo .. lo+b-1, lo a multiple of _BATCH.  Replicate r is drawn
-    from the counter-based stream (seed, tag, r), so it is the same however
-    many replicates run; callers evaluate top-left blocks, so every system
-    size cut from one master shares its random numbers."""
+    chunks of ``batch`` replicates: arrays (b, n, m), (b, n, n) and (b, n, m)
+    for replicates lo .. lo+b-1, lo a multiple of ``batch``.  Replicate r is
+    drawn from the counter-based stream (seed, tag, r), however it is chunked;
+    callers evaluate top-left blocks, so every system size cut from one master
+    shares its random numbers."""
     n, m = shape
-    for lo in range(0, replicates, _BATCH):
-        b = min(_BATCH, replicates - lo)
+    for lo in range(0, replicates, batch):
+        b = min(batch, replicates - lo)
         U, W = np.empty((b, n, m)), np.empty((b, n * n + n + n * m))
         for i, rng in enumerate(rngmod.streams(seed, tag, r=range(lo, lo + b))):
             rng.random(out=U[i])
@@ -351,7 +358,7 @@ def replicate_cuts(prior: Prior, lam: float, shape, cuts, tag: int, seed: int,
         raise ValueError("master shape smaller than requested system")
     evaluate = _posterior if posterior else _log_partition
     out = [[] for _ in cuts]
-    for X0, Z, Zt in _disorder(prior, shape, tag, seed, replicates):
+    for X0, Z, Zt in _disorder(prior, shape, tag, seed, replicates, _batch(prior, shape, cuts)):
         for acc, (n, m, eps) in zip(out, cuts):
             pert = None if eps is None else PerturbationParams(epsilon=eps, Ztilde=Zt[:, :n, :m])
             acc.append(evaluate(prior, lam, X0[:, :n, :m], Z[:, :n, :n], pert))

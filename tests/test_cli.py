@@ -616,6 +616,10 @@ class TestMalformedInput:
         # the rank-one polish's fused pass: 2 row blocks x 2897^2 atom pairs
         ("phase-scan", {"prior": {"kind": "uniform", "n_nodes": 2897}, "quad_order": 64,
                         "lambda_grid": SCAN_GRID}),
+        # replicate streams are keyed by indices below 2^32
+        ("simulate", {"prior": "rademacher", "N": 1, "replicates": 2 ** 32 + 1}),
+        ("concentration", {"prior": "rademacher", "N_grid": [2], "replicates": 2 ** 32 + 1}),
+        ("cavity", {"prior": "rademacher", "N_max": 2, "replicates": 2 ** 32 + 1}),
     ])
     def test_validation_exit(self, tmp_path, capsys, subcommand, config):
         code, out = run(tmp_path, subcommand, config, "bad")

@@ -337,7 +337,7 @@ BATCHED_CASES = [(name, N, M, eps) for name in ("rademacher", "sparse03")
 
 def batch_of(prior, N, M, eps, R=260):
     """The kernel arguments (Zeff, X0, t, C) of R replicates at lambda = 1.3."""
-    X0, Z, Zt = (np.concatenate(a) for a in zip(*simulator._disorder(prior, (N, M), 1, 5, R)))
+    X0, Z, Zt = next(simulator._disorder(prior, (N, M), 1, 5, R, R))
     return simulator._coefficients(1.3, X0, Z, side(eps, Zt))
 
 
@@ -447,15 +447,21 @@ class TestPerturbationGap:
         assert d.std() < np.concatenate([a, b]).std()
 
 
+def one_by_one(prior, shape, tag, seed, R):
+    """Each replicate's disorder alone, as a chunk of one: the oracles below
+    share no chunking with the engine."""
+    return simulator._disorder(prior, shape, tag, seed, R, 1)
+
+
 def loop_free_entropy(prior, N, M, lam, eps, R, seed, master):
-    """The per-chunk replicate loops the engine replaced, as its oracle."""
+    """The replicate loops the engine replaced, as its oracle."""
     return np.concatenate([
         simulator._log_partition(prior, lam, X0[:, :N, :M], Z[:, :N, :N], side(eps, Zt[:, :N, :M]))
-        for X0, Z, Zt in simulator._disorder(prior, master, simulator.TAG_SIM, seed, R)]) / (N * M)
+        for X0, Z, Zt in one_by_one(prior, master, simulator.TAG_SIM, seed, R)]) / (N * M)
 
 
 def loop_posterior(prior, N, M, lam, eps, R, seed):
-    return [s for X0, Z, Zt in simulator._disorder(prior, (N, M), simulator.TAG_SIM, seed, R)
+    return [s for X0, Z, Zt in one_by_one(prior, (N, M), simulator.TAG_SIM, seed, R)
             for s in simulator._posterior(prior, lam, X0, Z, side(eps, Zt))]
 
 
@@ -465,7 +471,7 @@ def loop_concentration(prior, N, M, lam, s_N, n_eps, R, seed):
         np.mean([[s.overlap_fluct for s in simulator._posterior(
             prior, lam, X0, Z, PerturbationParams(epsilon=float(e), Ztilde=Zt))]
             for e in eps_grid], axis=0)
-        for X0, Z, Zt in simulator._disorder(prior, (N, M), simulator.TAG_PERT, seed, R)])
+        for X0, Z, Zt in one_by_one(prior, (N, M), simulator.TAG_PERT, seed, R)])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(R)), M**2 / math.sqrt(N * s_N)
 
 
@@ -473,7 +479,7 @@ def loop_gap(prior, N, M, lam, s_N, R, seed):
     return np.concatenate([
         simulator._log_partition(prior, lam, X0, Z, PerturbationParams(epsilon=s_N, Ztilde=Zt))
         / (N * M) - simulator._log_partition(prior, lam, X0, Z, None) / (N * M)
-        for X0, Z, Zt in simulator._disorder(prior, (N, M), simulator.TAG_PERT, seed, R)])
+        for X0, Z, Zt in one_by_one(prior, (N, M), simulator.TAG_PERT, seed, R)])
 
 
 def loop_table(prior, lam, schedule, eps, R, seed, T):
@@ -485,7 +491,7 @@ def loop_table(prior, lam, schedule, eps, R, seed, T):
     need = sorted((n, k) for n, k in need if n > 0 and k > 0)
     master = (max(n for n, _ in need), max(k for _, k in need))
     chunks = {key: [] for key in need}
-    for X0, Z, Zt in simulator._disorder(prior, master, cavity.TAG_CAVITY, seed, R):
+    for X0, Z, Zt in one_by_one(prior, master, cavity.TAG_CAVITY, seed, R):
         for n, k in need:
             pert = None if eps is None else PerturbationParams(epsilon=float(eps),
                                                                Ztilde=Zt[:, :n, :k])
@@ -500,10 +506,12 @@ class TestReplicateEngine:
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_free_entropy(self, sparse03, eps):
-        """300 replicates, so two chunks, on the (4, 2) cut of a (6, 3) master."""
+        """One replicate more than a chunk holds, so two chunks, on the (4, 2)
+        cut of a (6, 3) master."""
+        R = simulator._batch(sparse03, (6, 3), [(4, 2, None)]) + 1
         got = simulator.free_entropy_replicates(sparse03, 4, 2, 1.3, epsilon=eps,
-                                                replicates=300, seed=41, master=(6, 3))
-        np.testing.assert_array_equal(got, loop_free_entropy(sparse03, 4, 2, 1.3, eps, 300,
+                                                replicates=R, seed=41, master=(6, 3))
+        np.testing.assert_array_equal(got, loop_free_entropy(sparse03, 4, 2, 1.3, eps, R,
                                                              41, (6, 3)))
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
@@ -541,6 +549,49 @@ class TestReplicateEngine:
             assert table.entries[key] == (float(vals.mean()),
                                           float(vals.std(ddof=1) / math.sqrt(4)), 4)
 
+    # one full chunk and a rest each; (1, 17) has a block-A table over the budget
+    @pytest.mark.parametrize("prior_name, master, cuts, R", [
+        ("rademacher", (1, 1), [(1, 1, None)], 21_846),
+        ("rademacher", (12, 1), [(12, 1, None), (6, 1, 0.2)], 400),
+        ("sparse03", (4, 2), [(4, 2, None), (2, 2, 0.1)], 810),
+        ("rademacher", (1, 17), [(1, 17, None)], 2),
+    ])
+    def test_chunks_fit_the_budget(self, request, monkeypatch, prior_name, master, cuts, R):
+        """Every chunk the engine draws holds b >= 1 replicates, as many as
+        keep b times the larger of the master draw and the largest cut's
+        block-A table within _CHUNK."""
+        prior = request.getfixturevalue(prior_name)
+        sizes, real = [], simulator._disorder
+
+        def spy(*args):
+            for chunk in real(*args):
+                sizes.append(len(chunk[0]))
+                yield chunk
+        monkeypatch.setattr(simulator, "_disorder", spy)
+        simulator.replicate_cuts(prior, 1.0, master, cuts, simulator.TAG_SIM, 3, R)
+        n, m = master
+        size = max([prior.n_atoms ** (-(-c // 2) * k) for c, k, _ in cuts] + [n * n + 2 * n * m])
+        b = sizes[0]
+        assert sum(sizes) == R and set(sizes[:-1]) <= {b} and 1 <= sizes[-1] <= b
+        assert b == 1 or b * size <= simulator._CHUNK
+        assert len(sizes) == 1 or (b + 1) * size > simulator._CHUNK
+
+    @pytest.mark.parametrize("prior_name, N, M, R, master, posterior", [
+        ("rademacher", 1, 1, 10_000, None, False),
+        ("rademacher", 4, 1, 2_000, None, True),
+        ("sparse03", 4, 2, 300, (6, 3), False),
+    ])
+    def test_one_pass(self, request, monkeypatch, prior_name, N, M, R, master, posterior):
+        """The ``replicates-small`` simulate jobs, and a master larger than its
+        cut, enumerate every replicate in one kernel call."""
+        prior = request.getfixturevalue(prior_name)
+        calls, real = [], simulator._split_block
+        monkeypatch.setattr(simulator, "_split_block",
+                            lambda *a, **kw: calls.append(len(a[2])) or real(*a, **kw))
+        run = simulator.posterior_replicates if posterior else simulator.free_entropy_replicates
+        assert len(run(prior, N, M, 1.0, replicates=R, seed=5, master=master)) == R
+        assert calls == [R]
+
     def test_budget_names_every_offender(self, rademacher):
         with pytest.raises(BudgetError, match=r"\(13, 2\), \(25, 1\)"):
             simulator.replicate_cuts(rademacher, 1.0, None,
@@ -572,6 +623,25 @@ def replicate_runs(R):
         "gap": simulator.perturbation_gap_replicates(prior, 4, 1, 1.0, 0.2, R, seed=3),
         "cavity": table.replicate_values,
     }
+
+
+def engine_batches(run, *args):
+    """Every chunk size ``replicate_cuts`` picks while ``run(*args)`` runs."""
+    seen, real = [], simulator._batch
+
+    def spy(*a):
+        seen.append(real(*a))
+        return seen[-1]
+    simulator._batch = spy
+    try:
+        run(*args)
+    finally:
+        simulator._batch = real
+    return seen
+
+
+# the last replicate of each caller's first chunk in ``replicate_runs``, and the next
+RUN_EDGES = sorted({b + d for b in engine_batches(replicate_runs.__wrapped__, 2) for d in (-1, 0)})
 
 
 class TestReplicateStreams:
@@ -616,11 +686,11 @@ class TestReplicateStreams:
             gaps, [0.105506691979612, -0.07004205909682497, 0.0021217998253347803],
             rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("r", [0, 3, 9, 255, 256, 300])
+    @pytest.mark.parametrize("r", [0, 3, 9, 255, 256, 300] + RUN_EDGES)
     def test_prefix_stability(self, r):
-        """Replicate r is the same whether r + 1 or 600 replicates run, on
-        both sides of a 256-replicate chunk boundary."""
-        short, long = replicate_runs(r + 1), replicate_runs(600)
+        """Replicate r is the same whether r + 1 or twice the largest chunk
+        of replicates run, on both sides of every caller's chunk boundary."""
+        short, long = replicate_runs(r + 1), replicate_runs(2 * max(RUN_EDGES))
         for name in ("fe", "post", "gap"):
             assert short[name][r] == long[name][r], name
         for key, vals in short["cavity"].items():
@@ -630,9 +700,11 @@ class TestReplicateStreams:
         """Chunked disorder equals per-replicate draws from ``rng.stream``
         through ``Generator.choice`` and the triangle form of the noise."""
         tag = simulator.TAG_SIM
-        chunks = list(simulator._disorder(sparse03, (5, 2), tag, 4, 300))
+        b = simulator._batch(sparse03, (5, 2), [(5, 2, None)])
+        assert b < 300
+        chunks = list(simulator._disorder(sparse03, (5, 2), tag, 4, 300, b))
         X0, Z, Zt = (np.concatenate(a) for a in zip(*chunks))
-        for r in (0, 1, 255, 256, 299):
+        for r in (0, 1, b - 1, b, 299):
             g = simulator.rngmod.stream(4, tag, r)
             idx = g.choice(sparse03.n_atoms, size=(5, 2), p=sparse03.weights)
             upper = np.triu(g.standard_normal((5, 5)), 1)
