@@ -1,66 +1,41 @@
 """Numerical laboratory for low-rank symmetric matrix estimation in Gaussian
 noise: replica-symmetric potentials and their fixed points, worst-noise
 information inequalities, exact finite-size posteriors, and multiscale cavity
-bookkeeping with growing rank."""
+bookkeeping with growing rank.
 
-from .priors import (
-    Prior,
-    make_discretized_uniform,
-    make_prior,
-    make_rademacher,
-    make_sparse_rademacher,
-)
-from .channel import (
-    GaussQuadrature,
-    check_mi_convexity,
-    gauss_hermite,
-    mi_scalar_noise,
-    mi_scalar_signal,
-    mi_vector,
-    mmse_scalar,
-)
-from .replica import (
-    FixedPointResult,
-    NonUniqueMaximizer,
-    PhaseScan,
-    PotentialEvaluation,
-    f1_fixed_point,
-    f1_rs,
-    f1_sup,
-    fm_fixed_point,
-    fm_rs,
-    fm_sup,
-    mmse_prediction,
-    phase_scan,
-)
-from .reduction import (
-    ReductionReport,
-    diagonal_trim_residual,
-    noise_inequality_batch,
-    random_psd,
-    reduction_sweep,
-    trace_noise_residual,
-)
-from .simulator import (
-    BudgetError,
-    ModelInstance,
-    PerturbationParams,
-    PosteriorSummary,
-    free_entropy_mc,
-    overlap_concentration,
-    sample_instance,
-)
-from .cavity import (
-    CavityIncrements,
-    CavityReport,
-    DimensionSchedule,
-    FreeEntropyTable,
-    build_table,
-    cavity_report,
-    cavity_weights,
-    dims_schedule,
-    increments,
-    telescoping_check,
-)
+The package import is lazy (PEP 562): ``import wignerlab`` loads no
+submodule, and ``wignerlab.<name>`` imports only the submodule ``name`` or the
+one whose ``__all__``, read from its source, lists ``name``."""
+
+import ast
+import functools
+import importlib
+import os
 
 __version__ = "0.1.0"
+
+# the submodules whose __all__ names (disjoint lists) the package resolves
+_MODULES = ("priors", "rng", "channel", "replica", "reduction", "simulator", "cavity")
+
+
+@functools.cache
+def _public(module):
+    """``module``'s ``__all__`` list, read from its source without importing it."""
+    with open(os.path.join(os.path.dirname(__file__), f"{module}.py")) as fh:
+        listed = fh.read().partition("\n__all__ = ")[2]
+    return tuple(ast.literal_eval(listed[:listed.index("]") + 1]))
+
+
+def __getattr__(name):
+    if name == "__all__":
+        return [n for module in _MODULES for n in _public(module)]
+    home = name if name in _MODULES else next(
+        (module for module in _MODULES if name in _public(module)), None)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    return module if home == name else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

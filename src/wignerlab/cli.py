@@ -18,6 +18,9 @@ and writes a manifest with ``"partial": true`` (its ``config`` is null when the
 config file cannot be read or parsed).  Stderr holds nothing else: NumPy's
 RuntimeWarnings are counted, by message, under the manifest's
 ``runtime_warnings`` instead of printed.
+
+Importing this module loads NumPy, ``priors`` and ``rng``; each handler
+imports the compute modules it runs, inside ``stages.compute_s``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cavity, channel, priors, reduction, replica, rng, simulator
+from . import priors, rng
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -246,7 +249,8 @@ SCHEMAS = {name: {**COMMON, **keys} for name, keys in {
 # subcommand handlers: each takes the checked config and the seed and returns
 # a list of (filename, columns).  A table is an insertion-ordered dict of
 # columns, {name: NumPy array or list}; its key order is the CSV header.  A
-# str in place of the columns is a raw text artifact.
+# str in place of the columns is a raw text artifact.  Each imports the compute
+# modules it runs, so that importing the CLI loads only priors and rng.
 # ---------------------------------------------------------------------------
 
 def _attrs(items):
@@ -279,12 +283,14 @@ def _check_pass(p, M, order, blocks):
 
 def _quad(cfg, M, blocks=1):
     """The checked rule of ``quad_order``, or of replica.DEFAULT_ORDER[M]."""
+    from . import channel, replica
     order = replica.DEFAULT_ORDER[M] if cfg["quad_order"] is None else cfg["quad_order"]
     _check_pass(cfg["prior"], M, order, blocks)
     return channel.gauss_hermite(order)
 
 
 def run_mi(cfg, seed):
+    from . import channel
     p, quad = cfg["prior"], _quad(cfg, 1, blocks=2)
     s = cfg["s_grid"]
     return [("mi.csv", {"s": s, "mi": channel.mi_scalar_signal(p, s, quad),
@@ -292,6 +298,7 @@ def run_mi(cfg, seed):
 
 
 def run_potential(cfg, seed):
+    from . import replica
     p, lam, M, taus = cfg["prior"], cfg["lambda"], cfg["M"], cfg["tau_grid"]
     f1_quad, quad = _quad(cfg, 1), _quad(cfg, M)
     if np.any(taus > p.rho + 1e-12):
@@ -306,6 +313,7 @@ def run_potential(cfg, seed):
 
 
 def run_fixed_point(cfg, seed):
+    from . import replica
     p, damping, M, lams = cfg["prior"], cfg["damping"], cfg["M"], cfg["lambda_grid"]
     quad = _quad(cfg, M, blocks=M + 1)
     q0 = p.rho if cfg["q0"] is None else cfg["q0"]
@@ -328,6 +336,7 @@ def run_fixed_point(cfg, seed):
 
 
 def run_phase_scan(cfg, seed):
+    from . import replica
     p = cfg["prior"]
     scan = replica.phase_scan(p, cfg["lambda_grid"], _quad(cfg, 1, blocks=2))
     lo, hi = scan.jump_cell or (math.inf, -math.inf)
@@ -340,6 +349,7 @@ def run_phase_scan(cfg, seed):
 
 
 def run_reduce(cfg, seed):
+    from . import reduction
     p, M, n_sigma = cfg["prior"], cfg["M"], cfg["n_sigma"]
     for dim, order, blocks in reduction.largest_passes(M):
         _check_pass(p, dim, order, blocks)
@@ -360,6 +370,7 @@ def run_reduce(cfg, seed):
 
 
 def run_simulate(cfg, seed):
+    from . import simulator
     p, N, M, lam = cfg["prior"], cfg["N"], cfg["M"], cfg["lambda"]
     kw = {"epsilon": cfg["epsilon"], "replicates": cfg["replicates"], "seed": seed}
     if cfg["posterior"]:
@@ -377,6 +388,7 @@ def run_simulate(cfg, seed):
 
 
 def run_concentration(cfg, seed):
+    from . import simulator
     p, Ns, M, lam = cfg["prior"], cfg["N_grid"], cfg["M"], cfg["lambda"]
     simulator._check_budget(p, [(n, M) for n in Ns])
     try:
@@ -392,6 +404,7 @@ def run_concentration(cfg, seed):
 
 
 def run_cavity(cfg, seed):
+    from . import cavity, simulator
     p, lam, n_max, T = cfg["prior"], cfg["lambda"], cfg["N_max"], cfg["T"]
     if T >= n_max:
         raise ConfigError("truncation T must satisfy 0 <= T < N_max")
@@ -429,10 +442,11 @@ HANDLERS = {name: globals()[f"run_{name.replace('-', '_')}"] for name in SCHEMAS
 
 
 # exception types -> (error record kind, exit code); the first match wins.  A
-# float overflow (a valid prior's rho**2 past the float range) is a non-finite result
+# float overflow (a valid prior's rho**2 past the float range) is a non-finite
+# result.  main matches simulator.BudgetError (exit 3) first, looked up only
+# on the failure path, so that importing the CLI does not load the simulator
 FAILURES = [
     (ConfigFileError, "config", EXIT_VALIDATION),
-    (simulator.BudgetError, "budget", EXIT_BUDGET),
     (NonConvergenceError, "non-convergence", EXIT_NONCONVERGENCE),
     ((NonFiniteResultError, OverflowError), "non-finite", EXIT_INTERNAL),
     (ValueError, "validation", EXIT_VALIDATION),
@@ -516,7 +530,9 @@ def main(argv=None) -> int:
         stopped, code = time.monotonic(), EXIT_OK
     except Exception as exc:    # the boundary: every failure is reported, none escapes
         stopped = time.monotonic()
-        kind, code = next((k, c) for t, k, c in FAILURES if isinstance(exc, t))
+        simulator = sys.modules.get(f"{__package__}.simulator")    # loaded if it raised
+        budget = [(simulator.BudgetError, "budget", EXIT_BUDGET)] if simulator else []
+        kind, code = next((k, c) for t, k, c in budget + FAILURES if isinstance(exc, t))
         meta["partial"] = True
         meta["error"] = str(exc)
         if kind == "internal":

@@ -316,8 +316,10 @@ def _posterior(prior: Prior, lam: float, X0, Z,
 def _batch(prior: Prior, shape, cuts) -> int:
     """Replicates per disorder chunk: _CHUNK over the larger of the master
     draw (n^2 + 2 n m numbers) and the largest cut's block-A table
-    (k^(ceil(n/2) m) configurations; block B's is no larger), at least one."""
-    table = max(prior.n_atoms ** ((n + 1) // 2 * m) for n, m, _ in cuts)
+    (k^(ceil(n/2) m) configurations; block B's is no larger), at least one.
+    _split_block runs a (1, m) cut as its transpose (m, 1), so k^ceil(m/2)."""
+    table = max(prior.n_atoms ** ((n + 1) // 2 * m if n > 1 else (m + 1) // 2)
+                for n, m, _ in cuts)
     return max(1, _CHUNK // max(table, shape[0] * (shape[0] + 2 * shape[1])))
 
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wignerlab import (channel, cli, gauss_hermite, make_prior, make_rademacher,
-                       make_sparse_rademacher, replica)
+                       make_sparse_rademacher, reduction, replica)
 
 
 def run(tmp_path, subcommand, config, name, seed=None):
@@ -28,6 +28,16 @@ def run(tmp_path, subcommand, config, name, seed=None):
         argv += ["--seed", str(seed)]
     code = cli.main(argv)
     return code, out
+
+
+def fresh(*args):
+    """``python *args`` in a fresh interpreter that imports wignerlab from
+    this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 class TestSubcommands:
@@ -200,7 +210,7 @@ class TestQuadOrder:
         """reduce refuses an oversized pass before any computation starts."""
         def sweep(*args):
             raise RuntimeError("computation started")
-        monkeypatch.setattr(cli.reduction, "reduction_sweep", sweep)
+        monkeypatch.setattr(reduction, "reduction_sweep", sweep)
         code, _ = run(tmp_path, "reduce", {"prior": prior, "M": M, "lambda_grid": [1.0]}, "big")
         detail = json.loads(capsys.readouterr().err)["detail"]
         if refused:
@@ -237,14 +247,48 @@ class TestDeterminism:
     def test_cli_imports_no_scipy(self):
         """NumPy is the only runtime dependency: a fresh interpreter that
         imports the CLI has loaded no SciPy module."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
         code = ("import sys, wignerlab.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True, timeout=60)
-        assert proc.stdout.strip() == "[]"
+        proc = fresh("-c", code)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+class TestStartup:
+    """``import wignerlab.cli`` is the console script's whole import phase:
+    it loads NumPy, priors and rng, and each subcommand imports the compute
+    modules it runs."""
+
+    def test_cli_imports_no_compute_module(self):
+        code = ("import sys, wignerlab.cli; print(sorted(sys.modules.keys() & {"
+                "'numpy.polynomial', 'wignerlab.replica', 'wignerlab.channel', "
+                "'wignerlab.reduction', 'wignerlab.cavity', 'wignerlab.simulator'}))")
+        proc = fresh("-c", code)
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+    def test_package_import_is_lazy(self):
+        """``import wignerlab`` loads no submodule, and a name loads only the
+        submodule that holds it."""
+        code = ("import sys, wignerlab\n"
+                "def loaded(): return sorted(m for m in sys.modules if 'wignerlab.' in m)\n"
+                "print(loaded()); wignerlab.make_rademacher; print(loaded())\n"
+                "wignerlab.rng; print(loaded())")
+        proc = fresh("-c", code)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == [
+            "[]", "['wignerlab.priors']", "['wignerlab.priors', 'wignerlab.rng']"]
+
+    def test_budget_exit(self, tmp_path):
+        """The budget overflow keeps exit 3 where only the failing handler
+        loaded the simulator (in-process, a test has always loaded it)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": "rademacher", "N": 40, "M": 2, "replicates": 2}))
+        out = tmp_path / "out"
+        proc = fresh("-m", "wignerlab.cli", "simulate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 3
+        records = proc.stderr.strip().splitlines()
+        assert len(records) == 1
+        assert json.loads(records[0])["error"] == "budget"
+        assert json.loads((out / "simulate_manifest.json").read_text())["partial"] is True
 
 
 SCAN_GRID = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25]
@@ -686,12 +730,7 @@ def test_runtime_warnings_counted_not_printed(tmp_path):
     cfg.write_text(json.dumps({"prior": "rademacher", "lambda": 1e308, "N_max": 4,
                                "replicates": 2}))
     out = tmp_path / "out"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run([sys.executable, "-m", "wignerlab.cli", "cavity", "--config",
-                           str(cfg), "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = fresh("-m", "wignerlab.cli", "cavity", "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 5
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1

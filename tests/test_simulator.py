@@ -555,11 +555,13 @@ class TestReplicateEngine:
         ("rademacher", (12, 1), [(12, 1, None), (6, 1, 0.2)], 400),
         ("sparse03", (4, 2), [(4, 2, None), (2, 2, 0.1)], 810),
         ("rademacher", (1, 17), [(1, 17, None)], 2),
+        # run as (17, 1): a block-A table of 2^9, so chunks of 128
+        ("rademacher", (1, 17), [(1, 17, None)], 130),
     ])
     def test_chunks_fit_the_budget(self, request, monkeypatch, prior_name, master, cuts, R):
         """Every chunk the engine draws holds b >= 1 replicates, as many as
         keep b times the larger of the master draw and the largest cut's
-        block-A table within _CHUNK."""
+        block-A table within _CHUNK; the kernel runs a (1, m) cut as (m, 1)."""
         prior = request.getfixturevalue(prior_name)
         sizes, real = [], simulator._disorder
 
@@ -570,7 +572,8 @@ class TestReplicateEngine:
         monkeypatch.setattr(simulator, "_disorder", spy)
         simulator.replicate_cuts(prior, 1.0, master, cuts, simulator.TAG_SIM, 3, R)
         n, m = master
-        size = max([prior.n_atoms ** (-(-c // 2) * k) for c, k, _ in cuts] + [n * n + 2 * n * m])
+        size = max([prior.n_atoms ** (-(-c // 2) * k if c > 1 else -(-k // 2)) for c, k, _ in cuts]
+                   + [n * n + 2 * n * m])
         b = sizes[0]
         assert sum(sizes) == R and set(sizes[:-1]) <= {b} and 1 <= sizes[-1] <= b
         assert b == 1 or b * size <= simulator._CHUNK
