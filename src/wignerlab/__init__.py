@@ -3,39 +3,8 @@ noise: replica-symmetric potentials and their fixed points, worst-noise
 information inequalities, exact finite-size posteriors, and multiscale cavity
 bookkeeping with growing rank.
 
-The package import is lazy (PEP 562): ``import wignerlab`` loads no
-submodule, and ``wignerlab.<name>`` imports only the submodule ``name`` or the
-one whose ``__all__``, read from its source, lists ``name``."""
-
-import ast
-import functools
-import importlib
-import os
+The package re-exports nothing, so ``import wignerlab`` loads no submodule;
+import the submodules (``priors``, ``rng``, ``channel``, ``replica``,
+``reduction``, ``simulator``, ``cavity``, ``cli``) themselves."""
 
 __version__ = "0.1.0"
-
-# the submodules whose __all__ names (disjoint lists) the package resolves
-_MODULES = ("priors", "rng", "channel", "replica", "reduction", "simulator", "cavity")
-
-
-@functools.cache
-def _public(module):
-    """``module``'s ``__all__`` list, read from its source without importing it."""
-    with open(os.path.join(os.path.dirname(__file__), f"{module}.py")) as fh:
-        listed = fh.read().partition("\n__all__ = ")[2]
-    return tuple(ast.literal_eval(listed[:listed.index("]") + 1]))
-
-
-def __getattr__(name):
-    if name == "__all__":
-        return [n for module in _MODULES for n in _public(module)]
-    home = name if name in _MODULES else next(
-        (module for module in _MODULES if name in _public(module)), None)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{home}")
-    return module if home == name else getattr(module, name)
-
-
-def __dir__():
-    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wignerlab import gauss_hermite, make_rademacher, make_sparse_rademacher
+from wignerlab.channel import gauss_hermite
+from wignerlab.priors import make_rademacher, make_sparse_rademacher
 
 
 @pytest.fixture(scope="session")

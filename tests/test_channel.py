@@ -19,7 +19,8 @@ from oracles import (
     mmse_denoiser,
     mmse_point,
 )
-from wignerlab import channel, make_discretized_uniform, make_prior
+from wignerlab import channel
+from wignerlab.priors import make_discretized_uniform, make_prior
 from wignerlab.reduction import random_psd
 
 ASYMMETRIC = make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)])
@@ -641,7 +642,7 @@ class TestConvexity:
         assert channel.check_mi_convexity(rademacher, grid, quad64) >= -1e-7
 
     def test_sparse_grid(self, quad64):
-        from wignerlab import make_sparse_rademacher
+        from wignerlab.priors import make_sparse_rademacher
         p = make_sparse_rademacher(0.5)
         grid = np.linspace(1.0, 10.0, 46)
         assert channel.check_mi_convexity(p, grid, quad64) >= -1e-7

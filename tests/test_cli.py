@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wignerlab import (channel, cli, gauss_hermite, make_prior, make_rademacher,
-                       make_sparse_rademacher, reduction, replica)
+from wignerlab import channel, cli, reduction, replica
+from wignerlab.channel import gauss_hermite
+from wignerlab.priors import make_prior, make_rademacher, make_sparse_rademacher
 
 
 def run(tmp_path, subcommand, config, name, seed=None):
@@ -265,17 +266,10 @@ class TestStartup:
         proc = fresh("-c", code)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
-    def test_package_import_is_lazy(self):
-        """``import wignerlab`` loads no submodule, and a name loads only the
-        submodule that holds it."""
-        code = ("import sys, wignerlab\n"
-                "def loaded(): return sorted(m for m in sys.modules if 'wignerlab.' in m)\n"
-                "print(loaded()); wignerlab.make_rademacher; print(loaded())\n"
-                "wignerlab.rng; print(loaded())")
+    def test_package_import_loads_no_submodule(self):
+        code = "import sys, wignerlab; print(sorted(m for m in sys.modules if 'wignerlab.' in m))"
         proc = fresh("-c", code)
-        assert proc.returncode == 0
-        assert proc.stdout.splitlines() == [
-            "[]", "['wignerlab.priors']", "['wignerlab.priors', 'wignerlab.rng']"]
+        assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
     def test_budget_exit(self, tmp_path):
         """The budget overflow keeps exit 3 where only the failing handler

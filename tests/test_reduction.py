@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import full_grid_mi, noise_batch_loop
-from wignerlab import channel, make_prior, reduction, replica
+from wignerlab import channel, reduction, replica
+from wignerlab.priors import make_prior
 
 
 class TestRandomCovariance:
@@ -222,7 +223,7 @@ class TestReductionSweep:
             assert r.passes["isotropy"]
 
     def test_sparse_half(self):
-        from wignerlab import make_sparse_rademacher
+        from wignerlab.priors import make_sparse_rademacher
         (report,) = reduction.reduction_sweep(make_sparse_rademacher(0.5), 2, [4.0])
         assert report.gap <= 1e-3
 

@@ -6,7 +6,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from oracles import ascend_one, fm_rs_monte_carlo, logsumexp_matmul
-from wignerlab import channel, make_discretized_uniform, make_prior, replica
+from wignerlab import channel, replica
+from wignerlab.priors import make_discretized_uniform, make_prior
 from wignerlab.reduction import random_psd
 
 # centred but not sign-symmetric
@@ -123,7 +124,7 @@ class TestRankOneOracle:
     def test_fixed_point_iterations_sparse(self, quad64, lam):
         """The inner branch of the double well on which
         ``TestMmsePrediction.test_refuses_at_first_order_tie`` bisects."""
-        from wignerlab import make_sparse_rademacher
+        from wignerlab.priors import make_sparse_rademacher
         p = make_sparse_rademacher(0.05)
         res = replica.f1_fixed_point(p, lam, 0.05, quad=quad64, max_iter=60_000)
         q, iterations, converged = scalar_fixed_point(p, lam, 0.05, quad64, max_iter=60_000)
@@ -315,7 +316,7 @@ class TestMmsePrediction:
         """A strongly sparse prior has a double-well potential; where the two
         maxima tie in value the prediction must refuse rather than guess.
         The tie SNR is located by bisection on the inner-branch value."""
-        from wignerlab import make_sparse_rademacher
+        from wignerlab.priors import make_sparse_rademacher
         p = make_sparse_rademacher(0.05)
 
         def inner_value(lam):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wignerlab import make_prior, make_rademacher, make_sparse_rademacher, rng, simulator
+from wignerlab import rng, simulator
+from wignerlab.priors import make_prior, make_rademacher, make_sparse_rademacher
 
 TAGS = ["simulate", "perturbation", "cavity"]
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from wignerlab import cavity, make_prior, make_rademacher, replica, simulator
+from wignerlab import cavity, replica, simulator
+from wignerlab.priors import make_prior, make_rademacher
 from wignerlab.simulator import BudgetError, ModelInstance, PerturbationParams
 
 
@@ -549,13 +550,13 @@ class TestReplicateEngine:
             assert table.entries[key] == (float(vals.mean()),
                                           float(vals.std(ddof=1) / math.sqrt(4)), 4)
 
-    # one full chunk and a rest each; (1, 17) has a block-A table over the budget
+    # one full chunk and a rest each; (3, 8) has a block-A table of 2^16, the
+    # whole budget, so chunks of one; (1, 17) runs as (17, 1), a table of 2^9
     @pytest.mark.parametrize("prior_name, master, cuts, R", [
         ("rademacher", (1, 1), [(1, 1, None)], 21_846),
         ("rademacher", (12, 1), [(12, 1, None), (6, 1, 0.2)], 400),
         ("sparse03", (4, 2), [(4, 2, None), (2, 2, 0.1)], 810),
-        ("rademacher", (1, 17), [(1, 17, None)], 2),
-        # run as (17, 1): a block-A table of 2^9, so chunks of 128
+        ("rademacher", (3, 8), [(3, 8, None)], 2),
         ("rademacher", (1, 17), [(1, 17, None)], 130),
     ])
     def test_chunks_fit_the_budget(self, request, monkeypatch, prior_name, master, cuts, R):

@@ -8,13 +8,8 @@ module-level constant of the package is read by the package outside its own
 assignment: a constant that only a test reads is a dead switch."""
 
 import ast
-import importlib
 import math
 from pathlib import Path
-
-import pytest
-
-import wignerlab
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wignerlab"
@@ -58,25 +53,6 @@ def test_every_public_name_has_a_caller():
                     if name not in used and name not in ALLOWED)
     assert not unused, f"public names nothing calls: {unused}"
     assert set(ALLOWED) <= {name for _, name in public}, "an exemption names no public name"
-
-
-def test_package_resolves_every_public_name():
-    """``wignerlab.<name>`` is the object of the one submodule whose
-    ``__all__`` lists ``name``, ``wignerlab.<module>`` is that submodule, and
-    no other name resolves."""
-    public = {path.stem: exported(ast.parse(path.read_text()))
-              for path in sorted(PACKAGE.glob("*.py"))}
-    public = {stem: names for stem, names in public.items() if names}
-    for stem, names in public.items():
-        module = importlib.import_module(f"wignerlab.{stem}")
-        assert getattr(wignerlab, stem) is module
-        for name in names:
-            assert getattr(wignerlab, name) is getattr(module, name), f"{stem}.{name}"
-    every = [name for names in public.values() for name in names]
-    assert sorted(wignerlab.__all__) == sorted(every) and len(set(every)) == len(every)
-    assert set(dir(wignerlab)) >= {*every, *public}
-    with pytest.raises(AttributeError, match="no_such_name"):
-        wignerlab.no_such_name
 
 
 def defaulted(func):

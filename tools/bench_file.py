@@ -1,23 +1,24 @@
 """Write a committed before/after record for the checkout this script is in.
 
-    python3 tools/bench_file.py BENCH_26.json --runs 5 --seconds 10
+    python3 tools/bench_file.py BENCH_26.json
 
 Run from anywhere; the program is taken from ``src/`` of this script's
 checkout.  To record a parent commit, run the same script from a copy of that
 commit's tree.  The JSON file holds:
 
 - ``workloads``: per ``perfbench/run.py`` workload, every end-to-end metric's
-  median and quartiles over ``--runs`` untraced runs (seeds 1 .. runs), and
-  the failed / attempted job counts;
+  median and quartiles over ``RUNS`` untraced runs of ``SECONDS`` each
+  (seeds 1 .. RUNS), and the failed / attempted job counts;
 - ``subcommands``: per CLI subcommand, the wall time of a fresh
   ``python -m wignerlab.cli`` process on the fixed small config in
-  ``SUBCOMMANDS``, median and quartiles of ``--starts`` starts (after one
-  untimed start that writes the bytecode caches, where they are written);
+  ``SUBCOMMANDS``, median and quartiles of ``STARTS`` round-robin starts
+  (after one untimed round that writes the bytecode caches, where they are
+  written);
 - ``tier1``: the Tier-1 suite's wall time, outcome counts and per-test
   durations (from ``pytest --junitxml``);
 - ``calibration_s`` and ``calibration_end_s``: the median time of a fixed
-  pure-Python loop before and after the runs, which places the host's speed
-  state (a shared host can drift between speed states);
+  pure-Python loop (``REPEATS`` times) before and after the runs, which
+  places the host's speed state (a shared host can drift between speed states);
 - ``env``: Python and NumPy versions, CPU count and
   ``sys.flags.dont_write_bytecode`` (with it set, every fresh interpreter
   compiles ``src/`` again).
@@ -27,7 +28,6 @@ Numbers from two files compare only when their calibration times agree.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -41,6 +41,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+RUNS = 5            # benchmark runs per workload
+SECONDS = 10.0      # --seconds of each benchmark run
+STARTS = 7          # timed fresh-process starts per subcommand
+REPEATS = 7         # calibration loops
 WORKLOADS = ("enum-large", "replicates-small", "potential-search")
 # one fixed small config per subcommand, so that start-up is a visible share
 SUBCOMMANDS = {
@@ -68,14 +72,14 @@ def src_env(root):
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
-def workload_runs(root, workload, runs, seconds):
-    """Each end-to-end metric of ``runs`` untraced benchmark runs, seeds 1 .. runs."""
+def workload_runs(root, workload):
+    """Each end-to-end metric of RUNS untraced benchmark runs, seeds 1 .. RUNS."""
     values, failed, attempted = {}, 0, 0
-    for seed in range(1, runs + 1):
+    for seed in range(1, RUNS + 1):
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-             "--seconds", str(seconds), "--trace", "0"],
-            cwd=root, capture_output=True, text=True, check=True, timeout=20 * seconds + 120)
+             "--seconds", str(SECONDS), "--trace", "0"],
+            cwd=root, capture_output=True, text=True, check=True, timeout=20 * SECONDS + 120)
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         failed += result["failed"]
         attempted += result["attempted"]
@@ -85,19 +89,25 @@ def workload_runs(root, workload, runs, seconds):
             **{name: summary(v) for name, v in values.items()}}
 
 
-def subcommand_starts(root, subcommand, starts, work):
-    """Wall seconds of fresh ``python -m wignerlab.cli`` processes running
-    ``subcommand`` on its fixed config; the first, untimed, start is dropped."""
-    cfg = work / f"{subcommand}.json"
-    cfg.write_text(json.dumps(SUBCOMMANDS[subcommand]))
-    argv = [sys.executable, "-m", "wignerlab.cli", subcommand, "--config", str(cfg),
-            "--seed", "5", "--out", str(work / subcommand)]
-    times = []
-    for _ in range(starts + 1):
-        t0 = time.perf_counter()
-        subprocess.run(argv, env=src_env(root), capture_output=True, check=True, timeout=300)
-        times.append(time.perf_counter() - t0)
-    return times[1:]
+def subcommand_starts(root, work):
+    """Per subcommand, wall seconds of fresh ``python -m wignerlab.cli``
+    processes on its fixed config.  The starts go round-robin over the
+    subcommands, so a burst of host load lands on one start of several
+    subcommands rather than on every start of one; the first, untimed, round
+    is dropped."""
+    argvs = {}
+    for sub, config in SUBCOMMANDS.items():
+        cfg = work / f"{sub}.json"
+        cfg.write_text(json.dumps(config))
+        argvs[sub] = [sys.executable, "-m", "wignerlab.cli", sub, "--config", str(cfg),
+                      "--seed", "5", "--out", str(work / sub)]
+    times = {sub: [] for sub in SUBCOMMANDS}
+    for _ in range(STARTS + 1):
+        for sub, argv in argvs.items():
+            t0 = time.perf_counter()
+            subprocess.run(argv, env=src_env(root), capture_output=True, check=True, timeout=300)
+            times[sub].append(time.perf_counter() - t0)
+    return {sub: summary(t[1:]) for sub, t in times.items()}
 
 
 def tier1(root, work):
@@ -119,39 +129,32 @@ def tier1(root, work):
     return {"wall_s": wall, **outcomes, "durations_s": durations}
 
 
-def calibration(repeats=7):
+def calibration():
     """Median seconds of a fixed pure-Python loop."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         sum(i * i % 7 for i in range(2_000_000))
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("out", help="JSON file to write, e.g. BENCH_26.json")
-    ap.add_argument("--runs", type=int, default=5, help="benchmark runs per workload")
-    ap.add_argument("--seconds", type=float, default=10.0, help="--seconds of each run")
-    ap.add_argument("--starts", type=int, default=7, help="timed starts per subcommand")
-    args = ap.parse_args(argv)
-
+def main(out) -> int:
     record = {"env": {"python": ".".join(map(str, sys.version_info[:3])),
                       "numpy": np.__version__, "cpu_count": os.cpu_count(),
                       "dont_write_bytecode": sys.flags.dont_write_bytecode},
               "calibration_s": calibration()}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        record["subcommands"] = {
-            sub: summary(subcommand_starts(ROOT, sub, args.starts, work)) for sub in SUBCOMMANDS}
-        record["workloads"] = {w: workload_runs(ROOT, w, args.runs, args.seconds)
-                               for w in WORKLOADS}
+        record["subcommands"] = subcommand_starts(ROOT, work)
+        record["workloads"] = {w: workload_runs(ROOT, w) for w in WORKLOADS}
         record["tier1"] = tier1(ROOT, work)
     record["calibration_end_s"] = calibration()
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    Path(out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT.json")
+    sys.exit(main(sys.argv[1]))
