@@ -18,8 +18,8 @@ log space.  One ``gibbs_pass``, the only guarded exp-GEMM, integrates every
 Gibbs measure sum_x W_x exp(x' G y - |G x|^2/2) on a grid: the information,
 the MMSE, and ln Z and the moments of ``replica``'s rank-M workspace.  The
 information and the MMSE take a stack of gains or a grid of scales and run
-it in parts of at most BATCH elements per temporary (``batched``), each
-value as it would be alone.
+it in parts of at most ``_budget.BATCH`` elements per temporary, the bound
+every stacked pass of the package keeps, each value as it would be alone.
 
 Tensor grids are built once per (rule, dimension, halved) and kept on the rule.
 When the prior is sign-symmetric and the rule is symmetric (nodes = -nodes
@@ -38,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from ._budget import batched, parts
 from .priors import Prior
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "tensor_nodes",
     "atom_grid",
     "gibbs_pass",
-    "batched",
     "mi_scalar_signal",
     "mi_scalar_noise",
     "mmse_scalar",
@@ -59,7 +59,8 @@ __all__ = [
 
 _PSD_EIG_FLOOR = -1e-10
 _TINY = np.finfo(float).tiny      # exp-GEMM entries below this lost their precision
-BATCH = 1 << 16                   # elements per temporary of a stacked Gibbs pass
+# Gauss-Hermite nodes per axis of a potential's default rule, by dimension M
+DEFAULT_ORDER = {1: 64, 2: 20, 3: 14}
 
 
 @dataclass(frozen=True)
@@ -180,20 +181,6 @@ def gibbs_pass(exponents, rows, weights, z_weights):
     return ln_z, mean_x
 
 
-def batched(run, n, per_item):
-    """``run(part)`` on consecutive slices ``part`` of range(n), each of at
-    most BATCH // per_item items (one at least), concatenated (each array of
-    a tuple apart): a stack whose item needs ``per_item`` elements per
-    temporary keeps each within BATCH."""
-    size = max(1, BATCH // per_item)
-    if n <= size:
-        return run(slice(0, n))
-    parts = [run(slice(i, i + size)) for i in range(0, n, size)]
-    if isinstance(parts[0], tuple):
-        return tuple(map(np.concatenate, zip(*parts)))
-    return np.concatenate(parts)
-
-
 def _channel_pass(prior, gains, quad, rows, value):
     """One ``gibbs_pass`` of y = G x0 + z per gain G of the stack (..., d, d),
     at x0 = v_a, e_k = G v_k, on A[k, n] = e_k' z_n and B[a, k] = ln W_k -
@@ -219,7 +206,7 @@ def _channel_pass(prior, gains, quad, rows, value):
         return value(own - ln_z, mean_x, z_w)
 
     K = len(weights)
-    out = batched(run, len(stack), max(len(rows), d) * K * max(K, len(z_w)))
+    out = batched(run, parts(len(stack), max(len(rows), d) * K * max(K, len(z_w))))
     return float(out[0]) if gains.ndim == 2 else out.reshape(gains.shape[:-2])
 
 

@@ -216,7 +216,7 @@ def _prior(value, name):
 SEED = _int(0)
 COMMON = {"prior": (_prior, REQUIRED), "seed": (SEED, 0)}
 # quad_order: Gauss-Hermite nodes per axis for every potential of the run;
-# unset, each potential takes its default order (replica.DEFAULT_ORDER)
+# unset, each potential takes its default order (channel.DEFAULT_ORDER)
 QUAD = {"quad_order": (_int(1, 256), None)}
 QUAD_TEMP_LIMIT = 1 << 24       # elements of the largest temporary an order may need
 LAMBDA = (_number(0), 1.0)
@@ -282,9 +282,9 @@ def _check_pass(p, M, order, blocks):
 
 
 def _quad(cfg, M, blocks=1):
-    """The checked rule of ``quad_order``, or of replica.DEFAULT_ORDER[M]."""
-    from . import channel, replica
-    order = replica.DEFAULT_ORDER[M] if cfg["quad_order"] is None else cfg["quad_order"]
+    """The checked rule of ``quad_order``, or of channel.DEFAULT_ORDER[M]."""
+    from . import channel
+    order = channel.DEFAULT_ORDER[M] if cfg["quad_order"] is None else cfg["quad_order"]
     _check_pass(cfg["prior"], M, order, blocks)
     return channel.gauss_hermite(order)
 

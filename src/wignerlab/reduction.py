@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import GaussQuadrature, gauss_hermite, mi_scalar_noise, mi_vector
+from .channel import DEFAULT_ORDER, GaussQuadrature, gauss_hermite, mi_scalar_noise, mi_vector
 from .priors import Prior
-from .replica import DEFAULT_ORDER, SUP_POLISH_ORDER, f1_sup, fm_sup, phase_scan
+from .replica import SUP_POLISH_ORDER, f1_sup, fm_sup, phase_scan
 
 __all__ = [
     "ReductionReport",

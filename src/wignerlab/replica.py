@@ -38,10 +38,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._budget import batched, parts
 from .channel import (
+    DEFAULT_ORDER,
     GaussQuadrature,
     atom_grid,
-    batched,
     gauss_hermite,
     gibbs_pass,
     mi_vector_signal,
@@ -66,8 +67,6 @@ __all__ = [
     "rotation_matrix",
 ]
 
-# Gauss-Hermite nodes per axis by dimension M
-DEFAULT_ORDER = {1: 64, 2: 20, 3: 14}
 # fm_sup: quadrature order of the coarse stage (grid ranking and SUP_TOL[0]
 # ascents) at every M, eigenvalue levels and angles per rotation axis,
 # candidates polished, ascent steps per candidate, certificates at which the
@@ -310,8 +309,8 @@ class _RankMWorkspace:
     def potential(self, Q, lam, sqrt_Q):
         """FM at each overlap of the stack Q (n, M, M) with roots sqrt_Q, at the
         SNR lam, or at each of a 1-d array of SNRs ((len(lam), n) out).  The
-        (SNR, overlap) pairs run in parts of at most BATCH elements per
-        temporary (``batched``), each part's slices gathered by index."""
+        (SNR, overlap) pairs run in parts of at most ``_budget.BATCH``
+        elements per temporary, each part's slices gathered by index."""
         lams = np.reshape(lam, -1)
         n = len(Q)
 
@@ -319,7 +318,7 @@ class _RankMWorkspace:
             i, j = np.divmod(np.arange(*part.indices(lams.size * n)), n)
             return self.ln_partition(Q[j], lams[i], sqrt_Q[j])
 
-        ln_z = batched(run, lams.size * n, self._per_item(1)).reshape(lams.size, n)
+        ln_z = batched(run, parts(lams.size * n, self._per_item(1))).reshape(lams.size, n)
         values = ln_z / self.M - lams[:, None] * np.sum(Q * Q, axis=(1, 2)) / (4.0 * self.M)
         return values if np.ndim(lam) else values[0]
 
@@ -339,7 +338,7 @@ class _RankMWorkspace:
             ln_z, cross = self._moments(Q, lam, sqrt_Q)
             return float(ln_z), cross
         return batched(lambda part: self._moments(Q[part], lam[part], sqrt_Q[part]),
-                       len(Q), self._per_item(self.M + 1))
+                       parts(len(Q), self._per_item(self.M + 1)))
 
 
 def fm_rs(prior: Prior, M: int, Q, lam: float,

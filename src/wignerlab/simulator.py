@@ -18,17 +18,15 @@ computed exactly by enumerating the k^(N M) configurations in one pass.  H is
 quadratic in the rows, so splitting them into two blocks A and B makes
 H(a, b) = h_A(a) + h_B(b) + u_A(a).v_B(b): per-block configuration tables are
 built once per (prior, block shape) and reused, and the Gibbs weights come
-from one stacked matrix product per group of replicates and A-chunk, visited
-in a fixed order (log-sum-exp rescaled to each replicate's running maximum).
-Disorder averages are Monte Carlo over fresh (X0, Z, Zt) draws on
-counter-based streams.
+from one stacked matrix product per A-chunk, visited in a fixed order
+(log-sum-exp rescaled to each replicate's running maximum).
 
-Replicates run in chunks of as many as fit the budget _CHUNK (``_batch``).
-Replicate r draws from its own stream (seed, tag, r), re-keyed from a chunk of
-hashed keys (``rng.streams``).  A chunk is enumerated in one pass, but every
-product in it is the replicate's own (a stacked matmul multiplies each item on
-its own), so replicate r's value is bit-identical however replicates are
-chunked.
+Disorder averages are Monte Carlo over (X0, Z, Zt) draws, in chunks sized by
+the master draw; the kernel sizes its parts of replicates by its own
+temporaries (both by ``_budget.parts``).  Replicate r draws from its own
+stream (seed, tag, r), re-keyed from a chunk of hashed keys (``rng.streams``),
+and every product is the replicate's own (a stacked matmul multiplies each
+item on its own), so its value is bit-identical however replicates are chunked.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as rngmod
+from ._budget import batched, parts
 from .priors import Prior, quantile
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
 ]
 
 ENUM_BUDGET_BITS = 24          # enumeration cap: k^(N M) <= 2^24
-_CHUNK = 1 << 16               # Gibbs weights held at once; also the disorder chunk budget
 
 TAG_INSTANCE = rngmod.tag("instance")
 TAG_SIM = rngmod.tag("simulate")
@@ -205,11 +203,11 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
     The rows split into A (the first ceil(N/2)) and B (the rest, possibly
     none), and H(a, b) = h_A(a) + h_B(b) + u_A(a).v_B(b) with features
     [Zeff_BA X_A, X_A' X0_A, X_A' X_A] against [X_B, t X_B' X0_B,
-    -t X_B' X_B / 2].  The A-chunks are visited in a fixed order; each group of
-    replicates x A-chunk is one stacked product U @ V of at most _CHUNK Gibbs
-    weights and one exp-sum, rescaled to each replicate's running maximum.
-    Every product is per replicate, so a replicate's value does not depend on
-    b.
+    -t X_B' X_B / 2].  Each A-chunk of at most BATCH Gibbs weights E, in a
+    fixed order, is one stacked product U @ V and one exp-sum, rescaled to each
+    replicate's running maximum.  The replicates run in parts sized by E, U
+    and V, in buffers taken once per call.  Every product is per replicate, so
+    a replicate's value does not depend on b.
     """
     b, N, M = X0.shape
     if N == 1 and M > 1:
@@ -223,61 +221,66 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
         log_z, mean_x, mean_xxt = out
         return (log_z, mean_x.transpose(0, 2, 1),
                 np.trace(mean_xxt, axis1=1, axis2=2)[:, None, None])
-    nA = (N + 1) // 2
-    nB = N - nA
+    nA, nB = (N + 1) // 2, N // 2
     key = (prior.values.tobytes(), prior.weights.tobytes())
     ta, tb = _block_table(*key, nA, M), _block_table(*key, nB, M)
-    K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.transpose(0, 2, 1))
-    tail = np.broadcast_to([1.0, -0.25 * t], (b, 2))
-    h_a, h_b = (_each(np.concatenate([K[:, s, s].reshape(b, -1), C[:, s].reshape(b, -1), tail],
-                                     axis=1), table.phi.T)
-                for s, table in ((slice(nA), ta), (slice(nA, N), tb)))
+    ca, cb = len(ta.X), len(tb.X)
+    chunks = parts(ca, cb)
+    rows = chunks[0].stop
+    # U = [u_A | X_A' X_A, h_A, 1] against V = [v_B | -t X_B' X_B / 2, 1, h_B]
+    f, width = nB * M + M * M, nB * M + 2 * M * M + 2
+    split = parts(b, max(rows * cb, max(rows, cb) * width))     # E, U and V per replicate
+    U, V, E = (np.empty((split[0].stop, *s)) for s in ((rows, width), (cb, width), (rows, cb)))
+    U[..., -1] = 1.0
+    V[..., :nB * M], V[..., f:-2], V[..., -2] = tb.X, (-0.5 * t) * tb.G, 1.0
     eye = np.eye(M)
-    Q = (X0[:, :, None, None, :] * eye[:, :, None]).reshape(b, N * M, M * M)  # X Q = vec(X' X0)
-    kron = (Zeff[:, :nA, None, nA:, None] * eye[:, None, :]).reshape(b, nA * M, nB * M)
-    L_a = np.concatenate([kron, Q[:, :nA * M]], axis=2)
-    ca, cb = h_a.shape[1], h_b.shape[1]
-    V = np.concatenate([np.broadcast_to(tb.X, (b, cb, nB * M)), t * (tb.X @ Q[:, nA * M:]),
-                        np.broadcast_to((-0.5 * t) * tb.G, (b, cb, M * M)),
-                        np.ones((b, cb, 1)), h_b[:, :, None]], axis=2).transpose(0, 2, 1)
-    rows = min(ca, max(1, _CHUNK // cb))
-    group = max(1, _CHUNK // (rows * cb))
-    top, z = np.full(b, -np.inf), np.zeros(b)
-    if moments:
-        r_all, col, cross = np.empty((b, ca)), np.zeros((b, cb)), np.zeros((b, nA * M, nB * M))
-    for g0 in range(0, b, group):
-        g = slice(g0, g0 + group)
-        for lo in range(0, ca, rows):
-            Xa, h = ta.X[lo:lo + rows], h_a[g, lo:lo + rows, None]
-            G_a = np.broadcast_to(ta.G[lo:lo + rows], h.shape[:2] + (M * M,))
-            U = np.concatenate([Xa @ L_a[g], G_a, h, np.ones_like(h)], axis=2)
-            E = U @ V[g]                # H + ln W over this A-chunk x all of B
-            m = E.max(axis=(1, 2))
-            E -= m[:, None, None]
-            np.exp(E, out=E)
-            r = E.sum(axis=2)
-            peak = np.maximum(top[g], m)
-            old, new = np.exp(top[g] - peak), np.exp(m - peak)
-            top[g] = peak
-            z[g] = z[g] * old + r.sum(axis=1) * new
+
+    def run(Zeff, X0, C):
+        b = len(X0)
+        K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.transpose(0, 2, 1))
+        tail = np.broadcast_to([1.0, -0.25 * t], (b, 2))
+        h_a, h_b = (_each(np.concatenate([K[:, s, s].reshape(b, -1), C[:, s].reshape(b, -1), tail],
+                                         axis=1), table.phi.T)
+                    for s, table in ((slice(nA), ta), (slice(nA, N), tb)))
+        Q = (X0[:, :, None, None, :] * eye[:, :, None]).reshape(b, N * M, M * M)  # X Q = vec(X' X0)
+        kron = (Zeff[:, :nA, None, nA:, None] * eye[:, None, :]).reshape(b, nA * M, nB * M)
+        L_a = np.concatenate([kron, Q[:, :nA * M]], axis=2)
+        v = V[:b]
+        np.matmul(tb.X, Q[:, nA * M:], out=v[..., nB * M:f])
+        v[..., nB * M:f] *= t
+        v[..., -1] = h_b
+        top, z = np.full(b, -np.inf), np.zeros(b)
+        if moments:
+            r_all, col, cross = np.empty((b, ca)), np.zeros((b, cb)), np.zeros((b, nA * M, nB * M))
+        for a in chunks:
+            Xa, e, u = ta.X[a], E[:b, :a.stop - a.start], U[:b, :a.stop - a.start]
+            np.matmul(Xa, L_a, out=u[..., :f])
+            u[..., f:-2], u[..., -2] = ta.G[a], h_a[:, a]
+            np.matmul(u, v.transpose(0, 2, 1), out=e)  # H + ln W over this A-chunk x all of B
+            m = e.max(axis=(1, 2))
+            e -= m[:, None, None]
+            np.exp(e, out=e)
+            r = e.sum(axis=2)
+            peak = np.maximum(top, m)
+            top, old, new = peak, np.exp(top - peak), np.exp(m - peak)
+            z = z * old + r.sum(axis=1) * new
             if moments:
-                r_all[g, :lo] *= old[:, None]
-                r_all[g, lo:lo + rows] = r * new[:, None]
-                col[g] = col[g] * old[:, None] + E.sum(axis=1) * new[:, None]
-                cross[g] = cross[g] * old[:, None, None] + (Xa.T @ (E @ tb.X)) * new[:, None, None]
-    log_z = top + np.log(z)
-    if not moments:
-        return log_z
-    mean_a = _each(r_all / z[:, None], ta.phi[:, :nA * nA + nA * M])   # [vec(X X'), vec(X)]
-    mean_b = _each(col / z[:, None], tb.phi[:, :nB * nB + nB * M])
-    mean_x = np.concatenate([mean_a[:, nA * nA:], mean_b[:, nB * nB:]], axis=1)
-    mean_xxt = np.empty((b, N, N))
-    mean_xxt[:, :nA, :nA] = mean_a[:, :nA * nA].reshape(b, nA, nA)
-    mean_xxt[:, nA:, nA:] = mean_b[:, :nB * nB].reshape(b, nB, nB)
-    mean_xxt[:, :nA, nA:] = np.trace((cross / z[:, None, None]).reshape(b, nA, M, nB, M),
-                                     axis1=2, axis2=4)
-    mean_xxt[:, nA:, :nA] = mean_xxt[:, :nA, nA:].transpose(0, 2, 1)
-    return log_z, mean_x.reshape(b, N, M), mean_xxt
+                r_all[:, :a.start] *= old[:, None]
+                r_all[:, a] = r * new[:, None]
+                col = col * old[:, None] + e.sum(axis=1) * new[:, None]
+                cross = cross * old[:, None, None] + (Xa.T @ (e @ tb.X)) * new[:, None, None]
+        log_z = top + np.log(z)
+        if not moments:
+            return log_z
+        mean_a = _each(r_all / z[:, None], ta.phi[:, :nA * nA + nA * M])   # [vec(X X'), vec(X)]
+        mean_b = _each(col / z[:, None], tb.phi[:, :nB * nB + nB * M])
+        mean_x = np.concatenate([mean_a[:, nA * nA:], mean_b[:, nB * nB:]], axis=1)
+        ab = np.trace((cross / z[:, None, None]).reshape(b, nA, M, nB, M), axis1=2, axis2=4)
+        mean_xxt = np.block([[mean_a[:, :nA * nA].reshape(b, nA, nA), ab],
+                             [ab.transpose(0, 2, 1), mean_b[:, :nB * nB].reshape(b, nB, nB)]])
+        return log_z, mean_x.reshape(b, N, M), mean_xxt
+
+    return batched(lambda p: run(Zeff[p], X0[p], C[p]), split)
 
 
 def _log_partition(prior: Prior, lam: float, X0, Z,
@@ -313,32 +316,20 @@ def _posterior(prior: Prior, lam: float, X0, Z,
 # disorder averages
 # ---------------------------------------------------------------------------
 
-def _batch(prior: Prior, shape, cuts) -> int:
-    """Replicates per disorder chunk: _CHUNK over the larger of the master
-    draw (n^2 + 2 n m numbers) and the largest cut's block-A table
-    (k^(ceil(n/2) m) configurations; block B's is no larger), at least one.
-    _split_block runs a (1, m) cut as its transpose (m, 1), so k^ceil(m/2)."""
-    table = max(prior.n_atoms ** ((n + 1) // 2 * m if n > 1 else (m + 1) // 2)
-                for n, m, _ in cuts)
-    return max(1, _CHUNK // max(table, shape[0] * (shape[0] + 2 * shape[1])))
-
-
-def _disorder(prior: Prior, shape, tag: int, seed: int, replicates: int, batch: int):
-    """Replicate disorder (X0, Z, Ztilde) at the master ``shape`` (n, m), in
-    chunks of ``batch`` replicates: arrays (b, n, m), (b, n, n) and (b, n, m)
-    for replicates lo .. lo+b-1, lo a multiple of ``batch``.  Replicate r is
-    drawn from the counter-based stream (seed, tag, r), however it is chunked;
-    callers evaluate top-left blocks, so every system size cut from one master
-    shares its random numbers."""
+def _disorder(prior: Prior, shape, tag: int, seed: int, part: slice):
+    """Replicate disorder (X0, Z, Ztilde) at the master ``shape`` (n, m) for
+    the replicates of ``part``: arrays (b, n, m), (b, n, n) and (b, n, m).
+    Replicate r is drawn from the counter-based stream (seed, tag, r), however
+    it is chunked; callers evaluate top-left blocks, so every system size cut
+    from one master shares its random numbers."""
     n, m = shape
-    for lo in range(0, replicates, batch):
-        b = min(batch, replicates - lo)
-        U, W = np.empty((b, n, m)), np.empty((b, n * n + n + n * m))
-        for i, rng in enumerate(rngmod.streams(seed, tag, r=range(lo, lo + b))):
-            rng.random(out=U[i])
-            rng.standard_normal(out=W[i])   # one call draws G, d and Ztilde in turn
-        G, d, Zt = W[:, :n * n], W[:, n * n:n * n + n], W[:, n * n + n:]
-        yield quantile(prior, U), _symmetric(G.reshape(b, n, n), d), Zt.reshape(b, n, m)
+    r = range(part.start, part.stop)
+    U, W = np.empty((len(r), n, m)), np.empty((len(r), n * n + n + n * m))
+    for i, rng in enumerate(rngmod.streams(seed, tag, r=r)):
+        rng.random(out=U[i])
+        rng.standard_normal(out=W[i])   # one call draws G, d and Ztilde in turn
+    G, d, Zt = W[:, :n * n], W[:, n * n:n * n + n], W[:, n * n + n:]
+    return quantile(prior, U), _symmetric(G.reshape(-1, n, n), d), Zt.reshape(-1, n, m)
 
 
 def replicate_cuts(prior: Prior, lam: float, shape, cuts, tag: int, seed: int,
@@ -360,7 +351,8 @@ def replicate_cuts(prior: Prior, lam: float, shape, cuts, tag: int, seed: int,
         raise ValueError("master shape smaller than requested system")
     evaluate = _posterior if posterior else _log_partition
     out = [[] for _ in cuts]
-    for X0, Z, Zt in _disorder(prior, shape, tag, seed, replicates, _batch(prior, shape, cuts)):
+    for part in parts(replicates, shape[0] * (shape[0] + 2 * shape[1])):   # X0, Z, Ztilde
+        X0, Z, Zt = _disorder(prior, shape, tag, seed, part)
         for acc, (n, m, eps) in zip(out, cuts):
             pert = None if eps is None else PerturbationParams(epsilon=eps, Ztilde=Zt[:, :n, :m])
             acc.append(evaluate(prior, lam, X0[:, :n, :m], Z[:, :n, :n], pert))

@@ -19,7 +19,7 @@ from oracles import (
     mmse_denoiser,
     mmse_point,
 )
-from wignerlab import channel
+from wignerlab import _budget, channel
 from wignerlab.priors import make_discretized_uniform, make_prior
 from wignerlab.reduction import random_psd
 
@@ -350,7 +350,7 @@ class TestStacks:
             assert np.array_equal(func(prior, np.tile(S_GRID, tiles), quad64),
                                   np.tile(ref, tiles))
             assert len(parts) > 1 and sum(n for n, _ in parts) == tiles * len(S_GRID)
-            assert max(size for _, size in parts) <= channel.BATCH
+            assert max(size for _, size in parts) <= _budget.BATCH
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("label", list(STACK_PRIORS))

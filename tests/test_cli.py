@@ -271,6 +271,20 @@ class TestStartup:
         proc = fresh("-c", code)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("sub, config, module", [
+        ("mi", {"prior": "rademacher", "s_grid": [0.5, 1.0]}, "wignerlab.replica"),
+        ("simulate", {"prior": "rademacher", "N": 2, "replicates": 2}, "wignerlab.channel"),
+    ])
+    def test_run_skips_unused_module(self, tmp_path, sub, config, module):
+        """``mi`` computes with the channel alone, and ``simulate`` needs no
+        channel: a fresh run of either loads no module it does not use."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = ("import sys, wignerlab.cli; code = wignerlab.cli.main(sys.argv[1:]); "
+                f"print(code, {module!r} in sys.modules)")
+        proc = fresh("-c", code, sub, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0 and proc.stdout.strip().splitlines()[-1] == "0 False"
+
     def test_budget_exit(self, tmp_path):
         """The budget overflow keeps exit 3 where only the failing handler
         loaded the simulator (in-process, a test has always loaded it)."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import full_grid_mi, noise_batch_loop
-from wignerlab import channel, reduction, replica
+from wignerlab import _budget, channel, reduction, replica
 from wignerlab.priors import make_prior
 
 
@@ -205,7 +205,7 @@ class TestBatch:
         """With parts of at most 2^10 elements per temporary, the suites give
         the same bits."""
         ref = reduction.noise_inequality_batch(sparse03, 2, 12, seed=2)
-        monkeypatch.setattr(channel, "BATCH", 1 << 10)
+        monkeypatch.setattr(_budget, "BATCH", 1 << 10)
         for got, want in zip(reduction.noise_inequality_batch(sparse03, 2, 12, seed=2), ref):
             np.testing.assert_array_equal(got, want)
 

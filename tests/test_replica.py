@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from oracles import ascend_one, fm_rs_monte_carlo, logsumexp_matmul
-from wignerlab import channel, replica
+from wignerlab import _budget, channel, replica
 from wignerlab.priors import make_discretized_uniform, make_prior
 from wignerlab.reduction import random_psd
 
@@ -819,7 +819,7 @@ class TestLockstep:
         lams = np.linspace(0.2, 3.0, 9)
         ref = (replica.fm_sup(rademacher, 2, 2.0), replica.fm_sup(ASYMMETRIC, 3, 1.5),
                replica.phase_scan(rademacher, lams), replica.mmse_prediction(ASYMMETRIC, 1.5))
-        monkeypatch.setattr(channel, "BATCH", 1 << 10)
+        monkeypatch.setattr(_budget, "BATCH", 1 << 10)
         got = (replica.fm_sup(rademacher, 2, 2.0), replica.fm_sup(ASYMMETRIC, 3, 1.5),
                replica.phase_scan(rademacher, lams), replica.mmse_prediction(ASYMMETRIC, 1.5))
         for (v, Q), (v_ref, Q_ref) in zip(got[:2], ref[:2]):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from wignerlab import cavity, replica, simulator
+from wignerlab import _budget, cavity, replica, simulator
 from wignerlab.priors import make_prior, make_rademacher
 from wignerlab.simulator import BudgetError, ModelInstance, PerturbationParams
 
@@ -307,8 +307,8 @@ class TestSplitBlockKernel:
         """The N = 20 case above holds 2^10 x 2^10 Gibbs weights, so its
         A-loop runs more than one chunk; ``TestBatchedKernel``'s 260
         replicates at rademacher (6, 2) hold 2^6 x 2^6 weights each, so they
-        run more than one group of replicates, each group more than one."""
-        assert 2 * 2 ** 12 <= simulator._CHUNK < 2 ** 20
+        run in more than one part of replicates, each part more than one."""
+        assert 2 * 2 ** 12 <= _budget.BATCH < 2 ** 20
 
 
 def side(eps, Zt):
@@ -338,14 +338,14 @@ BATCHED_CASES = [(name, N, M, eps) for name in ("rademacher", "sparse03")
 
 def batch_of(prior, N, M, eps, R=260):
     """The kernel arguments (Zeff, X0, t, C) of R replicates at lambda = 1.3."""
-    X0, Z, Zt = next(simulator._disorder(prior, (N, M), 1, 5, R, R))
+    X0, Z, Zt = simulator._disorder(prior, (N, M), 1, 5, slice(0, R))
     return simulator._coefficients(1.3, X0, Z, side(eps, Zt))
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("prior_name, N, M, eps", BATCHED_CASES)
     def test_matches_per_replicate_oracle(self, request, prior_name, N, M, eps):
-        """260 replicates in one call, so more than one group of replicates,
+        """260 replicates in one call, so more than one part of replicates,
         against the per-replicate whole-row enumeration."""
         prior = request.getfixturevalue(prior_name)
         Zeff, X0, t, C = batch_of(prior, N, M, eps)
@@ -448,10 +448,18 @@ class TestPerturbationGap:
         assert d.std() < np.concatenate([a, b]).std()
 
 
+def chunk_of(shape):
+    """Replicates per disorder chunk at the master ``shape`` (n, m): as many
+    as keep their draws (X0, Z, Ztilde), n^2 + 2 n m numbers each, within
+    BATCH, one at least."""
+    n, m = shape
+    return max(1, _budget.BATCH // (n * n + 2 * n * m))
+
+
 def one_by_one(prior, shape, tag, seed, R):
     """Each replicate's disorder alone, as a chunk of one: the oracles below
     share no chunking with the engine."""
-    return simulator._disorder(prior, shape, tag, seed, R, 1)
+    return (simulator._disorder(prior, shape, tag, seed, slice(r, r + 1)) for r in range(R))
 
 
 def loop_free_entropy(prior, N, M, lam, eps, R, seed, master):
@@ -509,7 +517,7 @@ class TestReplicateEngine:
     def test_free_entropy(self, sparse03, eps):
         """One replicate more than a chunk holds, so two chunks, on the (4, 2)
         cut of a (6, 3) master."""
-        R = simulator._batch(sparse03, (6, 3), [(4, 2, None)]) + 1
+        R = chunk_of((6, 3)) + 1
         got = simulator.free_entropy_replicates(sparse03, 4, 2, 1.3, epsilon=eps,
                                                 replicates=R, seed=41, master=(6, 3))
         np.testing.assert_array_equal(got, loop_free_entropy(sparse03, 4, 2, 1.3, eps, R,
@@ -550,8 +558,9 @@ class TestReplicateEngine:
             assert table.entries[key] == (float(vals.mean()),
                                           float(vals.std(ddof=1) / math.sqrt(4)), 4)
 
-    # one full chunk and a rest each; (3, 8) has a block-A table of 2^16, the
-    # whole budget, so chunks of one; (1, 17) runs as (17, 1), a table of 2^9
+    # (1, 1) and (12, 1) run one full chunk and a rest; the other masters
+    # draw fewer numbers, so their replicates fit one chunk (the kernel bounds
+    # its own temporaries, ``test_kernel_parts_fit_the_budget``)
     @pytest.mark.parametrize("prior_name, master, cuts, R", [
         ("rademacher", (1, 1), [(1, 1, None)], 21_846),
         ("rademacher", (12, 1), [(12, 1, None), (6, 1, 0.2)], 400),
@@ -561,24 +570,55 @@ class TestReplicateEngine:
     ])
     def test_chunks_fit_the_budget(self, request, monkeypatch, prior_name, master, cuts, R):
         """Every chunk the engine draws holds b >= 1 replicates, as many as
-        keep b times the larger of the master draw and the largest cut's
-        block-A table within _CHUNK; the kernel runs a (1, m) cut as (m, 1)."""
+        keep b master draws (X0, Z, Ztilde), n^2 + 2 n m numbers each, within
+        BATCH."""
         prior = request.getfixturevalue(prior_name)
         sizes, real = [], simulator._disorder
 
         def spy(*args):
-            for chunk in real(*args):
-                sizes.append(len(chunk[0]))
-                yield chunk
+            chunk = real(*args)
+            sizes.append(len(chunk[0]))
+            return chunk
         monkeypatch.setattr(simulator, "_disorder", spy)
         simulator.replicate_cuts(prior, 1.0, master, cuts, simulator.TAG_SIM, 3, R)
         n, m = master
-        size = max([prior.n_atoms ** (-(-c // 2) * k if c > 1 else -(-k // 2)) for c, k, _ in cuts]
-                   + [n * n + 2 * n * m])
+        size = n * n + 2 * n * m
         b = sizes[0]
         assert sum(sizes) == R and set(sizes[:-1]) <= {b} and 1 <= sizes[-1] <= b
-        assert b == 1 or b * size <= simulator._CHUNK
-        assert len(sizes) == 1 or (b + 1) * size > simulator._CHUNK
+        assert b == 1 or b * size <= _budget.BATCH
+        assert len(sizes) == 1 or (b + 1) * size > _budget.BATCH
+
+    @pytest.mark.parametrize("prior_name, N, M, R", [
+        ("rademacher", 2, 7, 512),     # many parts of a few replicates
+        ("rademacher", 20, 1, 3),      # parts of one, each of several A-chunks
+        ("rademacher", 1, 17, 130),    # runs as (17, 1): parts of one
+        ("sparse03", 4, 2, 810),
+    ])
+    def test_kernel_parts_fit_the_budget(self, request, monkeypatch, prior_name, N, M, R):
+        """The kernel runs its replicates in parts of b >= 1, as many as keep
+        b times its largest temporary per replicate within BATCH: the Gibbs
+        weights E (rows x cB), U (rows x w) or V (cB x w), where B has cB
+        configurations, an A-chunk holds rows = min(cA, BATCH // cB) of A's cA
+        and w = nB m + 2 m^2 + 2 features; a (1, m) cut runs as (m, 1)."""
+        prior = request.getfixturevalue(prior_name)
+        calls, real = [], simulator.batched
+
+        def spy(run, slices):
+            calls.append([s.stop - s.start for s in slices])
+            return real(run, slices)
+        monkeypatch.setattr(simulator, "batched", spy)
+        simulator.free_entropy_replicates(prior, N, M, 1.0, replicates=R, seed=3)
+        n, m = (M, 1) if N == 1 else (N, M)
+        ca, cb = prior.n_atoms ** ((n + 1) // 2 * m), prior.n_atoms ** (n // 2 * m)
+        rows = min(ca, max(1, _budget.BATCH // cb))
+        width = n // 2 * m + 2 * m * m + 2
+        size = max(rows * cb, rows * width, cb * width)
+        assert sum(map(sum, calls)) == R
+        for sizes in calls:
+            b = sizes[0]
+            assert set(sizes[:-1]) <= {b} and 1 <= sizes[-1] <= b
+            assert b == 1 or b * size <= _budget.BATCH
+            assert len(sizes) == 1 or (b + 1) * size > _budget.BATCH
 
     @pytest.mark.parametrize("prior_name, N, M, R, master, posterior", [
         ("rademacher", 1, 1, 10_000, None, False),
@@ -630,17 +670,18 @@ def replicate_runs(R):
 
 
 def engine_batches(run, *args):
-    """Every chunk size ``replicate_cuts`` picks while ``run(*args)`` runs."""
-    seen, real = [], simulator._batch
+    """Every chunk size ``replicate_cuts`` picks while ``run(*args)`` runs:
+    the chunk of each master shape it draws."""
+    seen, real = [], simulator._disorder
 
-    def spy(*a):
-        seen.append(real(*a))
-        return seen[-1]
-    simulator._batch = spy
+    def spy(prior, shape, *rest):
+        seen.append(chunk_of(shape))
+        return real(prior, shape, *rest)
+    simulator._disorder = spy
     try:
         run(*args)
     finally:
-        simulator._batch = real
+        simulator._disorder = real
     return seen
 
 
@@ -690,7 +731,8 @@ class TestReplicateStreams:
             gaps, [0.105506691979612, -0.07004205909682497, 0.0021217998253347803],
             rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("r", [0, 3, 9, 255, 256, 300] + RUN_EDGES)
+    # fixed indices (the edges of earlier chunk rules among them) and the current edges
+    @pytest.mark.parametrize("r", [0, 3, 9, 255, 256, 300, 1023, 1024] + RUN_EDGES)
     def test_prefix_stability(self, r):
         """Replicate r is the same whether r + 1 or twice the largest chunk
         of replicates run, on both sides of every caller's chunk boundary."""
@@ -702,13 +744,16 @@ class TestReplicateStreams:
 
     def test_chunks_match_streams(self, sparse03):
         """Chunked disorder equals per-replicate draws from ``rng.stream``
-        through ``Generator.choice`` and the triangle form of the noise."""
+        through ``Generator.choice`` and the triangle form of the noise; two
+        replicates past the engine's chunk, so the draw crosses a boundary."""
         tag = simulator.TAG_SIM
-        b = simulator._batch(sparse03, (5, 2), [(5, 2, None)])
-        assert b < 300
-        chunks = list(simulator._disorder(sparse03, (5, 2), tag, 4, 300, b))
+        b = chunk_of((5, 2))
+        R = b + 2
+        assert b < R
+        chunks = [simulator._disorder(sparse03, (5, 2), tag, 4, part)
+                  for part in _budget.parts(R, 5 * 5 + 2 * 5 * 2)]
         X0, Z, Zt = (np.concatenate(a) for a in zip(*chunks))
-        for r in (0, 1, b - 1, b, 299):
+        for r in (0, 1, b - 1, b, R - 1):
             g = simulator.rngmod.stream(4, tag, r)
             idx = g.choice(sparse03.n_atoms, size=(5, 2), p=sparse03.weights)
             upper = np.triu(g.standard_normal((5, 5)), 1)

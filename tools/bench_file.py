@@ -14,6 +14,12 @@ commit's tree.  The JSON file holds:
   ``SUBCOMMANDS``, median and quartiles of ``STARTS`` round-robin starts
   (after one untimed round that writes the bytecode caches, where they are
   written);
+- ``kernels``: in ``STARTS`` fresh interpreters (``KERNELS``), median and
+  quartiles of the in-process seconds of
+  ``free_entropy_replicates(rademacher, 2, 7, 1.0, replicates=512)`` and of
+  the ``ru_maxrss`` growth above the imports it causes, and of
+  ``mi_scalar_signal``'s seconds per evaluation at s = 1 on the order-64
+  rule (the mean of 200 calls after one warm-up call);
 - ``tier1``: the Tier-1 suite's wall time, outcome counts and per-test
   durations (from ``pytest --junitxml``);
 - ``calibration_s`` and ``calibration_end_s``: the median time of a fixed
@@ -58,6 +64,27 @@ SUBCOMMANDS = {
     "concentration": {"prior": "rademacher", "N_grid": [4, 6], "replicates": 20},
     "cavity": {"prior": "rademacher", "N_max": 5, "replicates": 20},
 }
+
+
+# one fresh interpreter's kernel measurements, printed as one JSON line
+KERNELS = """
+import json, resource, time
+from wignerlab import channel, priors, simulator
+prior = priors.make_rademacher()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t0 = time.perf_counter()
+simulator.free_entropy_replicates(prior, 2, 7, 1.0, replicates=512, seed=1)
+enum_s = time.perf_counter() - t0
+enum_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+quad = channel.gauss_hermite(64)
+channel.mi_scalar_signal(prior, 1.0, quad)
+t0 = time.perf_counter()
+for _ in range(200):
+    channel.mi_scalar_signal(prior, 1.0, quad)
+print(json.dumps({"free_entropy_replicates_2x7x512_s": enum_s,
+                  "free_entropy_replicates_2x7x512_peak_mb": enum_kb / 1024,
+                  "mi_scalar_signal_order64_s": (time.perf_counter() - t0) / 200}))
+"""
 
 
 def summary(values):
@@ -110,6 +137,17 @@ def subcommand_starts(root, work):
     return {sub: summary(t[1:]) for sub, t in times.items()}
 
 
+def kernel_runs(root):
+    """Each ``KERNELS`` measurement over STARTS fresh interpreters."""
+    values = {}
+    for _ in range(STARTS):
+        proc = subprocess.run([sys.executable, "-c", KERNELS], env=src_env(root),
+                              capture_output=True, text=True, check=True, timeout=300)
+        for name, value in json.loads(proc.stdout).items():
+            values.setdefault(name, []).append(value)
+    return {name: summary(v) for name, v in values.items()}
+
+
 def tier1(root, work):
     """Wall time, outcome counts and per-test durations of the Tier-1 suite."""
     xml = work / "tier1.xml"
@@ -147,6 +185,7 @@ def main(out) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         record["subcommands"] = subcommand_starts(ROOT, work)
+        record["kernels"] = kernel_runs(ROOT)
         record["workloads"] = {w: workload_runs(ROOT, w) for w in WORKLOADS}
         record["tier1"] = tier1(ROOT, work)
     record["calibration_end_s"] = calibration()
