@@ -206,7 +206,8 @@ def _channel_pass(prior, gains, quad, rows, value):
         return value(own - ln_z, mean_x, z_w)
 
     K = len(weights)
-    out = batched(run, parts(len(stack), max(len(rows), d) * K * max(K, len(z_w))))
+    # per gain, the largest temporary: the GEMM's R x K x max(K, Nz), or D's K x K x d
+    out = batched(run, parts(len(stack), max(len(rows) * K * max(K, len(z_w)), K * K * d)))
     return float(out[0]) if gains.ndim == 2 else out.reshape(gains.shape[:-2])
 
 

@@ -19,7 +19,12 @@ quadratic in the rows, so splitting them into two blocks A and B makes
 H(a, b) = h_A(a) + h_B(b) + u_A(a).v_B(b): per-block configuration tables are
 built once per (prior, block shape) and reused, and the Gibbs weights come
 from one stacked matrix product per A-chunk, visited in a fixed order
-(log-sum-exp rescaled to each replicate's running maximum).
+(log-sum-exp rescaled to each replicate's running maximum).  Without a
+side-channel field (the base Hamiltonian and eps = 0) a sign-symmetric prior
+leaves H and W unchanged when any column of X flips sign, so block A
+enumerates one configuration per orbit of those flips, weighted by the orbit's
+size; ln Z and <X X'> are exact, <X> is 0, and ``config_count`` is still the
+full k^(N M).
 
 Disorder averages are Monte Carlo over (X0, Z, Zt) draws, in chunks sized by
 the master draw; the kernel sizes its parts of replicates by its own
@@ -175,14 +180,27 @@ def _block_table(values: bytes, weights: bytes, n: int, M: int) -> _BlockTable:
 def _coefficients(lam: float, X0, Z, pert: PerturbationParams | None):
     """The Hamiltonians of the disorders (X0, Z) (b, N, M) and (b, N, N) as
     (Zeff, X0, t, C) in the form of ``_split_block``; the side channel's
-    -eps |X|^2 / 2 joins Zeff."""
+    -eps |X|^2 / 2 joins Zeff, and C is None without a side-channel field
+    (the base Hamiltonian and eps = 0)."""
     N = X0.shape[1]
     d = N if pert is None else N + 1
     Zeff = math.sqrt(lam / d) * Z
-    if pert is None:
-        return Zeff, X0, lam / d, np.zeros(X0.shape)
+    if pert is None or pert.epsilon == 0.0:
+        return Zeff, X0, lam / d, None
     eps = pert.epsilon
     return (Zeff - eps * np.eye(N), X0, lam / d, math.sqrt(eps) * pert.Ztilde + eps * X0)
+
+
+def _orbits(X, n: int, M: int):
+    """The rows of a block table X (C, n M) whose every column is zero or has
+    a positive first nonzero entry, one per orbit of the column sign flips
+    X -> X D (a slice when contiguous), and ln 2 times each one's number of
+    nonzero columns."""
+    Xr = X.reshape(-1, n, M)
+    first = np.take_along_axis(Xr, (Xr != 0).argmax(axis=1)[:, None], axis=1)[:, 0]
+    keep = np.flatnonzero((first >= 0).all(axis=1))
+    rows = slice(keep[0], keep[-1] + 1) if keep[-1] - keep[0] + 1 == len(keep) else keep
+    return rows, math.log(2.0) * (first[rows] != 0).sum(axis=1)
 
 
 def _each(v, A):
@@ -196,9 +214,15 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
 
         H(X) = Tr(X' Zeff X) / 2 + t |X' X0|_F^2 / 2 - t |X' X|_F^2 / 4 + <X, C>,
 
-    for each of b replicates: Zeff is (b, N, N), X0 and C are (b, N, M), and
-    ln Z is (b,).  With ``moments`` also the Gibbs averages <X> (b, N, M) and
-    <X X'> (b, N, N).
+    for each of b replicates: Zeff is (b, N, N), X0 and C are (b, N, M) (C
+    None for C = 0), and ln Z is (b,).  With ``moments`` also the Gibbs
+    averages <X> (b, N, M) and <X X'> (b, N, N).
+
+    With C None and a sign-symmetric prior, H and W are invariant under
+    X -> X D for every diagonal sign matrix D, so the A-sum runs over one
+    configuration per orbit of A's column flips (``_orbits``), each with
+    2^(its nonzero columns) in ln W: an all-zero column of A has its flipped
+    partner inside the B-sum.  ln Z and <X X'> are exact, and <X> is 0.
 
     The rows split into A (the first ceil(N/2)) and B (the rest, possibly
     none), and H(a, b) = h_A(a) + h_B(b) + u_A(a).v_B(b) with features
@@ -215,7 +239,7 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
         # and <x, C>: the same form for the M x 1 matrix x' without a signal
         z_diag = Zeff[:, 0, 0] + t * np.einsum("bm,bm->b", X0[:, 0], X0[:, 0])
         out = _split_block(prior, z_diag[:, None, None] * np.eye(M), np.zeros((b, M, 1)), t,
-                           C.transpose(0, 2, 1), moments)
+                           None if C is None else C.transpose(0, 2, 1), moments)
         if not moments:
             return out
         log_z, mean_x, mean_xxt = out
@@ -224,7 +248,13 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
     nA, nB = (N + 1) // 2, N // 2
     key = (prior.values.tobytes(), prior.weights.tobytes())
     ta, tb = _block_table(*key, nA, M), _block_table(*key, nB, M)
-    ca, cb = len(ta.X), len(tb.X)
+    xa, ga, phi_a, ln_mult = ta.X, ta.G, ta.phi, 0.0
+    orbits = C is None and prior.sign_symmetric
+    if orbits:
+        keep, ln_mult = _orbits(xa, nA, M)
+        xa, ga, phi_a = xa[keep], ga[keep], phi_a[keep]
+    C = np.zeros(X0.shape) if C is None else C
+    ca, cb = len(xa), len(tb.X)
     chunks = parts(ca, cb)
     rows = chunks[0].stop
     # U = [u_A | X_A' X_A, h_A, 1] against V = [v_B | -t X_B' X_B / 2, 1, h_B]
@@ -240,8 +270,9 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
         K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.transpose(0, 2, 1))
         tail = np.broadcast_to([1.0, -0.25 * t], (b, 2))
         h_a, h_b = (_each(np.concatenate([K[:, s, s].reshape(b, -1), C[:, s].reshape(b, -1), tail],
-                                         axis=1), table.phi.T)
-                    for s, table in ((slice(nA), ta), (slice(nA, N), tb)))
+                                         axis=1), phi.T)
+                    for s, phi in ((slice(nA), phi_a), (slice(nA, N), tb.phi)))
+        h_a += ln_mult
         Q = (X0[:, :, None, None, :] * eye[:, :, None]).reshape(b, N * M, M * M)  # X Q = vec(X' X0)
         kron = (Zeff[:, :nA, None, nA:, None] * eye[:, None, :]).reshape(b, nA * M, nB * M)
         L_a = np.concatenate([kron, Q[:, :nA * M]], axis=2)
@@ -253,9 +284,9 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
         if moments:
             r_all, col, cross = np.empty((b, ca)), np.zeros((b, cb)), np.zeros((b, nA * M, nB * M))
         for a in chunks:
-            Xa, e, u = ta.X[a], E[:b, :a.stop - a.start], U[:b, :a.stop - a.start]
+            Xa, e, u = xa[a], E[:b, :a.stop - a.start], U[:b, :a.stop - a.start]
             np.matmul(Xa, L_a, out=u[..., :f])
-            u[..., f:-2], u[..., -2] = ta.G[a], h_a[:, a]
+            u[..., f:-2], u[..., -2] = ga[a], h_a[:, a]
             np.matmul(u, v.transpose(0, 2, 1), out=e)  # H + ln W over this A-chunk x all of B
             m = e.max(axis=(1, 2))
             e -= m[:, None, None]
@@ -272,9 +303,10 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
         log_z = top + np.log(z)
         if not moments:
             return log_z
-        mean_a = _each(r_all / z[:, None], ta.phi[:, :nA * nA + nA * M])   # [vec(X X'), vec(X)]
+        mean_a = _each(r_all / z[:, None], phi_a[:, :nA * nA + nA * M])   # [vec(X X'), vec(X)]
         mean_b = _each(col / z[:, None], tb.phi[:, :nB * nB + nB * M])
-        mean_x = np.concatenate([mean_a[:, nA * nA:], mean_b[:, nB * nB:]], axis=1)
+        mean_x = (np.zeros((b, N * M)) if orbits
+                  else np.concatenate([mean_a[:, nA * nA:], mean_b[:, nB * nB:]], axis=1))
         ab = np.trace((cross / z[:, None, None]).reshape(b, nA, M, nB, M), axis1=2, axis2=4)
         mean_xxt = np.block([[mean_a[:, :nA * nA].reshape(b, nA, nA), ab],
                              [ab.transpose(0, 2, 1), mean_b[:, :nB * nB].reshape(b, nB, nB)]])

@@ -352,6 +352,42 @@ class TestStacks:
             assert len(parts) > 1 and sum(n for n, _ in parts) == tiles * len(S_GRID)
             assert max(size for _, size in parts) <= _budget.BATCH
 
+    @pytest.mark.parametrize("label, d, order, n, per_part", [
+        ("sparse03", 2, 24, 60, 25),      # the GEMM's, 9 x 288 per gain
+        ("rademacher", 1, 64, 3000, None),
+        ("asymmetric", 2, 20, 100, None),
+        ("uniform5", 3, 8, 3, 1),         # D's, 125 x 125 x 3 per gain
+    ])
+    def test_parts_fit_the_budget(self, request, monkeypatch, label, d, order, n, per_part):
+        """The channel pass runs its gains in parts of b >= 1, as many as keep
+        b times its largest temporary per gain within BATCH: the GEMM's
+        R x K x max(K, Nz) for R rows, K = k^d atoms and Nz nodes, or the atom
+        differences D, K x K x d."""
+        prior = stack_prior(request, label)
+        quad = channel.gauss_hermite(order)
+        calls, real = [], channel.batched
+
+        def spy(run, slices):
+            calls.append([s.stop - s.start for s in slices])
+            return real(run, slices)
+        monkeypatch.setattr(channel, "batched", spy)
+        scales = np.linspace(0.0, 2.0, n)
+        runs = [(lambda: channel.mi_vector_signal(prior, scales[:, None, None] * np.eye(d), quad), 1)]
+        if d == 1:
+            runs.append((lambda: channel.mmse_scalar(prior, scales, quad), 2))
+        K = prior.n_atoms ** d
+        Nz = len(channel.tensor_nodes(quad, d, halved=prior.sign_symmetric)[1])
+        for run, R in runs:
+            calls.clear()
+            run()
+            size = max(R * K * max(K, Nz), K * K * d)
+            (sizes,) = calls
+            b = sizes[0]
+            assert sum(sizes) == n and set(sizes[:-1]) <= {b} and 1 <= sizes[-1] <= b
+            assert b == 1 or b * size <= _budget.BATCH
+            assert len(sizes) == 1 or (b + 1) * size > _budget.BATCH
+            assert per_part is None or b == per_part
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("label", list(STACK_PRIORS))
     def test_vector_stack_matches_gains(self, request, label, d):

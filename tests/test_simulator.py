@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 from wignerlab import _budget, cavity, replica, simulator
-from wignerlab.priors import make_prior, make_rademacher
+from wignerlab.priors import make_discretized_uniform, make_prior, make_rademacher
 from wignerlab.simulator import BudgetError, ModelInstance, PerturbationParams
 
 
@@ -304,11 +304,13 @@ class TestSplitBlockKernel:
         assert abs(ps.matrix_mmse - mmse) <= 1e-12
 
     def test_several_chunks(self):
-        """The N = 20 case above holds 2^10 x 2^10 Gibbs weights, so its
-        A-loop runs more than one chunk; ``TestBatchedKernel``'s 260
-        replicates at rademacher (6, 2) hold 2^6 x 2^6 weights each, so they
-        run in more than one part of replicates, each part more than one."""
-        assert 2 * 2 ** 12 <= _budget.BATCH < 2 ** 20
+        """The N = 20 case above holds 2^9 x 2^10 Gibbs weights (one
+        A-configuration per column-sign orbit), so its A-loop runs more than
+        one chunk; ``TestBatchedKernel``'s 260 replicates at rademacher (6, 2)
+        hold 2^4 x 2^6 weights each at eps = 0 and 2^6 x 2^6 at eps = 0.3, so
+        they run in more than one part of replicates, each part more than
+        one."""
+        assert 2 * 2 ** 12 <= _budget.BATCH < 2 ** 18
 
 
 def side(eps, Zt):
@@ -318,8 +320,10 @@ def side(eps, Zt):
 
 def whole_rows_oracle(prior, Zeff, X0, t, C):
     """One replicate's ln Z, <X> and <X X'> from the whole-row table, one
-    exp-sum over every configuration: the split kernel's reference."""
+    exp-sum over every configuration: the split kernel's reference (C None
+    is C = 0)."""
     N, M = X0.shape
+    C = np.zeros((N, M)) if C is None else C
     ta = simulator._block_table(prior.values.tobytes(), prior.weights.tobytes(), N, M)
     K = 0.5 * Zeff + (0.5 * t) * (X0 @ X0.T)
     h = ta.phi @ np.concatenate([K.ravel(), C.ravel(), [1.0, -0.25 * t]])
@@ -353,7 +357,7 @@ class TestBatchedKernel:
         got = simulator._split_block(prior, Zeff, X0, t, C, moments=True)
         np.testing.assert_array_equal(got[0], log_z)
         for i in range(len(X0)):
-            want = whole_rows_oracle(prior, Zeff[i], X0[i], t, C[i])
+            want = whole_rows_oracle(prior, Zeff[i], X0[i], t, None if C is None else C[i])
             assert abs(got[0][i] - want[0]) <= 1e-12
             assert np.abs(got[1][i] - want[1]).max() <= 1e-12
             assert np.abs(got[2][i] - want[2]).max() <= 1e-12
@@ -368,10 +372,79 @@ class TestBatchedKernel:
         Zeff, X0, t, C = batch_of(prior, N, M, eps)
         batch = simulator._split_block(prior, Zeff, X0, t, C, moments=True)
         for i in range(len(X0)):
-            one = simulator._split_block(prior, Zeff[i:i + 1], X0[i:i + 1], t, C[i:i + 1],
-                                         moments=True)
+            one = simulator._split_block(prior, Zeff[i:i + 1], X0[i:i + 1], t,
+                                         None if C is None else C[i:i + 1], moments=True)
             for a, b in zip(one, batch):
                 np.testing.assert_array_equal(a[0], b[i])
+
+
+UNIFORM5 = make_discretized_uniform(1.0, 5)
+# sign-symmetric priors and block shapes whose table has at most 2^16 rows
+ORBIT_CASES = [(name, n, M) for name, k in (("rademacher", 2), ("sparse03", 3), ("uniform5", 5))
+               for n in range(1, 5) for M in range(1, 4) if k ** (n * M) <= 1 << 16]
+
+
+def symmetric_prior(request, name):
+    return UNIFORM5 if name == "uniform5" else request.getfixturevalue(name)
+
+
+class TestOrbits:
+    """Without a side-channel field a sign-symmetric prior enumerates one
+    A-configuration per orbit of the column sign flips X -> X D."""
+
+    @pytest.mark.parametrize("prior_name, n, M", ORBIT_CASES)
+    def test_one_row_per_orbit(self, request, prior_name, n, M):
+        """The kept rows are the orbits' largest table indices (the atoms are
+        sorted, so negating a column reverses its digits), and each one's
+        multiplicity is its orbit's size; together they count k^(n M)."""
+        prior = symmetric_prior(request, prior_name)
+        k = prior.n_atoms
+        table = simulator._block_table(prior.values.tobytes(), prior.weights.tobytes(), n, M)
+        rows, ln_mult = simulator._orbits(table.X, n, M)
+        digits = np.indices((k,) * (n * M)).reshape(n * M, -1).T.reshape(-1, n, M)
+        place = k ** np.arange(n * M)[::-1].reshape(n, M)
+        images = [(np.where(np.array(flips), k - 1 - digits, digits) * place).sum(axis=(1, 2))
+                  for flips in np.ndindex((2,) * M)]
+        tops, sizes = np.unique(np.max(images, axis=0), return_counts=True)
+        np.testing.assert_array_equal(np.arange(len(table.X))[rows], tops)
+        np.testing.assert_allclose(np.exp(ln_mult), sizes, rtol=1e-15)
+        assert round(np.exp(ln_mult).sum()) == k ** (n * M)
+
+    @pytest.mark.parametrize("prior_name, N, M", [
+        ("rademacher", 1, 3), ("rademacher", 3, 2), ("rademacher", 4, 3), ("rademacher", 5, 2),
+        ("sparse03", 1, 3), ("sparse03", 3, 2), ("sparse03", 3, 3), ("uniform5", 2, 2),
+        ("uniform5", 3, 2)])
+    @pytest.mark.parametrize("eps", [None, 0.0])
+    def test_matches_whole_rows(self, request, prior_name, N, M, eps):
+        """At M = 2 and 3, for the base Hamiltonian and the eps = 0 side
+        channel (N+1 normalizer), the orbit sums give the whole-row ln Z and
+        <X X'>, and <X> = 0."""
+        prior = symmetric_prior(request, prior_name)
+        X0, Z, Zt = simulator._disorder(prior, (N, M), 1, 7, slice(0, 6))
+        pert = None if eps is None else PerturbationParams(epsilon=eps, Ztilde=Zt)
+        Zeff, X0, t, C = simulator._coefficients(1.3, X0, Z, pert)
+        assert C is None
+        log_z, mean_x, mean_xxt = simulator._split_block(prior, Zeff, X0, t, C, moments=True)
+        assert not mean_x.any()
+        for i in range(len(X0)):
+            want = whole_rows_oracle(prior, Zeff[i], X0[i], t, None)
+            assert abs(log_z[i] - want[0]) <= 1e-12
+            assert np.abs(want[1]).max() <= 1e-12
+            assert np.abs(mean_xxt[i] - want[2]).max() <= 1e-12
+
+    @pytest.mark.parametrize("prior_name, eps, reduced", [
+        ("rademacher", 0.0, True), ("rademacher", 0.2, False),
+        ("sparse03", 0.0, True), ("sparse03", 0.2, False), ("asymmetric", 0.0, False)])
+    def test_full_table_with_a_field_or_an_asymmetric_prior(self, request, monkeypatch,
+                                                            prior_name, eps, reduced):
+        """A side-channel field (eps > 0) or a prior that x -> -x does not
+        preserve enumerates the full table."""
+        prior = (ASYMMETRIC if prior_name == "asymmetric"
+                 else request.getfixturevalue(prior_name))
+        calls, real = [], simulator._orbits
+        monkeypatch.setattr(simulator, "_orbits", lambda *a: calls.append(a) or real(*a))
+        simulator.free_entropy_replicates(prior, 4, 2, 1.0, epsilon=eps, replicates=3, seed=2)
+        assert bool(calls) == reduced
 
 
 class TestFreeEntropy:
@@ -599,7 +672,10 @@ class TestReplicateEngine:
         b times its largest temporary per replicate within BATCH: the Gibbs
         weights E (rows x cB), U (rows x w) or V (cB x w), where B has cB
         configurations, an A-chunk holds rows = min(cA, BATCH // cB) of A's cA
-        and w = nB m + 2 m^2 + 2 features; a (1, m) cut runs as (m, 1)."""
+        and w = nB m + 2 m^2 + 2 features; a (1, m) cut runs as (m, 1).  The
+        priors are sign-symmetric, so cA counts one A-configuration per orbit
+        of the column flips: per column, (k^nA + 1) // 2 for odd k (the zero
+        column is its own orbit) and k^nA / 2 for even k."""
         prior = request.getfixturevalue(prior_name)
         calls, real = [], simulator.batched
 
@@ -609,7 +685,8 @@ class TestReplicateEngine:
         monkeypatch.setattr(simulator, "batched", spy)
         simulator.free_entropy_replicates(prior, N, M, 1.0, replicates=R, seed=3)
         n, m = (M, 1) if N == 1 else (N, M)
-        ca, cb = prior.n_atoms ** ((n + 1) // 2 * m), prior.n_atoms ** (n // 2 * m)
+        k = prior.n_atoms
+        ca, cb = ((k ** ((n + 1) // 2) + k % 2) // 2) ** m, k ** (n // 2 * m)
         rows = min(ca, max(1, _budget.BATCH // cb))
         width = n // 2 * m + 2 * m * m + 2
         size = max(rows * cb, rows * width, cb * width)

@@ -17,9 +17,13 @@ commit's tree.  The JSON file holds:
 - ``kernels``: in ``STARTS`` fresh interpreters (``KERNELS``), median and
   quartiles of the in-process seconds of
   ``free_entropy_replicates(rademacher, 2, 7, 1.0, replicates=512)`` and of
-  the ``ru_maxrss`` growth above the imports it causes, and of
-  ``mi_scalar_signal``'s seconds per evaluation at s = 1 on the order-64
-  rule (the mean of 200 calls after one warm-up call);
+  the ``ru_maxrss`` growth above the imports it causes (its A-block is one
+  row, which enumerates a single configuration per orbit of the column sign
+  flips), of ``mi_scalar_signal``'s seconds per evaluation at s = 1 on the
+  order-64 rule (the mean of 200 calls after one warm-up call), and of the
+  nanoseconds per configuration of ``posterior_replicates(rademacher, N, M)``
+  at (20, 1) and (10, 2): the mean seconds of 5 calls after one warm-up
+  call, over replicates x 2^(N M), the full configuration count;
 - ``tier1``: the Tier-1 suite's wall time, outcome counts and per-test
   durations (from ``pytest --junitxml``);
 - ``calibration_s`` and ``calibration_end_s``: the median time of a fixed
@@ -81,9 +85,17 @@ channel.mi_scalar_signal(prior, 1.0, quad)
 t0 = time.perf_counter()
 for _ in range(200):
     channel.mi_scalar_signal(prior, 1.0, quad)
-print(json.dumps({"free_entropy_replicates_2x7x512_s": enum_s,
-                  "free_entropy_replicates_2x7x512_peak_mb": enum_kb / 1024,
-                  "mi_scalar_signal_order64_s": (time.perf_counter() - t0) / 200}))
+out = {"free_entropy_replicates_2x7x512_s": enum_s,
+       "free_entropy_replicates_2x7x512_peak_mb": enum_kb / 1024,
+       "mi_scalar_signal_order64_s": (time.perf_counter() - t0) / 200}
+for N, M, R in ((20, 1, 2), (10, 2, 1)):
+    simulator.posterior_replicates(prior, N, M, 1.0, replicates=R, seed=1)
+    t0 = time.perf_counter()
+    for _ in range(5):
+        simulator.posterior_replicates(prior, N, M, 1.0, replicates=R, seed=1)
+    out[f"posterior_replicates_{N}x{M}_ns_per_config"] = (
+        (time.perf_counter() - t0) / 5 / (R * 2 ** (N * M)) * 1e9)
+print(json.dumps(out))
 """
 
 
