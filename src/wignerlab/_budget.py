@@ -1,9 +1,27 @@
-"""The one bound on stacked temporaries, for the channel stacks, the
-``replica`` potentials, the disorder chunks and the enumeration kernel."""
+"""The package's budgets: the one bound on stacked temporaries, for the
+channel stacks, the ``replica`` potentials, the disorder chunks and the
+enumeration kernel, and the cap on exact enumeration."""
+
+import math
 
 import numpy as np
 
 BATCH = 1 << 16                   # elements per temporary of a stacked pass
+ENUM_BUDGET_BITS = 24             # enumeration cap: k^(N M) <= 2^24
+
+
+class BudgetError(ValueError):
+    """Enumeration budget k^(N M) <= 2^24 would be exceeded."""
+
+
+def check_enumeration(prior, shapes):
+    """Raise BudgetError naming every (n, m) of ``shapes`` whose k^(n m)
+    configurations exceed 2^ENUM_BUDGET_BITS."""
+    over = sorted({(n, m) for n, m in shapes
+                   if n * m * math.log2(prior.n_atoms) > ENUM_BUDGET_BITS + 1e-9})
+    if over:
+        raise BudgetError(f"enumeration of {prior.n_atoms}^(n m) configurations exceeds "
+                          f"the 2^{ENUM_BUDGET_BITS} budget at (n, m) = {over}")
 
 
 def parts(n, per_item):
@@ -14,9 +32,15 @@ def parts(n, per_item):
     return [slice(lo, min(lo + size, n)) for lo in range(0, max(n, 1), size)]
 
 
-def batched(run, slices):
-    """``run(part)`` on each slice, concatenated (each array of a tuple apart)."""
-    out = [run(part) for part in slices]
+def join(out):
+    """One result from its parts ``out``, in order: arrays concatenated, and
+    each position of a tuple apart, into a tuple of the same type (a
+    ``NamedTuple`` stays one)."""
     if isinstance(out[0], tuple):
-        return tuple(map(np.concatenate, zip(*out)))
+        return tuple.__new__(type(out[0]), map(np.concatenate, zip(*out)))
     return np.concatenate(out)
+
+
+def batched(run, slices):
+    """``run(part)`` on each slice, joined."""
+    return join([run(part) for part in slices])

@@ -19,8 +19,9 @@ config file cannot be read or parsed).  Stderr holds nothing else: NumPy's
 RuntimeWarnings are counted, by message, under the manifest's
 ``runtime_warnings`` instead of printed.
 
-Importing this module loads NumPy, ``priors`` and ``rng``; each handler
-imports the compute modules it runs, inside ``stages.compute_s``.
+Importing this module loads NumPy, ``priors``, ``rng`` and the budgets
+(``_budget``); each handler imports the compute modules it runs, inside
+``stages.compute_s``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import priors, rng
+from ._budget import BudgetError, check_enumeration
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -374,9 +376,9 @@ def run_simulate(cfg, seed):
     p, N, M, lam = cfg["prior"], cfg["N"], cfg["M"], cfg["lambda"]
     kw = {"epsilon": cfg["epsilon"], "replicates": cfg["replicates"], "seed": seed}
     if cfg["posterior"]:
-        column = _attrs(simulator.posterior_replicates(p, N, M, lam, **kw))
-        columns = {"free_entropy": column("free_entropy"),
-                   "matrix_mmse": column("matrix_mmse"), "overlap_fluct": column("overlap_fluct")}
+        post = simulator.posterior_replicates(p, N, M, lam, **kw)
+        columns = {"free_entropy": post.free_entropy, "matrix_mmse": post.matrix_mmse,
+                   "overlap_fluct": post.overlap_fluct}
     else:
         columns = {"free_entropy": simulator.free_entropy_replicates(p, N, M, lam, **kw)}
     outputs = [("simulate.csv", {"replicate": np.arange(len(columns["free_entropy"])),
@@ -390,7 +392,7 @@ def run_simulate(cfg, seed):
 def run_concentration(cfg, seed):
     from . import simulator
     p, Ns, M, lam = cfg["prior"], cfg["N_grid"], cfg["M"], cfg["lambda"]
-    simulator._check_budget(p, [(n, M) for n in Ns])
+    check_enumeration(p, [(n, M) for n in Ns])
     try:
         s = [float(n) ** -cfg["s_exponent"] for n in Ns]
     except OverflowError:
@@ -404,11 +406,11 @@ def run_concentration(cfg, seed):
 
 
 def run_cavity(cfg, seed):
-    from . import cavity, simulator
+    from . import cavity
     p, lam, n_max, T = cfg["prior"], cfg["lambda"], cfg["N_max"], cfg["T"]
     if T >= n_max:
         raise ConfigError("truncation T must satisfy 0 <= T < N_max")
-    simulator._check_budget(p, [(n_max, 1)])    # before the schedule's arrays of N_max + 1
+    check_enumeration(p, [(n_max, 1)])    # before the schedule's arrays of N_max + 1
     schedule = cavity.dims_schedule(cfg["alpha"], cfg["gamma"], n_max)
     if schedule.rank_at(n_max) < 1:
         raise ConfigError("schedule reaches rank 0 at N_max; increase alpha or N_max")
@@ -443,9 +445,9 @@ HANDLERS = {name: globals()[f"run_{name.replace('-', '_')}"] for name in SCHEMAS
 
 # exception types -> (error record kind, exit code); the first match wins.  A
 # float overflow (a valid prior's rho**2 past the float range) is a non-finite
-# result.  main matches simulator.BudgetError (exit 3) first, looked up only
-# on the failure path, so that importing the CLI does not load the simulator
+# result.
 FAILURES = [
+    (BudgetError, "budget", EXIT_BUDGET),
     (ConfigFileError, "config", EXIT_VALIDATION),
     (NonConvergenceError, "non-convergence", EXIT_NONCONVERGENCE),
     ((NonFiniteResultError, OverflowError), "non-finite", EXIT_INTERNAL),
@@ -530,9 +532,7 @@ def main(argv=None) -> int:
         stopped, code = time.monotonic(), EXIT_OK
     except Exception as exc:    # the boundary: every failure is reported, none escapes
         stopped = time.monotonic()
-        simulator = sys.modules.get(f"{__package__}.simulator")    # loaded if it raised
-        budget = [(simulator.BudgetError, "budget", EXIT_BUDGET)] if simulator else []
-        kind, code = next((k, c) for t, k, c in budget + FAILURES if isinstance(exc, t))
+        kind, code = next((k, c) for t, k, c in FAILURES if isinstance(exc, t))
         meta["partial"] = True
         meta["error"] = str(exc)
         if kind == "internal":

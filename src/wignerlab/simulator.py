@@ -23,15 +23,17 @@ from one stacked matrix product per A-chunk, visited in a fixed order
 side-channel field (the base Hamiltonian and eps = 0) a sign-symmetric prior
 leaves H and W unchanged when any column of X flips sign, so block A
 enumerates one configuration per orbit of those flips, weighted by the orbit's
-size; ln Z and <X X'> are exact, <X> is 0, and ``config_count`` is still the
-full k^(N M).
+size; ln Z and <X X'> are exact and <X> is 0.
 
-Disorder averages are Monte Carlo over (X0, Z, Zt) draws, in chunks sized by
-the master draw; the kernel sizes its parts of replicates by its own
-temporaries (both by ``_budget.parts``).  Replicate r draws from its own
-stream (seed, tag, r), re-keyed from a chunk of hashed keys (``rng.streams``),
-and every product is the replicate's own (a stacked matmul multiplies each
-item on its own), so its value is bit-identical however replicates are chunked.
+Disorder is drawn in one place, ``_disorder``, which ``replicate_cuts`` runs:
+Monte Carlo over (X0, Z, Zt) draws, in chunks sized by the master draw; the
+kernel sizes its parts of replicates by its own temporaries (both by
+``_budget.parts``).  Replicate r draws from its own stream (seed, tag, r),
+re-keyed from a chunk of hashed keys (``rng.streams``), and every product is
+the replicate's own (a stacked matmul multiplies each item on its own), so its
+value is bit-identical however replicates are chunked; ``sample_instance`` is
+replicate 0 of the ``simulate`` draw.  Arrays go in and out: a side channel is
+(eps, Zt), and a batch's posterior summary holds one column per quantity.
 """
 
 from __future__ import annotations
@@ -39,17 +41,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
-from ._budget import batched, parts
+from ._budget import batched, check_enumeration, join, parts
 from .priors import Prior, quantile
 
 __all__ = [
-    "BudgetError",
     "ModelInstance",
-    "PerturbationParams",
     "PosteriorSummary",
     "sample_instance",
     "replicate_cuts",
@@ -61,15 +62,8 @@ __all__ = [
     "instance_from_json",
 ]
 
-ENUM_BUDGET_BITS = 24          # enumeration cap: k^(N M) <= 2^24
-
-TAG_INSTANCE = rngmod.tag("instance")
 TAG_SIM = rngmod.tag("simulate")
 TAG_PERT = rngmod.tag("perturbation")
-
-
-class BudgetError(ValueError):
-    """Enumeration budget k^(N M) <= 2^24 would be exceeded."""
 
 
 @dataclass(frozen=True)
@@ -83,27 +77,14 @@ class ModelInstance:
     seed: int
 
 
-@dataclass(frozen=True)
-class PerturbationParams:
-    """Side-channel strength and its Gaussian coupling matrix (N x M, or a
-    (b, N, M) stack for a batch of replicates)."""
+class PosteriorSummary(NamedTuple):
+    """Exact posterior summaries of a batch of R replicates, one column each."""
 
-    epsilon: float
-    Ztilde: np.ndarray
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("perturbation strength must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    log_partition: float
-    free_entropy: float           # log_partition / (N M)
-    mean_overlap: np.ndarray      # <R10>, M x M
-    overlap_fluct: float          # <|R10 - <R10>|_F^2>
-    matrix_mmse: float            # |X0 X0' - <X X'>|_F^2 / (N^2 M)
-    config_count: int
+    log_partition: np.ndarray     # (R,)
+    free_entropy: np.ndarray      # (R,) log_partition / (N M)
+    mean_overlap: np.ndarray      # (R, M, M) <R10>
+    overlap_fluct: np.ndarray     # (R,) <|R10 - <R10>|_F^2>
+    matrix_mmse: np.ndarray       # (R,) |X0 X0' - <X X'>|_F^2 / (N^2 M)
 
 
 def _symmetric(G: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -116,41 +97,9 @@ def _symmetric(G: np.ndarray, d: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _draw_wigner(rng: np.random.Generator, n: int) -> np.ndarray:
-    G = rng.standard_normal((n, n))
-    return _symmetric(G, rng.standard_normal(n))
-
-
-def _draw_signal(prior: Prior, rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    return quantile(prior, rng.random((n, m)))
-
-
-def sample_instance(prior: Prior, N: int, M: int, lam: float, seed: int) -> ModelInstance:
-    """Draw one instance; bit-identical on repeat for a fixed seed."""
-    if N < 1 or M < 1:
-        raise ValueError("dimensions must be positive")
-    if lam < 0:
-        raise ValueError("SNR must be nonnegative")
-    rng = rngmod.stream(seed, TAG_INSTANCE)
-    X0 = _draw_signal(prior, rng, N, M)
-    Z = _draw_wigner(rng, N)
-    Y = math.sqrt(lam / N) * (X0 @ X0.T) + Z
-    return ModelInstance(N=N, M=M, lam=lam, X0=X0, Z=Z, Y=Y, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # exact posterior by enumeration
 # ---------------------------------------------------------------------------
-
-def _check_budget(prior: Prior, shapes):
-    """Raise BudgetError naming every (n, m) of ``shapes`` whose k^(n m)
-    configurations exceed 2^ENUM_BUDGET_BITS."""
-    over = sorted({(n, m) for n, m in shapes
-                   if n * m * math.log2(prior.n_atoms) > ENUM_BUDGET_BITS + 1e-9})
-    if over:
-        raise BudgetError(f"enumeration of {prior.n_atoms}^(n m) configurations exceeds "
-                          f"the 2^{ENUM_BUDGET_BITS} budget at (n, m) = {over}")
-
 
 @dataclass(frozen=True)
 class _BlockTable:
@@ -177,18 +126,18 @@ def _block_table(values: bytes, weights: bytes, n: int, M: int) -> _BlockTable:
     return _BlockTable(X=X, G=G, phi=phi)
 
 
-def _coefficients(lam: float, X0, Z, pert: PerturbationParams | None):
+def _coefficients(lam: float, X0, Z, eps, Zt):
     """The Hamiltonians of the disorders (X0, Z) (b, N, M) and (b, N, N) as
-    (Zeff, X0, t, C) in the form of ``_split_block``; the side channel's
-    -eps |X|^2 / 2 joins Zeff, and C is None without a side-channel field
-    (the base Hamiltonian and eps = 0)."""
+    (Zeff, X0, t, C) in the form of ``_split_block``: eps None is the base
+    Hamiltonian, a float the side channel of that strength on Zt (b, N, M).
+    The side channel's -eps |X|^2 / 2 joins Zeff, and C is None without a
+    side-channel field (the base Hamiltonian and eps = 0)."""
     N = X0.shape[1]
-    d = N if pert is None else N + 1
+    d = N if eps is None else N + 1
     Zeff = math.sqrt(lam / d) * Z
-    if pert is None or pert.epsilon == 0.0:
+    if not eps:
         return Zeff, X0, lam / d, None
-    eps = pert.epsilon
-    return (Zeff - eps * np.eye(N), X0, lam / d, math.sqrt(eps) * pert.Ztilde + eps * X0)
+    return Zeff - eps * np.eye(N), X0, lam / d, math.sqrt(eps) * Zt + eps * X0
 
 
 def _orbits(X, n: int, M: int):
@@ -315,33 +264,30 @@ def _split_block(prior: Prior, Zeff, X0, t: float, C, moments: bool = False):
     return batched(lambda p: run(Zeff[p], X0[p], C[p]), split)
 
 
-def _log_partition(prior: Prior, lam: float, X0, Z,
-                   pert: PerturbationParams | None) -> np.ndarray:
-    """ln Z of each replicate in the batch (X0, Z) (b, N, M) and (b, N, N)."""
-    return _split_block(prior, *_coefficients(lam, X0, Z, pert))
+def _log_partition(prior: Prior, lam: float, X0, Z, eps, Zt) -> np.ndarray:
+    """ln Z of each replicate in the batch (X0, Z) (b, N, M) and (b, N, N),
+    with the side channel (eps, Zt) of ``_coefficients``."""
+    return _split_block(prior, *_coefficients(lam, X0, Z, eps, Zt))
 
 
-def _posterior(prior: Prior, lam: float, X0, Z,
-               pert: PerturbationParams | None) -> list[PosteriorSummary]:
-    """Exact posterior summaries of each replicate in the batch (X0, Z).
+def _posterior(prior: Prior, lam: float, X0, Z, eps, Zt) -> PosteriorSummary:
+    """Exact posterior summary of the batch (X0, Z), one row per replicate.
 
-    ``pert=None`` uses the base Hamiltonian H_N; otherwise the side-channel
-    form with the N+1 coupling normalizer.  One split-block pass gives ln Z,
+    eps None uses the base Hamiltonian H_N; a float the side-channel form on
+    Zt with the N+1 coupling normalizer.  One split-block pass gives ln Z,
     <X> and <X X'>; the overlap moments follow from <R> = <X>' X0 / N and
     <|R|_F^2> = <X X', X0 X0'> / N^2.
     """
     _, N, M = X0.shape
-    _check_budget(prior, [(N, M)])
-    log_z, mean_x, mean_xxt = _split_block(prior, *_coefficients(lam, X0, Z, pert),
+    check_enumeration(prior, [(N, M)])
+    log_z, mean_x, mean_xxt = _split_block(prior, *_coefficients(lam, X0, Z, eps, Zt),
                                            moments=True)
     truth = X0 @ X0.transpose(0, 2, 1)
     mean_R = mean_x.transpose(0, 2, 1) @ X0 / N
     mean_R2 = (truth * mean_xxt).sum(axis=(1, 2)) / (N * N)
     fluct = np.maximum(mean_R2 - (mean_R * mean_R).sum(axis=(1, 2)), 0.0)
     mmse = ((truth - mean_xxt) ** 2).sum(axis=(1, 2)) / (N * N * M)
-    return [PosteriorSummary(log_partition=lz, free_entropy=lz / (N * M), mean_overlap=R,
-                             overlap_fluct=f, matrix_mmse=e, config_count=prior.n_atoms ** (N * M))
-            for lz, R, f, e in zip(log_z.tolist(), mean_R, fluct.tolist(), mmse.tolist())]
+    return PosteriorSummary(log_z, log_z / (N * M), mean_R, fluct, mmse)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +310,18 @@ def _disorder(prior: Prior, shape, tag: int, seed: int, part: slice):
     return quantile(prior, U), _symmetric(G.reshape(-1, n, n), d), Zt.reshape(-1, n, m)
 
 
+def sample_instance(prior: Prior, N: int, M: int, lam: float, seed: int) -> ModelInstance:
+    """Replicate 0 of the ``simulate`` run at (N, M) and ``seed``: the
+    disorder (X0, Z) behind its first row, with Y = sqrt(lam/N) X0 X0' + Z."""
+    if N < 1 or M < 1:
+        raise ValueError("dimensions must be positive")
+    if lam < 0:
+        raise ValueError("SNR must be nonnegative")
+    X0, Z, _ = (a[0] for a in _disorder(prior, (N, M), TAG_SIM, seed, slice(0, 1)))
+    Y = math.sqrt(lam / N) * (X0 @ X0.T) + Z
+    return ModelInstance(N=N, M=M, lam=lam, X0=X0, Z=Z, Y=Y, seed=seed)
+
+
 def replicate_cuts(prior: Prior, lam: float, shape, cuts, tag: int, seed: int,
                    replicates: int, posterior: bool = False) -> list:
     """Evaluate every cut (n, m, eps) of each replicate's master disorder.
@@ -372,11 +330,14 @@ def replicate_cuts(prior: Prior, lam: float, shape, cuts, tag: int, seed: int,
     smallest holding every cut) once, from the stream (seed, tag, r), and each
     cut evaluates its top-left n x m block, so all cuts share their random
     numbers.  eps None is the base Hamiltonian H_n; a float, 0.0 included, is
-    the side channel of that strength with the n+1 normalizer.  Returns one
-    (replicates,) array of ln Z per cut, or with ``posterior`` one list of
-    PosteriorSummary per cut.
+    the side channel of that strength with the n+1 normalizer.  Returns per
+    cut one (replicates,) array of ln Z, or with ``posterior`` one
+    PosteriorSummary of every replicate (columns (replicates,), and
+    (replicates, m, m) for the mean overlap); each joins its chunks in order.
     """
-    _check_budget(prior, [(n, m) for n, m, _ in cuts])
+    check_enumeration(prior, [(n, m) for n, m, _ in cuts])
+    if any(eps is not None and eps < 0 for _, _, eps in cuts):
+        raise ValueError("perturbation strength must be nonnegative")
     need = (max(n for n, _, _ in cuts), max(m for _, m, _ in cuts))
     shape = need if shape is None else shape
     if shape[0] < need[0] or shape[1] < need[1]:
@@ -386,10 +347,8 @@ def replicate_cuts(prior: Prior, lam: float, shape, cuts, tag: int, seed: int,
     for part in parts(replicates, shape[0] * (shape[0] + 2 * shape[1])):   # X0, Z, Ztilde
         X0, Z, Zt = _disorder(prior, shape, tag, seed, part)
         for acc, (n, m, eps) in zip(out, cuts):
-            pert = None if eps is None else PerturbationParams(epsilon=eps, Ztilde=Zt[:, :n, :m])
-            acc.append(evaluate(prior, lam, X0[:, :n, :m], Z[:, :n, :n], pert))
-    return [[s for chunk in acc for s in chunk] if posterior else np.concatenate(acc)
-            for acc in out]
+            acc.append(evaluate(prior, lam, X0[:, :n, :m], Z[:, :n, :n], eps, Zt[:, :n, :m]))
+    return [join(acc) for acc in out]
 
 
 def free_entropy_replicates(prior: Prior, N: int, M: int, lam: float, *,
@@ -423,9 +382,9 @@ def free_entropy_mc(prior: Prior, N: int, M: int, lam: float, epsilon: float,
 
 def posterior_replicates(prior: Prior, N: int, M: int, lam: float, *,
                          epsilon: float = 0.0, replicates: int, seed: int,
-                         master=None) -> list[PosteriorSummary]:
-    """Full posterior summaries over disorder replicates (common streams with
-    free_entropy_replicates for identical parameters)."""
+                         master=None) -> PosteriorSummary:
+    """Exact posterior summaries of every disorder replicate, one column each
+    (common streams with free_entropy_replicates for identical parameters)."""
     cut = (N, M, None if epsilon == 0.0 else epsilon)
     return replicate_cuts(prior, lam, master, [cut], TAG_SIM, seed, replicates,
                           posterior=True)[0]
@@ -447,7 +406,7 @@ def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
     eps_grid = s_N * (1.0 + (np.arange(n_eps) + 0.5) / n_eps)
     runs = replicate_cuts(prior, lam, (N, M), [(N, M, float(e)) for e in eps_grid], TAG_PERT,
                           seed, replicates, posterior=True)
-    vals = np.mean([[s.overlap_fluct for s in run] for run in runs], axis=0)
+    vals = np.mean([run.overlap_fluct for run in runs], axis=0)
     gamma = M**2 / math.sqrt(N * s_N)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates)), gamma
 
@@ -459,8 +418,6 @@ def perturbation_gap_replicates(prior: Prior, N: int, M: int, lam: float,
     Replicate r always sees the same (X0, Z, Ztilde) for a given seed, so gaps
     at different s_N values pair up for common-random-number differences.
     """
-    if s_N < 0:
-        raise ValueError("schedule value must be nonnegative")
     side, base = replicate_cuts(prior, lam, (N, M), [(N, M, s_N), (N, M, None)], TAG_PERT,
                                 seed, replicates)
     return side / (N * M) - base / (N * M)

@@ -207,8 +207,8 @@ def test_criterion_10_convergence_trend():
     for N in Ns:
         summaries = simulator.posterior_replicates(
             RADEMACHER, N, 1, lam, replicates=300, seed=1010, master=(16, 1))
-        gaps[N] = np.array([s.free_entropy for s in summaries]) - bound
-        mmses[N] = np.array([s.matrix_mmse for s in summaries])
+        gaps[N] = summaries.free_entropy - bound
+        mmses[N] = summaries.matrix_mmse
     ok, details = True, []
     for a, b in zip(Ns[:-1], Ns[1:]):
         d = gaps[b] - gaps[a]

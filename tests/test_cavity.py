@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wignerlab import cavity, replica
-from wignerlab.simulator import BudgetError
+from wignerlab._budget import BudgetError
 
 
 def synthetic_table(schedule, fill, T=0):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wignerlab import channel, cli, reduction, replica
+from wignerlab import channel, cli, reduction, replica, simulator
 from wignerlab.channel import gauss_hermite
 from wignerlab.priors import make_prior, make_rademacher, make_sparse_rademacher
 
@@ -228,6 +228,25 @@ class TestDeterminism:
         _, out2 = run(tmp_path, "simulate", config, "d2", seed=9)
         assert (out1 / "simulate.csv").read_bytes() == \
             (out2 / "simulate.csv").read_bytes()
+
+    @pytest.mark.parametrize("prior", ["rademacher", {"kind": "sparse_rademacher", "p": 0.3}])
+    @pytest.mark.parametrize("N, M, lam, seed", [(5, 1, 2.0, 3), (5, 2, 1.5, 4)])
+    def test_instance_dump_is_row_zero(self, tmp_path, prior, N, M, lam, seed):
+        """instance.json holds the disorder behind the first simulate.csv row:
+        its ln Z / (N M), from the file read back, is that row's free entropy
+        to the bit."""
+        config = {"prior": prior, "N": N, "M": M, "lambda": lam, "replicates": 3,
+                  "dump_instance": True}
+        code, out = run(tmp_path, "simulate", config, "dump", seed=seed)
+        assert code == 0
+        inst = simulator.instance_from_json((out / "instance.json").read_text())
+        with open(out / "simulate.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        p = cli._fields(cli.SCHEMAS["simulate"], config, "config")["prior"]
+        log_z = simulator._log_partition(p, inst.lam, inst.X0.reshape(1, N, M), inst.Z[None],
+                                         None, None)
+        assert (inst.N, inst.M, inst.seed) == (N, M, seed)
+        assert log_z[0] / (N * M) == float(row["free_entropy"])
 
     def test_manifest_written(self, tmp_path):
         config = {"prior": "rademacher",

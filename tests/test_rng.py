@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wignerlab import rng, simulator
-from wignerlab.priors import make_prior, make_rademacher, make_sparse_rademacher
+from wignerlab.priors import make_prior, make_rademacher, make_sparse_rademacher, quantile
 
 TAGS = ["simulate", "perturbation", "cavity"]
 
@@ -57,15 +57,21 @@ class TestStreams:
                                    make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)])],
                          ids=["rademacher", "sparse03", "asymmetric"])
 def test_draw_signal_matches_choice(prior):
+    """A signal drawn as ``priors.quantile`` on uniforms is the atoms
+    ``Generator.choice`` picks, draw for draw."""
     for s in range(200):
-        got = simulator._draw_signal(prior, rng.stream(s, 1), 4, 3)
+        got = quantile(prior, rng.stream(s, 1).random((4, 3)))
         idx = rng.stream(s, 1).choice(prior.n_atoms, size=(4, 3), p=prior.weights)
         np.testing.assert_array_equal(got, prior.values[idx])
 
 
 def test_draw_wigner_matches_triangle_form():
-    for s in range(50):
-        ref = rng.stream(s, 2)
+    """The Wigner noise of ``simulator._disorder`` is the triangle form of each
+    replicate's stream, drawn after its signal's uniforms."""
+    _, Z, _ = simulator._disorder(make_rademacher(), (5, 2), 2, 7, slice(0, 50))
+    for r in range(50):
+        ref = rng.stream(7, 2, r)
+        ref.random((5, 2))
         upper = np.triu(ref.standard_normal((5, 5)), 1)
         want = upper + upper.T + np.diag(math.sqrt(2.0) * ref.standard_normal(5))
-        np.testing.assert_array_equal(simulator._draw_wigner(rng.stream(s, 2), 5), want)
+        np.testing.assert_array_equal(Z[r], want)

@@ -23,7 +23,10 @@ commit's tree.  The JSON file holds:
   order-64 rule (the mean of 200 calls after one warm-up call), and of the
   nanoseconds per configuration of ``posterior_replicates(rademacher, N, M)``
   at (20, 1) and (10, 2): the mean seconds of 5 calls after one warm-up
-  call, over replicates x 2^(N M), the full configuration count;
+  call, over replicates x 2^(N M), the full configuration count; and the
+  microseconds per replicate of ``posterior_replicates(rademacher, 4, 1,
+  replicates=2000)``, the posterior job of ``replicates-small`` (the mean of
+  5 calls after one warm-up call);
 - ``tier1``: the Tier-1 suite's wall time, outcome counts and per-test
   durations (from ``pytest --junitxml``);
 - ``calibration_s`` and ``calibration_end_s``: the median time of a fixed
@@ -95,6 +98,11 @@ for N, M, R in ((20, 1, 2), (10, 2, 1)):
         simulator.posterior_replicates(prior, N, M, 1.0, replicates=R, seed=1)
     out[f"posterior_replicates_{N}x{M}_ns_per_config"] = (
         (time.perf_counter() - t0) / 5 / (R * 2 ** (N * M)) * 1e9)
+simulator.posterior_replicates(prior, 4, 1, 1.0, replicates=2000, seed=1)
+t0 = time.perf_counter()
+for _ in range(5):
+    simulator.posterior_replicates(prior, 4, 1, 1.0, replicates=2000, seed=1)
+out["posterior_replicates_4x1x2000_us_per_replicate"] = (time.perf_counter() - t0) / 5 / 2000 * 1e6
 print(json.dumps(out))
 """
 
