@@ -22,20 +22,24 @@ Disorder draws use common random numbers (``simulator.replicate_cuts``): each
 replicate draws one master (X0, Z, Ztilde) at the largest size and every
 (n, m) entry evaluates its top-left blocks, which makes the increments
 differences of correlated estimates with small pooled errors.
+
+The results are the CSV tables themselves: the fields of ``CavityIncrements``
+are the columns of ``cavity_increments.csv``, one row per step, and those of
+``CavityReport`` the one row of ``cavity_report.csv``, in order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
 from .priors import Prior
 from .replica import f1_sup
-from .simulator import _need_two, replicate_cuts
+from .simulator import _mean_se, _need_two, replicate_cuts
 
 __all__ = [
     "DimensionSchedule",
@@ -119,9 +123,6 @@ class FreeEntropyTable:
     """Single-evaluation store of E ln Z estimates keyed by (n, m)."""
 
     entries: dict                         # (n, m) -> (L, std_err, replicates)
-    lam: float
-    prior_label: str
-    epsilon_label: str
     replicate_values: dict = field(default_factory=dict)   # (n, m) -> array (R,)
 
     def value(self, n: int, m: int) -> float:
@@ -140,32 +141,32 @@ class FreeEntropyTable:
         return np.zeros_like(some) if empty else self.replicate_values[(n, m)]
 
 
-@dataclass
-class CavityIncrements:
-    n_values: np.ndarray
+class CavityIncrements(NamedTuple):
+    """The columns of cavity_increments.csv, one row per step n = T .. N-1."""
+
+    n: np.ndarray
     delta_N: np.ndarray
     delta_M: np.ndarray
-    delta_N_norm: np.ndarray              # dN(n) / m_{n+1}
-    delta_M_norm: np.ndarray              # dM(n) / n at rank-increment steps, else 0
-    increment_steps: np.ndarray           # bool mask where m_{n+1} > m_n
+    delta_N_norm: np.ndarray              # dN(n) / m_{n+1}; its gap is this - f1_sup
+    delta_M_norm: np.ndarray              # dM(n) / n at rank steps with n > 0, else 0
+    rank_step: np.ndarray                 # bool: m_{n+1} > m_n
 
 
-@dataclass
-class CavityReport:
-    f1_sup_value: float
-    weights: tuple
-    combined_mean: float                  # w_N * avg(dN/m) + w_M * avg(dM/n)
+class CavityReport(NamedTuple):
+    """The one row of cavity_report.csv."""
+
+    f1_sup: float
+    w_N: float
+    w_M: float
+    combined: float                       # w_N * avg(dN/m) + w_M * avg(dM/n)
     combined_se: float
     table_free_entropy: float             # L(N, m_N) / (N m_N)
     table_free_entropy_se: float
     diff: float                           # combined - table free entropy
     diff_se: float
-    plain_combined_mean: float            # same with unweighted per-step means
+    plain_combined: float                 # same with unweighted per-step means
     plain_diff: float
     telescoping_residual: float
-    delta_N_gaps: np.ndarray              # dN/m - sup F1 per n
-    delta_M_gaps: np.ndarray              # dM/n - sup F1 at increment steps
-    increments: CavityIncrements
 
 
 def _steps(value, schedule: DimensionSchedule, T: int, N: int):
@@ -185,15 +186,12 @@ def _steps(value, schedule: DimensionSchedule, T: int, N: int):
 
 
 def required_entries(schedule: DimensionSchedule, T: int = 0) -> list:
-    """All (n, m) pairs the increments on [T, n_max-1] read (nonzero sizes)."""
-    need = {(T, schedule.rank_at(T))}
-
-    def read(n, m):
-        need.add((n, m))
-        return 0.0
-
-    _steps(read, schedule, T, schedule.n_max)
-    return sorted((n, m) for n, m in need if n > 0 and m > 0)
+    """All (n, m) pairs the increments on [T, n_max-1] read (nonzero sizes):
+    (T, m_T) and each step's (n, m_(n+1)) and (n+1, m_(n+1)), its (n, m_n) among them."""
+    m = schedule.m_of_n.tolist()
+    need = {(T, m[T])}.union(*({(n, m[n + 1]), (n + 1, m[n + 1])}
+                               for n in range(T, schedule.n_max)))
+    return sorted((n, k) for n, k in need if n > 0 and k > 0)
 
 
 def build_table(prior: Prior, lam: float, schedule: DimensionSchedule,
@@ -210,12 +208,8 @@ def build_table(prior: Prior, lam: float, schedule: DimensionSchedule,
     need = required_entries(schedule, T)
     acc = dict(zip(need, replicate_cuts(prior, lam, None, [(n, m, epsilon) for n, m in need],
                                         TAG_CAVITY, seed, replicates)))
-    entries = {key: (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates)),
-                     replicates)
-               for key, vals in acc.items()}
-    label = "base" if epsilon is None else f"eps={epsilon:g}"
-    return FreeEntropyTable(entries=entries, lam=lam, prior_label=prior.label,
-                            epsilon_label=label, replicate_values=acc)
+    entries = {key: (*_mean_se(vals), replicates) for key, vals in acc.items()}
+    return FreeEntropyTable(entries=entries, replicate_values=acc)
 
 
 def increments(table: FreeEntropyTable, schedule: DimensionSchedule,
@@ -224,12 +218,9 @@ def increments(table: FreeEntropyTable, schedule: DimensionSchedule,
     m = schedule.m_of_n
     ns = np.arange(T, schedule.n_max)
     d_n, d_m, steps = _steps(table.value, schedule, T, schedule.n_max)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        norm_n = np.where(m[ns + 1] > 0, d_n / np.maximum(m[ns + 1], 1), 0.0)
-        norm_m = np.where(steps & (ns > 0), d_m / np.maximum(ns, 1), 0.0)
-    return CavityIncrements(n_values=ns, delta_N=d_n, delta_M=d_m,
-                            delta_N_norm=norm_n, delta_M_norm=norm_m,
-                            increment_steps=steps)
+    norm_n = np.where(m[ns + 1] > 0, d_n / np.maximum(m[ns + 1], 1), 0.0)
+    norm_m = np.where(steps & (ns > 0), d_m / np.maximum(ns, 1), 0.0)
+    return CavityIncrements(ns, d_n, d_m, norm_n, norm_m, steps)
 
 
 def telescoping_check(table: FreeEntropyTable, schedule: DimensionSchedule,
@@ -244,8 +235,7 @@ def telescoping_check(table: FreeEntropyTable, schedule: DimensionSchedule,
     total = 0.0
     for a, b in zip(d_n.tolist(), d_m.tolist()):
         total = total + a + b           # left to right: sum() of floats is compensated
-    m = schedule.m_of_n
-    direct = table.value(N, int(m[N])) - table.value(T, int(m[T]))
+    direct = table.value(N, schedule.rank_at(N)) - table.value(T, schedule.rank_at(T))
     return abs(total - direct)
 
 
@@ -258,7 +248,7 @@ def cavity_report(prior: Prior, lam: float, schedule: DimensionSchedule,
     normalized by the same index sums that define the weights (sum m_n and
     sum n_m), the finite-N form in which the convex-combination identity is
     sharp.  The unweighted per-step means are reported alongside as
-    ``plain_combined_mean``; at desk scale they carry the spread of the early
+    ``plain_combined``; at desk scale they carry the spread of the early
     increments and are diagnostic only.  All statistics are evaluated per
     replicate (common random numbers), so differences carry pooled errors.
 
@@ -268,44 +258,23 @@ def cavity_report(prior: Prior, lam: float, schedule: DimensionSchedule,
     and ``diff`` is -L(T, m_T) / (N m_N): rounding at T = 0, a fixed offset at
     T > 0.  It checks the bookkeeping, not the estimates in the table.
     """
-    f1_value, _ = f1_sup(prior, lam)
-    inc = increments(table, schedule, T)
     m = schedule.m_of_n
     N = schedule.n_max
     M = int(m[N])
+    ns = np.arange(T, N)
     w_n, w_m = cavity_weights(schedule, N, T)
     sum_m, sum_nm = _index_sums(schedule, N, T)
 
     f_tilde = table.replicate(N, M) / (N * M)
     # per-replicate increments, one row per step; dM/n only at rank steps with n > 0
-    d_n, d_m, _ = _steps(table.replicate, schedule, T, N)
-    ranked = inc.increment_steps & (inc.n_values > 0)
+    d_n, d_m, rank_step = _steps(table.replicate, schedule, T, N)
+    ranked = rank_step & (ns > 0)
     comb = w_n * (np.sum(d_n, axis=0) / sum_m)
-    plain = w_n * np.mean(d_n / np.maximum(m[inc.n_values + 1], 1)[:, None], axis=0)
+    plain = w_n * np.mean(d_n / np.maximum(m[ns + 1], 1)[:, None], axis=0)
     if ranked.any():
         comb = comb + w_m * np.sum(d_m[ranked], axis=0) / sum_nm
-        plain = plain + w_m * np.mean(d_m[ranked] / inc.n_values[ranked][:, None], axis=0)
-    diff = comb - f_tilde
-
-    def mean_se(x):
-        return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size))
-
-    comb_mean, comb_se = mean_se(comb)
-    ft_mean, ft_se = mean_se(f_tilde)
-    diff_mean, diff_se = mean_se(diff)
-    return CavityReport(
-        f1_sup_value=f1_value,
-        weights=(w_n, w_m),
-        combined_mean=comb_mean,
-        combined_se=comb_se,
-        table_free_entropy=ft_mean,
-        table_free_entropy_se=ft_se,
-        diff=diff_mean,
-        diff_se=diff_se,
-        plain_combined_mean=float(np.mean(plain)),
-        plain_diff=float(np.mean(plain - f_tilde)),
-        telescoping_residual=telescoping_check(table, schedule, T, N),
-        delta_N_gaps=inc.delta_N_norm - f1_value,
-        delta_M_gaps=inc.delta_M_norm[ranked] - f1_value,
-        increments=inc,
-    )
+        plain = plain + w_m * np.mean(d_m[ranked] / ns[ranked][:, None], axis=0)
+    return CavityReport(f1_sup(prior, lam)[0], w_n, w_m, *_mean_se(comb), *_mean_se(f_tilde),
+                        *_mean_se(comb - f_tilde), float(np.mean(plain)),
+                        float(np.mean(plain - f_tilde)),
+                        telescoping_check(table, schedule, T, N))

@@ -7,9 +7,11 @@ out-of-range or non-finite number is a validation error), runs its jobs in
 order, and writes CSV results plus a JSON run manifest (config echo, content
 hash, wall time, stage times, environment).  A handler returns each table as
 an ordered dict of columns; the key order is the header, fixed per file, and
-each column is checked and formatted in one pass.  Fixed (config, seed)
-reproduces CSV bodies byte for byte, cell format included: true/false,
-integers as written, floats as shortest round-trip repr, ``_quote`` on text.
+each column is checked and formatted in one pass; a cavity result is such a
+table already, a ``NamedTuple`` written through ``_asdict()``.  Fixed
+(config, seed) reproduces CSV bodies byte for byte, cell format included:
+true/false, integers as written, floats as shortest round-trip repr,
+``_quote`` on text.
 
 Exit codes: 0 success, 2 validation error, 3 enumeration budget overflow,
 4 non-convergence flagged as fatal by the config, 5 a non-finite result or an
@@ -417,26 +419,13 @@ def run_cavity(cfg, seed):
     eps = float(n_max) ** (-0.125) if cfg["epsilon"] is None else cfg["epsilon"]
     table = cavity.build_table(p, lam, schedule, eps, cfg["replicates"], seed, T=T)
     report = cavity.cavity_report(p, lam, schedule, table, T=T)
-    inc = report.increments
     keys = sorted(table.entries)
     L, se, count = zip(*map(table.entries.get, keys))
     return [
         ("cavity_table.csv", {"n": [n for n, _ in keys], "m": [m for _, m in keys],
                               "L": L, "std_err": se, "replicates": count}),
-        ("cavity_increments.csv", {
-            "n": inc.n_values, "delta_N": inc.delta_N, "delta_M": inc.delta_M,
-            "delta_N_norm": inc.delta_N_norm, "delta_M_norm": inc.delta_M_norm,
-            "rank_step": inc.increment_steps}),
-        ("cavity_report.csv", {
-            "f1_sup": [report.f1_sup_value], "w_N": [report.weights[0]],
-            "w_M": [report.weights[1]], "combined": [report.combined_mean],
-            "combined_se": [report.combined_se],
-            "table_free_entropy": [report.table_free_entropy],
-            "table_free_entropy_se": [report.table_free_entropy_se],
-            "diff": [report.diff], "diff_se": [report.diff_se],
-            "plain_combined": [report.plain_combined_mean],
-            "plain_diff": [report.plain_diff],
-            "telescoping_residual": [report.telescoping_residual]}),
+        ("cavity_increments.csv", cavity.increments(table, schedule, T)._asdict()),
+        ("cavity_report.csv", {k: [v] for k, v in report._asdict().items()}),
     ]
 
 

@@ -145,7 +145,7 @@ def reduction_sweep(prior: Prior, M: int, lambda_grid) -> list[ReductionReport]:
     if M not in (2, 3):
         raise ValueError("the reduction sweep covers M in {2, 3}")
     lams = np.asarray(lambda_grid, dtype=float)
-    if lams.size >= 8:          # the scan's suprema serve the rows too
+    if lams.size >= 8 and np.all(np.diff(lams) > 0):    # the scan's suprema serve the rows
         scan = phase_scan(prior, lams)
         jump_cell, f1 = scan.jump_cell, zip(scan.value.tolist(), scan.q_star.tolist())
     else:

@@ -371,13 +371,17 @@ def _need_two(replicates: int):
         raise ValueError("a standard error needs at least 2 replicates")
 
 
+def _mean_se(values: np.ndarray):
+    """The mean of a replicate column and its standard error."""
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
+
+
 def free_entropy_mc(prior: Prior, N: int, M: int, lam: float, epsilon: float,
                     replicates: int, seed: int):
     """Disorder-averaged free entropy and its standard error."""
     _need_two(replicates)
-    vals = free_entropy_replicates(prior, N, M, lam, epsilon=epsilon,
-                                   replicates=replicates, seed=seed)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates))
+    return _mean_se(free_entropy_replicates(prior, N, M, lam, epsilon=epsilon,
+                                            replicates=replicates, seed=seed))
 
 
 def posterior_replicates(prior: Prior, N: int, M: int, lam: float, *,
@@ -408,7 +412,7 @@ def overlap_concentration(prior: Prior, N: int, M: int, lam: float, s_N: float,
                           seed, replicates, posterior=True)
     vals = np.mean([run.overlap_fluct for run in runs], axis=0)
     gamma = M**2 / math.sqrt(N * s_N)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates)), gamma
+    return *_mean_se(vals), gamma
 
 
 def perturbation_gap_replicates(prior: Prior, N: int, M: int, lam: float,

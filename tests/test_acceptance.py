@@ -244,9 +244,7 @@ def test_criterion_11_telescoping_identity():
         entries = {key: (math.sin(3.0 * key[0] + 7.0 * key[1]) * key[0] * key[1],
                          0.0, 1)
                    for key in cavity.required_entries(sch, 0)}
-        table = cavity.FreeEntropyTable(entries=entries, lam=2.0,
-                                        prior_label="synthetic",
-                                        epsilon_label="none")
+        table = cavity.FreeEntropyTable(entries=entries)
         res = cavity.telescoping_check(table, sch, 0, 12)
         ok = ok and res <= 1e-12
         details.append(f"synthetic gamma={gamma} N=12: {res:.1e}")
@@ -276,7 +274,7 @@ def test_criterion_13_combined_increments_sharpness():
     tol = max(3 * rep.diff_se, 1e-12)
     ok = abs(rep.diff) <= tol
     report("criterion 13 (combined increments vs table free entropy)", ok,
-           f"combined {rep.combined_mean:.5f}, F~ {rep.table_free_entropy:.5f}, "
+           f"combined {rep.combined:.5f}, F~ {rep.table_free_entropy:.5f}, "
            f"diff {rep.diff:.2e} (tol {tol:.2e}); unweighted-mean diagnostic "
            f"diff {rep.plain_diff:.3f}")
 

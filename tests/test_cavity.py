@@ -13,8 +13,7 @@ def synthetic_table(schedule, fill, T=0):
     entries = {}
     for n, m in cavity.required_entries(schedule, T):
         entries[(n, m)] = (fill(n, m), 0.0, 1)
-    return cavity.FreeEntropyTable(entries=entries, lam=0.0,
-                                   prior_label="synthetic", epsilon_label="none")
+    return cavity.FreeEntropyTable(entries=entries)
 
 
 class TestSchedule:
@@ -54,6 +53,31 @@ class TestSchedule:
         assert sch.rank_at(2) == 2**50
         small = cavity.dims_schedule(1.0, 0.5, 16)
         assert small.n_of_m.tolist() == [0, 1, 4, 9, 16]
+
+
+def walked_entries(schedule, T):
+    """The entries a recording walk of the increments reads, (T, m_T) with
+    them: the oracle of ``required_entries``."""
+    need = {(T, schedule.rank_at(T))}
+
+    def read(n, m):
+        need.add((n, m))
+        return 0.0
+
+    cavity._steps(read, schedule, T, schedule.n_max)
+    return sorted((n, m) for n, m in need if n > 0 and m > 0)
+
+
+class TestRequiredEntries:
+    @pytest.mark.parametrize("gamma", [0.0, 1 / 3, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+    def test_matches_recorded_walk(self, gamma, alpha):
+        for n_max in (1, 2, 5, 9, 16):
+            sch = cavity.dims_schedule(alpha, gamma, n_max)
+            for T in range(n_max):
+                need = cavity.required_entries(sch, T)
+                assert need == walked_entries(sch, T), (n_max, T)
+                assert all(type(n) is int and type(m) is int for n, m in need)
 
 
 class TestWeights:
@@ -146,7 +170,7 @@ class TestIncrements:
         table = cavity.build_table(rademacher, 2.0, sch, epsilon=0.4,
                                    replicates=6, seed=4)
         inc = cavity.increments(table, sch)
-        for i, n in enumerate(inc.n_values):
+        for i, n in enumerate(inc.n):
             lhs = inc.delta_N[i] + inc.delta_M[i]
             rhs = table.value(n + 1, sch.rank_at(n + 1)) - table.value(n, sch.rank_at(n))
             assert lhs == rhs
@@ -156,7 +180,7 @@ class TestIncrements:
         table = cavity.build_table(rademacher, 2.0, sch, epsilon=None,
                                    replicates=4, seed=5)
         inc = cavity.increments(table, sch)
-        assert np.all(inc.delta_M[~inc.increment_steps] == 0.0)
+        assert np.all(inc.delta_M[~inc.rank_step] == 0.0)
 
     def test_constant_rank_has_no_rank_increments(self, rademacher):
         sch = cavity.dims_schedule(1.0, 0.0, 10)
@@ -203,9 +227,10 @@ class TestReport:
         table = cavity.build_table(rademacher, 0.0, sch, epsilon=None,
                                    replicates=4, seed=8)
         rep = cavity.cavity_report(rademacher, 0.0, sch, table)
-        assert np.abs(rep.increments.delta_N).max() <= 1e-13
-        assert np.abs(rep.delta_N_gaps).max() <= 1e-13
-        assert rep.f1_sup_value == 0.0
+        inc = cavity.increments(table, sch)
+        assert np.abs(inc.delta_N).max() <= 1e-13
+        assert np.abs(inc.delta_N_norm - rep.f1_sup).max() <= 1e-13
+        assert rep.f1_sup == 0.0
 
     def test_combined_reconstructs_table_value(self, rademacher):
         sch = cavity.dims_schedule(1.0, 0.5, 8)
@@ -227,13 +252,12 @@ class TestReport:
         values = {key: rng.standard_normal(5) * key[0] * key[1]
                   for key in cavity.required_entries(sch, T)}
         entries = {key: (float(v.mean()), 0.0, 5) for key, v in values.items()}
-        table = cavity.FreeEntropyTable(entries=entries, lam=2.0, prior_label="synthetic",
-                                        epsilon_label="none", replicate_values=values)
+        table = cavity.FreeEntropyTable(entries=entries, replicate_values=values)
         rep = cavity.cavity_report(rademacher, 2.0, sch, table, T=T)
         size = 8 * sch.rank_at(8)
         start = table.replicate(T, sch.rank_at(T)) / size
-        assert abs(rep.combined_mean - np.mean(table.replicate(8, sch.rank_at(8)) / size
-                                               - start)) <= 1e-12
+        assert abs(rep.combined - np.mean(table.replicate(8, sch.rank_at(8)) / size
+                                          - start)) <= 1e-12
         assert abs(rep.diff + np.mean(start)) <= 1e-12
 
     def test_classical_single_index_direction(self, rademacher, quad64):
@@ -243,6 +267,7 @@ class TestReport:
         table = cavity.build_table(rademacher, 2.0, sch, epsilon=None,
                                    replicates=150, seed=10)
         rep = cavity.cavity_report(rademacher, 2.0, sch, table)
-        first = rep.delta_N_gaps[:4].mean()
-        last = rep.delta_N_gaps[-4:].mean()
+        gaps = cavity.increments(table, sch).delta_N_norm - rep.f1_sup
+        first = gaps[:4].mean()
+        last = gaps[-4:].mean()
         assert last <= first

@@ -244,6 +244,19 @@ class TestReductionSweep:
         for r, lam in zip(reports, lams.tolist()):
             assert r.f1_sup_value == replica.f1_sup(rademacher, lam)[0]
 
+    def test_unsorted_grid_rows_match_sorted(self, rademacher):
+        """A grid of 8 SNRs out of order is solved per SNR, not refused by the
+        phase scan, and each SNR's row holds the sorted grid's suprema to the
+        bit."""
+        lams = [2.0, 0.5, 1.0, 1.5, 0.7, 0.9, 1.2, 1.7]
+        unsorted = reduction.reduction_sweep(rademacher, 2, lams)
+        by_lam = {r.lam: r for r in reduction.reduction_sweep(rademacher, 2, sorted(lams))}
+        assert [r.lam for r in unsorted] == lams
+        for r in unsorted:
+            assert r.fm_sup_value == by_lam[r.lam].fm_sup_value, r.lam
+            assert r.f1_sup_value == by_lam[r.lam].f1_sup_value, r.lam
+            assert not r.near_critical
+
     def test_rejects_large_rank(self, rademacher):
         with pytest.raises(ValueError):
             reduction.reduction_sweep(rademacher, 4, [1.0])

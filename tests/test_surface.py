@@ -5,7 +5,9 @@ use, so re-exporting a name from ``wignerlab/__init__`` does not keep it.
 Likewise every defaulted parameter of a public function is set by some call in
 the package or the tests: a knob that nothing turns is a constant.  And every
 module-level constant of the package is read by the package outside its own
-assignment: a constant that only a test reads is a dead switch."""
+assignment: a constant that only a test reads is a dead switch.  Last, every
+field of a package dataclass or ``NamedTuple`` is read by the package or the
+tests outside its own class: a field that nothing reads is a dead result."""
 
 import ast
 import math
@@ -123,3 +125,37 @@ def test_every_constant_is_read():
                     for name, own in constants(tree)
                     if not any(name in names for stmt, names in read_by if stmt is not own))
     assert not unread, f"module-level constants the package never reads: {unread}"
+
+
+def fields(tree):
+    """(class node, field name) of each annotated field of a top-level
+    dataclass or ``NamedTuple`` class in ``tree``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(m, ast.Name) and m.id in ("dataclass", "NamedTuple")
+               for m in marks + node.bases):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node, stmt.target.id
+
+
+def field_reads(node):
+    """Attributes loaded in ``node``, and its string constants: ``cli._attrs``
+    reads a field by its name."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.value for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_every_field_is_read():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    tests = [ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("*.py"))]
+    read_by = [(stmt, field_reads(stmt)) for tree in [*trees.values(), *tests]
+               for stmt in tree.body]
+    unread = sorted(f"{module}:{cls.name}.{name}" for module, tree in trees.items()
+                    for cls, name in fields(tree)
+                    if not any(name in names for stmt, names in read_by if stmt is not cls))
+    assert not unread, f"fields nothing reads outside their class: {unread}"
