@@ -26,12 +26,13 @@ enumerates one configuration per orbit of those flips, weighted by the orbit's
 size; ln Z and <X X'> are exact and <X> is 0.
 
 Disorder is drawn in one place, ``_disorder``, which ``replicate_cuts`` runs:
-Monte Carlo over (X0, Z, Zt) draws, in chunks sized by the master draw; the
-kernel sizes its parts of replicates by its own temporaries (both by
-``_budget.parts``).  Replicate r draws from its own stream (seed, tag, r),
-re-keyed from a chunk of hashed keys (``rng.streams``), and every product is
-the replicate's own (a stacked matmul multiplies each item on its own), so its
-value is bit-identical however replicates are chunked; ``sample_instance`` is
+Monte Carlo over (X0, Z, Zt) draws, in chunks sized by the Philox words of the
+master draw; the kernel sizes its parts of replicates by its own temporaries
+(both by ``_budget.parts``).  Replicate r takes the first numbers of its own
+stream (seed, tag, r), which ``rng.draws`` computes for a whole chunk at once
+(or row by row, for a few long rows), and every product is the replicate's
+own (a stacked matmul multiplies each item on its own), so its value is
+bit-identical however replicates are chunked; ``sample_instance`` is
 replicate 0 of the ``simulate`` draw.  Arrays go in and out: a side channel is
 (eps, Zt), and a batch's posterior summary holds one column per quantity.
 """
@@ -294,20 +295,27 @@ def _posterior(prior: Prior, lam: float, X0, Z, eps, Zt) -> PosteriorSummary:
 # disorder averages
 # ---------------------------------------------------------------------------
 
+def _counts(shape):
+    """The uniforms (X0) and the normals (G, d and Ztilde in turn) of one
+    replicate's disorder at the master ``shape`` (n, m)."""
+    n, m = shape
+    return n * m, n * n + n + n * m
+
+
 def _disorder(prior: Prior, shape, tag: int, seed: int, part: slice):
     """Replicate disorder (X0, Z, Ztilde) at the master ``shape`` (n, m) for
     the replicates of ``part``: arrays (b, n, m), (b, n, n) and (b, n, m).
-    Replicate r is drawn from the counter-based stream (seed, tag, r), however
-    it is chunked; callers evaluate top-left blocks, so every system size cut
-    from one master shares its random numbers."""
+    Replicate r is the first draws of the counter-based stream (seed, tag, r),
+    bit for bit however it is chunked (``rng.draws``, in lockstep over the
+    chunk or row by row); callers evaluate top-left blocks, so every system
+    size cut from one master shares its random numbers."""
     n, m = shape
-    r = range(part.start, part.stop)
-    U, W = np.empty((len(r), n, m)), np.empty((len(r), n * n + n + n * m))
-    for i, rng in enumerate(rngmod.streams(seed, tag, r=r)):
-        rng.random(out=U[i])
-        rng.standard_normal(out=W[i])   # one call draws G, d and Ztilde in turn
+    uniforms, normals = _counts(shape)
+    U, W = rngmod.draws(seed, tag, r=range(part.start, part.stop), uniforms=uniforms,
+                        normals=normals)
     G, d, Zt = W[:, :n * n], W[:, n * n:n * n + n], W[:, n * n + n:]
-    return quantile(prior, U), _symmetric(G.reshape(-1, n, n), d), Zt.reshape(-1, n, m)
+    return (quantile(prior, U.reshape(-1, n, m)), _symmetric(G.reshape(-1, n, n), d),
+            Zt.reshape(-1, n, m))
 
 
 def sample_instance(prior: Prior, N: int, M: int, lam: float, seed: int) -> ModelInstance:
@@ -344,7 +352,7 @@ def replicate_cuts(prior: Prior, lam: float, shape, cuts, tag: int, seed: int,
         raise ValueError("master shape smaller than requested system")
     evaluate = _posterior if posterior else _log_partition
     out = [[] for _ in cuts]
-    for part in parts(replicates, shape[0] * (shape[0] + 2 * shape[1])):   # X0, Z, Ztilde
+    for part in parts(replicates, rngmod.row_words(*_counts(shape))):
         X0, Z, Zt = _disorder(prior, shape, tag, seed, part)
         for acc, (n, m, eps) in zip(out, cuts):
             acc.append(evaluate(prior, lam, X0[:, :n, :m], Z[:, :n, :n], eps, Zt[:, :n, :m]))

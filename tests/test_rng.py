@@ -75,3 +75,88 @@ def test_draw_wigner_matches_triangle_form():
         upper = np.triu(ref.standard_normal((5, 5)), 1)
         want = upper + upper.T + np.diag(math.sqrt(2.0) * ref.standard_normal(5))
         np.testing.assert_array_equal(Z[r], want)
+
+
+def words_read(gen):
+    """Words a fresh Philox generator has handed out (counter c and buffer
+    place p: 4 (c - 1) + p)."""
+    state = gen.bit_generator.state
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+
+
+def stream_rows(seed, path, r, uniforms, normals):
+    """Per-replicate draws from ``rng.stream``, one normal at a time, and the
+    kinds of normal draw met, by the words each took from its first word w:
+    "tail" (w's idx 0, more than one word), "accept" (a wedge test passed:
+    two words) and "reject" (a wedge test failed: more), and "fast" for a row
+    whose every normal took one word."""
+    U, W, kinds = [], [], set()
+    for ri in r:
+        gen = rng.stream(seed, *path, ri)
+        raw = rng.stream(seed, *path, ri).bit_generator.random_raw(4 * (uniforms + normals) + 64)
+        U.append(gen.random(uniforms))
+        row, slow = [], set()
+        for _ in range(normals):
+            start = words_read(gen)
+            row.append(gen.standard_normal())
+            took = words_read(gen) - start
+            if took > 1:
+                slow.add("tail" if raw[start] & 0xFF == 0 else "accept" if took == 2 else "reject")
+        kinds |= slow or {"fast"}
+        W.append(row)
+    return np.array(U), np.array(W), kinds
+
+
+class TestDraws:
+    # every (seed, path) meets every row shape, over indices from r0
+    SWEEP = [(0, (7,), 1000), (5, (3, 1), 7), (2**64 + 5, (2, 7, 1), 250)]
+    SHAPES = [(1, 3), (2, 5), (3, 10), (4, 24), (5, 61), (6, 130)]
+
+    def test_lockstep_matches_stream(self, monkeypatch):
+        """Lockstep rows equal ``rng.stream`` draws bit for bit, over fast-only
+        rows and rows with a wedge acceptance, a wedge rejection or a tail
+        draw (all four met in the sweep), with the routing rule set aside."""
+        monkeypatch.setattr(rng, "_lockstep", lambda rows, words: True)
+        seen = set()
+        for seed, path, r0 in self.SWEEP:
+            for uniforms, normals in self.SHAPES:
+                r = range(r0, r0 + 3000 // normals)
+                U, W = rng.draws(seed, *path, r=r, uniforms=uniforms, normals=normals)
+                want_U, want_W, kinds = stream_rows(seed, path, r, uniforms, normals)
+                np.testing.assert_array_equal(U.view(np.uint64), want_U.view(np.uint64))
+                np.testing.assert_array_equal(W.view(np.uint64), want_W.view(np.uint64))
+                seen |= kinds
+        assert seen == {"fast", "tail", "accept", "reject"}
+
+    def test_fast_path_edges_match_numpy(self):
+        """Words fed to NumPy's own sampler through its Philox buffer: for
+        every idx and sign, rabs = 0, 1 and the largest rabs that
+        ``_ziggurat`` takes as fast (ki - 1) are one-word draws in NumPy too,
+        with the same value.  A ki above NumPy's, or a wi off by one ulp,
+        fails here."""
+        gen = np.random.Generator(np.random.Philox(key=0))
+        state = gen.bit_generator.state
+        words = [(rabs << 9) | (sign << 8) | idx
+                 for idx in range(256) for sign in (0, 1)
+                 for rabs in {0, 1, int(rng._KI[idx]) - 1} if rabs >= 0]
+        x, fast = rng._ziggurat(np.array(words, dtype=np.uint64))
+        assert fast.sum() > 0.99 * len(words)
+        for w, value in zip(np.array(words)[fast], x[fast]):
+            state["buffer"], state["buffer_pos"] = [int(w), 0, 0, 0], 0
+            gen.bit_generator.state = state
+            got = gen.standard_normal()
+            assert gen.bit_generator.state["buffer_pos"] == 1, hex(w)
+            assert np.float64(got).view(np.uint64) == value.view(np.uint64), hex(w)
+
+    @pytest.mark.parametrize("shape, few, many", [((1, 1), 1, 10_000), ((1, 1), 669, 670),
+                                                  ((2, 1), 20, 5000)])
+    def test_same_replicates_across_the_routing_rule(self, shape, few, many):
+        """A chunk of ``few`` replicates is drawn row by row and one of
+        ``many`` in lockstep; their common replicates are the same disorder."""
+        uniforms, normals = simulator._counts(shape)
+        words = rng.row_words(uniforms, normals)
+        assert not rng._lockstep(few, words) and rng._lockstep(many, words)
+        small = simulator._disorder(make_rademacher(), shape, 5, 11, slice(0, few))
+        large = simulator._disorder(make_rademacher(), shape, 5, 11, slice(0, many))
+        for a, b in zip(small, large):
+            np.testing.assert_array_equal(a.view(np.uint64), b[:few].view(np.uint64))

@@ -529,12 +529,17 @@ class TestPerturbationGap:
         assert d.std() < np.concatenate([a, b]).std()
 
 
-def chunk_of(shape):
-    """Replicates per disorder chunk at the master ``shape`` (n, m): as many
-    as keep their draws (X0, Z, Ztilde), n^2 + 2 n m numbers each, within
-    BATCH, one at least."""
+def words_of(shape):
+    """Philox words of one master draw at ``shape`` (n, m): n m uniforms (X0)
+    and n^2 + n + n m normals (Z, Ztilde), in whole 4-word blocks."""
     n, m = shape
-    return max(1, _budget.BATCH // (n * n + 2 * n * m))
+    return 4 * math.ceil((2 * n * m + n * n + n) / 4)
+
+
+def chunk_of(shape):
+    """Replicates per disorder chunk at the master ``shape``: as many as keep
+    their Philox words within BATCH, one at least."""
+    return max(1, _budget.BATCH // words_of(shape))
 
 
 def one_by_one(prior, shape, tag, seed, R):
@@ -650,8 +655,8 @@ class TestReplicateEngine:
     ])
     def test_chunks_fit_the_budget(self, request, monkeypatch, prior_name, master, cuts, R):
         """Every chunk the engine draws holds b >= 1 replicates, as many as
-        keep b master draws (X0, Z, Ztilde), n^2 + 2 n m numbers each, within
-        BATCH."""
+        keep the Philox words of b master draws within BATCH: n m uniforms
+        (X0) and n^2 + n + n m normals (Z, Ztilde), in whole 4-word blocks."""
         prior = request.getfixturevalue(prior_name)
         sizes, real = [], simulator._disorder
 
@@ -661,8 +666,7 @@ class TestReplicateEngine:
             return chunk
         monkeypatch.setattr(simulator, "_disorder", spy)
         simulator.replicate_cuts(prior, 1.0, master, cuts, simulator.TAG_SIM, 3, R)
-        n, m = master
-        size = n * n + 2 * n * m
+        size = words_of(master)
         b = sizes[0]
         assert sum(sizes) == R and set(sizes[:-1]) <= {b} and 1 <= sizes[-1] <= b
         assert b == 1 or b * size <= _budget.BATCH
@@ -817,7 +821,8 @@ class TestReplicateStreams:
             rtol=0, atol=1e-12)
 
     # fixed indices (the edges of earlier chunk rules among them) and the current edges
-    @pytest.mark.parametrize("r", [0, 3, 9, 255, 256, 300, 1023, 1024] + RUN_EDGES)
+    @pytest.mark.parametrize("r", sorted({0, 3, 9, 255, 256, 300, 1023, 1024, 1091, 1092, 2729,
+                                          2730, *RUN_EDGES}))
     def test_prefix_stability(self, r):
         """Replicate r is the same whether r + 1 or twice the largest chunk
         of replicates run, on both sides of every caller's chunk boundary."""
@@ -836,7 +841,7 @@ class TestReplicateStreams:
         R = b + 2
         assert b < R
         chunks = [simulator._disorder(sparse03, (5, 2), tag, 4, part)
-                  for part in _budget.parts(R, 5 * 5 + 2 * 5 * 2)]
+                  for part in _budget.parts(R, words_of((5, 2)))]
         X0, Z, Zt = (np.concatenate(a) for a in zip(*chunks))
         for r in (0, 1, b - 1, b, R - 1):
             g = simulator.rngmod.stream(4, tag, r)

@@ -26,7 +26,12 @@ commit's tree.  The JSON file holds:
   call, over replicates x 2^(N M), the full configuration count; and the
   microseconds per replicate of ``posterior_replicates(rademacher, 4, 1,
   replicates=2000)``, the posterior job of ``replicates-small`` (the mean of
-  5 calls after one warm-up call);
+  5 calls after one warm-up call); and the microseconds per replicate of
+  ``simulator._disorder``, the disorder draw of one chunk, at (1, 1) x 10,000,
+  (4, 1) x 2,000 and (20, 1) x 3 replicates (the mean of 20 calls after one
+  warm-up call): the masters of ``replicates-small``'s simulate jobs and of
+  ``enum-large``'s first, which ``rng.draws`` reads in lockstep (the first
+  two) or row by row (the last);
 - ``tier1``: the Tier-1 suite's wall time, outcome counts and per-test
   durations (from ``pytest --junitxml``);
 - ``calibration_s`` and ``calibration_end_s``: the median time of a fixed
@@ -103,6 +108,13 @@ t0 = time.perf_counter()
 for _ in range(5):
     simulator.posterior_replicates(prior, 4, 1, 1.0, replicates=2000, seed=1)
 out["posterior_replicates_4x1x2000_us_per_replicate"] = (time.perf_counter() - t0) / 5 / 2000 * 1e6
+for N, M, R in ((1, 1, 10000), (4, 1, 2000), (20, 1, 3)):
+    args = (prior, (N, M), simulator.TAG_SIM, 1, slice(0, R))
+    simulator._disorder(*args)
+    t0 = time.perf_counter()
+    for _ in range(20):
+        simulator._disorder(*args)
+    out[f"disorder_{N}x{M}x{R}_us_per_replicate"] = (time.perf_counter() - t0) / 20 / R * 1e6
 print(json.dumps(out))
 """
 
