@@ -1,12 +1,13 @@
 """The package's budgets: the one bound on stacked temporaries, for the
 channel stacks, the ``replica`` potentials, the disorder chunks and the
-enumeration kernel, and the cap on exact enumeration."""
+enumeration kernel; the size of a Gibbs pass and its cap; the enumeration cap."""
 
 import math
 
 import numpy as np
 
 BATCH = 1 << 16                   # elements per temporary of a stacked pass
+QUAD_TEMP_LIMIT = 1 << 24         # elements of the largest Gibbs pass an order may need
 ENUM_BUDGET_BITS = 24             # enumeration cap: k^(N M) <= 2^24
 
 
@@ -22,6 +23,11 @@ def check_enumeration(prior, shapes):
     if over:
         raise BudgetError(f"enumeration of {prior.n_atoms}^(n m) configurations exceeds "
                           f"the 2^{ENUM_BUDGET_BITS} budget at (n, m) = {over}")
+
+
+def pass_elements(atoms, nodes, rows):
+    """Elements of the largest temporary of a ``channel.gibbs_pass`` on ``rows`` rows."""
+    return rows * atoms * max(atoms, nodes)
 
 
 def parts(n, per_item):

@@ -38,12 +38,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from ._budget import batched, parts
+from ._budget import batched, parts, pass_elements
 from .priors import Prior
 
 __all__ = [
     "GaussQuadrature",
     "gauss_hermite",
+    "grid_size",
     "tensor_nodes",
     "atom_grid",
     "gibbs_pass",
@@ -107,6 +108,11 @@ def gauss_hermite(order: int) -> GaussQuadrature:
     return GaussQuadrature(nodes=nodes, weights=weights / weights.sum(), order=order)
 
 
+def grid_size(order: int, dim: int, halved: bool) -> int:
+    """Nodes of ``tensor_nodes``' grid: order^dim, or (order^dim + 1) // 2 halved."""
+    return (order**dim + 1) // 2 if halved else order**dim
+
+
 def tensor_nodes(quad: GaussQuadrature, dim: int, halved: bool = False):
     """Tensorized grid: nodes (order^dim, dim) and product weights (order^dim,),
     built once per (rule, dim, halved) and returned read-only.  ``halved``
@@ -119,11 +125,9 @@ def tensor_nodes(quad: GaussQuadrature, dim: int, halved: bool = False):
         wgrids = np.meshgrid(*([quad.weights] * dim), indexing="ij")
         weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
         if key[1]:
-            # the grid is lexicographic in ascending nodes, so negation reverses
-            # it: the upper half holds the nodes with a positive first nonzero
-            # coordinate, preceded by the all-zero node when the order is odd
-            start = len(weights) // 2
-            nodes, weights = nodes[start:].copy(), 2.0 * weights[start:]
+            # negation reverses the lexicographic grid, so the nodes kept are its last ones
+            keep = grid_size(quad.order, dim, True)
+            nodes, weights = nodes[-keep:].copy(), 2.0 * weights[-keep:]
             if quad.order % 2:
                 weights[0] /= 2.0
         nodes.setflags(write=False)
@@ -184,11 +188,11 @@ def gibbs_pass(exponents, rows, weights, z_weights):
 def _channel_pass(prior, gains, quad, rows, value):
     """One ``gibbs_pass`` of y = G x0 + z per gain G of the stack (..., d, d),
     at x0 = v_a, e_k = G v_k, on A[k, n] = e_k' z_n and B[a, k] = ln W_k -
-    |e_a - e_k|^2 / 2.  ``value(info, mean_x, z_w)`` maps a part's
-    informations E[e_a' z] - E ln Z (rounded to about eps |e_a| |z|), the means
-    (part, R-1, K, Nz) of ``rows`` and the node weights to one value per gain:
-    a float for one gain, an array in the stack's shape otherwise.  A distance
-    past the float range makes B NaN."""
+    |e_a - e_k|^2 / 2, summed one axis at a time.  ``value(info, mean_x, z_w)``
+    maps a part's informations E[e_a' z] - E ln Z (rounded to about eps |e_a|
+    |z|), the means (part, R-1, K, Nz) of ``rows`` and the node weights to one
+    value per gain: a float for one gain, an array in the stack's shape
+    otherwise.  A distance past the float range makes B NaN."""
     d = gains.shape[-1]
     stack = gains.reshape(-1, d, d)
     values, logw = atom_grid(prior, d)                          # (K, d), (K,)
@@ -198,16 +202,15 @@ def _channel_pass(prior, gains, quad, rows, value):
 
     def run(part):
         E = values @ stack[part].swapaxes(-1, -2)               # rows: G v_k
-        D = E[:, :, None, :] - E[:, None, :, :]                 # e_a - e_k
-        B = logw - 0.5 * (D * D).sum(axis=-1)
+        B = logw - 0.5 * sum(np.square(e[:, :, None] - e[:, None, :])
+                             for e in np.moveaxis(E, -1, 0))
         B[~np.isfinite(B)] = np.nan
         ln_z, mean_x = gibbs_pass(lambda: (E @ z_nodes.T, B.copy()), rows, weights, z_w)
         own = ((E @ z_mean)[:, None, :] @ weights)[:, 0]       # per gain the dot of one gain
         return value(own - ln_z, mean_x, z_w)
 
-    K = len(weights)
-    # per gain, the largest temporary: the GEMM's R x K x max(K, Nz), or D's K x K x d
-    out = batched(run, parts(len(stack), max(len(rows) * K * max(K, len(z_w)), K * K * d)))
+    # per gain, the pass's largest temporary: B, built with no (K, K, d) array, is K x K
+    out = batched(run, parts(len(stack), pass_elements(len(weights), len(z_w), len(rows))))
     return float(out[0]) if gains.ndim == 2 else out.reshape(gains.shape[:-2])
 
 

@@ -42,8 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import priors, rng
-from ._budget import BudgetError, check_enumeration
+from . import _budget, priors, rng
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -222,7 +221,6 @@ COMMON = {"prior": (_prior, REQUIRED), "seed": (SEED, 0)}
 # quad_order: Gauss-Hermite nodes per axis for every potential of the run;
 # unset, each potential takes its default order (channel.DEFAULT_ORDER)
 QUAD = {"quad_order": (_int(1, 256), None)}
-QUAD_TEMP_LIMIT = 1 << 24       # elements of the largest temporary an order may need
 LAMBDA = (_number(0), 1.0)
 
 # replicates: at most 2^32, as rng.keys keys replicate indices below 2^32
@@ -274,15 +272,12 @@ def run_prior(cfg, seed):
 
 
 def _check_pass(p, M, order, blocks):
-    """Refuse a rank-M pass whose temporary of blocks k^M max(k^M, n) elements
-    is above QUAD_TEMP_LIMIT: k atoms, n the nodes it keeps (order^M, halved to
-    (order^M + 1) // 2 for a sign-symmetric prior), ``blocks`` its row blocks."""
-    k = p.n_atoms ** M
-    nodes = (order**M + 1) // 2 if p.sign_symmetric else order**M
-    size = blocks * k * max(k, nodes)
-    if size > QUAD_TEMP_LIMIT:
+    """Refuse a rank-M Gibbs pass on ``blocks`` rows above QUAD_TEMP_LIMIT elements."""
+    from .channel import grid_size
+    size = _budget.pass_elements(p.n_atoms**M, grid_size(order, M, p.sign_symmetric), blocks)
+    if size > _budget.QUAD_TEMP_LIMIT:
         raise ConfigError(f"order {order} at M = {M} needs a temporary of "
-                          f"{size} elements, above {QUAD_TEMP_LIMIT}")
+                          f"{size} elements, above {_budget.QUAD_TEMP_LIMIT}")
 
 
 def _quad(cfg, M, blocks=1):
@@ -394,7 +389,7 @@ def run_simulate(cfg, seed):
 def run_concentration(cfg, seed):
     from . import simulator
     p, Ns, M, lam = cfg["prior"], cfg["N_grid"], cfg["M"], cfg["lambda"]
-    check_enumeration(p, [(n, M) for n in Ns])
+    _budget.check_enumeration(p, [(n, M) for n in Ns])
     try:
         s = [float(n) ** -cfg["s_exponent"] for n in Ns]
     except OverflowError:
@@ -412,7 +407,7 @@ def run_cavity(cfg, seed):
     p, lam, n_max, T = cfg["prior"], cfg["lambda"], cfg["N_max"], cfg["T"]
     if T >= n_max:
         raise ConfigError("truncation T must satisfy 0 <= T < N_max")
-    check_enumeration(p, [(n_max, 1)])    # before the schedule's arrays of N_max + 1
+    _budget.check_enumeration(p, [(n_max, 1)])    # before the schedule's arrays of N_max + 1
     schedule = cavity.dims_schedule(cfg["alpha"], cfg["gamma"], n_max)
     if schedule.rank_at(n_max) < 1:
         raise ConfigError("schedule reaches rank 0 at N_max; increase alpha or N_max")
@@ -436,7 +431,7 @@ HANDLERS = {name: globals()[f"run_{name.replace('-', '_')}"] for name in SCHEMAS
 # float overflow (a valid prior's rho**2 past the float range) is a non-finite
 # result.
 FAILURES = [
-    (BudgetError, "budget", EXIT_BUDGET),
+    (_budget.BudgetError, "budget", EXIT_BUDGET),
     (ConfigFileError, "config", EXIT_VALIDATION),
     (NonConvergenceError, "non-convergence", EXIT_NONCONVERGENCE),
     ((NonFiniteResultError, OverflowError), "non-finite", EXIT_INTERNAL),

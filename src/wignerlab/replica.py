@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._budget import batched, parts
+from ._budget import batched, parts, pass_elements
 from .channel import (
     DEFAULT_ORDER,
     GaussQuadrature,
@@ -294,11 +294,6 @@ class _RankMWorkspace:
         B = G - 0.5 * np.diagonal(G, axis1=-2, axis2=-1)[..., None, :] + self.logw
         return A, B
 
-    def _per_item(self, rows):
-        """Elements per temporary of one overlap's pass on ``rows`` rows."""
-        k = self.weights.size
-        return rows * k * max(k, self.z_weights.size)
-
     def ln_partition(self, Q, lam, sqrt_Q=None):
         """E_{z,x0} ln ZM(Q) on the tensor grid; a float for one overlap, an
         array over the leading axes of a stack of them (which needs sqrt_Q)."""
@@ -318,7 +313,8 @@ class _RankMWorkspace:
             i, j = np.divmod(np.arange(*part.indices(lams.size * n)), n)
             return self.ln_partition(Q[j], lams[i], sqrt_Q[j])
 
-        ln_z = batched(run, parts(lams.size * n, self._per_item(1))).reshape(lams.size, n)
+        size = pass_elements(len(self.weights), len(self.z_weights), 1)
+        ln_z = batched(run, parts(lams.size * n, size)).reshape(lams.size, n)
         values = ln_z / self.M - lams[:, None] * np.sum(Q * Q, axis=(1, 2)) / (4.0 * self.M)
         return values if np.ndim(lam) else values[0]
 
@@ -337,8 +333,8 @@ class _RankMWorkspace:
         if np.ndim(Q) == 2:
             ln_z, cross = self._moments(Q, lam, sqrt_Q)
             return float(ln_z), cross
-        return batched(lambda part: self._moments(Q[part], lam[part], sqrt_Q[part]),
-                       parts(len(Q), self._per_item(self.M + 1)))
+        size = pass_elements(len(self.weights), len(self.z_weights), self.M + 1)
+        return batched(lambda p: self._moments(Q[p], lam[p], sqrt_Q[p]), parts(len(Q), size))
 
 
 def fm_rs(prior: Prior, M: int, Q, lam: float,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,18 @@ class TestTensorGrid:
         for f in (lambda z: np.cosh(z @ np.arange(1.0, dim + 1)),
                   lambda z: (z[:, 0] * z[:, -1]) ** 2 + z[:, 0] * z[:, -1]):
             assert abs(half_w @ f(half) - full_w @ f(full)) <= 1e-12
+
+    @pytest.mark.parametrize("halved", [False, True])
+    def test_grid_size_counts_the_grid(self, halved):
+        """``grid_size`` is the node count of ``tensor_nodes``' grid, halved
+        or not; a rule that is not symmetric keeps its full grid."""
+        skewed3 = channel.GaussQuadrature(nodes=np.array([-math.sqrt(2.0), 0.0, math.sqrt(2.0)]),
+                                          weights=np.array([0.2, 0.5, 0.3]), order=3)
+        rules = [channel.gauss_hermite(order) for order in range(1, 13)]
+        for quad in rules + [skewed_rule(), skewed3]:
+            for dim in (1, 2, 3):
+                nodes = len(channel.tensor_nodes(quad, dim, halved)[1])
+                assert channel.grid_size(quad.order, dim, halved and quad.symmetric) == nodes
 
     def test_skewed_rule_keeps_full_grid(self):
         skewed = skewed_rule()
@@ -356,13 +369,13 @@ class TestStacks:
         ("sparse03", 2, 24, 60, 25),      # the GEMM's, 9 x 288 per gain
         ("rademacher", 1, 64, 3000, None),
         ("asymmetric", 2, 20, 100, None),
-        ("uniform5", 3, 8, 3, 1),         # D's, 125 x 125 x 3 per gain
+        ("uniform5", 3, 8, 3, 2),         # the GEMM's, 125 x 256 per gain
     ])
     def test_parts_fit_the_budget(self, request, monkeypatch, label, d, order, n, per_part):
         """The channel pass runs its gains in parts of b >= 1, as many as keep
         b times its largest temporary per gain within BATCH: the GEMM's
-        R x K x max(K, Nz) for R rows, K = k^d atoms and Nz nodes, or the atom
-        differences D, K x K x d."""
+        R x K x max(K, Nz) for R rows, K = k^d atoms and Nz nodes
+        (``_budget.pass_elements``)."""
         prior = stack_prior(request, label)
         quad = channel.gauss_hermite(order)
         calls, real = [], channel.batched
@@ -380,13 +393,30 @@ class TestStacks:
         for run, R in runs:
             calls.clear()
             run()
-            size = max(R * K * max(K, Nz), K * K * d)
+            size = _budget.pass_elements(K, Nz, R)
             (sizes,) = calls
             b = sizes[0]
             assert sum(sizes) == n and set(sizes[:-1]) <= {b} and 1 <= sizes[-1] <= b
             assert b == 1 or b * size <= _budget.BATCH
             assert len(sizes) == 1 or (b + 1) * size > _budget.BATCH
             assert per_part is None or b == per_part
+
+    def test_traced_peak_is_a_few_passes(self):
+        """One gain's pass holds at most four arrays the size of its largest
+        temporary, ``_budget.pass_elements``: the distances |e_a - e_k| are
+        summed one axis at a time, never held as a (K, K, d) array."""
+        prior = make_discretized_uniform(1.0, 8)
+        quad = channel.gauss_hermite(4)
+        gain = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.2], [0.0, 0.2, 0.5]])
+        nodes = len(channel.tensor_nodes(quad, 3, halved=prior.sign_symmetric)[1])
+        channel.mi_vector_signal(prior, gain, quad)
+        tracemalloc.start()
+        try:
+            channel.mi_vector_signal(prior, gain, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * _budget.pass_elements(prior.n_atoms**3, nodes, 1)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("label", list(STACK_PRIORS))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wignerlab import channel, cli, reduction, replica, simulator
+from wignerlab import _budget, channel, cli, reduction, replica, simulator
 from wignerlab.channel import gauss_hermite
 from wignerlab.priors import make_prior, make_rademacher, make_sparse_rademacher
 
@@ -218,6 +218,44 @@ class TestQuadOrder:
             assert code == 2 and "needs a temporary of" in detail
         else:
             assert code == 5 and "computation started" in detail
+
+
+class TestPassSize:
+    """The pre-flight counts a pass as the pass allocates it: what ``_check_pass``
+    compares with ``_budget.QUAD_TEMP_LIMIT`` is the largest temporary that
+    ``gibbs_pass`` builds from the exponents it is given, R rows of the K_a x K_x
+    weights or of the K_a x Nz sums."""
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("label", ["rademacher", "sparse03", "asymmetric"])
+    def test_preflight_counts_the_pass(self, monkeypatch, label, M, order):
+        prior = {"rademacher": make_rademacher(), "sparse03": make_sparse_rademacher(0.3),
+                 "asymmetric": make_prior([(-1.0, 2.0 / 3.0), (2.0, 1.0 / 3.0)])}[label]
+        quad, sizes = gauss_hermite(order), []
+
+        def recording(exponents, rows, weights, z_weights):
+            A, B = exponents()
+            k_a, k_x = B.shape[-2:]
+            sizes.append(len(rows) * k_a * max(k_x, A.shape[-1]))
+            return gibbs_pass(exponents, rows, weights, z_weights)
+
+        gibbs_pass = channel.gibbs_pass
+        monkeypatch.setattr(channel, "gibbs_pass", recording)
+        monkeypatch.setattr(replica, "gibbs_pass", recording)
+        ws = replica._RankMWorkspace(prior, M, quad)
+        Q = 0.5 * prior.rho * np.eye(M)
+        for evaluate, rows in [(lambda: ws.ln_partition(Q, 1.5), 1),
+                               (lambda: ws.value_and_moment(Q, 1.5), M + 1),
+                               (lambda: channel.mi_vector_signal(prior, Q, quad), 1)]:
+            sizes.clear()
+            evaluate()
+            (size,) = sizes
+            monkeypatch.setattr(_budget, "QUAD_TEMP_LIMIT", size)
+            cli._check_pass(prior, M, order, rows)
+            monkeypatch.setattr(_budget, "QUAD_TEMP_LIMIT", size - 1)
+            with pytest.raises(cli.ConfigError, match=f"temporary of {size} elements"):
+                cli._check_pass(prior, M, order, rows)
 
 
 class TestDeterminism:

@@ -107,9 +107,8 @@ class TestLargestPasses:
         reduction.noise_inequality_batch(prior, M, 2, 0)
 
         def size(dim, order, blocks):
-            k = prior.n_atoms ** dim
-            nodes = (order**dim + 1) // 2 if prior.sign_symmetric else order**dim
-            return blocks * k * max(k, nodes)
+            nodes = channel.grid_size(order, dim, prior.sign_symmetric)
+            return _budget.pass_elements(prior.n_atoms ** dim, nodes, blocks)
 
         listed = [size(*p) for p in reduction.largest_passes(M)]
         assert max(sizes) == max(listed)
