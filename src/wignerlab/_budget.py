@@ -17,11 +17,13 @@ class BudgetError(ValueError):
 
 def check_enumeration(prior, shapes):
     """Raise BudgetError naming every (n, m) of ``shapes`` whose k^(n m)
-    configurations exceed 2^ENUM_BUDGET_BITS."""
-    over = sorted({(n, m) for n, m in shapes
-                   if n * m * math.log2(prior.n_atoms) > ENUM_BUDGET_BITS + 1e-9})
+    configurations exceed 2^ENUM_BUDGET_BITS.  A one-atom prior counts as
+    two atoms: it has one configuration, but each replicate's disorder still
+    draws n^2 + n + 2 n m numbers."""
+    k = max(prior.n_atoms, 2)
+    over = sorted({(n, m) for n, m in shapes if n * m * math.log2(k) > ENUM_BUDGET_BITS + 1e-9})
     if over:
-        raise BudgetError(f"enumeration of {prior.n_atoms}^(n m) configurations exceeds "
+        raise BudgetError(f"enumeration of {k}^(n m) configurations exceeds "
                           f"the 2^{ENUM_BUDGET_BITS} budget at (n, m) = {over}")
 
 

@@ -29,12 +29,13 @@ Disorder is drawn in one place, ``_disorder``, which ``replicate_cuts`` runs:
 Monte Carlo over (X0, Z, Zt) draws, in chunks sized by the Philox words of the
 master draw; the kernel sizes its parts of replicates by its own temporaries
 (both by ``_budget.parts``).  Replicate r takes the first numbers of its own
-stream (seed, tag, r), which ``rng.draws`` computes for a whole chunk at once
-(or row by row, for a few long rows), and every product is the replicate's
-own (a stacked matmul multiplies each item on its own), so its value is
-bit-identical however replicates are chunked; ``sample_instance`` is
-replicate 0 of the ``simulate`` draw.  Arrays go in and out: a side channel is
-(eps, Zt), and a batch's posterior summary holds one column per quantity.
+stream (seed, tag, r), which ``rng.draws`` reads for a whole chunk (in
+lockstep over many short rows, or by one NumPy Philox re-keyed row by row),
+and every product is the replicate's own (a stacked matmul multiplies each
+item on its own), so its value is bit-identical however replicates are
+chunked; ``sample_instance`` is replicate 0 of the ``simulate`` draw.  Arrays
+go in and out: a side channel is (eps, Zt), and a batch's posterior summary
+holds one column per quantity.
 """
 
 from __future__ import annotations
@@ -306,9 +307,10 @@ def _disorder(prior: Prior, shape, tag: int, seed: int, part: slice):
     """Replicate disorder (X0, Z, Ztilde) at the master ``shape`` (n, m) for
     the replicates of ``part``: arrays (b, n, m), (b, n, n) and (b, n, m).
     Replicate r is the first draws of the counter-based stream (seed, tag, r),
-    bit for bit however it is chunked (``rng.draws``, in lockstep over the
-    chunk or row by row); callers evaluate top-left blocks, so every system
-    size cut from one master shares its random numbers."""
+    bit for bit however it is chunked (``rng.draws`` picks lockstep or row by
+    row from the chunk's shape, with NumPy's numbers either way); callers
+    evaluate top-left blocks, so every system size cut from one master shares
+    its random numbers."""
     n, m = shape
     uniforms, normals = _counts(shape)
     U, W = rngmod.draws(seed, tag, r=range(part.start, part.stop), uniforms=uniforms,

@@ -323,6 +323,16 @@ class TestStartup:
         proc = fresh("-c", code)
         assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
+    def test_ziggurat_table_waits_for_lockstep(self):
+        """``rng``'s ziggurat table is built at the first lockstep chunk, not
+        at import, and once per process."""
+        code = ("import wignerlab.cli; from wignerlab import rng; "
+                "built = rng._table.cache_info().currsize; "
+                "[rng.draws(1, 2, r=range(10000), uniforms=1, normals=1) for _ in range(2)]; "
+                "info = rng._table.cache_info(); print(built, info.misses, info.hits)")
+        proc = fresh("-c", code)
+        assert proc.returncode == 0 and proc.stdout.split() == ["0", "1", "1"]
+
     def test_package_import_loads_no_submodule(self):
         code = "import sys, wignerlab; print(sorted(m for m in sys.modules if 'wignerlab.' in m))"
         proc = fresh("-c", code)
@@ -552,6 +562,16 @@ class TestExitCodes:
                       {"prior": "rademacher", "N": 40, "M": 2, "lambda": 1.0,
                        "replicates": 2}, "bad3")
         assert code == 3
+
+    def test_one_atom_prior_budget_overflow(self, tmp_path, capsys):
+        """A point mass at N = 10^6 is refused before its N^2 disorder
+        normals are drawn."""
+        code, out = run(tmp_path, "simulate",
+                        {"prior": {"kind": "atoms", "atoms": [[0.0, 1.0]]}, "N": 10**6,
+                         "replicates": 2}, "bad3d")
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "budget"
+        assert json.loads((out / "simulate_manifest.json").read_text())["partial"] is True
 
     @pytest.mark.parametrize("config", [
         {"prior": "rademacher", "N_max": 10**15, "replicates": 2},

@@ -37,20 +37,23 @@ class TestKeys:
 
 
 class TestStreams:
+    """``rng.draws`` on its row-by-row path: one Philox re-keyed per row."""
+
     def test_rekeyed_draws_match_stream(self):
         t = rng.tag("simulate")
-        for r, gen in zip(range(40), rng.streams(5, t, r=range(40))):
+        assert not rng._lockstep(40, rng.row_words(6, 15))
+        U, W = rng.draws(5, t, r=range(40), uniforms=6, normals=15)
+        for r in range(40):
             ref = rng.stream(5, t, r)
-            np.testing.assert_array_equal(gen.random(6), ref.random(6))
-            np.testing.assert_array_equal(gen.standard_normal(9), ref.standard_normal(9))
-            out = np.empty((2, 3))
-            gen.standard_normal(out=out)
-            np.testing.assert_array_equal(out, ref.standard_normal((2, 3)))
+            np.testing.assert_array_equal(U[r], ref.random(6))
+            np.testing.assert_array_equal(W[r, :9], ref.standard_normal(9))
+            np.testing.assert_array_equal(W[r, 9:].reshape(2, 3), ref.standard_normal((2, 3)))
 
     def test_indices_need_not_start_at_zero(self):
-        gens = rng.streams(2**64 + 5, 9, r=[700, 3])
-        for r, gen in zip([700, 3], gens):
-            assert gen.random() == rng.stream(2**64 + 5, 9, r).random()
+        assert not rng._lockstep(2, rng.row_words(1, 0))
+        U, _ = rng.draws(2**64 + 5, 9, r=[700, 3], uniforms=1, normals=0)
+        for r, u in zip([700, 3], U[:, 0]):
+            assert u == rng.stream(2**64 + 5, 9, r).random()
 
 
 @pytest.mark.parametrize("prior", [make_rademacher(), make_sparse_rademacher(0.3),
@@ -136,9 +139,10 @@ class TestDraws:
         fails here."""
         gen = np.random.Generator(np.random.Philox(key=0))
         state = gen.bit_generator.state
+        ki = rng._table()[1]
         words = [(rabs << 9) | (sign << 8) | idx
                  for idx in range(256) for sign in (0, 1)
-                 for rabs in {0, 1, int(rng._KI[idx]) - 1} if rabs >= 0]
+                 for rabs in {0, 1, int(ki[idx]) - 1} if rabs >= 0]
         x, fast = rng._ziggurat(np.array(words, dtype=np.uint64))
         assert fast.sum() > 0.99 * len(words)
         for w, value in zip(np.array(words)[fast], x[fast]):

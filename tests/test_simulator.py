@@ -725,6 +725,14 @@ class TestReplicateEngine:
         assert len(out.free_entropy if posterior else out) == R
         assert calls == [R]
 
+    def test_one_atom_prior_is_budgeted(self):
+        """A point mass has one configuration, but its disorder still grows
+        with N: it is budgeted as two atoms per entry."""
+        delta = make_prior([(0.0, 1.0)])
+        _budget.check_enumeration(delta, [(24, 1)])
+        with pytest.raises(BudgetError, match=r"\(25, 1\)"):
+            _budget.check_enumeration(delta, [(25, 1)])
+
     def test_budget_names_every_offender(self, rademacher):
         with pytest.raises(BudgetError, match=r"\(13, 2\), \(25, 1\)"):
             simulator.replicate_cuts(rademacher, 1.0, None,

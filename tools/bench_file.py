@@ -30,10 +30,12 @@ commit's tree.  The JSON file holds:
   ``simulator._disorder``, the disorder draw of one chunk, at (1, 1) x 10,000,
   (4, 1) x 2,000 and (20, 1) x 3 replicates (the mean of 20 calls after one
   warm-up call): the masters of ``replicates-small``'s simulate jobs and of
-  ``enum-large``'s first, which ``rng.draws`` reads in lockstep (the first
-  two) or row by row (the last);
+  ``enum-large``'s first, which ``rng.draws`` reads in lockstep (the first)
+  or row by row (the other two: a (4, 1) row holds 28 Philox words);
 - ``tier1``: the Tier-1 suite's wall time, outcome counts and per-test
   durations (from ``pytest --junitxml``);
+- ``src_lines``: the lines of each ``src/wignerlab/*.py`` module, and their
+  ``total``;
 - ``calibration_s`` and ``calibration_end_s``: the median time of a fixed
   pure-Python loop (``REPEATS`` times) before and after the runs, which
   places the host's speed state (a shared host can drift between speed states);
@@ -199,6 +201,13 @@ def tier1(root, work):
     return {"wall_s": wall, **outcomes, "durations_s": durations}
 
 
+def src_lines(root):
+    """Lines per ``src/wignerlab`` module, and their total."""
+    lines = {path.name: len(path.read_text().splitlines())
+             for path in sorted((root / "src" / "wignerlab").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
+
+
 def calibration():
     """Median seconds of a fixed pure-Python loop."""
     times = []
@@ -213,7 +222,7 @@ def main(out) -> int:
     record = {"env": {"python": ".".join(map(str, sys.version_info[:3])),
                       "numpy": np.__version__, "cpu_count": os.cpu_count(),
                       "dont_write_bytecode": sys.flags.dont_write_bytecode},
-              "calibration_s": calibration()}
+              "src_lines": src_lines(ROOT), "calibration_s": calibration()}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         record["subcommands"] = subcommand_starts(ROOT, work)
